@@ -28,13 +28,12 @@ class ResourceSignal:
 
     cpu_fraction: float = 0.0
     mem_bytes: float = 0.0
-    disk_bytes: float = 0.0
     solve_time: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cpu_fraction <= 1.0:
             raise ValueError("cpu_fraction must be within [0, 1]")
-        if min(self.mem_bytes, self.disk_bytes, self.solve_time) < 0:
+        if min(self.mem_bytes, self.solve_time) < 0:
             raise ValueError("resource signals must be non-negative")
 
 

@@ -6,14 +6,17 @@ them. Replaying the event stream from an empty state reconstructs the
 contract exactly, which is what the audit tooling relies on.
 
 The contract tracks the registry, both offer books, the best feasible
-candidate solution seen so far, and the finalized (pinned) trades. It never
-accepts a solution that violates the market constraints, so finalization can
-only ever draw from safe candidates.
+candidate solution seen so far, and the finalized (pinned) trades. The
+candidate covers only open intervals: finalizing an interval moves its trades
+from the candidate into the pins. The contract never accepts a solution that
+violates the market constraints, so finalization can only ever draw from
+safe candidates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -32,6 +35,10 @@ from .market import (
 )
 
 IMPROVEMENT_MARGIN = 1e-9
+
+# Version 2 logs record solutions over open intervals only; version 1 logs
+# restated every finalized trade in each accepted solution.
+LOG_VERSION = 2
 
 OPERATOR_FEEDER_ID = "__operator__"
 OPERATOR_FEEDER = Feeder(OPERATOR_FEEDER_ID, 1e12, 1e12)
@@ -159,8 +166,12 @@ class ContractState:
             key = (int(payload["sell_offer"]), int(payload["buy_offer"]))
             self._pending_pins[key] = (float(payload["power_kw"]), float(payload["price"]))
         elif kind == EventKind.INTERVAL_ADVANCED:
-            self.pinned.pin(int(payload["finalized_interval"]), self._pending_pins)
+            fin = int(payload["finalized_interval"])
+            self.pinned.pin(fin, self._pending_pins)
             self._pending_pins = {}
+            self.candidate = Solution({key: value for key, value in self.candidate.items()
+                                       if key[2] > fin})
+            self.candidate_objective = objective(self.candidate)
             self.current_interval = int(payload["interval"])
         elif kind == EventKind.PARTICIPANT_REMOVED:
             removed = {int(oid) for oid in payload["removed_offers"]}
@@ -168,15 +179,13 @@ class ContractState:
                 offer = self.selling.pop(oid, None) or self.buying.pop(oid, None)
                 if offer is not None:
                     self.retired[oid] = offer
-            self.candidate = self.candidate.without_offers(
-                removed, keep_through=self.pinned.finalized_through)
+            self.candidate = self.candidate.without_offers(removed)
             self.candidate_objective = float(payload["candidate_objective"])
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
     def feasibility(self, solution: Solution):
-        return check_feasibility(solution, self.book, self.grid, self.pinned,
-                                 retired=self.retired)
+        return check_feasibility(solution, self.book, self.grid, self.pinned)
 
     def snapshot(self) -> dict:
         """Canonical JSON-able view used for exact state comparison."""
@@ -261,12 +270,13 @@ class Contract:
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
-        if energy_kwh <= 0:
-            raise InvalidQuantity(f"energy must be positive, got {energy_kwh}")
+        if not 0 < energy_kwh < math.inf:
+            raise InvalidQuantity(f"energy must be positive and finite, got {energy_kwh}")
         if start > end:
             raise InvalidQuantity(f"start {start} exceeds end {end}")
-        if reservation_price is not None and reservation_price < 0:
-            raise InvalidQuantity("reservation price must be non-negative")
+        if reservation_price is not None and not 0 <= reservation_price < math.inf:
+            raise InvalidQuantity(
+                f"reservation price must be non-negative and finite, got {reservation_price}")
         earliest = self.state.current_interval + self.state.grid.clearing_lead
         if start < earliest:
             raise StaleInterval(
@@ -339,8 +349,7 @@ class Contract:
             raise NotRegistered(f"{participant} is not registered")
         removed = sorted(
             oid for oid, offer in self.state.book.items() if offer.prosumer == participant)
-        stripped = self.state.candidate.without_offers(
-            set(removed), keep_through=self.state.pinned.finalized_through)
+        stripped = self.state.candidate.without_offers(set(removed))
         event = self._append(EventKind.PARTICIPANT_REMOVED, {
             "participant": participant,
             "removed_offers": removed,
@@ -363,14 +372,16 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
 
     Returns a list of problems; an empty list means the log is a valid
     history: gapless sequence, offers posted in open intervals, accepted
-    solutions feasible and strictly improving, finalized trades drawn
-    exactly from the candidate, and pinned intervals never contradicted.
+    solutions feasible, strictly improving and covering open intervals
+    only, finalized trades drawn exactly from the candidate, and each
+    interval advance counting the trades it finalized.
     """
     problems: list[str] = []
     state = ContractState(grid, price_cap=price_cap)
     expected_seq = 1
     last_time = float("-inf")
     pending_fin: dict[tuple[int, int], tuple[float, float]] = {}
+    finalized_count = 0
 
     for event in events:
         if event.seq != expected_seq:
@@ -424,6 +435,7 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
                 problems.append(
                     f"seq {event.seq}: finalized power differs from candidate")
             pending_fin[key[:2]] = (payload["power_kw"], payload["price"])
+            finalized_count += 1
         elif event.kind == EventKind.INTERVAL_ADVANCED:
             fin = int(payload["finalized_interval"])
             if fin != state.current_interval + state.grid.clearing_lead:
@@ -436,7 +448,12 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
             if expected_trades != pending_fin:
                 problems.append(
                     f"seq {event.seq}: finalized trades do not match candidate")
+            if payload["trade_count"] != finalized_count:
+                problems.append(
+                    f"seq {event.seq}: trade count {payload['trade_count']} but "
+                    f"{finalized_count} trades were finalized")
             pending_fin = {}
+            finalized_count = 0
         elif event.kind == EventKind.PARTICIPANT_REMOVED:
             if payload["participant"] not in state.participants:
                 problems.append(f"seq {event.seq}: removed unknown participant")
@@ -446,8 +463,7 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
             if expected != sorted(int(x) for x in payload["removed_offers"]):
                 problems.append(f"seq {event.seq}: removed offer set mismatch")
             stripped = state.candidate.without_offers(
-                set(int(x) for x in payload["removed_offers"]),
-                keep_through=state.pinned.finalized_through)
+                set(int(x) for x in payload["removed_offers"]))
             if abs(objective(stripped) - payload["candidate_objective"]) > 1e-9:
                 problems.append(f"seq {event.seq}: post-removal objective mismatch")
 
@@ -470,7 +486,7 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
                        grid: GridModel, *, price_cap: float = 1.0) -> Path:
     """Write the audit log: a header record then one event per line."""
     path = Path(path)
-    header = {"record": "header", "format": "gridtrade-events", "version": 1,
+    header = {"record": "header", "format": "gridtrade-events", "version": LOG_VERSION,
               "grid": grid.to_payload(), "price_cap": price_cap}
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -490,6 +506,10 @@ def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
                 continue
             record = json.loads(line)
             if record.get("record") == "header":
+                if record.get("version") != LOG_VERSION:
+                    raise ValueError(
+                        f"{path}: log version {record.get('version')} is not supported; "
+                        f"this reader reads version {LOG_VERSION}")
                 header = record
             elif record.get("record") == "event":
                 events.append(LedgerEvent.from_record(record))

@@ -1,10 +1,12 @@
 """Domain model for the forward energy market.
 
 Offers commit energy over contiguous interval windows; a solution assigns
-per-interval power and unit prices to matched sell/buy offer pairs. This
-module owns the validation rules that every candidate solution must pass:
-per-offer energy budgets, per-feeder power limits, reservation-price bands,
-and exact agreement with already-finalized (pinned) trades.
+per-interval power and unit prices to matched sell/buy offer pairs. A
+solution covers only open intervals: finalized (pinned) trades live in
+:class:`PinnedTrades` alone. This module owns the validation rules that
+every candidate solution must pass: no trade at a finalized interval,
+per-offer energy budgets net of finalized energy, per-feeder power limits,
+and reservation-price bands.
 
 All values are plain floats: power in kW, energy in kWh, prices in $/kWh,
 interval length in hours.
@@ -199,15 +201,6 @@ class Solution:
     def empty(cls) -> "Solution":
         return cls({})
 
-    @classmethod
-    def from_trades(cls, trades: Iterable[Trade]) -> "Solution":
-        entries: dict[TradeKey, tuple[float, float]] = {}
-        for t in trades:
-            if t.key in entries:
-                raise InvalidTradeError(f"trade {t.key}: duplicate key")
-            entries[t.key] = (t.power_kw, t.price)
-        return cls(entries)
-
     def power(self, key: TradeKey) -> float:
         return self._entries.get(key, (0.0, 0.0))[0]
 
@@ -235,20 +228,10 @@ class Solution:
     def __repr__(self) -> str:
         return f"Solution({len(self._entries)} trades)"
 
-    def merged(self, extra: Mapping[TradeKey, tuple[float, float]]) -> "Solution":
-        """New solution with ``extra`` entries overriding existing keys."""
-        entries = dict(self._entries)
-        entries.update(extra)
-        return Solution(entries)
-
-    def without_offers(self, offer_ids: set[int], keep_through: int) -> "Solution":
-        """Drop trades touching ``offer_ids`` at intervals after ``keep_through``."""
-        entries = {
-            key: value
-            for key, value in self._entries.items()
-            if key[2] <= keep_through or (key[0] not in offer_ids and key[1] not in offer_ids)
-        }
-        return Solution(entries)
+    def without_offers(self, offer_ids: set[int]) -> "Solution":
+        """Drop every trade touching ``offer_ids``."""
+        return Solution({key: value for key, value in self._entries.items()
+                         if key[0] not in offer_ids and key[1] not in offer_ids})
 
     def to_payload(self) -> list[list]:
         return [[s, b, t, p, pi] for (s, b, t), (p, pi) in self._entries.items()]
@@ -273,23 +256,31 @@ class PinnedTrades:
     """Finalized trade values, immutable once written.
 
     ``finalized_through`` is the highest interval whose trades are locked;
-    intervals at or below it admit exactly the recorded values (absent keys
-    are locked at zero).
+    no solution may trade at or below it (absent keys are locked at zero).
+    Pinned power is summed per offer as intervals are pinned, so budgets
+    net of finalized energy cost no walk over the history.
     """
 
-    __slots__ = ("_by_interval", "finalized_through")
+    __slots__ = ("_by_interval", "_power_by_offer", "finalized_through")
 
     def __init__(self, finalized_through: int = -1,
                  by_interval: Mapping[int, Mapping[tuple[int, int], tuple[float, float]]] | None = None):
         self.finalized_through = finalized_through
         self._by_interval: dict[int, dict[tuple[int, int], tuple[float, float]]] = {}
-        for interval, entries in (by_interval or {}).items():
+        self._power_by_offer: dict[int, float] = {}
+        for interval, entries in sorted((by_interval or {}).items()):
             if interval > finalized_through:
                 raise ValueError(f"interval {interval} beyond finalized_through")
-            self._by_interval[int(interval)] = {
-                (int(s), int(b)): (float(p), float(pi))
-                for (s, b), (p, pi) in sorted(entries.items())
-            }
+            self._store(int(interval), entries)
+
+    def _store(self, interval: int,
+               entries: Mapping[tuple[int, int], tuple[float, float]]) -> None:
+        kept = {(int(s), int(b)): (float(p), float(pi))
+                for (s, b), (p, pi) in sorted(entries.items())}
+        self._by_interval[interval] = kept
+        for (s, b), (power, _) in kept.items():
+            self._power_by_offer[s] = self._power_by_offer.get(s, 0.0) + power
+            self._power_by_offer[b] = self._power_by_offer.get(b, 0.0) + power
 
     @classmethod
     def empty(cls) -> "PinnedTrades":
@@ -306,11 +297,9 @@ class PinnedTrades:
         if interval != self.finalized_through + 1:
             raise ValueError(
                 f"interval {interval} cannot be pinned; next is {self.finalized_through + 1}")
-        kept = {key: value for key, value in sorted(entries.items()) if value[0] > 0.0}
+        kept = {key: value for key, value in entries.items() if value[0] > 0.0}
         if kept:
-            self._by_interval[interval] = {
-                (int(s), int(b)): (float(p), float(pi)) for (s, b), (p, pi) in kept.items()
-            }
+            self._store(interval, kept)
         self.finalized_through = interval
 
     def overlay(self) -> dict[TradeKey, tuple[float, float]]:
@@ -323,12 +312,7 @@ class PinnedTrades:
 
     def energy_by_offer(self, interval_hours: float) -> dict[int, float]:
         """Pinned energy (kWh) already committed per offer id."""
-        used: dict[int, float] = {}
-        for interval in sorted(self._by_interval):
-            for (s, b), (power, _) in self._by_interval[interval].items():
-                used[s] = used.get(s, 0.0) + power * interval_hours
-                used[b] = used.get(b, 0.0) + power * interval_hours
-        return used
+        return {oid: power * interval_hours for oid, power in self._power_by_offer.items()}
 
     def copy(self) -> "PinnedTrades":
         return PinnedTrades(self.finalized_through, self._by_interval)
@@ -351,7 +335,7 @@ class PinnedTrades:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # energy-seller | energy-buyer | feeder-net | feeder-internal | price-band | pin-mismatch
+    kind: str  # energy-seller | energy-buyer | feeder-net | feeder-internal | price-band
     subject: str
     detail: str
     excess: float = 0.0
@@ -375,19 +359,18 @@ def check_feasibility(
     grid: GridModel,
     pinned: PinnedTrades | None = None,
     *,
-    retired: Mapping[int, Offer] | None = None,
     tol: float = TOLERANCE,
 ) -> FeasibilityReport:
     """Validate a solution against the offer book, grid limits, and pins.
 
-    Returns a report listing every violated constraint. Raises
-    ``UnknownOfferError`` for dangling offer ids, ``UnmatchablePairError``
-    for keys pairing offers that cannot trade, and ``InvalidTradeError``
-    for malformed values. Trades on retired offers are allowed only at
-    pinned intervals.
+    Returns a report listing every violated constraint; energy budgets
+    count each offer's finalized energy from ``pinned``. Raises
+    ``MarketError`` for a trade at a finalized interval or on an unknown
+    feeder, ``UnknownOfferError`` for offer ids not in the book,
+    ``UnmatchablePairError`` for keys pairing offers that cannot trade, and
+    ``InvalidTradeError`` for malformed values.
     """
     pinned = pinned or PinnedTrades.empty()
-    retired = retired or {}
     feeders = grid.feeder_limits()
     delta = grid.interval_hours
 
@@ -397,21 +380,14 @@ def check_feasibility(
     production: dict[tuple[str, int], float] = {}
     consumption: dict[tuple[str, int], float] = {}
 
-    def resolve(offer_id: int, interval: int) -> Offer:
-        offer = book.get(offer_id)
-        if offer is not None:
-            return offer
-        offer = retired.get(offer_id)
-        if offer is None:
-            raise UnknownOfferError(f"offer {offer_id} not in book")
-        if interval > pinned.finalized_through:
-            raise UnknownOfferError(
-                f"offer {offer_id} was withdrawn; only pinned trades may reference it")
-        return offer
-
     for (s_id, b_id, interval), (power, price) in solution.items():
-        sell = resolve(s_id, interval)
-        buy = resolve(b_id, interval)
+        if interval <= pinned.finalized_through:
+            raise MarketError(
+                f"trade ({s_id},{b_id},{interval}) is at a finalized interval "
+                f"(finalized through {pinned.finalized_through})")
+        sell, buy = book.get(s_id), book.get(b_id)
+        if sell is None or buy is None:
+            raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
         if not matchable(sell, buy):
             raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
         if interval not in overlap(sell, buy):
@@ -431,20 +407,15 @@ def check_feasibility(
                     "price-band", f"({s_id},{b_id},{interval})",
                     f"price {price} outside [{sell.reservation}, {buy.reservation}]"))
 
-    for offer_id in sorted(sold):
-        offer = book.get(offer_id) or retired[offer_id]
-        if sold[offer_id] > offer.energy_kwh + tol:
-            violations.append(Violation(
-                "energy-seller", str(offer_id),
-                f"sold {sold[offer_id]} kWh exceeds offered {offer.energy_kwh}",
-                sold[offer_id] - offer.energy_kwh))
-    for offer_id in sorted(bought):
-        offer = book.get(offer_id) or retired[offer_id]
-        if bought[offer_id] > offer.energy_kwh + tol:
-            violations.append(Violation(
-                "energy-buyer", str(offer_id),
-                f"bought {bought[offer_id]} kWh exceeds offered {offer.energy_kwh}",
-                bought[offer_id] - offer.energy_kwh))
+    finalized = pinned.energy_by_offer(delta)
+    for kind, verb, used in (("energy-seller", "sold", sold), ("energy-buyer", "bought", bought)):
+        for offer_id in sorted(used):
+            total = used[offer_id] + finalized.get(offer_id, 0.0)
+            offered = book[offer_id].energy_kwh
+            if total > offered + tol:
+                violations.append(Violation(
+                    kind, str(offer_id),
+                    f"{verb} {total} kWh exceeds offered {offered}", total - offered))
 
     for feeder_id, interval in sorted(set(production) | set(consumption)):
         feeder = feeders[feeder_id]
@@ -466,23 +437,5 @@ def check_feasibility(
                 "feeder-internal", f"{feeder_id}@{interval}",
                 f"consumption {cons} kW exceeds limit {feeder.internal_limit_kw}",
                 cons - feeder.internal_limit_kw))
-
-    # Pinned intervals admit exactly the recorded values.
-    by_interval: dict[int, dict[tuple[int, int], tuple[float, float]]] = {}
-    for (s_id, b_id, interval), value in solution.items():
-        if interval <= pinned.finalized_through:
-            by_interval.setdefault(interval, {})[(s_id, b_id)] = value
-    for interval in sorted(set(by_interval) | {
-            t for t in range(0, pinned.finalized_through + 1) if pinned.entries(t)}):
-        expected = pinned.entries(interval)
-        actual = by_interval.get(interval, {})
-        for pair in sorted(set(expected) | set(actual)):
-            want_p, want_pi = expected.get(pair, (0.0, 0.0))
-            have_p, have_pi = actual.get(pair, (0.0, 0.0))
-            if abs(have_p - want_p) > tol or (pair in expected and pair in actual
-                                              and abs(have_pi - want_pi) > tol):
-                violations.append(Violation(
-                    "pin-mismatch", f"({pair[0]},{pair[1]},{interval})",
-                    f"finalized ({want_p}, {want_pi}) but solution has ({have_p}, {have_pi})"))
 
     return FeasibilityReport(tuple(violations))

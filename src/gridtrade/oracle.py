@@ -94,7 +94,6 @@ class ReferenceProblem:
     variables: tuple[tuple[int, int, int], ...]
     a: np.ndarray
     b: np.ndarray
-    pinned_total: float
 
 
 def build_reference_problem(book: Mapping[int, Offer], grid: GridModel,
@@ -119,11 +118,9 @@ def build_reference_problem(book: Mapping[int, Offer], grid: GridModel,
     variables.sort()
     n = len(variables)
 
-    pinned_total = 0.0
     pinned_energy: dict[int, float] = {}
     for interval in range(pinned.finalized_through + 1):
         for (s, b), (power, _) in pinned.entries(interval).items():
-            pinned_total += power
             pinned_energy[s] = pinned_energy.get(s, 0.0) + power * delta
             pinned_energy[b] = pinned_energy.get(b, 0.0) + power * delta
 
@@ -166,17 +163,17 @@ def build_reference_problem(book: Mapping[int, Offer], grid: GridModel,
             bounds.append(feeder.net_flow_limit_kw)
 
     a = np.vstack(rows) if rows else np.zeros((0, n))
-    return ReferenceProblem(tuple(variables), a, np.asarray(bounds), pinned_total)
+    return ReferenceProblem(tuple(variables), a, np.asarray(bounds))
 
 
 def reference_optimum(book: Mapping[int, Offer], grid: GridModel,
                       pinned: PinnedTrades, now: int, lookahead: int) -> float:
-    """Optimal total traded power, including already-pinned trades."""
+    """Optimal total traded power over the open intervals."""
     problem = build_reference_problem(book, grid, pinned, now, lookahead)
     if not problem.variables:
-        return problem.pinned_total
+        return 0.0
     value, _ = simplex_maximize(np.ones(len(problem.variables)), problem.a, problem.b)
-    return value + problem.pinned_total
+    return value
 
 
 def vertex_enumeration_optimum(book: Mapping[int, Offer], grid: GridModel,
@@ -186,7 +183,7 @@ def vertex_enumeration_optimum(book: Mapping[int, Offer], grid: GridModel,
     problem = build_reference_problem(book, grid, pinned, now, lookahead)
     n = len(problem.variables)
     if n == 0:
-        return problem.pinned_total
+        return 0.0
     if n > max_variables:
         return None
     g = np.vstack([problem.a, -np.eye(n)])
@@ -199,7 +196,7 @@ def vertex_enumeration_optimum(book: Mapping[int, Offer], grid: GridModel,
         x = np.linalg.solve(sub, h[list(rows)])
         if np.all(g @ x <= h + 1e-7):
             best = max(best, float(np.sum(x)))
-    return best + problem.pinned_total
+    return best
 
 
 def verify_certificate(instance: LpInstance, diagnostics: SolveDiagnostics,

@@ -141,7 +141,7 @@ class AdversaryAgent:
             if strategy == 1:
                 return self._oversized_random_trade(state)
             if strategy == 2:
-                return self._pin_violation(state)
+                return self._closed_interval_trade(state)
             return self._scaled_candidate(state)
         except Exception:
             return None
@@ -165,7 +165,8 @@ class AdversaryAgent:
         power = float(self.rng.uniform(1.0, 100.0)) * (1.0 + sell.energy_kwh)
         return Solution({(sell.id, buy.id, t): (power, 0.5)})
 
-    def _pin_violation(self, state) -> Solution | None:
+    def _closed_interval_trade(self, state) -> Solution | None:
+        """The candidate plus a raised copy of a finalized trade."""
         overlay = state.pinned.overlay()
         if not overlay:
             return None

@@ -1,10 +1,12 @@
 """Market clearing: LP construction, solving, and the solver agent.
 
-The matching problem is a linear program over per-trade power variables:
-maximize total traded power subject to per-offer energy budgets, per-feeder
-power limits, and equality with already-finalized values. Prices do not
-appear in the objective and every matchable pair admits a valid price, so
-price variables are dropped from the LP and assigned afterwards.
+The matching problem is a linear program over per-trade power variables at
+open intervals: maximize total traded power subject to per-offer energy
+budgets, net of energy already finalized, and per-feeder power limits.
+Solutions cover open intervals only; finalized trades stay in the pins.
+Prices do not appear in the objective and every matchable pair admits a
+valid price, so price variables are dropped from the LP and assigned
+afterwards.
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -35,8 +37,6 @@ from .market import (
     objective,
 )
 
-IMPROVEMENT_MARGIN = 1e-9
-
 
 class NumericFailure(Exception):
     """The LP engine failed or produced an unusable solution."""
@@ -60,12 +60,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """A built LP: free variables, sparse constraint rows, and pin overlay.
+    """A built LP: free variables and sparse constraint rows.
 
     Variables are the admitted (sell, buy, interval) triples in sorted
     order. The matrix is stored as triplets; rows are labelled for
-    diagnostics. Pinned trade values ride along verbatim so solutions can
-    reproduce them bit for bit.
+    diagnostics. ``pinned`` is the finalized state the budgets were netted
+    against; solve the instance before further intervals are pinned.
     """
 
     variables: tuple[TradeKey, ...]
@@ -74,11 +74,9 @@ class LpInstance:
     col_index: tuple[int, ...] = field(repr=False)
     coefficients: tuple[float, ...] = field(repr=False)
     rhs: tuple[float, ...] = field(repr=False)
-    pinned_overlay: tuple[tuple[TradeKey, tuple[float, float]], ...]
     book: tuple[Offer, ...]
-    retired: tuple[Offer, ...]
     grid: GridModel
-    pinned_through: int
+    pinned: PinnedTrades = field(repr=False)
     now: int
     config: SolverConfig
 
@@ -92,15 +90,6 @@ class LpInstance:
 
     def book_map(self) -> dict[int, Offer]:
         return {o.id: o for o in self.book}
-
-    def retired_map(self) -> dict[int, Offer]:
-        return {o.id: o for o in self.retired}
-
-    def pinned_trades(self) -> PinnedTrades:
-        by_interval: dict[int, dict[tuple[int, int], tuple[float, float]]] = {}
-        for (s, b, t), value in self.pinned_overlay:
-            by_interval.setdefault(t, {})[(s, b)] = value
-        return PinnedTrades(self.pinned_through, by_interval)
 
     def to_arrays(self) -> tuple[np.ndarray, csr_matrix, np.ndarray]:
         """Objective vector, constraint matrix, and right-hand side."""
@@ -122,9 +111,9 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     Free variables exist exactly for matchable pairs at intervals within
     [now + clearing_lead, now + lookahead] intersected with the pair's
     shared window. Finalized intervals are not re-optimized: their values
-    enter the energy budgets as constants.
+    enter the energy budgets as constants. ``retired`` is accepted and
+    ignored: withdrawn offers cannot trade at open intervals.
     """
-    retired = retired or {}
     delta = grid.interval_hours
     lo = now + grid.clearing_lead
     hi = now + max(config.lookahead, grid.clearing_lead)
@@ -205,7 +194,6 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         add_row(f"feeder-import:{feeder_id}@{t}", [(j, -c) for j, c in net],
                 feeder.net_flow_limit_kw)
 
-    overlay = tuple(sorted(pinned.overlay().items()))
     return LpInstance(
         variables=tuple(variables),
         row_labels=tuple(row_labels),
@@ -213,11 +201,9 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         col_index=tuple(col_index),
         coefficients=tuple(coefficients),
         rhs=tuple(rhs),
-        pinned_overlay=overlay,
         book=tuple(sorted(book.values(), key=lambda o: o.id)),
-        retired=tuple(sorted(retired.values(), key=lambda o: o.id)),
         grid=grid,
-        pinned_through=pinned.finalized_through,
+        pinned=pinned,
         now=now,
         config=config,
     )
@@ -239,14 +225,12 @@ def midpoint_price(sell: Offer, buy: Offer, price_cap: float) -> float:
 
 
 def assign_prices(solution: Solution, book: Mapping[int, Offer], *,
-                  price_cap: float = 1.0,
-                  retired: Mapping[int, Offer] | None = None) -> Solution:
+                  price_cap: float = 1.0) -> Solution:
     """Set every trade's unit price to the band midpoint."""
-    retired = retired or {}
     entries: dict[TradeKey, tuple[float, float]] = {}
     for (s_id, b_id, t), (power, _) in solution.items():
-        sell = book.get(s_id) or retired.get(s_id)
-        buy = book.get(b_id) or retired.get(b_id)
+        sell = book.get(s_id)
+        buy = book.get(b_id)
         if sell is None or buy is None:
             raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
         if not matchable(sell, buy):
@@ -255,11 +239,10 @@ def assign_prices(solution: Solution, book: Mapping[int, Offer], *,
     return Solution(entries)
 
 
-def _repair_overages(instance: LpInstance, x: np.ndarray) -> np.ndarray:
+def _repair_overages(x: np.ndarray, a: csr_matrix, b: np.ndarray) -> np.ndarray:
     """Scale the free solution down just enough to clear rounding overages."""
     if not len(x):
         return x
-    _, a, b = instance.to_arrays()
     lhs = a @ x
     scale = 1.0
     for i in range(len(b)):
@@ -273,10 +256,9 @@ def _repair_overages(instance: LpInstance, x: np.ndarray) -> np.ndarray:
 def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnostics]:
     """Solve the LP and return the priced, validated solution plus duals."""
     cfg = instance.config
-    pins = dict(instance.pinned_overlay)
 
     if instance.n_variables == 0:
-        solution = Solution(pins)
+        solution = Solution.empty()
         diagnostics = SolveDiagnostics(0, "empty instance", 0.0, (), ())
         return solution, diagnostics
 
@@ -288,20 +270,16 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     if result.status != 0:
         raise NumericFailure(f"LP solve failed (status {result.status}): {result.message}")
 
-    x = _repair_overages(instance, np.maximum(result.x, 0.0))
+    x = _repair_overages(np.maximum(result.x, 0.0), a, b)
     entries: dict[TradeKey, tuple[float, float]] = {
         key: (float(x[j]), 0.0)
         for j, key in enumerate(instance.variables)
         if x[j] > 1e-9
     }
     book = instance.book_map()
-    retired = instance.retired_map()
-    solution = assign_prices(Solution(entries), book,
-                             price_cap=cfg.price_cap, retired=retired)
-    solution = solution.merged(pins)
+    solution = assign_prices(Solution(entries), book, price_cap=cfg.price_cap)
 
-    report = check_feasibility(solution, book, instance.grid,
-                               instance.pinned_trades(), retired=retired)
+    report = check_feasibility(solution, book, instance.grid, instance.pinned)
     if not report.ok:
         detail = "; ".join(f"{v.kind} {v.subject}" for v in report.violations[:5])
         raise NumericFailure(f"solution failed self-validation: {detail}")
@@ -390,7 +368,7 @@ class SolverAgent:
                 lookahead=self._lookahead(), solve_period=config.solve_period,
                 optimality_tol=config.optimality_tol, price_cap=config.price_cap)
         instance = build_lp(self.mirror.book, self.mirror.grid, self.mirror.pinned,
-                            now, config, retired=self.mirror.retired)
+                            now, config)
         modeled_time = (self.resource_model.solve_time(instance.n_variables)
                         if self.resource_model is not None else 0.0)
         try:
@@ -416,7 +394,8 @@ class SolverAgent:
     def _maybe_submission(self) -> Solution | None:
         if self._last_solution is None:
             return None
-        if self._last_objective > self.mirror.candidate_objective + IMPROVEMENT_MARGIN:
+        if self._last_objective > (self.mirror.candidate_objective
+                                   + ledger_mod.IMPROVEMENT_MARGIN):
             if self.records:
                 self.records[-1].submitted = True
             return self._last_solution

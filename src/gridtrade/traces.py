@@ -48,8 +48,8 @@ class ProsumerTrace:
     def __post_init__(self) -> None:
         if len(self.production) != len(self.demand):
             raise ValueError(f"{self.participant}: series lengths differ")
-        if any(v < 0 for v in self.production) or any(v < 0 for v in self.demand):
-            raise ValueError(f"{self.participant}: series must be non-negative")
+        if not all(0 <= v < math.inf for v in self.production + self.demand):
+            raise ValueError(f"{self.participant}: series must be finite and non-negative")
         if self.flex_window < 1:
             raise ValueError(f"{self.participant}: flex_window must be at least 1")
 
@@ -93,6 +93,9 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
                 raise ParseError(f"{path}:{line_no}: empty participant or feeder")
             if interval < 0:
                 raise ParseError(f"{path}:{line_no}: negative interval")
+            if not (math.isfinite(production) and math.isfinite(demand)):
+                raise ParseError(
+                    f"{path}:{line_no}: non-finite energy value for {participant}")
             if production < 0 or demand < 0:
                 raise NegativeValueError(
                     f"{path}:{line_no}: negative energy value for {participant}")

@@ -290,7 +290,11 @@ def test_c03_contract_safety_fuzz():
 
 
 def _assert_accepted_objectives_monotone(events) -> int:
-    """Candidate objective may only rise at acceptances; removals reset it."""
+    """Candidate objective may only rise at acceptances; removals reset it.
+
+    The candidate covers open intervals only, so each finalized trade
+    leaves it and takes its power out of the tracked objective.
+    """
     candidate = 0.0
     accepted = 0
     for event in events:
@@ -300,6 +304,8 @@ def _assert_accepted_objectives_monotone(events) -> int:
                 f"seq {event.seq}: accepted {value} <= candidate {candidate}")
             candidate = value
             accepted += 1
+        elif event.kind == EventKind.TRADE_FINALIZED:
+            candidate -= event.payload["power_kw"]
         elif event.kind == EventKind.PARTICIPANT_REMOVED:
             candidate = event.payload["candidate_objective"]
     return accepted

@@ -131,6 +131,20 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "verification" in err
 
+    def test_verify_refuses_version_1_log(self, tmp_path, config_file, traces_csv, capsys):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+              "--out", str(out_dir)])
+        capsys.readouterr()
+        log = out_dir / "events.jsonl"
+        header, *rest = log.read_text().splitlines()
+        record = json.loads(header)
+        assert record["version"] == 2
+        record["version"] = 1
+        log.write_text("\n".join([json.dumps(record)] + rest) + "\n")
+        assert main(["verify", "--log", str(log)]) == 1
+        assert "log version 1" in capsys.readouterr().err
+
     def test_errors_are_machine_readable(self, tmp_path, capsys):
         rc = main(["verify", "--log", str(tmp_path / "missing.jsonl")])
         assert rc == 1

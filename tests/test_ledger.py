@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,16 @@ class TestPostOffer:
         with pytest.raises(InvalidQuantity):
             contract.post_offer("alice", Side.SELLING, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("energy, price", [
+        (math.nan, None), (math.inf, None), (5.0, math.nan), (5.0, math.inf)])
+    def test_non_finite_quantities_rejected(self, grid, energy, price):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        before = len(contract.events)
+        with pytest.raises(InvalidQuantity):
+            contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
+        assert len(contract.events) == before
+
     def test_unregistered_poster_rejected(self, grid):
         contract = fresh_contract(grid)
         with pytest.raises(NotRegistered):
@@ -204,14 +215,16 @@ class TestFinalize:
         contract = battery_contract_at_47(grid)
         contract.submit_solution("solver-1", battery_optimum_solution())
         contract.finalize("dso", 47)
+        assert contract.state.candidate == Solution({(2, 4, 49): (10.0, 0.5)})
+        assert contract.state.candidate_objective == 10.0
         tampered = Solution({
-            (1, 3, 48): (10.0, 0.5),
             (2, 3, 48): (25.0, 0.5),  # pinned at 20
             (2, 4, 49): (10.0, 0.5),
         })
         event = contract.submit_solution("solver-1", tampered)
         assert event.kind == EventKind.SOLUTION_REJECTED
-        assert "pin-mismatch" in event.payload["reason"]
+        assert event.payload["reason"].startswith("invalid:")
+        assert "finalized interval" in event.payload["reason"]
 
 
 class TestRemoveParticipantTrades:
@@ -239,8 +252,8 @@ class TestRemoveParticipantTrades:
         contract.remove_participant_trades("P2")
         pinned = contract.state.pinned.entries(48)
         assert pinned[(2, 3)] == (20.0, 0.5)
-        assert contract.state.candidate.power((2, 4, 49)) == 0.0
-        assert contract.state.candidate.power((2, 3, 48)) == 20.0
+        assert len(contract.state.candidate) == 0
+        assert contract.state.candidate_objective == 0.0
 
     def test_unregistered_participant_raises(self, grid):
         contract = fresh_contract(grid)
@@ -335,6 +348,31 @@ class TestReplayAndVerify:
         header, events = read_events_jsonl(path)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
         assert problems
+
+    def test_verify_flags_wrong_trade_count(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        contract.finalize("dso", 47)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events,
+                                  contract.grid)
+        tampered = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record.get("kind") == EventKind.INTERVAL_ADVANCED:
+                record["payload"]["trade_count"] += 5
+            tampered.append(json.dumps(record))
+        path.write_text("\n".join(tampered) + "\n")
+        header, events = read_events_jsonl(path)
+        problems = verify_log(GridModel.from_payload(header["grid"]), events)
+        assert any("trade count" in p for p in problems)
+
+    def test_version_1_log_refused(self, grid, tmp_path):
+        path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
+        record = json.loads(path.read_text())
+        record["version"] = 1
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="log version 1"):
+            read_events_jsonl(path)
 
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)

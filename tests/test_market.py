@@ -8,6 +8,7 @@ from gridtrade.market import (
     Feeder,
     GridModel,
     InvalidTradeError,
+    MarketError,
     Offer,
     PinnedTrades,
     Side,
@@ -83,11 +84,10 @@ class TestSolution:
         sol = Solution({(2, 3, 5): (1.25, 0.4), (1, 3, 4): (2.0, 0.3)})
         assert Solution.from_payload(sol.to_payload()) == sol
 
-    def test_without_offers_keeps_pinned_intervals(self):
-        sol = Solution({(1, 2, 3): (1.0, 0.1), (1, 2, 7): (2.0, 0.1)})
-        stripped = sol.without_offers({1}, keep_through=3)
-        assert stripped.power((1, 2, 3)) == 1.0
-        assert stripped.power((1, 2, 7)) == 0.0
+    def test_without_offers_drops_every_trade_of_those_offers(self):
+        sol = Solution({(1, 2, 3): (1.0, 0.1), (1, 2, 7): (2.0, 0.1), (4, 2, 7): (3.0, 0.1)})
+        stripped = sol.without_offers({1})
+        assert stripped == Solution({(4, 2, 7): (3.0, 0.1)})
 
 
 class TestObjective:
@@ -163,37 +163,52 @@ class TestCheckFeasibility:
         with pytest.raises(UnmatchablePairError):
             check_feasibility(Solution({(1, 4, 48): (1.0, 0.5)}), battery_book, grid)
 
+    def test_trade_at_finalized_interval_is_invalid(self, battery_book, grid):
+        # Even an exact restatement of a pinned trade is refused.
+        pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5)}})
+        with pytest.raises(MarketError, match="finalized interval"):
+            check_feasibility(Solution({(1, 3, 48): (10.0, 0.5), (2, 4, 49): (5.0, 0.5)}),
+                              battery_book, grid, pinned)
+
     def test_pin_mismatch_when_values_differ(self, battery_book, grid):
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5)}})
         drifted = Solution({(1, 3, 48): (9.0, 0.5)})
-        report = check_feasibility(drifted, battery_book, grid, pinned)
-        assert {v.kind for v in report.violations} == {"pin-mismatch"}
-
-    def test_pin_mismatch_when_pinned_trade_is_missing(self, battery_book, grid):
-        pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5)}})
-        report = check_feasibility(Solution.empty(), battery_book, grid, pinned)
-        assert {v.kind for v in report.violations} == {"pin-mismatch"}
+        with pytest.raises(MarketError, match="finalized interval"):
+            check_feasibility(drifted, battery_book, grid, pinned)
 
     def test_pin_mismatch_on_new_trade_in_pinned_interval(self, battery_book, grid):
         pinned = PinnedTrades(48)  # interval 48 finalized with no trades
-        report = check_feasibility(
-            Solution({(2, 3, 48): (5.0, 0.5)}), battery_book, grid, pinned)
-        assert {v.kind for v in report.violations} == {"pin-mismatch"}
+        with pytest.raises(MarketError, match="finalized interval"):
+            check_feasibility(
+                Solution({(2, 3, 48): (5.0, 0.5)}), battery_book, grid, pinned)
 
     def test_exact_pin_match_passes(self, battery_book, grid, battery_optimum):
+        # A solution that leaves the finalized interval to the pins and fills
+        # the open one passes, with offer 2's budget used exactly (20 + 10).
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}})
-        report = check_feasibility(battery_optimum, battery_book, grid, pinned)
+        open_part = Solution({k: v for k, v in battery_optimum.items() if k[2] > 48})
+        assert open_part == Solution({(2, 4, 49): (10.0, 0.5)})
+        report = check_feasibility(open_part, battery_book, grid, pinned)
         assert report.ok
 
+    def test_finalized_energy_counts_against_budget(self, battery_book, grid):
+        pinned = PinnedTrades(48, {48: {(2, 3): (25.0, 0.5)}})
+        fits = check_feasibility(Solution({(2, 4, 49): (5.0, 0.5)}),
+                                 battery_book, grid, pinned)
+        over = check_feasibility(Solution({(2, 4, 49): (6.0, 0.5)}),
+                                 battery_book, grid, pinned)
+        assert fits.ok
+        assert [(v.kind, v.subject) for v in over.violations] == [("energy-seller", "2")]
+
     def test_retired_offers_valid_only_at_pinned_intervals(self, grid):
-        retired = {1: sell(1, 5.0, 1, 2), 2: buy(2, 5.0, 1, 2)}
+        # A withdrawn offer's finalized trades stand in the pins; no solution
+        # may cite it, at a finalized interval or an open one.
         pinned = PinnedTrades(1, {1: {(1, 2): (2.0, 0.5)}})
-        ok = check_feasibility(Solution({(1, 2, 1): (2.0, 0.5)}), {}, grid,
-                               pinned, retired=retired)
-        assert ok.ok
+        assert pinned.energy_by_offer(1.0) == {1: 2.0, 2: 2.0}
+        with pytest.raises(MarketError, match="finalized interval"):
+            check_feasibility(Solution({(1, 2, 1): (2.0, 0.5)}), {}, grid, pinned)
         with pytest.raises(UnknownOfferError):
-            check_feasibility(Solution({(1, 2, 1): (2.0, 0.5), (1, 2, 2): (1.0, 0.5)}),
-                              {}, grid, pinned, retired=retired)
+            check_feasibility(Solution({(1, 2, 2): (1.0, 0.5)}), {}, grid, pinned)
 
 
 # -- property tests ----------------------------------------------------------

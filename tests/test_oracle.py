@@ -67,10 +67,12 @@ class TestReferenceAgreement:
         if problem.variables:
             assert result is None
 
-    def test_pinned_total_included(self, battery_book, grid):
+    def test_optimum_covers_open_intervals_only(self, battery_book, grid):
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}})
-        value = reference_optimum(battery_book, grid, pinned, 48, 1)
-        assert value == pytest.approx(40.0)  # 30 pinned + 10 deliverable at 49
+        # 10 deliverable at 49; the 30 pinned at 48 are not counted.
+        assert reference_optimum(battery_book, grid, pinned, 48, 1) == pytest.approx(10.0)
+        assert vertex_enumeration_optimum(battery_book, grid, pinned, 48, 1) == \
+            pytest.approx(10.0)
 
     def test_comparison_suite_all_green(self):
         results = run_comparison_suite(40, seed=3)

@@ -88,14 +88,12 @@ class TestRunBasics:
         snapshot = report.final_snapshot
         book = {int(k): _offer_from_snapshot(v) for k, v in snapshot["selling"].items()}
         book.update({int(k): _offer_from_snapshot(v) for k, v in snapshot["buying"].items()})
-        retired = {int(k): _offer_from_snapshot(v) for k, v in snapshot["retired"].items()}
         pinned = PinnedTrades(
             snapshot["pinned"]["finalized_through"],
             {int(t): {(s, b): (p, pi) for s, b, p, pi in entries}
              for t, entries in snapshot["pinned"]["intervals"].items()})
         candidate = Solution.from_payload(snapshot["candidate"])
-        assert check_feasibility(candidate, book, report.grid, pinned,
-                                 retired=retired).ok
+        assert check_feasibility(candidate, book, report.grid, pinned).ok
 
 
 def _offer_from_snapshot(payload):

@@ -54,14 +54,13 @@ class TestBuildLp:
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5)}})
         instance = build_lp(battery_book, grid, pinned, 47, SolverConfig(lookahead=2))
         assert all(t > 48 for (_, _, t) in instance.variables)
-        assert ((1, 3, 48), (10.0, 0.5)) in instance.pinned_overlay
 
     def test_pinned_energy_reduces_budget(self, battery_book, grid):
         pinned = PinnedTrades(48, {48: {(2, 3): (25.0, 0.5)}})
         instance = build_lp(battery_book, grid, pinned, 48, SolverConfig(lookahead=1))
         solution = solve(instance)
         # 25 of the battery's 30 kWh are already committed at interval 48.
-        assert objective(solution) == pytest.approx(30.0, abs=1e-9)
+        assert objective(solution) == pytest.approx(5.0, abs=1e-9)
         assert solution.power((2, 4, 49)) == pytest.approx(5.0, abs=1e-9)
 
 
@@ -89,13 +88,13 @@ class TestSolve:
         solution = solve(instance)
         assert check_feasibility(solution, battery_book, grid, pins_through_47).ok
 
-    def test_pins_reproduced_bit_for_bit(self, battery_book, grid):
+    def test_no_trade_at_pinned_interval(self, battery_book, grid):
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}})
         instance = build_lp(battery_book, grid, pinned, 48, SolverConfig(lookahead=2))
         solution = solve(instance)
-        assert solution.power((1, 3, 48)) == 10.0
-        assert solution.price((1, 3, 48)) == 0.5
-        assert solution.power((2, 3, 48)) == 20.0
+        assert list(solution.keys()) == [(2, 4, 49)]
+        assert solution.power((2, 4, 49)) == pytest.approx(10.0, abs=1e-9)
+        assert pinned.entries(48) == {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}
 
     def test_deterministic_resolve(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ class TestIngest:
             "home1,f1,2,1.0,0.5",
         ])
         with pytest.raises(GapError, match="missing interval 1"):
+            ingest_traces(path)
+
+    def test_non_finite_value_reports_line(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "home1,f1,0,1.0,0.5",
+            "home1,f1,1,nan,0.5",
+        ])
+        with pytest.raises(ParseError, match=":3:.*non-finite"):
             ingest_traces(path)
 
     def test_malformed_number_reports_line(self, tmp_path):
@@ -130,6 +140,11 @@ class TestProsumerTrace:
     def test_negative_series_rejected(self):
         with pytest.raises(ValueError):
             ProsumerTrace("x", "f", (-1.0,), (1.0,))
+
+    def test_non_finite_series_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ProsumerTrace("x", "f", (1.0,), (bad,))
 
     def test_net_sign_convention(self):
         trace = ProsumerTrace("x", "f", (3.0, 0.0), (1.0, 2.0))
