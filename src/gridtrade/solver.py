@@ -1,12 +1,18 @@
 """Market clearing: LP construction, solving, and the solver agent.
 
-The matching problem is a linear program over per-trade power variables at
-open intervals: maximize total traded power subject to per-offer energy
-budgets, net of energy already finalized, and per-feeder power limits.
+The matching problem is a linear program over open intervals: maximize
+total traded power subject to per-offer energy budgets, net of energy
+already finalized, and per-feeder power limits. Feeder limits see only
+per-offer sums, and price compatibility is a chain over the sellers'
+reservation levels, so each interval is a transportation problem on a
+chain. The LP therefore has one power variable per open (offer, interval)
+plus one carry per price-tier boundary, instead of one per matchable
+(sell, buy, interval) triple; flow decomposition (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, ch. 3) makes the two optima equal, and a
+deterministic fill splits each interval's flows back into trades.
 Solutions cover open intervals only; finalized trades stay in the pins.
 Prices do not appear in the objective and every matchable pair admits a
-valid price, so price variables are dropped from the LP and assigned
-afterwards.
+valid price, so prices are assigned after the fill.
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -14,6 +20,7 @@ returned, so a solver bug can never leak an infeasible submission.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -58,22 +65,38 @@ class SolverConfig:
             raise ValueError("solve_period must be positive")
 
 
-@dataclass(frozen=True)
-class LpInstance:
-    """A built LP: free variables and sparse constraint rows.
+Column = tuple[str, int, int]  # (kind, key, interval); see LpInstance
 
-    Variables are the admitted (sell, buy, interval) triples in sorted
-    order. The matrix is stored as triplets; rows are labelled for
-    diagnostics. ``pinned`` is the finalized state the budgets were netted
-    against; solve the instance before further intervals are pinned.
+# The tie-break adds TIE_BREAK per interval of urgency to a seller column's
+# gain, and at most TIE_BREAK_MAX in all, so the optimum of the traded power
+# itself is kept within the optimality certificate's relative tolerance.
+TIE_BREAK = 1e-8
+TIE_BREAK_MAX = 5e-7
+
+
+@dataclass(frozen=True, eq=False)
+class LpInstance:
+    """A built LP: maximize ``c @ x`` subject to ``matrix @ x <= rhs``, ``x >= 0``.
+
+    Each open interval of the window contributes, in this order, a column
+    ``("sell", offer id, t)`` per seller, a column ``("buy", offer id, t)``
+    per buyer (both in id order) and a column ``("carry", k, t)`` per price
+    tier boundary, moving supply from tier ``k`` up to tier ``k + 1``.
+    ``c`` is 1 on seller columns, so ``c @ x`` is the traded power. Rows
+    are labelled for diagnostics; each tier's balance equality is stored as
+    two opposite ``<=`` rows, so every dual is non-negative. ``tie_break``
+    holds the weights that choose among equally optimal allocations (see
+    :func:`build_lp`). ``book`` holds the offers whose window meets the
+    LP's, in id order. ``pinned`` is the finalized state the budgets were
+    netted against; solve the instance before further intervals are pinned.
     """
 
-    variables: tuple[TradeKey, ...]
+    variables: tuple[Column, ...]
     row_labels: tuple[str, ...]
-    row_index: tuple[int, ...] = field(repr=False)
-    col_index: tuple[int, ...] = field(repr=False)
-    coefficients: tuple[float, ...] = field(repr=False)
-    rhs: tuple[float, ...] = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    matrix: csr_matrix = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+    tie_break: np.ndarray = field(repr=False)
     book: tuple[Offer, ...]
     grid: GridModel
     pinned: PinnedTrades = field(repr=False)
@@ -93,14 +116,7 @@ class LpInstance:
 
     def to_arrays(self) -> tuple[np.ndarray, csr_matrix, np.ndarray]:
         """Objective vector, constraint matrix, and right-hand side."""
-        n, m = self.n_variables, self.n_constraints
-        c = np.ones(n)
-        a = csr_matrix(
-            (np.asarray(self.coefficients),
-             (np.asarray(self.row_index), np.asarray(self.col_index))),
-            shape=(m, n))
-        b = np.asarray(self.rhs)
-        return c, a, b
+        return self.c, self.matrix, self.rhs
 
 
 def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
@@ -108,100 +124,122 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
              retired: Mapping[int, Offer] | None = None) -> LpInstance:
     """Assemble the clearing LP for the window opened by ``now``.
 
-    Free variables exist exactly for matchable pairs at intervals within
-    [now + clearing_lead, now + lookahead] intersected with the pair's
-    shared window. Finalized intervals are not re-optimized: their values
-    enter the energy budgets as constants. ``retired`` is accepted and
-    ignored: withdrawn offers cannot trade at open intervals.
+    The window is [now + clearing_lead, now + lookahead] without its
+    finalized intervals, whose energy enters the budgets as constants. At
+    each interval the price tiers are the distinct floors of the open
+    sellers that some open buyer can pay. A buyer joins the highest floor
+    at or below its ceiling and gets no column below every floor. A seller
+    in tier k can serve any buyer in tier k or above, so the tier balances,
+    with carries moving supply upward only, admit exactly the per-offer
+    flows that price-compatible trades can realize.
+
+    The tie-break weight of a seller column is ``(hi - lo) - (min(end, hi)
+    - t)`` for the window [lo, hi]: the less of a seller's window is left
+    after t, the sooner its energy is used (earliest deadline first).
+    Buyer and carry columns weigh 0.
+    ``retired`` is accepted and ignored: withdrawn offers cannot trade at
+    open intervals.
     """
     delta = grid.interval_hours
-    lo = now + grid.clearing_lead
+    lo = max(now + grid.clearing_lead, pinned.finalized_through + 1)
     hi = now + max(config.lookahead, grid.clearing_lead)
 
     # Offers whose window misses [lo, hi] cannot produce variables.
-    sells = sorted((o for o in book.values()
-                    if o.side is Side.SELLING and o.start <= hi and o.end >= lo),
-                   key=lambda o: o.id)
-    buys = sorted((o for o in book.values()
-                   if o.side is Side.BUYING and o.start <= hi and o.end >= lo),
-                  key=lambda o: o.id)
-    buy_bands = [(buy, buy.reservation) for buy in buys]
+    offers = sorted((o for o in book.values() if o.start <= hi and o.end >= lo),
+                    key=lambda o: o.id)
+    sells = [o for o in offers if o.side is Side.SELLING]
+    buys = [o for o in offers if o.side is Side.BUYING]
 
-    variables: list[TradeKey] = []
-    for sell in sells:
-        floor_price = sell.reservation
-        for buy, ceiling_price in buy_bands:
-            if floor_price > ceiling_price:
-                continue
-            first = max(sell.start, buy.start, lo)
-            last = min(sell.end, buy.end, hi)
-            for t in range(first, last + 1):
-                if not pinned.is_pinned(t):
-                    variables.append((sell.id, buy.id, t))
-    variables.sort()
-    col_of = {key: j for j, key in enumerate(variables)}
+    variables: list[Column] = []
+    weights: list[float] = []
+    columns_of: dict[int, list[int]] = {}
+    # (column, +1 for supply or -1 for demand) per feeder and interval, and
+    # per tier balance.
+    feeder_flows: dict[tuple[str, int], list[tuple[int, float]]] = {}
+    balances: list[tuple[str, list[tuple[int, float]]]] = []
+
+    for t in range(lo, hi + 1):
+        open_sells = [o for o in sells if o.start <= t <= o.end]
+        open_buys = [o for o in buys if o.start <= t <= o.end]
+        if not open_sells or not open_buys:
+            continue
+        top = max(o.reservation for o in open_buys)
+        floors = sorted({o.reservation for o in open_sells if o.reservation <= top})
+        if not floors:
+            continue
+        tiers: list[list[tuple[int, float]]] = [[] for _ in floors]
+        for offer in open_sells + open_buys:
+            if offer.side is Side.SELLING:
+                if offer.reservation > top:
+                    continue
+                kind, tier, sign = "sell", bisect_left(floors, offer.reservation), 1.0
+            else:
+                kind, tier, sign = "buy", bisect_right(floors, offer.reservation) - 1, -1.0
+                if tier < 0:
+                    continue
+            j = len(variables)
+            variables.append((kind, offer.id, t))
+            weights.append(float(hi - lo - (min(offer.end, hi) - t)) if kind == "sell" else 0.0)
+            columns_of.setdefault(offer.id, []).append(j)
+            tiers[tier].append((j, sign))
+            feeder_flows.setdefault((offer.feeder, t), []).append((j, sign))
+        for k in range(len(floors) - 1):
+            j = len(variables)
+            variables.append(("carry", k, t))
+            weights.append(0.0)
+            tiers[k].append((j, -1.0))
+            tiers[k + 1].append((j, 1.0))
+        balances.extend((f"{k}@{t}", tier) for k, tier in enumerate(tiers))
 
     pinned_energy = pinned.energy_by_offer(delta)
 
     row_labels: list[str] = []
-    row_index: list[int] = []
-    col_index: list[int] = []
-    coefficients: list[float] = []
     rhs: list[float] = []
+    indices: list[int] = []
+    data: list[float] = []
+    indptr = [0]
 
     def add_row(label: str, entries: list[tuple[int, float]], bound: float) -> None:
         if not entries:
             return
-        row = len(row_labels)
         row_labels.append(label)
         rhs.append(bound)
         for col, coeff in entries:
-            row_index.append(row)
-            col_index.append(col)
-            coefficients.append(coeff)
+            indices.append(col)
+            data.append(coeff)
+        indptr.append(len(indices))
 
-    by_seller: dict[int, list[int]] = {}
-    by_buyer: dict[int, list[int]] = {}
-    by_feeder_prod: dict[tuple[str, int], list[int]] = {}
-    by_feeder_cons: dict[tuple[str, int], list[int]] = {}
-    offers_by_id = dict(book)
-    for j, (s_id, b_id, t) in enumerate(variables):
-        by_seller.setdefault(s_id, []).append(j)
-        by_buyer.setdefault(b_id, []).append(j)
-        by_feeder_prod.setdefault((offers_by_id[s_id].feeder, t), []).append(j)
-        by_feeder_cons.setdefault((offers_by_id[b_id].feeder, t), []).append(j)
-
-    for offer_id in sorted(by_seller):
-        budget = max(offers_by_id[offer_id].energy_kwh - pinned_energy.get(offer_id, 0.0), 0.0)
-        add_row(f"energy-sell:{offer_id}",
-                [(j, delta) for j in by_seller[offer_id]], budget)
-    for offer_id in sorted(by_buyer):
-        budget = max(offers_by_id[offer_id].energy_kwh - pinned_energy.get(offer_id, 0.0), 0.0)
-        add_row(f"energy-buy:{offer_id}",
-                [(j, delta) for j in by_buyer[offer_id]], budget)
+    for kind, side_offers in (("sell", sells), ("buy", buys)):
+        for offer in side_offers:
+            budget = max(offer.energy_kwh - pinned_energy.get(offer.id, 0.0), 0.0)
+            add_row(f"energy-{kind}:{offer.id}",
+                    [(j, delta) for j in columns_of.get(offer.id, ())], budget)
 
     feeders = grid.feeder_limits()
-    for feeder_id, t in sorted(set(by_feeder_prod) | set(by_feeder_cons)):
+    for feeder_id, t in sorted(feeder_flows):
         feeder = feeders[feeder_id]
-        prod = by_feeder_prod.get((feeder_id, t), [])
-        cons = by_feeder_cons.get((feeder_id, t), [])
-        add_row(f"feeder-prod:{feeder_id}@{t}", [(j, 1.0) for j in prod],
+        net = feeder_flows[(feeder_id, t)]
+        add_row(f"feeder-prod:{feeder_id}@{t}", [(j, 1.0) for j, s in net if s > 0],
                 feeder.internal_limit_kw)
-        add_row(f"feeder-cons:{feeder_id}@{t}", [(j, 1.0) for j in cons],
+        add_row(f"feeder-cons:{feeder_id}@{t}", [(j, 1.0) for j, s in net if s < 0],
                 feeder.internal_limit_kw)
-        net = [(j, 1.0) for j in prod] + [(j, -1.0) for j in cons]
         add_row(f"feeder-export:{feeder_id}@{t}", net, feeder.net_flow_limit_kw)
-        add_row(f"feeder-import:{feeder_id}@{t}", [(j, -c) for j, c in net],
+        add_row(f"feeder-import:{feeder_id}@{t}", [(j, -s) for j, s in net],
                 feeder.net_flow_limit_kw)
 
+    for label, entries in balances:
+        add_row(f"balance:{label}", entries, 0.0)
+        add_row(f"balance-rev:{label}", [(j, -s) for j, s in entries], 0.0)
+
+    n = len(variables)
     return LpInstance(
         variables=tuple(variables),
         row_labels=tuple(row_labels),
-        row_index=tuple(row_index),
-        col_index=tuple(col_index),
-        coefficients=tuple(coefficients),
-        rhs=tuple(rhs),
-        book=tuple(sorted(book.values(), key=lambda o: o.id)),
+        c=np.array([1.0 if kind == "sell" else 0.0 for kind, _, _ in variables]),
+        matrix=csr_matrix((data, indices, indptr), shape=(len(rhs), n)),
+        rhs=np.asarray(rhs, dtype=float),
+        tie_break=np.asarray(weights, dtype=float),
+        book=tuple(offers),
         grid=grid,
         pinned=pinned,
         now=now,
@@ -240,21 +278,62 @@ def assign_prices(solution: Solution, book: Mapping[int, Offer], *,
 
 
 def _repair_overages(x: np.ndarray, a: csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Scale the free solution down just enough to clear rounding overages."""
+    """Scale the free solution down just enough to clear rounding overages.
+
+    Only rows with a positive bound can be cleared by scaling. A row bounded
+    by zero (a tier balance) keeps its rounding residue: scaling would have
+    to zero the whole solution to clear it.
+    """
     if not len(x):
         return x
     lhs = a @ x
-    scale = 1.0
-    for i in range(len(b)):
-        if lhs[i] > b[i] and lhs[i] > 0:
-            scale = min(scale, b[i] / lhs[i] if b[i] > 0 else 0.0)
-    if scale < 1.0:
-        x = x * scale
+    over = (lhs > b) & (b > 0)
+    if over.any():
+        x = x * float(np.min(b[over] / lhs[over]))
     return x
 
 
+def _fill(variables: tuple[Column, ...], x: np.ndarray,
+          book: Mapping[int, Offer]) -> dict[TradeKey, tuple[float, float]]:
+    """Split each interval's offer flows into (sell, buy) trades.
+
+    Sellers go by descending floor, then id; each fills the buyers it can
+    trade with (ceiling at or above its floor) in id order. Eligibility is
+    nested along the floors and the tier balances hold, so every seller's
+    flow finds room among the buyers left to it.
+    """
+    flows: dict[int, tuple[list, list]] = {}
+    for j, (kind, offer_id, t) in enumerate(variables):
+        if kind != "carry" and x[j] > 0.0:
+            sells, buys = flows.setdefault(t, ([], []))
+            (sells if kind == "sell" else buys).append([book[offer_id], float(x[j])])
+
+    entries: dict[TradeKey, tuple[float, float]] = {}
+    for t, (sells, buys) in flows.items():
+        sells.sort(key=lambda flow: (-flow[0].reservation, flow[0].id))
+        for sell, supply in sells:
+            for flow in buys:
+                buy, demand = flow
+                if demand <= 0.0 or buy.reservation < sell.reservation:
+                    continue
+                amount = min(supply, demand)
+                flow[1] = demand - amount
+                supply -= amount
+                if amount > 1e-9:
+                    entries[(sell.id, buy.id, t)] = (amount, 0.0)
+                if supply <= 0.0:
+                    break
+    return entries
+
+
 def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnostics]:
-    """Solve the LP and return the priced, validated solution plus duals."""
+    """Solve the LP and return the priced, validated solution plus duals.
+
+    HiGHS maximizes ``c + epsilon * tie_break``, which picks one allocation
+    among the optima of ``c``. The diagnostics refer to ``c`` alone: the
+    duals prove the primal optimal for it within a relative
+    ``epsilon * max(tie_break)``, at most TIE_BREAK_MAX.
+    """
     cfg = instance.config
 
     if instance.n_variables == 0:
@@ -263,21 +342,19 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
         return solution, diagnostics
 
     c, a, b = instance.to_arrays()
+    epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
     result = linprog(
-        -c, A_ub=a, b_ub=b, bounds=(0, None), method="highs",
+        -(c + epsilon * instance.tie_break), A_ub=a, b_ub=b, bounds=(0, None),
+        method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-9})
     if result.status != 0:
         raise NumericFailure(f"LP solve failed (status {result.status}): {result.message}")
 
     x = _repair_overages(np.maximum(result.x, 0.0), a, b)
-    entries: dict[TradeKey, tuple[float, float]] = {
-        key: (float(x[j]), 0.0)
-        for j, key in enumerate(instance.variables)
-        if x[j] > 1e-9
-    }
     book = instance.book_map()
-    solution = assign_prices(Solution(entries), book, price_cap=cfg.price_cap)
+    solution = assign_prices(Solution(_fill(instance.variables, x, book)), book,
+                             price_cap=cfg.price_cap)
 
     report = check_feasibility(solution, book, instance.grid, instance.pinned)
     if not report.ok:
