@@ -29,7 +29,6 @@ from .market import (
     PinnedTrades,
     Side,
     Solution,
-    Trade,
     check_feasibility,
     matchable,
     objective,
@@ -67,7 +66,6 @@ __all__ = [
     "Solution",
     "SolverAgent",
     "SolverConfig",
-    "Trade",
     "assign_prices",
     "build_lp",
     "check_feasibility",

@@ -124,14 +124,23 @@ def _offer_from_payload(payload: Mapping) -> Offer:
 
 
 class ContractState:
-    """Mutable contract state; every mutation goes through ``apply``."""
+    """Mutable contract state; every mutation goes through ``apply``.
+
+    ``book`` holds every offer not withdrawn, in posting order, and is
+    ``selling`` and ``buying`` together. ``open_offers`` is the part of the
+    book that can still trade: offers whose window ends after
+    ``pinned.finalized_through``. Both are kept up to date by ``apply``, so
+    neither is rebuilt from the day's history.
+    """
 
     def __init__(self, grid: GridModel, *, price_cap: float = 1.0):
         self.grid = grid.with_feeder(OPERATOR_FEEDER)
         self.price_cap = price_cap
         self.participants: dict[str, dict] = {}
+        self.book: dict[int, Offer] = {}
         self.selling: dict[int, Offer] = {}
         self.buying: dict[int, Offer] = {}
+        self.open_offers: dict[int, Offer] = {}
         self.retired: dict[int, Offer] = {}
         self.candidate: Solution = Solution.empty()
         self.candidate_objective: float = 0.0
@@ -139,12 +148,6 @@ class ContractState:
         self.current_interval: int = 0
         self.next_offer_id: int = 1
         self._pending_pins: dict[tuple[int, int], tuple[float, float]] = {}
-
-    @property
-    def book(self) -> dict[int, Offer]:
-        merged = dict(self.selling)
-        merged.update(self.buying)
-        return merged
 
     def apply(self, event: LedgerEvent) -> None:
         payload = event.payload
@@ -156,6 +159,9 @@ class ContractState:
             offer = _offer_from_payload(payload)
             target = self.selling if offer.side is Side.SELLING else self.buying
             target[offer.id] = offer
+            self.book[offer.id] = offer
+            if offer.end > self.pinned.finalized_through:
+                self.open_offers[offer.id] = offer
             self.next_offer_id = max(self.next_offer_id, offer.id + 1)
         elif kind == EventKind.SOLUTION_ACCEPTED:
             self.candidate = Solution.from_payload(payload["trades"])
@@ -172,12 +178,16 @@ class ContractState:
             self.candidate = Solution({key: value for key, value in self.candidate.items()
                                        if key[2] > fin})
             self.candidate_objective = objective(self.candidate)
+            self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
+                                if offer.end > fin}
             self.current_interval = int(payload["interval"])
         elif kind == EventKind.PARTICIPANT_REMOVED:
             removed = {int(oid) for oid in payload["removed_offers"]}
             for oid in sorted(removed):
-                offer = self.selling.pop(oid, None) or self.buying.pop(oid, None)
+                offer = self.book.pop(oid, None)
                 if offer is not None:
+                    del (self.selling if offer.side is Side.SELLING else self.buying)[oid]
+                    self.open_offers.pop(oid, None)
                     self.retired[oid] = offer
             self.candidate = self.candidate.without_offers(removed)
             self.candidate_objective = float(payload["candidate_objective"])

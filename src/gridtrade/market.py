@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 TOLERANCE = 1e-9
@@ -134,45 +135,23 @@ class Offer:
             if not math.isfinite(self.reservation_price) or self.reservation_price < 0:
                 raise ValueError(f"offer {self.id}: reservation price must be >= 0")
 
-    @property
+    @cached_property
     def reservation(self) -> float:
         """Effective reservation price with side defaults applied."""
         if self.reservation_price is not None:
             return self.reservation_price
         return 0.0 if self.side is Side.SELLING else math.inf
 
-    def intervals(self) -> range:
-        return range(self.start, self.end + 1)
-
     def covers(self, interval: int) -> bool:
         return self.start <= interval <= self.end
-
-
-def overlap(sell: Offer, buy: Offer) -> range:
-    """Interval window shared by a sell/buy pair (possibly empty)."""
-    lo = max(sell.start, buy.start)
-    hi = min(sell.end, buy.end)
-    return range(lo, hi + 1)
 
 
 def matchable(sell: Offer, buy: Offer) -> bool:
     """True iff some price and some interval suit both offers."""
     if sell.side is not Side.SELLING or buy.side is not Side.BUYING:
         return False
-    return sell.reservation <= buy.reservation and len(overlap(sell, buy)) > 0
-
-
-@dataclass(frozen=True)
-class Trade:
-    sell_offer: int
-    buy_offer: int
-    interval: int
-    power_kw: float
-    price: float
-
-    @property
-    def key(self) -> TradeKey:
-        return (self.sell_offer, self.buy_offer, self.interval)
+    return (sell.reservation <= buy.reservation
+            and max(sell.start, buy.start) <= min(sell.end, buy.end))
 
 
 class Solution:
@@ -213,9 +192,6 @@ class Solution:
 
     def keys(self) -> Iterator[TradeKey]:
         return iter(self._entries)
-
-    def trades(self) -> list[Trade]:
-        return [Trade(s, b, t, p, pi) for (s, b, t), (p, pi) in self._entries.items()]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -310,9 +286,9 @@ class PinnedTrades:
                 out[(s, b, interval)] = value
         return out
 
-    def energy_by_offer(self, interval_hours: float) -> dict[int, float]:
-        """Pinned energy (kWh) already committed per offer id."""
-        return {oid: power * interval_hours for oid, power in self._power_by_offer.items()}
+    def energy(self, offer_id: int, interval_hours: float) -> float:
+        """Pinned energy (kWh) already committed by one offer."""
+        return self._power_by_offer.get(offer_id, 0.0) * interval_hours
 
     def copy(self) -> "PinnedTrades":
         return PinnedTrades(self.finalized_through, self._by_interval)
@@ -390,7 +366,7 @@ def check_feasibility(
             raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
         if not matchable(sell, buy):
             raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
-        if interval not in overlap(sell, buy):
+        if not (sell.covers(interval) and buy.covers(interval)):
             raise UnmatchablePairError(
                 f"interval {interval} outside the shared window of {s_id} and {b_id}")
         if sell.feeder not in feeders or buy.feeder not in feeders:
@@ -407,10 +383,9 @@ def check_feasibility(
                     "price-band", f"({s_id},{b_id},{interval})",
                     f"price {price} outside [{sell.reservation}, {buy.reservation}]"))
 
-    finalized = pinned.energy_by_offer(delta)
     for kind, verb, used in (("energy-seller", "sold", sold), ("energy-buyer", "bought", bought)):
         for offer_id in sorted(used):
-            total = used[offer_id] + finalized.get(offer_id, 0.0)
+            total = used[offer_id] + pinned.energy(offer_id, delta)
             offered = book[offer_id].energy_kwh
             if total > offered + tol:
                 violations.append(Violation(

@@ -155,8 +155,8 @@ class AdversaryAgent:
         return Solution(entries)
 
     def _oversized_random_trade(self, state) -> Solution | None:
-        sells = [o for o in state.book.values() if o.side is Side.SELLING]
-        buys = [o for o in state.book.values() if o.side is Side.BUYING]
+        sells = list(state.selling.values())
+        buys = list(state.buying.values())
         if not sells or not buys:
             return None
         sell = sells[int(self.rng.integers(0, len(sells)))]

@@ -21,7 +21,7 @@ returned, so a solver bug can never leak an infeasible submission.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -55,7 +55,6 @@ class SolverConfig:
 
     lookahead: int
     solve_period: float = 5.0
-    optimality_tol: float = 1e-6
     price_cap: float = 1.0
 
     def __post_init__(self) -> None:
@@ -82,17 +81,19 @@ class LpInstance:
     ``("sell", offer id, t)`` per seller, a column ``("buy", offer id, t)``
     per buyer (both in id order) and a column ``("carry", k, t)`` per price
     tier boundary, moving supply from tier ``k`` up to tier ``k + 1``.
-    ``c`` is 1 on seller columns, so ``c @ x`` is the traded power. Rows
-    are labelled for diagnostics; each tier's balance equality is stored as
-    two opposite ``<=`` rows, so every dual is non-negative. ``tie_break``
-    holds the weights that choose among equally optimal allocations (see
-    :func:`build_lp`). ``book`` holds the offers whose window meets the
-    LP's, in id order. ``pinned`` is the finalized state the budgets were
-    netted against; solve the instance before further intervals are pinned.
+    ``c`` is 1 on seller columns, so ``c @ x`` is the traded power. The
+    rows are, in order: one energy budget per offer with a column (sellers,
+    then buyers, in id order); production, consumption, export and import
+    limits per feeder and interval; and each tier's balance equality, stored
+    as two opposite ``<=`` rows, so every dual is non-negative; a row with
+    no column is left out. ``tie_break`` holds the weights that choose among
+    equally optimal allocations (see :func:`build_lp`). ``book`` holds the
+    offers whose window meets the LP's, in id order. ``pinned`` is the
+    finalized state the budgets were netted against; solve the instance
+    before further intervals are pinned.
     """
 
     variables: tuple[Column, ...]
-    row_labels: tuple[str, ...]
     c: np.ndarray = field(repr=False)
     matrix: csr_matrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
@@ -137,6 +138,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     - t)`` for the window [lo, hi]: the less of a seller's window is left
     after t, the sooner its energy is used (earliest deadline first).
     Buyer and carry columns weigh 0.
+    ``book`` may be any part of the book that holds every offer open in the
+    window, such as ``ContractState.open_offers``: other offers are ignored.
     ``retired`` is accepted and ignored: withdrawn offers cannot trade at
     open intervals.
     """
@@ -149,25 +152,30 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
                     key=lambda o: o.id)
     sells = [o for o in offers if o.side is Side.SELLING]
     buys = [o for o in offers if o.side is Side.BUYING]
+    # The open sellers and buyers of each interval, in id order.
+    open_at: dict[int, tuple[list[Offer], list[Offer]]] = {
+        t: ([], []) for t in range(lo, hi + 1)}
+    for offer in offers:
+        side = 0 if offer.side is Side.SELLING else 1
+        for t in range(max(offer.start, lo), min(offer.end, hi) + 1):
+            open_at[t][side].append(offer)
 
     variables: list[Column] = []
     weights: list[float] = []
     columns_of: dict[int, list[int]] = {}
-    # (column, +1 for supply or -1 for demand) per feeder and interval, and
-    # per tier balance.
-    feeder_flows: dict[tuple[str, int], list[tuple[int, float]]] = {}
-    balances: list[tuple[str, list[tuple[int, float]]]] = []
+    # Columns and their signs (+1 for supply, -1 for demand) per feeder and
+    # interval, and per tier balance.
+    feeder_flows: dict[tuple[str, int], tuple[list[int], list[float]]] = {}
+    balances: list[tuple[list[int], list[float]]] = []
 
-    for t in range(lo, hi + 1):
-        open_sells = [o for o in sells if o.start <= t <= o.end]
-        open_buys = [o for o in buys if o.start <= t <= o.end]
+    for t, (open_sells, open_buys) in open_at.items():
         if not open_sells or not open_buys:
             continue
         top = max(o.reservation for o in open_buys)
         floors = sorted({o.reservation for o in open_sells if o.reservation <= top})
         if not floors:
             continue
-        tiers: list[list[tuple[int, float]]] = [[] for _ in floors]
+        tiers: list[tuple[list[int], list[float]]] = [([], []) for _ in floors]
         for offer in open_sells + open_buys:
             if offer.side is Side.SELLING:
                 if offer.reservation > top:
@@ -181,60 +189,57 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
             variables.append((kind, offer.id, t))
             weights.append(float(hi - lo - (min(offer.end, hi) - t)) if kind == "sell" else 0.0)
             columns_of.setdefault(offer.id, []).append(j)
-            tiers[tier].append((j, sign))
-            feeder_flows.setdefault((offer.feeder, t), []).append((j, sign))
+            flow = feeder_flows.setdefault((offer.feeder, t), ([], []))
+            for cols, signs in (tiers[tier], flow):
+                cols.append(j)
+                signs.append(sign)
         for k in range(len(floors) - 1):
             j = len(variables)
             variables.append(("carry", k, t))
             weights.append(0.0)
-            tiers[k].append((j, -1.0))
-            tiers[k + 1].append((j, 1.0))
-        balances.extend((f"{k}@{t}", tier) for k, tier in enumerate(tiers))
+            tiers[k][0].append(j)
+            tiers[k][1].append(-1.0)
+            tiers[k + 1][0].append(j)
+            tiers[k + 1][1].append(1.0)
+        balances.extend(tiers)
 
-    pinned_energy = pinned.energy_by_offer(delta)
-
-    row_labels: list[str] = []
     rhs: list[float] = []
     indices: list[int] = []
     data: list[float] = []
     indptr = [0]
 
-    def add_row(label: str, entries: list[tuple[int, float]], bound: float) -> None:
-        if not entries:
+    def add_row(columns: list[int], coeffs: list[float], bound: float) -> None:
+        if not columns:
             return
-        row_labels.append(label)
         rhs.append(bound)
-        for col, coeff in entries:
-            indices.append(col)
-            data.append(coeff)
+        indices.extend(columns)
+        data.extend(coeffs)
         indptr.append(len(indices))
 
-    for kind, side_offers in (("sell", sells), ("buy", buys)):
-        for offer in side_offers:
-            budget = max(offer.energy_kwh - pinned_energy.get(offer.id, 0.0), 0.0)
-            add_row(f"energy-{kind}:{offer.id}",
-                    [(j, delta) for j in columns_of.get(offer.id, ())], budget)
+    for offer in sells + buys:
+        columns = columns_of.get(offer.id)
+        if columns:
+            add_row(columns, [delta] * len(columns),
+                    max(offer.energy_kwh - pinned.energy(offer.id, delta), 0.0))
 
     feeders = grid.feeder_limits()
     for feeder_id, t in sorted(feeder_flows):
-        feeder = feeders[feeder_id]
-        net = feeder_flows[(feeder_id, t)]
-        add_row(f"feeder-prod:{feeder_id}@{t}", [(j, 1.0) for j, s in net if s > 0],
-                feeder.internal_limit_kw)
-        add_row(f"feeder-cons:{feeder_id}@{t}", [(j, 1.0) for j, s in net if s < 0],
-                feeder.internal_limit_kw)
-        add_row(f"feeder-export:{feeder_id}@{t}", net, feeder.net_flow_limit_kw)
-        add_row(f"feeder-import:{feeder_id}@{t}", [(j, -s) for j, s in net],
-                feeder.net_flow_limit_kw)
+        limits = feeders[feeder_id]
+        cols, signs = feeder_flows[(feeder_id, t)]
+        supply = [j for j, s in zip(cols, signs) if s > 0]
+        demand = [j for j, s in zip(cols, signs) if s < 0]
+        add_row(supply, [1.0] * len(supply), limits.internal_limit_kw)
+        add_row(demand, [1.0] * len(demand), limits.internal_limit_kw)
+        add_row(cols, signs, limits.net_flow_limit_kw)
+        add_row(cols, [-s for s in signs], limits.net_flow_limit_kw)
 
-    for label, entries in balances:
-        add_row(f"balance:{label}", entries, 0.0)
-        add_row(f"balance-rev:{label}", [(j, -s) for j, s in entries], 0.0)
+    for cols, signs in balances:
+        add_row(cols, signs, 0.0)
+        add_row(cols, [-s for s in signs], 0.0)
 
     n = len(variables)
     return LpInstance(
         variables=tuple(variables),
-        row_labels=tuple(row_labels),
         c=np.array([1.0 if kind == "sell" else 0.0 for kind, _, _ in variables]),
         matrix=csr_matrix((data, indices, indptr), shape=(len(rhs), n)),
         rhs=np.asarray(rhs, dtype=float),
@@ -441,10 +446,8 @@ class SolverAgent:
 
         config = self.config
         if self.controller is not None:
-            config = SolverConfig(
-                lookahead=self._lookahead(), solve_period=config.solve_period,
-                optimality_tol=config.optimality_tol, price_cap=config.price_cap)
-        instance = build_lp(self.mirror.book, self.mirror.grid, self.mirror.pinned,
+            config = replace(config, lookahead=self._lookahead())
+        instance = build_lp(self.mirror.open_offers, self.mirror.grid, self.mirror.pinned,
                             now, config)
         modeled_time = (self.resource_model.solve_time(instance.n_variables)
                         if self.resource_model is not None else 0.0)

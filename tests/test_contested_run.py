@@ -1,0 +1,84 @@
+"""A small contested day: the kept offer book, its open-offer index, and a
+golden event log.
+
+Three solvers and adversaries share a twelve-home community; a producer
+fails for good partway through and one solver fails and recovers. The
+solvers clear from ``ContractState.open_offers`` instead of the whole book,
+so the index must hold exactly the offers that can still trade, and the LP
+built from it must be the LP built from the whole book.
+"""
+
+import hashlib
+
+import numpy as np
+
+from gridtrade.ledger import write_events_jsonl
+from gridtrade.market import Feeder, GridModel
+from gridtrade.sim import FailureSpec, SimConfig, Simulation
+from gridtrade.solver import SolverAgent, build_lp
+from gridtrade.traces import synthesize_traces
+
+HORIZON = 32
+
+# SHA-256 of ``events.jsonl`` for ``contested_day(n_adversaries=2)`` (657
+# events, 151,945 bytes), taken before the open-offer index was added. A
+# change that only makes the program faster must leave it as it is. Should it
+# change on purpose (a rule, the log format, the LP's tie-break, or a SciPy or
+# NumPy release that moves HiGHS's vertex or the seeded draws), record the
+# new value and the reason in CHANGES.md.
+GOLDEN_EVENTS_SHA256 = "97180a71c12264b51c87d5ecbcd72997d0639e180ada0768bbb0c03bc580f68d"
+
+
+def contested_day(n_adversaries: int) -> Simulation:
+    traces = synthesize_traces(12, 3, 3, HORIZON, seed=5)
+    grid = GridModel(tuple(Feeder(f"f{i:02d}", 2.0, 2.5) for i in (1, 2, 3)), 0.25, 1)
+    config = SimConfig(
+        grid=grid, horizon=HORIZON, seconds_per_interval=4.0, prediction_window=3,
+        solver_period=2.0, lookahead=5, n_solvers=3, n_adversaries=n_adversaries, seed=1,
+        failures=(FailureSpec("p001", 60.0), FailureSpec("solver-2", 40.0, 70.0)))
+    return Simulation(config, traces)
+
+
+def assert_index_consistent(state, now: int, config) -> None:
+    book, pinned = state.book, state.pinned
+    assert book == {**state.selling, **state.buying}
+    assert state.open_offers == {oid: o for oid, o in book.items()
+                                 if o.end > pinned.finalized_through}
+    windowed = build_lp(state.open_offers, state.grid, pinned, now, config)
+    full = build_lp(book, state.grid, pinned, now, config)
+    assert windowed.variables == full.variables
+    assert np.array_equal(windowed.rhs, full.rhs)
+    assert np.array_equal(windowed.tie_break, full.tie_break)
+    assert windowed.matrix.shape == full.matrix.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(windowed.matrix, part), getattr(full.matrix, part))
+
+
+def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
+    sim = contested_day(n_adversaries=1)
+    original = SolverAgent.step
+    checked = []
+
+    def checked_step(agent, events, *, time=0.0):
+        agent.observe(events)
+        now = agent.mirror.current_interval
+        assert_index_consistent(agent.mirror, now, agent.config)
+        assert_index_consistent(sim.contract.state, now, agent.config)
+        checked.append(now)
+        return original(agent, events, time=time)
+
+    monkeypatch.setattr(SolverAgent, "step", checked_step)
+    report = sim.run()
+    state = sim.contract.state
+    assert len(checked) > 100
+    assert {o.prosumer for o in state.retired.values()} == {"p001"}
+    assert state.open_offers == {}
+    assert report.metrics.traded_kwh > 0
+
+
+def test_event_log_digest_is_unchanged(tmp_path):
+    sim = contested_day(n_adversaries=2)
+    report = sim.run()
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
+                              price_cap=report.price_cap)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256

@@ -204,7 +204,7 @@ class TestCheckFeasibility:
         # A withdrawn offer's finalized trades stand in the pins; no solution
         # may cite it, at a finalized interval or an open one.
         pinned = PinnedTrades(1, {1: {(1, 2): (2.0, 0.5)}})
-        assert pinned.energy_by_offer(1.0) == {1: 2.0, 2: 2.0}
+        assert [pinned.energy(oid, 1.0) for oid in (1, 2, 3)] == [2.0, 2.0, 0.0]
         with pytest.raises(MarketError, match="finalized interval"):
             check_feasibility(Solution({(1, 2, 1): (2.0, 0.5)}), {}, grid, pinned)
         with pytest.raises(UnknownOfferError):
@@ -337,8 +337,8 @@ class TestPinnedTrades:
         pinned = PinnedTrades(-1)
         pinned.pin(0, {(1, 2): (4.0, 0.5)})
         pinned.pin(1, {(1, 3): (2.0, 0.5)})
-        used = pinned.energy_by_offer(0.5)
-        assert used == {1: 3.0, 2: 2.0, 3: 1.0}
+        used = {oid: pinned.energy(oid, 0.5) for oid in (1, 2, 3, 4)}
+        assert used == {1: 3.0, 2: 2.0, 3: 1.0, 4: 0.0}
 
     def test_copy_is_independent(self):
         pinned = PinnedTrades(-1)
