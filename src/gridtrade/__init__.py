@@ -1,89 +1,37 @@
-"""Forward-trading energy exchange: market clearing, ledger, simulation."""
+"""Forward-trading energy exchange: market clearing, ledger, simulation.
 
-from .controller import (
-    AffineResourceModel,
-    ControllerState,
-    ResourceSignal,
-    handle_resource_event,
-    low_level_update,
-    reset_max_lookahead,
-    top_level_update,
-)
-from .ledger import (
-    Contract,
-    ContractError,
-    ContractState,
-    EventKind,
-    LedgerEvent,
-    Role,
-    read_events_jsonl,
-    replay_events,
-    verify_log,
-    write_events_jsonl,
-)
-from .market import (
-    Feeder,
-    FeasibilityReport,
-    GridModel,
-    Offer,
-    PinnedTrades,
-    Side,
-    Solution,
-    check_feasibility,
-    matchable,
-    objective,
-)
-from .metrics import Metrics, compute_metrics, export_report, metrics_from_totals
-from .sim import FailureSpec, SimConfig, SimReport, Simulation, run
-from .solver import LpInstance, SolverAgent, SolverConfig, assign_prices, build_lp, solve
-from .traces import ProsumerTrace, ingest_traces, synthesize_traces
+The names below are imported from their modules on first use (PEP 562), so
+``import gridtrade.ledger`` loads neither the solver nor SciPy's optimizer.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineResourceModel",
-    "Contract",
-    "ContractError",
-    "ContractState",
-    "ControllerState",
-    "EventKind",
-    "FailureSpec",
-    "FeasibilityReport",
-    "Feeder",
-    "GridModel",
-    "LedgerEvent",
-    "LpInstance",
-    "Metrics",
-    "Offer",
-    "PinnedTrades",
-    "ProsumerTrace",
-    "ResourceSignal",
-    "Role",
-    "Side",
-    "SimConfig",
-    "SimReport",
-    "Simulation",
-    "Solution",
-    "SolverAgent",
-    "SolverConfig",
-    "assign_prices",
-    "build_lp",
-    "check_feasibility",
-    "compute_metrics",
-    "export_report",
-    "handle_resource_event",
-    "ingest_traces",
-    "low_level_update",
-    "matchable",
-    "metrics_from_totals",
-    "objective",
-    "read_events_jsonl",
-    "replay_events",
-    "reset_max_lookahead",
-    "run",
-    "solve",
-    "synthesize_traces",
-    "top_level_update",
-    "verify_log",
-    "write_events_jsonl",
-]
+_EXPORTS = {
+    "controller": ("AffineResourceModel", "ControllerState", "ResourceSignal",
+                   "handle_resource_event", "low_level_update", "reset_max_lookahead",
+                   "top_level_update"),
+    "ledger": ("Contract", "ContractError", "ContractState", "EventKind", "LedgerEvent",
+               "Role", "read_events_jsonl", "replay_events", "verify_log",
+               "write_events_jsonl"),
+    "market": ("Feeder", "FeasibilityReport", "GridModel", "Offer", "PinnedTrades", "Side",
+               "Solution", "check_feasibility", "matchable", "objective"),
+    "metrics": ("Metrics", "compute_metrics", "export_report", "metrics_from_totals"),
+    "sim": ("FailureSpec", "SimConfig", "SimReport", "Simulation", "run"),
+    "solver": ("LpInstance", "SolverAgent", "SolverConfig", "assign_prices", "build_lp",
+               "solve"),
+    "traces": ("ProsumerTrace", "ingest_traces", "synthesize_traces"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

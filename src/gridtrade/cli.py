@@ -22,13 +22,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .ledger import read_events_jsonl, verify_log
 from .market import Feeder, GridModel
 from .metrics import DEFAULT_UNIT_PRICE, compute_metrics, export_report
-from .oracle import run_comparison_suite
-from .sim import FailureSpec, SimConfig, run
-from .traces import ingest_traces, synthesize_traces
+
+# The simulation, the solver and the oracle (and with them NumPy and SciPy)
+# are imported by the subcommands that use them, so that ``verify`` and
+# ``metrics`` start without them.
+if TYPE_CHECKING:  # pragma: no cover
+    from .sim import FailureSpec
 
 
 class CliError(Exception):
@@ -74,6 +78,8 @@ def _parse_feeders(text: str) -> list[Feeder]:
 
 
 def _parse_failures(text: str) -> list[FailureSpec]:
+    from .sim import FailureSpec
+
     specs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -103,6 +109,9 @@ def _parse_synthesize(text: str) -> dict[str, int]:
 
 def build_run_setup(cfg: dict[str, str], traces_path: str | None):
     """Assemble (SimConfig, traces, unit_price) from flat config values."""
+    from .sim import SimConfig
+    from .traces import ingest_traces, synthesize_traces
+
     if traces_path is not None:
         traces = ingest_traces(traces_path)
     elif "synthesize" in cfg:
@@ -156,6 +165,8 @@ def build_run_setup(cfg: dict[str, str], traces_path: str | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .sim import run
+
     cfg = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
     for override in args.set or []:
         key, _, value = override.partition("=")
@@ -189,6 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import run_comparison_suite
+
     results = run_comparison_suite(args.instances, seed=args.seed)
     failures = 0
     for r in results:

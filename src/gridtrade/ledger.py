@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -98,6 +98,34 @@ class LedgerEvent:
     time: float
     kind: str
     payload: dict
+    # The parsed offer of an OfferPosted event; see ``offer``. A field rather
+    # than a cached_property, so that caching it adds no per-event __dict__.
+    _offer: Offer | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def offer(self) -> Offer:
+        """The offer an ``OfferPosted`` event posts, parsed on first use.
+
+        Every state that applies the event (the contract and each mirror)
+        shares this one frozen ``Offer``. The cache takes no part in
+        equality or in the record.
+        """
+        if self._offer is not None:
+            return self._offer
+        payload = self.payload
+        offer = Offer(
+            id=int(payload["offer_id"]),
+            side=Side(payload["side"]),
+            prosumer=str(payload["participant"]),
+            feeder=str(payload["feeder"]),
+            energy_kwh=float(payload["energy_kwh"]),
+            start=int(payload["start"]),
+            end=int(payload["end"]),
+            reservation_price=(None if payload.get("reservation_price") is None
+                               else float(payload["reservation_price"])),
+        )
+        object.__setattr__(self, "_offer", offer)
+        return offer
 
     def to_record(self) -> dict:
         return {"record": "event", "seq": self.seq, "time": self.time,
@@ -107,20 +135,6 @@ class LedgerEvent:
     def from_record(cls, record: Mapping) -> "LedgerEvent":
         return cls(int(record["seq"]), float(record["time"]),
                    str(record["kind"]), dict(record["payload"]))
-
-
-def _offer_from_payload(payload: Mapping) -> Offer:
-    return Offer(
-        id=int(payload["offer_id"]),
-        side=Side(payload["side"]),
-        prosumer=str(payload["participant"]),
-        feeder=str(payload["feeder"]),
-        energy_kwh=float(payload["energy_kwh"]),
-        start=int(payload["start"]),
-        end=int(payload["end"]),
-        reservation_price=(None if payload.get("reservation_price") is None
-                           else float(payload["reservation_price"])),
-    )
 
 
 class ContractState:
@@ -156,7 +170,7 @@ class ContractState:
             self.participants[payload["participant"]] = {
                 "role": payload["role"], "feeder": payload["feeder"]}
         elif kind == EventKind.OFFER_POSTED:
-            offer = _offer_from_payload(payload)
+            offer = event.offer
             target = self.selling if offer.side is Side.SELLING else self.buying
             target[offer.id] = offer
             self.book[offer.id] = offer

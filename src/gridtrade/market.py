@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 TOLERANCE = 1e-9
@@ -60,8 +59,9 @@ class Feeder:
     internal_limit_kw: float
 
     def __post_init__(self) -> None:
-        if self.net_flow_limit_kw < 0 or self.internal_limit_kw < 0:
-            raise ValueError(f"feeder {self.id}: limits must be non-negative")
+        for limit in (self.net_flow_limit_kw, self.internal_limit_kw):
+            if not 0 <= limit < math.inf:
+                raise ValueError(f"feeder {self.id}: limits must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ class GridModel:
     clearing_lead: int  # intervals between finalization and delivery
 
     def __post_init__(self) -> None:
-        if self.interval_hours <= 0:
-            raise ValueError("interval_hours must be positive")
+        if not 0 < self.interval_hours < math.inf:
+            raise ValueError("interval_hours must be positive and finite")
         if self.clearing_lead < 1:
             raise ValueError("clearing_lead must be at least 1")
         ids = [f.id for f in self.feeders]
@@ -115,6 +115,8 @@ class Offer:
 
     The interval window is contiguous, ``[start, end]`` inclusive. An absent
     reservation price means "any price": 0 for sellers, unbounded for buyers.
+    ``reservation`` is the effective price, with that default applied; it is
+    set once, at construction.
     """
 
     id: int
@@ -125,6 +127,7 @@ class Offer:
     start: int
     end: int
     reservation_price: float | None = None
+    reservation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.energy_kwh) or self.energy_kwh <= 0:
@@ -134,13 +137,9 @@ class Offer:
         if self.reservation_price is not None:
             if not math.isfinite(self.reservation_price) or self.reservation_price < 0:
                 raise ValueError(f"offer {self.id}: reservation price must be >= 0")
-
-    @cached_property
-    def reservation(self) -> float:
-        """Effective reservation price with side defaults applied."""
-        if self.reservation_price is not None:
-            return self.reservation_price
-        return 0.0 if self.side is Side.SELLING else math.inf
+        object.__setattr__(self, "reservation", (
+            self.reservation_price if self.reservation_price is not None
+            else 0.0 if self.side is Side.SELLING else math.inf))
 
     def covers(self, interval: int) -> bool:
         return self.start <= interval <= self.end

@@ -14,6 +14,12 @@ Solutions cover open intervals only; finalized trades stay in the pins.
 Prices do not appear in the objective and every matchable pair admits a
 valid price, so prices are assigned after the fill.
 
+HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
+simplex through the bindings bundled with SciPy: one HiGHS object per
+process, created on the first solve, takes the row-wise arrays
+:func:`build_lp` builds, with no ``scipy.optimize.linprog`` wrapper around
+it. :func:`linprog` is the one entry point into HiGHS.
+
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
 """
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csr_matrix
 
 from . import ledger as ledger_mod
@@ -254,8 +260,6 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    status: int
-    message: str
     free_objective: float
     primal: tuple[float, ...]
     duals: tuple[float, ...]  # multipliers for the <= rows, sign-adjusted >= 0
@@ -331,6 +335,62 @@ def _fill(variables: tuple[Column, ...], x: np.ndarray,
     return entries
 
 
+# HiGHS settings: presolve, dual simplex, tight feasibility tolerances and no
+# output. Presolve stays on: without it HiGHS is slower and reaches another
+# optimal vertex, which would change the traded allocations.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-9,
+    "output_flag": False,
+    "log_to_console": False,
+}
+_highs: highs._Highs | None = None  # one per process, created on the first solve
+
+
+def linprog(c: np.ndarray, a: csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``c @ x`` subject to ``a @ x <= rhs`` and ``x >= 0`` with HiGHS.
+
+    Returns the primal and the rows' multipliers, sign-adjusted to be
+    non-negative. This is the only call into HiGHS. It keeps the name of
+    ``scipy.optimize.linprog``, which it replaces, because the benchmark
+    times HiGHS by wrapping ``solver.linprog``; callers must look it up by
+    that global name. Every call reuses the process's one HiGHS object:
+    ``passModel`` replaces the whole model and clears the previous solve.
+    """
+    global _highs
+    if not all(np.isfinite(v).all() for v in (c, a.data, rhs)):
+        raise NumericFailure("LP has a non-finite cost, coefficient or right-hand side")
+    if _highs is None:
+        engine = highs._Highs()
+        for name, value in _HIGHS_OPTIONS.items():
+            if engine.setOptionValue(name, value) != highs.HighsStatus.kOk:
+                raise NumericFailure(f"HiGHS refused option {name}={value!r}")
+        _highs = engine
+    n, m = len(c), len(rhs)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = np.full(m, -np.inf)
+    lp.row_upper_ = rhs
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    status = _highs.passModel(lp)
+    if status == highs.HighsStatus.kError or _highs.run() == highs.HighsStatus.kError:
+        raise NumericFailure("HiGHS could not load or solve the LP")
+    model_status = _highs.getModelStatus()
+    if model_status != highs.HighsModelStatus.kOptimal:
+        raise NumericFailure(f"LP solve failed: {_highs.modelStatusToString(model_status)}")
+    solution = _highs.getSolution()
+    return np.asarray(solution.col_value), -np.asarray(solution.row_dual)
+
+
 def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnostics]:
     """Solve the LP and return the priced, validated solution plus duals.
 
@@ -343,20 +403,14 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
 
     if instance.n_variables == 0:
         solution = Solution.empty()
-        diagnostics = SolveDiagnostics(0, "empty instance", 0.0, (), ())
+        diagnostics = SolveDiagnostics(0.0, (), ())
         return solution, diagnostics
 
     c, a, b = instance.to_arrays()
     epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
-    result = linprog(
-        -(c + epsilon * instance.tie_break), A_ub=a, b_ub=b, bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-9})
-    if result.status != 0:
-        raise NumericFailure(f"LP solve failed (status {result.status}): {result.message}")
+    primal, duals = linprog(-(c + epsilon * instance.tie_break), a, b)
 
-    x = _repair_overages(np.maximum(result.x, 0.0), a, b)
+    x = _repair_overages(np.maximum(primal, 0.0), a, b)
     book = instance.book_map()
     solution = assign_prices(Solution(_fill(instance.variables, x, book)), book,
                              price_cap=cfg.price_cap)
@@ -366,13 +420,10 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
         detail = "; ".join(f"{v.kind} {v.subject}" for v in report.violations[:5])
         raise NumericFailure(f"solution failed self-validation: {detail}")
 
-    duals = tuple(float(v) for v in -np.asarray(result.ineqlin.marginals))
     diagnostics = SolveDiagnostics(
-        status=int(result.status),
-        message=str(result.message),
         free_objective=float(c @ x),
         primal=tuple(float(v) for v in x),
-        duals=duals,
+        duals=tuple(float(v) for v in duals),
     )
     return solution, diagnostics
 

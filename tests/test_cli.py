@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridtrade
 from gridtrade.cli import (
     CliError,
     build_run_setup,
@@ -79,6 +84,19 @@ class TestConfigParsing:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("override", ["feeders=f01:nan:60; f02:50:60; f03:50:60",
+                                          "feeders=f01:50:inf; f02:50:60; f03:50:60",
+                                          "interval_hours=nan", "interval_hours=inf"])
+    def test_run_refuses_non_finite_grid_before_simulating(self, tmp_path, config_file,
+                                                           traces_csv, override, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+                   "--out", str(out_dir), "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "and finite" in err
+        assert not out_dir.exists()
+
     def test_run_verify_metrics_cycle(self, tmp_path, config_file, traces_csv, capsys):
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--traces", str(traces_csv),
@@ -156,3 +174,21 @@ class TestCommands:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert record["error"] == "CliError"
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ["gridtrade.ledger", "gridtrade.cli"])
+    def test_log_readers_start_without_the_optimizer(self, module):
+        src = Path(gridtrade.__file__).resolve().parents[1]
+        code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_package_names_resolve_lazily(self):
+        from gridtrade import solver
+
+        assert gridtrade.build_lp is solver.build_lp
+        assert all(getattr(gridtrade, name) is not None for name in gridtrade.__all__)
+        with pytest.raises(AttributeError):
+            gridtrade.no_such_name

@@ -408,3 +408,24 @@ class TestContractInvariants:
         contract = battery_contract_at_47(grid)
         event = contract.submit_solution("solver-1", battery_optimum_solution())
         assert event.payload["objective"] == objective(contract.state.candidate)
+
+
+class TestOfferParsedOnce:
+    def test_contract_and_replicas_share_one_offer_per_event(self, grid):
+        contract = battery_contract_at_47(grid)
+        replica = replay_events(grid, contract.events)
+        again = replay_events(grid, contract.events)
+        assert contract.state.book
+        for oid, offer in contract.state.book.items():
+            assert replica.book[oid] is offer
+            assert again.book[oid] is offer
+
+    def test_parsed_offer_leaves_event_equality_and_record_alone(self, grid):
+        contract = battery_contract_at_47(grid)
+        posted = [e for e in contract.events if e.kind == EventKind.OFFER_POSTED]
+        for event in posted:
+            copy = type(event)(event.seq, event.time, event.kind, dict(event.payload))
+            assert event._offer is not None and copy._offer is None
+            assert copy == event
+            assert copy.to_record() == event.to_record()
+            assert copy.offer == event.offer

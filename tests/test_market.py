@@ -47,6 +47,41 @@ class TestOfferValidation:
         assert buy(2, 1.0, 1, 1).reservation == math.inf
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("value", NON_FINITE + [-1.0])
+    def test_rejects_bad_net_flow_limit(self, value):
+        with pytest.raises(ValueError):
+            Feeder("x", value, 1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE + [-1.0])
+    def test_rejects_bad_internal_limit(self, value):
+        with pytest.raises(ValueError):
+            Feeder("x", 1.0, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE + [0.0])
+    def test_rejects_bad_interval_hours(self, value):
+        with pytest.raises(ValueError):
+            GridModel((Feeder("x", 1.0, 1.0),), value, 1)
+
+    @pytest.mark.parametrize("field", ["net_flow_limit_kw", "internal_limit_kw",
+                                       "interval_hours"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_log_header_with_non_finite_grid_is_refused(self, field, value):
+        payload = GridModel((Feeder("x", 1.0, 1.0),), 0.25, 1).to_payload()
+        if field == "interval_hours":
+            payload[field] = value
+        else:
+            payload["feeders"][0][field] = value
+        with pytest.raises(ValueError):
+            GridModel.from_payload(payload)
+
+    def test_zero_limits_are_allowed(self):
+        assert Feeder("x", 0.0, 0.0).net_flow_limit_kw == 0.0
+
+
 class TestMatchable:
     def test_price_and_window_compatible(self):
         assert matchable(sell(1, 5.0, 48, 49, reservation=2.0),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,22 +95,14 @@ class TestCertificate:
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = diagnostics.__class__(
-            status=diagnostics.status, message=diagnostics.message,
-            free_objective=diagnostics.free_objective,
-            primal=diagnostics.primal,
-            duals=tuple(0.0 for _ in diagnostics.duals))
+        bad = replace(diagnostics, duals=tuple(0.0 for _ in diagnostics.duals))
         assert verify_certificate(instance, bad) != []
 
     def test_tampered_primal_detected(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = diagnostics.__class__(
-            status=diagnostics.status, message=diagnostics.message,
-            free_objective=diagnostics.free_objective,
-            primal=tuple(p + 1.0 for p in diagnostics.primal),
-            duals=diagnostics.duals)
+        bad = replace(diagnostics, primal=tuple(p + 1.0 for p in diagnostics.primal))
         assert verify_certificate(instance, bad) != []
 
 

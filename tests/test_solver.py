@@ -19,12 +19,15 @@ from gridtrade.oracle import (
     run_comparison_suite,
     verify_certificate,
 )
+from gridtrade import solver as solver_mod
 from gridtrade.solver import (
+    NumericFailure,
     SolverAgent,
     SolverConfig,
     assign_prices,
     _repair_overages,
     build_lp,
+    linprog,
     solve,
     solve_with_diagnostics,
 )
@@ -133,17 +136,31 @@ class TestSolve:
         assert all(not r.certificate_problems for r in results)
 
 
+def tiered_markets(count=60, seed=23):
+    """Random markets whose sellers have at least two floors, with their LPs."""
+    rng = np.random.default_rng(seed)
+    found = 0
+    while found < count:
+        book, grid, pinned, now, lookahead = random_market(rng)
+        floors = {o.reservation for o in book.values() if o.side is Side.SELLING}
+        if len(floors) < 2:
+            continue
+        instance = build_lp(book, grid, pinned, now,
+                            SolverConfig(lookahead=lookahead or 1, solve_period=1.0))
+        found += 1
+        yield book, grid, pinned, now, lookahead, instance
+
+
+def highs_input(instance):
+    """The arrays ``solve_with_diagnostics`` hands to HiGHS, tie-break included."""
+    c, a, b = instance.to_arrays()
+    return -(c + 1e-9 * instance.tie_break), a, b
+
+
 class TestPriceTiers:
     def test_random_markets_with_several_seller_floors_match_reference(self):
-        rng = np.random.default_rng(23)
         checked = carried = 0
-        while checked < 60:
-            book, grid, pinned, now, lookahead = random_market(rng)
-            floors = {o.reservation for o in book.values() if o.side is Side.SELLING}
-            if len(floors) < 2:
-                continue
-            instance = build_lp(book, grid, pinned, now,
-                                SolverConfig(lookahead=lookahead or 1, solve_period=1.0))
+        for book, grid, pinned, now, lookahead, instance in tiered_markets():
             solution, diagnostics = solve_with_diagnostics(instance)
             want = reference_optimum(book, grid, pinned, now, lookahead)
             assert objective(solution) == pytest.approx(want, abs=1e-6)
@@ -153,6 +170,7 @@ class TestPriceTiers:
             assert check_feasibility(solution, book, grid, pinned).ok
             checked += 1
             carried += any(kind == "carry" for kind, _, _ in instance.variables)
+        assert checked == 60
         assert carried > 0  # supply moved up a tier in some instances
 
     def test_buyer_below_every_floor_gets_no_column(self, grid):
@@ -301,3 +319,65 @@ def test_diagnostics_expose_optimality_certificate(battery_book, grid, pins_thro
     solution, diagnostics = solve_with_diagnostics(instance)
     assert diagnostics.free_objective == pytest.approx(objective(solution), abs=1e-9)
     assert len(diagnostics.duals) == instance.n_constraints
+
+
+class TestHighsEntryPoint:
+    """``solver.linprog`` against SciPy's ``linprog``, which it replaced."""
+
+    def test_matches_scipy_linprog_on_tiered_markets(self):
+        from scipy.optimize import linprog as scipy_linprog
+
+        compared = 0
+        for *_, instance in tiered_markets():
+            if instance.n_variables == 0:
+                continue
+            c, a, b = highs_input(instance)
+            primal, duals = linprog(c, a, b)
+            want = scipy_linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs",
+                                 options={"primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-9})
+            assert want.status == 0
+            assert np.array_equal(primal, want.x)
+            assert np.array_equal(duals, -want.ineqlin.marginals)
+            compared += 1
+        assert compared > 40
+
+    def test_reused_engine_leaks_no_state_between_models(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_highs", None)  # a fresh engine for A
+        markets = [m[-1] for m in tiered_markets(count=12, seed=5) if m[-1].n_variables]
+        a_lp = max(markets, key=lambda i: i.n_variables)
+        b_lp = min(markets, key=lambda i: i.n_variables)
+        assert a_lp.n_variables > b_lp.n_variables
+        first = linprog(*highs_input(a_lp))
+        engine = solver_mod._highs
+        linprog(*highs_input(b_lp))
+        again = linprog(*highs_input(a_lp))
+        assert solver_mod._highs is engine
+        for before, after in zip(first, again):
+            assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_numeric_failure(self, battery_book, grid,
+                                                     pins_through_47, bad):
+        instance = build_lp(battery_book, grid, pins_through_47, 47, SolverConfig(lookahead=2))
+        c, a, b = highs_input(instance)
+        rhs = b.copy()
+        rhs[0] = bad
+        with pytest.raises(NumericFailure):
+            linprog(c, a, rhs)
+        cost = c.copy()
+        cost[0] = bad
+        with pytest.raises(NumericFailure):
+            linprog(cost, a, b)
+        matrix = a.copy()
+        matrix.data[0] = bad
+        with pytest.raises(NumericFailure):
+            linprog(c, matrix, b)
+
+    @pytest.mark.parametrize("coeff, bound", [(1.0, -1.0), (-1.0, 0.0)],
+                             ids=["infeasible", "unbounded"])
+    def test_non_optimal_status_raises_and_engine_recovers(self, coeff, bound):
+        with pytest.raises(NumericFailure):
+            linprog(np.array([-1.0]), csr_matrix([[coeff]]), np.array([bound]))
+        primal, duals = linprog(np.array([-1.0]), csr_matrix([[1.0]]), np.array([2.0]))
+        assert primal.tolist() == [2.0] and duals.tolist() == [1.0]
