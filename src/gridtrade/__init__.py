@@ -19,8 +19,7 @@ _EXPORTS = {
                "Solution", "check_feasibility", "matchable", "objective"),
     "metrics": ("Metrics", "compute_metrics", "export_report", "metrics_from_totals"),
     "sim": ("FailureSpec", "SimConfig", "SimReport", "Simulation", "run"),
-    "solver": ("LpInstance", "SolverAgent", "SolverConfig", "assign_prices", "build_lp",
-               "solve"),
+    "solver": ("LpInstance", "SolverAgent", "SolverConfig", "build_lp", "solve"),
     "traces": ("ProsumerTrace", "ingest_traces", "synthesize_traces"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -92,23 +92,25 @@ class EventKind(str, Enum):
     PARTICIPANT_REMOVED = "ParticipantRemoved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     seq: int
     time: float
     kind: str
     payload: dict
-    # The parsed offer of an OfferPosted event; see ``offer``. A field rather
-    # than a cached_property, so that caching it adds no per-event __dict__.
+    # The offer of an OfferPosted event; see ``offer``. A slot rather than a
+    # cached_property, so that caching it adds no per-event __dict__.
     _offer: Offer | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def offer(self) -> Offer:
-        """The offer an ``OfferPosted`` event posts, parsed on first use.
+        """The offer an ``OfferPosted`` event posts.
 
-        Every state that applies the event (the contract and each mirror)
-        shares this one frozen ``Offer``. The cache takes no part in
-        equality or in the record.
+        ``Contract.post_offer`` sets it as it appends the event; an event
+        read from a log parses its payload on first use. Every state that
+        applies the event (the contract and each mirror) shares this one
+        frozen ``Offer``. The cache takes no part in equality or in the
+        record.
         """
         if self._offer is not None:
             return self._offer
@@ -189,8 +191,7 @@ class ContractState:
             fin = int(payload["finalized_interval"])
             self.pinned.pin(fin, self._pending_pins)
             self._pending_pins = {}
-            self.candidate = Solution({key: value for key, value in self.candidate.items()
-                                       if key[2] > fin})
+            self.candidate = self.candidate.after(fin)
             self.candidate_objective = objective(self.candidate)
             self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
                                 if offer.end > fin}
@@ -224,6 +225,16 @@ class ContractState:
             "current_interval": self.current_interval,
             "next_offer_id": self.next_offer_id,
         }
+
+
+def _interval(name: str, value) -> int:
+    """``value`` as an interval index; refuses NaN, inf and fractions."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidQuantity(f"{name} must be a whole interval, got {value}")
 
 
 def _offer_payload(offer: Offer) -> dict:
@@ -267,8 +278,11 @@ class Contract:
             raise ValueError("seq must be non-negative")
         return self._events[seq:]
 
-    def _append(self, kind: EventKind, payload: dict, time: float) -> LedgerEvent:
+    def _append(self, kind: EventKind, payload: dict, time: float,
+                offer: Offer | None = None) -> LedgerEvent:
         event = LedgerEvent(len(self._events) + 1, time, kind.value, payload)
+        if offer is not None:
+            object.__setattr__(event, "_offer", offer)
         self.state.apply(event)
         self._events.append(event)
         return event
@@ -296,6 +310,7 @@ class Contract:
             raise NotRegistered(f"{participant} is not registered")
         if not 0 < energy_kwh < math.inf:
             raise InvalidQuantity(f"energy must be positive and finite, got {energy_kwh}")
+        start, end = _interval("start", start), _interval("end", end)
         if start > end:
             raise InvalidQuantity(f"start {start} exceeds end {end}")
         if reservation_price is not None and not 0 <= reservation_price < math.inf:
@@ -305,17 +320,20 @@ class Contract:
         if start < earliest:
             raise StaleInterval(
                 f"start {start} precedes earliest open interval {earliest}")
+        offer = Offer(self.state.next_offer_id, side, participant, info["feeder"],
+                      float(energy_kwh), start, end,
+                      None if reservation_price is None else float(reservation_price))
         payload = {
-            "offer_id": self.state.next_offer_id,
+            "offer_id": offer.id,
             "participant": participant,
             "side": side.value,
-            "feeder": info["feeder"],
-            "energy_kwh": float(energy_kwh),
-            "start": int(start),
-            "end": int(end),
+            "feeder": offer.feeder,
+            "energy_kwh": offer.energy_kwh,
+            "start": start,
+            "end": end,
             "reservation_price": reservation_price,
         }
-        return self._append(EventKind.OFFER_POSTED, payload, time)
+        return self._append(EventKind.OFFER_POSTED, payload, time, offer)
 
     def submit_solution(self, participant: str, solution: Solution,
                         *, time: float = 0.0) -> LedgerEvent:

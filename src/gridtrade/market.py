@@ -208,6 +208,17 @@ class Solution:
         return Solution({key: value for key, value in self._entries.items()
                          if key[0] not in offer_ids and key[1] not in offer_ids})
 
+    def after(self, interval: int) -> "Solution":
+        """The trades at intervals after ``interval``.
+
+        The kept entries are already sorted and validated, so they are not
+        checked again.
+        """
+        kept = Solution.__new__(Solution)
+        kept._entries = {key: value for key, value in self._entries.items()
+                         if key[2] > interval}
+        return kept
+
     def to_payload(self) -> list[list]:
         return [[s, b, t, p, pi] for (s, b, t), (p, pi) in self._entries.items()]
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState, ResourceModel
-from .ledger import Contract, EventKind, LedgerEvent, Role
-from .market import GridModel, Side, Solution
+from .ledger import Contract, ContractState, EventKind, LedgerEvent, Role
+from .market import GridModel, Side, Solution, TradeKey
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -132,6 +133,10 @@ class AdversaryAgent:
         self.id = agent_id
         self.rng = np.random.default_rng(seed)
         self.active = True
+        # Every pinned trade key seen so far, sorted, and the last interval
+        # whose pins they include.
+        self._pinned_keys: list[TradeKey] = []
+        self._pinned_through = -1
 
     def make_submission(self, state) -> Solution | None:
         strategy = int(self.rng.integers(0, 4))
@@ -167,12 +172,16 @@ class AdversaryAgent:
 
     def _closed_interval_trade(self, state) -> Solution | None:
         """The candidate plus a raised copy of a finalized trade."""
-        overlay = state.pinned.overlay()
-        if not overlay:
+        pinned = state.pinned
+        for t in range(self._pinned_through + 1, pinned.finalized_through + 1):
+            for s_id, b_id in pinned.entries(t):
+                insort(self._pinned_keys, (s_id, b_id, t))
+        self._pinned_through = pinned.finalized_through
+        if not self._pinned_keys:
             return None
         entries = dict(state.candidate.items())
-        key = sorted(overlay)[int(self.rng.integers(0, len(overlay)))]
-        power, price = overlay[key]
+        key = self._pinned_keys[int(self.rng.integers(0, len(self._pinned_keys)))]
+        power, price = pinned.entries(key[2])[key[:2]]
         entries[key] = (power + float(self.rng.uniform(0.5, 5.0)), price)
         return Solution(entries)
 
@@ -194,7 +203,7 @@ class SimReport:
     solver_records: list[SolveRecord]
     controller_rows: list[dict]
     failure_log: list[dict]
-    final_snapshot: dict
+    final_state: ContractState
     intervals_finalized: int
     max_variables: int = 0
 
@@ -453,7 +462,7 @@ class Simulation:
             solver_records=records,
             controller_rows=controller_rows,
             failure_log=self.failure_log,
-            final_snapshot=self.contract.state.snapshot(),
+            final_state=self.contract.state,
             intervals_finalized=finalized,
             max_variables=max((r.variables for r in records), default=0),
         )

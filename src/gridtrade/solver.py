@@ -12,13 +12,15 @@ plus one carry per price-tier boundary, instead of one per matchable
 deterministic fill splits each interval's flows back into trades.
 Solutions cover open intervals only; finalized trades stay in the pins.
 Prices do not appear in the objective and every matchable pair admits a
-valid price, so prices are assigned after the fill.
+valid price, so the fill prices each trade at its band midpoint as it
+splits the flows, and each solve builds one :class:`Solution`.
 
 HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
 simplex through the bindings bundled with SciPy: one HiGHS object per
-process, created on the first solve, takes the row-wise arrays
-:func:`build_lp` builds, with no ``scipy.optimize.linprog`` wrapper around
-it. :func:`linprog` is the one entry point into HiGHS.
+process, created on the first solve, reads the typed row-wise arrays
+:func:`build_lp` builds (C ``int`` indices, ``double`` values) in place
+through the pointer form of ``passModel``, with no ``scipy.optimize.linprog``
+wrapper around it. :func:`linprog` is the one entry point into HiGHS.
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -26,6 +28,7 @@ returned, so a solver bug can never leak an infeasible submission.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -43,10 +46,7 @@ from .market import (
     Side,
     Solution,
     TradeKey,
-    UnknownOfferError,
-    UnmatchablePairError,
     check_feasibility,
-    matchable,
     objective,
 )
 
@@ -144,6 +144,9 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     - t)`` for the window [lo, hi]: the less of a seller's window is left
     after t, the sooner its energy is used (earliest deadline first).
     Buyer and carry columns weigh 0.
+    A window with no open seller or no open buyer gives the empty instance.
+    The matrix's index arrays are ``int32`` and its data ``float64``, the
+    types :func:`linprog` hands to HiGHS without a copy.
     ``book`` may be any part of the book that holds every offer open in the
     window, such as ``ContractState.open_offers``: other offers are ignored.
     ``retired`` is accepted and ignored: withdrawn offers cannot trade at
@@ -158,6 +161,10 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
                     key=lambda o: o.id)
     sells = [o for o in offers if o.side is Side.SELLING]
     buys = [o for o in offers if o.side is Side.BUYING]
+    if not sells or not buys:  # nothing can trade in the window
+        none = np.zeros(0)
+        return LpInstance((), none, csr_matrix((0, 0)), none, none, tuple(offers),
+                          grid, pinned, now, config)
     # The open sellers and buyers of each interval, in id order.
     open_at: dict[int, tuple[list[Offer], list[Offer]]] = {
         t: ([], []) for t in range(lo, hi + 1)}
@@ -167,7 +174,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
             open_at[t][side].append(offer)
 
     variables: list[Column] = []
-    weights: list[float] = []
+    costs = array("d")
+    weights = array("d")
     columns_of: dict[int, list[int]] = {}
     # Columns and their signs (+1 for supply, -1 for demand) per feeder and
     # interval, and per tier balance.
@@ -193,7 +201,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
                     continue
             j = len(variables)
             variables.append((kind, offer.id, t))
-            weights.append(float(hi - lo - (min(offer.end, hi) - t)) if kind == "sell" else 0.0)
+            costs.append(1.0 if kind == "sell" else 0.0)
+            weights.append(hi - lo - (min(offer.end, hi) - t) if kind == "sell" else 0.0)
             columns_of.setdefault(offer.id, []).append(j)
             flow = feeder_flows.setdefault((offer.feeder, t), ([], []))
             for cols, signs in (tiers[tier], flow):
@@ -202,6 +211,7 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         for k in range(len(floors) - 1):
             j = len(variables)
             variables.append(("carry", k, t))
+            costs.append(0.0)
             weights.append(0.0)
             tiers[k][0].append(j)
             tiers[k][1].append(-1.0)
@@ -209,10 +219,11 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
             tiers[k + 1][1].append(1.0)
         balances.extend(tiers)
 
-    rhs: list[float] = []
-    indices: list[int] = []
-    data: list[float] = []
-    indptr = [0]
+    # The CSR arrays, typed as HiGHS takes them: C int indices, double values.
+    rhs = array("d")
+    indices = array("i")
+    data = array("d")
+    indptr = array("i", [0])
 
     def add_row(columns: list[int], coeffs: list[float], bound: float) -> None:
         if not columns:
@@ -243,13 +254,15 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         add_row(cols, signs, 0.0)
         add_row(cols, [-s for s in signs], 0.0)
 
-    n = len(variables)
+    matrix = csr_matrix((np.frombuffer(data), np.frombuffer(indices, dtype=np.int32),
+                         np.frombuffer(indptr, dtype=np.int32)),
+                        shape=(len(rhs), len(variables)))
     return LpInstance(
         variables=tuple(variables),
-        c=np.array([1.0 if kind == "sell" else 0.0 for kind, _, _ in variables]),
-        matrix=csr_matrix((data, indices, indptr), shape=(len(rhs), n)),
-        rhs=np.asarray(rhs, dtype=float),
-        tie_break=np.asarray(weights, dtype=float),
+        c=np.frombuffer(costs),
+        matrix=matrix,
+        rhs=np.frombuffer(rhs),
+        tie_break=np.frombuffer(weights),
         book=tuple(offers),
         grid=grid,
         pinned=pinned,
@@ -258,32 +271,19 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
+    """The optimality certificate of one solve: the primal and the row duals."""
+
     free_objective: float
-    primal: tuple[float, ...]
-    duals: tuple[float, ...]  # multipliers for the <= rows, sign-adjusted >= 0
+    primal: np.ndarray = field(repr=False)
+    duals: np.ndarray = field(repr=False)  # multipliers for the <= rows, sign-adjusted >= 0
 
 
 def midpoint_price(sell: Offer, buy: Offer, price_cap: float) -> float:
     """Midpoint of the acceptable band, with unbounded buyers capped."""
     price = (sell.reservation + min(buy.reservation, price_cap)) / 2.0
     return min(max(price, sell.reservation), buy.reservation)
-
-
-def assign_prices(solution: Solution, book: Mapping[int, Offer], *,
-                  price_cap: float = 1.0) -> Solution:
-    """Set every trade's unit price to the band midpoint."""
-    entries: dict[TradeKey, tuple[float, float]] = {}
-    for (s_id, b_id, t), (power, _) in solution.items():
-        sell = book.get(s_id)
-        buy = book.get(b_id)
-        if sell is None or buy is None:
-            raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
-        if not matchable(sell, buy):
-            raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
-        entries[(s_id, b_id, t)] = (power, midpoint_price(sell, buy, price_cap))
-    return Solution(entries)
 
 
 def _repair_overages(x: np.ndarray, a: csr_matrix, b: np.ndarray) -> np.ndarray:
@@ -302,20 +302,23 @@ def _repair_overages(x: np.ndarray, a: csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fill(variables: tuple[Column, ...], x: np.ndarray,
-          book: Mapping[int, Offer]) -> dict[TradeKey, tuple[float, float]]:
-    """Split each interval's offer flows into (sell, buy) trades.
+def _fill(variables: tuple[Column, ...], x: np.ndarray, book: Mapping[int, Offer],
+          price_cap: float) -> Solution:
+    """Split each interval's offer flows into priced (sell, buy) trades.
 
     Sellers go by descending floor, then id; each fills the buyers it can
     trade with (ceiling at or above its floor) in id order. Eligibility is
     nested along the floors and the tier balances hold, so every seller's
-    flow finds room among the buyers left to it.
+    flow finds room among the buyers left to it. Each trade is priced at the
+    band midpoint (:func:`midpoint_price`).
     """
     flows: dict[int, tuple[list, list]] = {}
-    for j, (kind, offer_id, t) in enumerate(variables):
-        if kind != "carry" and x[j] > 0.0:
+    positive = np.flatnonzero(x > 0.0)
+    for j, value in zip(positive.tolist(), x[positive].tolist()):
+        kind, offer_id, t = variables[j]
+        if kind != "carry":
             sells, buys = flows.setdefault(t, ([], []))
-            (sells if kind == "sell" else buys).append([book[offer_id], float(x[j])])
+            (sells if kind == "sell" else buys).append([book[offer_id], value])
 
     entries: dict[TradeKey, tuple[float, float]] = {}
     for t, (sells, buys) in flows.items():
@@ -329,10 +332,10 @@ def _fill(variables: tuple[Column, ...], x: np.ndarray,
                 flow[1] = demand - amount
                 supply -= amount
                 if amount > 1e-9:
-                    entries[(sell.id, buy.id, t)] = (amount, 0.0)
+                    entries[(sell.id, buy.id, t)] = (amount, midpoint_price(sell, buy, price_cap))
                 if supply <= 0.0:
                     break
-    return entries
+    return Solution(entries)
 
 
 # HiGHS settings: presolve, dual simplex, tight feasibility tolerances and no
@@ -369,19 +372,13 @@ def linprog(c: np.ndarray, a: csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, 
                 raise NumericFailure(f"HiGHS refused option {name}={value!r}")
         _highs = engine
     n, m = len(c), len(rhs)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = np.full(m, -np.inf)
-    lp.row_upper_ = rhs
-    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    status = _highs.passModel(lp)
+    # The pointer form of passModel reads the arrays in place. The row starts
+    # omit the final end pointer, and every column gets an integrality entry
+    # (zero, continuous): HiGHS refuses an empty integrality array.
+    status = _highs.passModel(
+        n, m, a.nnz, int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,
+        c, np.zeros(n), np.full(n, np.inf), np.full(m, -np.inf), rhs,
+        a.indptr[:-1], a.indices, a.data, np.zeros(n, dtype=np.int32))
     if status == highs.HighsStatus.kError or _highs.run() == highs.HighsStatus.kError:
         raise NumericFailure("HiGHS could not load or solve the LP")
     model_status = _highs.getModelStatus()
@@ -399,12 +396,8 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     duals prove the primal optimal for it within a relative
     ``epsilon * max(tie_break)``, at most TIE_BREAK_MAX.
     """
-    cfg = instance.config
-
     if instance.n_variables == 0:
-        solution = Solution.empty()
-        diagnostics = SolveDiagnostics(0.0, (), ())
-        return solution, diagnostics
+        return Solution.empty(), SolveDiagnostics(0.0, np.zeros(0), np.zeros(0))
 
     c, a, b = instance.to_arrays()
     epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
@@ -412,20 +405,14 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
 
     x = _repair_overages(np.maximum(primal, 0.0), a, b)
     book = instance.book_map()
-    solution = assign_prices(Solution(_fill(instance.variables, x, book)), book,
-                             price_cap=cfg.price_cap)
+    solution = _fill(instance.variables, x, book, instance.config.price_cap)
 
     report = check_feasibility(solution, book, instance.grid, instance.pinned)
     if not report.ok:
         detail = "; ".join(f"{v.kind} {v.subject}" for v in report.violations[:5])
         raise NumericFailure(f"solution failed self-validation: {detail}")
 
-    diagnostics = SolveDiagnostics(
-        free_objective=float(c @ x),
-        primal=tuple(float(v) for v in x),
-        duals=tuple(float(v) for v in duals),
-    )
-    return solution, diagnostics
+    return solution, SolveDiagnostics(float(c @ x), x, duals)
 
 
 def solve(instance: LpInstance) -> Solution:

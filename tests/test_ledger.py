@@ -12,6 +12,7 @@ from gridtrade.ledger import (
     DuplicateRegistration,
     EventKind,
     InvalidQuantity,
+    LedgerEvent,
     NotAuthorized,
     NotRegistered,
     OPERATOR_FEEDER_ID,
@@ -114,6 +115,24 @@ class TestPostOffer:
         with pytest.raises(InvalidQuantity):
             contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
         assert len(contract.events) == before
+
+    @pytest.mark.parametrize("start, end", [
+        (math.nan, 2), (2, math.nan), (math.inf, 2), (2, math.inf), (-math.inf, 2),
+        (1.5, 3), (2, 2.7), ("2", 2)])
+    def test_non_integral_window_rejected(self, grid, start, end):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        before = len(contract.events)
+        with pytest.raises(InvalidQuantity):
+            contract.post_offer("alice", Side.SELLING, start, end, 5.0)
+        assert len(contract.events) == before
+
+    def test_whole_float_window_posts_integers(self, grid):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        event = contract.post_offer("alice", Side.SELLING, 2.0, 3.0, 5.0)
+        assert (event.payload["start"], event.payload["end"]) == (2, 3)
+        assert type(event.payload["start"]) is int and type(event.offer.end) is int
 
     def test_unregistered_poster_rejected(self, grid):
         contract = fresh_contract(grid)
@@ -419,6 +438,15 @@ class TestOfferParsedOnce:
         for oid, offer in contract.state.book.items():
             assert replica.book[oid] is offer
             assert again.book[oid] is offer
+
+    def test_posted_offer_equals_the_parsed_payload(self, grid):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        event = contract.post_offer("alice", Side.BUYING, 2, 4, 5, 1)
+        assert contract.state.book[1] is event.offer
+        parsed = LedgerEvent.from_record(json.loads(json.dumps(event.to_record()))).offer
+        assert parsed == event.offer
+        assert type(event.offer.energy_kwh) is type(event.offer.reservation_price) is float
 
     def test_parsed_offer_leaves_event_equality_and_record_alone(self, grid):
         contract = battery_contract_at_47(grid)

@@ -124,6 +124,13 @@ class TestSolution:
         stripped = sol.without_offers({1})
         assert stripped == Solution({(4, 2, 7): (3.0, 0.1)})
 
+    def test_after_keeps_later_trades_in_key_order(self):
+        sol = Solution({(4, 2, 7): (3.0, 0.1), (1, 2, 3): (1.0, 0.1), (1, 2, 8): (2.0, 0.2)})
+        later = sol.after(3)
+        assert later == Solution({(1, 2, 8): (2.0, 0.2), (4, 2, 7): (3.0, 0.1)})
+        assert list(later.keys()) == [(1, 2, 8), (4, 2, 7)]
+        assert len(sol) == 3 and len(sol.after(8)) == 0
+
 
 class TestObjective:
     def test_empty_solution(self):

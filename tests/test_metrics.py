@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from gridtrade.ledger import read_events_jsonl
+from gridtrade.ledger import ContractState, read_events_jsonl
 from gridtrade.metrics import (
     IncompleteLogError,
     compute_metrics,
@@ -114,7 +114,7 @@ class TestExport:
         report = SimReport(
             grid=grid, horizon=0, price_cap=1.0, interval_hours=1.0, events=[],
             metrics=metrics_from_totals(0.0, 0.0, 0.0), solver_records=[],
-            controller_rows=[], failure_log=[], final_snapshot={},
+            controller_rows=[], failure_log=[], final_state=ContractState(grid),
             intervals_finalized=0)
         paths = export_report(report, tmp_path / "empty")
         for name in ("intervals", "solver", "controller"):

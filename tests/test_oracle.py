@@ -95,14 +95,14 @@ class TestCertificate:
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = replace(diagnostics, duals=tuple(0.0 for _ in diagnostics.duals))
+        bad = replace(diagnostics, duals=np.zeros_like(diagnostics.duals))
         assert verify_certificate(instance, bad) != []
 
     def test_tampered_primal_detected(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = replace(diagnostics, primal=tuple(p + 1.0 for p in diagnostics.primal))
+        bad = replace(diagnostics, primal=diagnostics.primal + 1.0)
         assert verify_certificate(instance, bad) != []
 
 

@@ -59,7 +59,7 @@ class TestRunBasics:
         a = run(config, battery_traces)
         b = run(config, battery_traces)
         assert [e.to_record() for e in a.events] == [e.to_record() for e in b.events]
-        assert a.final_snapshot == b.final_snapshot
+        assert a.final_state.snapshot() == b.final_state.snapshot()
 
     def test_every_interval_finalized_exactly_once(self, grid, battery_traces):
         report = run(base_config(grid, 50), battery_traces)
@@ -85,7 +85,7 @@ class TestRunBasics:
 
     def test_final_candidate_and_pins_feasible(self, grid, battery_traces):
         report = run(base_config(grid, 50), battery_traces)
-        snapshot = report.final_snapshot
+        snapshot = report.final_state.snapshot()
         book = {int(k): _offer_from_snapshot(v) for k, v in snapshot["selling"].items()}
         book.update({int(k): _offer_from_snapshot(v) for k, v in snapshot["buying"].items()})
         pinned = PinnedTrades(

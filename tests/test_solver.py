@@ -24,10 +24,10 @@ from gridtrade.solver import (
     NumericFailure,
     SolverAgent,
     SolverConfig,
-    assign_prices,
     _repair_overages,
     build_lp,
     linprog,
+    midpoint_price,
     solve,
     solve_with_diagnostics,
 )
@@ -50,6 +50,15 @@ class TestBuildLp:
         instance = build_lp({}, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=5))
         assert instance.n_variables == 0
         assert instance.n_constraints == 0
+
+    @pytest.mark.parametrize("side", [Side.SELLING, Side.BUYING])
+    def test_one_sided_window_yields_empty_instance(self, grid, side):
+        book = {i: Offer(i, side, f"p{i}", "main", 5.0, 1, 3) for i in (1, 2)}
+        instance = build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=3))
+        assert instance.n_variables == 0
+        assert instance.matrix.shape == (0, 0)
+        assert [o.id for o in instance.book] == [1, 2]
+        assert len(solve(instance)) == 0
 
     def test_battery_book_has_five_variables(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,
@@ -237,32 +246,43 @@ class TestRepairOverages:
 
 
 class TestAssignPrices:
-    def make_pair(self, sell_res, buy_res):
-        return {
+    """The fill prices each trade at the band midpoint as it splits the flows."""
+
+    def priced(self, grid, sell_res, buy_res, price_cap):
+        book = {
             1: Offer(1, Side.SELLING, "s", "main", 5.0, 1, 1, reservation_price=sell_res),
             2: Offer(2, Side.BUYING, "b", "main", 5.0, 1, 1, reservation_price=buy_res),
         }
+        instance = build_lp(book, grid, PinnedTrades.empty(), 0,
+                            SolverConfig(lookahead=1, price_cap=price_cap))
+        solution = solve(instance)
+        assert list(solution.keys()) == [(1, 2, 1)]
+        price = solution.price((1, 2, 1))
+        assert price == midpoint_price(book[1], book[2], price_cap)
+        return book, solution, price
 
-    def test_midpoint_of_band(self):
-        book = self.make_pair(2.0, 4.0)
-        priced = assign_prices(Solution({(1, 2, 1): (1.0, 0.0)}), book, price_cap=10.0)
-        assert priced.price((1, 2, 1)) == 3.0
+    def test_midpoint_of_band(self, grid):
+        assert self.priced(grid, 2.0, 4.0, 10.0)[2] == 3.0
 
-    def test_degenerate_band(self):
-        book = self.make_pair(2.0, 2.0)
-        priced = assign_prices(Solution({(1, 2, 1): (1.0, 0.0)}), book, price_cap=10.0)
-        assert priced.price((1, 2, 1)) == 2.0
+    def test_degenerate_band(self, grid):
+        assert self.priced(grid, 2.0, 2.0, 10.0)[2] == 2.0
 
-    def test_unpriced_pair_uses_cap(self):
-        book = self.make_pair(None, None)
-        priced = assign_prices(Solution({(1, 2, 1): (1.0, 0.0)}), book, price_cap=1.0)
-        assert priced.price((1, 2, 1)) == 0.5
+    def test_unpriced_pair_uses_cap(self, grid):
+        assert self.priced(grid, None, None, 1.0)[2] == 0.5
 
     def test_seller_above_cap_stays_in_band(self, grid):
-        book = self.make_pair(1.8, None)
-        priced = assign_prices(Solution({(1, 2, 1): (1.0, 0.0)}), book, price_cap=1.0)
-        assert priced.price((1, 2, 1)) == 1.8
-        assert check_feasibility(priced, book, grid).ok
+        book, solution, price = self.priced(grid, 1.8, None, 1.0)
+        assert price == 1.8
+        assert check_feasibility(solution, book, grid).ok
+
+    def test_fill_prices_every_trade_at_the_midpoint(self):
+        priced = 0
+        for book, _, _, _, _, instance in tiered_markets():
+            cap = instance.config.price_cap
+            for (s_id, b_id, _), (_, price) in solve(instance).items():
+                assert price == midpoint_price(book[s_id], book[b_id], cap)
+                priced += 1
+        assert priced > 60
 
 
 class TestSolverAgent:
@@ -319,6 +339,9 @@ def test_diagnostics_expose_optimality_certificate(battery_book, grid, pins_thro
     solution, diagnostics = solve_with_diagnostics(instance)
     assert diagnostics.free_objective == pytest.approx(objective(solution), abs=1e-9)
     assert len(diagnostics.duals) == instance.n_constraints
+    for values in (diagnostics.primal, diagnostics.duals):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert verify_certificate(instance, diagnostics) == []
 
 
 class TestHighsEntryPoint:
@@ -332,6 +355,9 @@ class TestHighsEntryPoint:
             if instance.n_variables == 0:
                 continue
             c, a, b = highs_input(instance)
+            # HiGHS reads build_lp's arrays in place: no conversion on the way.
+            assert a.indptr.dtype == a.indices.dtype == np.int32
+            assert a.data.dtype == c.dtype == b.dtype == np.float64
             primal, duals = linprog(c, a, b)
             want = scipy_linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs",
                                  options={"primal_feasibility_tolerance": 1e-10,
