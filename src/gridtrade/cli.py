@@ -28,7 +28,7 @@ from .ledger import read_events_jsonl, verify_log
 from .market import Feeder, GridModel
 from .metrics import DEFAULT_UNIT_PRICE, compute_metrics, export_report
 
-# The simulation, the solver and the oracle (and with them NumPy and SciPy)
+# The simulation, the solver and the oracle (and with them NumPy and HiGHS)
 # are imported by the subcommands that use them, so that ``verify`` and
 # ``metrics`` start without them.
 if TYPE_CHECKING:  # pragma: no cover

@@ -18,10 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Protocol
 
 
-class UnknownEventKind(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ResourceSignal:
     """A snapshot of the solver host's resource usage."""
@@ -86,45 +82,6 @@ def reset_max_lookahead(state: ControllerState, max_lookahead: int) -> Controlle
         raise ValueError("max_lookahead must be at least the clearing lead")
     return replace(state, max_lookahead=max_lookahead,
                    lookahead=_clamp(state.lookahead, state.clearing_lead, max_lookahead))
-
-
-@dataclass(frozen=True)
-class RotateLogs:
-    pass
-
-
-@dataclass(frozen=True)
-class RemoveTrades:
-    participant: str
-
-
-@dataclass(frozen=True)
-class LogOnly:
-    kind: str
-
-
-Action = RotateLogs | RemoveTrades | LogOnly
-
-
-def handle_resource_event(kind: str, state: ControllerState, *,
-                          signal: ResourceSignal | None = None,
-                          solve_time: float | None = None,
-                          participant: str | None = None,
-                          ) -> tuple[ControllerState, Action | None]:
-    """Dispatch a resource callback to the matching mitigation."""
-    if kind in ("cpu", "mem"):
-        return top_level_update(state, signal or ResourceSignal()), None
-    if kind == "disk":
-        return state, RotateLogs()
-    if kind == "deadline":
-        return low_level_update(state, solve_time or 0.0), None
-    if kind == "peer-change":
-        if participant is None:
-            raise ValueError("peer-change events need a participant")
-        return state, RemoveTrades(participant)
-    if kind in ("net", "nic-change"):
-        return state, LogOnly(kind)
-    raise UnknownEventKind(f"unknown resource event kind {kind!r}")
 
 
 class ResourceModel(Protocol):

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -121,8 +122,8 @@ class LedgerEvent:
             prosumer=str(payload["participant"]),
             feeder=str(payload["feeder"]),
             energy_kwh=float(payload["energy_kwh"]),
-            start=int(payload["start"]),
-            end=int(payload["end"]),
+            start=_interval("start", payload["start"]),
+            end=_interval("end", payload["end"]),
             reservation_price=(None if payload.get("reservation_price") is None
                                else float(payload["reservation_price"])),
         )
@@ -304,16 +305,20 @@ class Contract:
     def post_offer(self, participant: str, side: Side | str, start: int, end: int,
                    energy_kwh: float, reservation_price: float | None = None,
                    *, time: float = 0.0) -> LedgerEvent:
-        side = Side(side)
+        try:
+            side = Side(side)
+        except ValueError:
+            raise InvalidQuantity(f"side must be buying or selling, got {side!r}") from None
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
-        if not 0 < energy_kwh < math.inf:
+        if not (isinstance(energy_kwh, Real) and 0 < energy_kwh < math.inf):
             raise InvalidQuantity(f"energy must be positive and finite, got {energy_kwh}")
         start, end = _interval("start", start), _interval("end", end)
         if start > end:
             raise InvalidQuantity(f"start {start} exceeds end {end}")
-        if reservation_price is not None and not 0 <= reservation_price < math.inf:
+        if reservation_price is not None and not (isinstance(reservation_price, Real)
+                                                  and 0 <= reservation_price < math.inf):
             raise InvalidQuantity(
                 f"reservation price must be non-negative and finite, got {reservation_price}")
         earliest = self.state.current_interval + self.state.grid.clearing_lead
@@ -511,7 +516,7 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
 
         try:
             state.apply(event)
-        except Exception as exc:  # pragma: no cover - malformed logs
+        except Exception as exc:  # a malformed event, such as a fractional window
             problems.append(f"seq {event.seq}: apply failed ({exc})")
             break
 

@@ -16,11 +16,13 @@ valid price, so the fill prices each trade at its band midpoint as it
 splits the flows, and each solve builds one :class:`Solution`.
 
 HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
-simplex through the bindings bundled with SciPy: one HiGHS object per
-process, created on the first solve, reads the typed row-wise arrays
-:func:`build_lp` builds (C ``int`` indices, ``double`` values) in place
-through the pointer form of ``passModel``, with no ``scipy.optimize.linprog``
-wrapper around it. :func:`linprog` is the one entry point into HiGHS.
+simplex through the bindings bundled with SciPy. Only their compiled core is
+loaded (:func:`_load_highs`), so importing this module loads neither
+``scipy.optimize`` nor ``scipy.sparse``. One HiGHS object per process,
+created on the first solve, reads the typed row-wise arrays of a
+:class:`CsrMatrix` (C ``int`` indices, ``double`` values) in place through
+the pointer form of ``passModel``. :func:`linprog` is the one entry point
+into HiGHS.
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -28,14 +30,16 @@ returned, so a solver bug can never leak an infeasible submission.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csr_matrix
 
 from . import ledger as ledger_mod
 from .controller import ControllerState, ResourceModel, low_level_update, top_level_update
@@ -49,6 +53,44 @@ from .market import (
     check_feasibility,
     objective,
 )
+
+
+def _load_highs():
+    """SciPy's compiled HiGHS bindings, ``scipy.optimize._highspy._core``.
+
+    Importing the module by name would first run ``scipy/optimize/__init__``,
+    which loads scipy.linalg, scipy.sparse, scipy.special and scipy.fft, none
+    of which the solver uses. So the extension file is loaded on its own,
+    under its full name. It is registered in ``sys.modules`` before it runs,
+    so a later ``import scipy.optimize`` in the same process reuses this
+    object: loading the file twice would register its pybind11 types twice.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # imports nothing for a top-level name
+    if scipy is None:
+        raise ImportError("HiGHS bindings not found: SciPy is not installed")
+    folder = Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(
+            f"HiGHS bindings not found: no {folder / '_core'}{EXTENSION_SUFFIXES[0]}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _load_highs()
 
 
 class NumericFailure(Exception):
@@ -71,6 +113,40 @@ class SolverConfig:
 
 
 Column = tuple[str, int, int]  # (kind, key, interval); see LpInstance
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix as compressed sparse row arrays.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``. :func:`build_lp` makes the index
+    arrays ``int32`` and ``data`` ``float64``, the types HiGHS reads in place.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # bincount adds each row's products in index order, as SciPy's CSR
+        # matvec does, so the sums agree bit for bit.
+        return np.bincount(self._rows(), weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self._rows(), self.indices), self.data)
+        return dense
+
 
 # The tie-break adds TIE_BREAK per interval of urgency to a seller column's
 # gain, and at most TIE_BREAK_MAX in all, so the optimum of the traded power
@@ -101,7 +177,7 @@ class LpInstance:
 
     variables: tuple[Column, ...]
     c: np.ndarray = field(repr=False)
-    matrix: csr_matrix = field(repr=False)
+    matrix: CsrMatrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     tie_break: np.ndarray = field(repr=False)
     book: tuple[Offer, ...]
@@ -121,7 +197,7 @@ class LpInstance:
     def book_map(self) -> dict[int, Offer]:
         return {o.id: o for o in self.book}
 
-    def to_arrays(self) -> tuple[np.ndarray, csr_matrix, np.ndarray]:
+    def to_arrays(self) -> tuple[np.ndarray, CsrMatrix, np.ndarray]:
         """Objective vector, constraint matrix, and right-hand side."""
         return self.c, self.matrix, self.rhs
 
@@ -163,8 +239,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     buys = [o for o in offers if o.side is Side.BUYING]
     if not sells or not buys:  # nothing can trade in the window
         none = np.zeros(0)
-        return LpInstance((), none, csr_matrix((0, 0)), none, none, tuple(offers),
-                          grid, pinned, now, config)
+        empty = CsrMatrix(none, np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
+        return LpInstance((), none, empty, none, none, tuple(offers), grid, pinned, now, config)
     # The open sellers and buyers of each interval, in id order.
     open_at: dict[int, tuple[list[Offer], list[Offer]]] = {
         t: ([], []) for t in range(lo, hi + 1)}
@@ -254,9 +330,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         add_row(cols, signs, 0.0)
         add_row(cols, [-s for s in signs], 0.0)
 
-    matrix = csr_matrix((np.frombuffer(data), np.frombuffer(indices, dtype=np.int32),
-                         np.frombuffer(indptr, dtype=np.int32)),
-                        shape=(len(rhs), len(variables)))
+    matrix = CsrMatrix(np.frombuffer(data), np.frombuffer(indices, dtype=np.int32),
+                       np.frombuffer(indptr, dtype=np.int32), (len(rhs), len(variables)))
     return LpInstance(
         variables=tuple(variables),
         c=np.frombuffer(costs),
@@ -286,7 +361,7 @@ def midpoint_price(sell: Offer, buy: Offer, price_cap: float) -> float:
     return min(max(price, sell.reservation), buy.reservation)
 
 
-def _repair_overages(x: np.ndarray, a: csr_matrix, b: np.ndarray) -> np.ndarray:
+def _repair_overages(x: np.ndarray, a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     """Scale the free solution down just enough to clear rounding overages.
 
     Only rows with a positive bound can be cleared by scaling. A row bounded
@@ -352,7 +427,7 @@ _HIGHS_OPTIONS = {
 _highs: highs._Highs | None = None  # one per process, created on the first solve
 
 
-def linprog(c: np.ndarray, a: csr_matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def linprog(c: np.ndarray, a: CsrMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``c @ x`` subject to ``a @ x <= rhs`` and ``x >= 0`` with HiGHS.
 
     Returns the primal and the rows' multipliers, sign-adjusted to be

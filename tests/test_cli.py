@@ -176,14 +176,46 @@ class TestCommands:
         assert record["error"] == "CliError"
 
 
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this ``gridtrade``."""
+    src = Path(gridtrade.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return out.stdout.strip()
+
+
+ONE_VARIABLE_LP = """
+import numpy as np
+from gridtrade import solver
+a = solver.CsrMatrix(np.array([1.0]), np.array([0], dtype=np.int32),
+                     np.array([0, 1], dtype=np.int32), (1, 1))
+primal, duals = solver.linprog(np.array([-1.0]), a, np.array([2.0]))
+assert primal.tolist() == [2.0] and duals.tolist() == [1.0]
+"""
+
+
 class TestImports:
     @pytest.mark.parametrize("module", ["gridtrade.ledger", "gridtrade.cli"])
     def test_log_readers_start_without_the_optimizer(self, module):
-        src = Path(gridtrade.__file__).resolve().parents[1]
         code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert out.stdout.strip() == "False"
+        assert run_python(code) == "False"
+
+    def test_simulation_starts_without_scipy_optimize_or_sparse(self):
+        code = ("import sys, gridtrade.sim\n"
+                "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))\n"
+                + ONE_VARIABLE_LP)
+        assert run_python(code) == "[]"
+
+    @pytest.mark.parametrize("first, second", [("scipy.optimize", "gridtrade.solver"),
+                                               ("gridtrade.solver", "scipy.optimize")])
+    def test_solver_and_scipy_share_one_highs_core(self, first, second):
+        code = (f"import sys, {first}, {second}\n"
+                "import scipy.optimize._highspy._core as core\n"
+                "from gridtrade import solver\n"
+                "print(solver.highs is core is sys.modules[core.__name__])\n"
+                "print(scipy.optimize.linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0]).x.tolist())\n"
+                + ONE_VARIABLE_LP)
+        assert run_python(code).splitlines() == ["True", "[2.0]"]
 
     def test_package_names_resolve_lazily(self):
         from gridtrade import solver

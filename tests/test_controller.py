@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from gridtrade.controller import (
     AffineResourceModel,
     ControllerState,
-    LogOnly,
-    RemoveTrades,
     ResourceSignal,
-    RotateLogs,
-    UnknownEventKind,
-    handle_resource_event,
     low_level_update,
     reset_max_lookahead,
     top_level_update,
@@ -102,37 +97,6 @@ class TestReset:
     def test_reset_below_lead_rejected(self):
         with pytest.raises(ValueError):
             reset_max_lookahead(make_state(clearing_lead=2, lookahead=2), 1)
-
-
-class TestHandleResourceEvent:
-    def test_disk_rotates_logs(self):
-        _, action = handle_resource_event("disk", make_state())
-        assert action == RotateLogs()
-
-    def test_peer_change_removes_trades(self):
-        _, action = handle_resource_event("peer-change", make_state(),
-                                          participant="house-7")
-        assert action == RemoveTrades("house-7")
-
-    def test_net_is_log_only(self):
-        state = make_state()
-        after, action = handle_resource_event("net", state)
-        assert after == state
-        assert action == LogOnly("net")
-
-    def test_cpu_routes_to_top_level(self):
-        after, action = handle_resource_event(
-            "cpu", make_state(), signal=ResourceSignal(cpu_fraction=0.9))
-        assert after.max_lookahead == 9
-        assert action is None
-
-    def test_deadline_routes_to_low_level(self):
-        after, _ = handle_resource_event("deadline", make_state(kp=2.0), solve_time=1.5)
-        assert after.lookahead == 6
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(UnknownEventKind):
-            handle_resource_event("gamma-rays", make_state())
 
 
 class TestAffineModel:

@@ -116,6 +116,17 @@ class TestPostOffer:
             contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
         assert len(contract.events) == before
 
+    @pytest.mark.parametrize("side, energy, price", [
+        ("sideways", 5.0, None), (Side.SELLING, "5", None), (Side.SELLING, "x", None),
+        (Side.SELLING, 5.0, "5"), (Side.SELLING, 5.0, "x")])
+    def test_non_numeric_quantity_or_unknown_side_rejected(self, grid, side, energy, price):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        before = len(contract.events)
+        with pytest.raises(InvalidQuantity):
+            contract.post_offer("alice", side, 2, 2, energy, price)
+        assert len(contract.events) == before
+
     @pytest.mark.parametrize("start, end", [
         (math.nan, 2), (2, math.nan), (math.inf, 2), (2, math.inf), (-math.inf, 2),
         (1.5, 3), (2, 2.7), ("2", 2)])
@@ -392,6 +403,20 @@ class TestReplayAndVerify:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="log version 1"):
             read_events_jsonl(path)
+
+    def test_verify_flags_fractional_offer_window(self, grid, tmp_path):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        posted = contract.post_offer("alice", Side.SELLING, 2, 3, 5.0)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[posted.seq]["payload"].update(start=2.5, end=3.9)  # after the header
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        header, events = read_events_jsonl(path)
+        problems = verify_log(GridModel.from_payload(header["grid"]), events)
+        assert any(p.startswith(f"seq {posted.seq}:") for p in problems)
+        with pytest.raises(InvalidQuantity):
+            events[posted.seq - 1].offer
 
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)

@@ -1,3 +1,8 @@
+import importlib.machinery
+import importlib.util
+import re
+import sys
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -21,6 +26,7 @@ from gridtrade.oracle import (
 )
 from gridtrade import solver as solver_mod
 from gridtrade.solver import (
+    CsrMatrix,
     NumericFailure,
     SolverAgent,
     SolverConfig,
@@ -56,7 +62,8 @@ class TestBuildLp:
         book = {i: Offer(i, side, f"p{i}", "main", 5.0, 1, 3) for i in (1, 2)}
         instance = build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=3))
         assert instance.n_variables == 0
-        assert instance.matrix.shape == (0, 0)
+        assert instance.matrix.shape == (0, 0) and instance.matrix.nnz == 0
+        assert (instance.matrix @ np.zeros(0)).shape == (0,)
         assert [o.id for o in instance.book] == [1, 2]
         assert len(solve(instance)) == 0
 
@@ -344,6 +351,23 @@ def test_diagnostics_expose_optimality_certificate(battery_book, grid, pins_thro
     assert verify_certificate(instance, diagnostics) == []
 
 
+class TestCsrMatrix:
+    """The solver's CSR container against SciPy's, which it replaced."""
+
+    def test_matvec_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        compared = 0
+        for *_, instance in tiered_markets():
+            a = instance.matrix
+            want = csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+            x = rng.random(a.shape[1])
+            assert (a @ x).tobytes() == (want @ x).tobytes()
+            assert np.array_equal(a.toarray(), want.toarray())
+            assert a.nnz == want.nnz
+            compared += a.shape[0] > 0
+        assert compared > 40
+
+
 class TestHighsEntryPoint:
     """``solver.linprog`` against SciPy's ``linprog``, which it replaced."""
 
@@ -359,7 +383,8 @@ class TestHighsEntryPoint:
             assert a.indptr.dtype == a.indices.dtype == np.int32
             assert a.data.dtype == c.dtype == b.dtype == np.float64
             primal, duals = linprog(c, a, b)
-            want = scipy_linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs",
+            scipy_a = csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+            want = scipy_linprog(c, A_ub=scipy_a, b_ub=b, bounds=(0, None), method="highs",
                                  options={"primal_feasibility_tolerance": 1e-10,
                                           "dual_feasibility_tolerance": 1e-9})
             assert want.status == 0
@@ -382,6 +407,16 @@ class TestHighsEntryPoint:
         for before, after in zip(first, again):
             assert before.tobytes() == after.tobytes()
 
+    def test_missing_highs_core_raises_import_error_naming_the_file(self, monkeypatch,
+                                                                    tmp_path):
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        missing = re.escape(str(tmp_path / "optimize" / "_highspy" / "_core"))
+        with pytest.raises(ImportError, match=missing):
+            solver_mod._load_highs()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_numeric_failure(self, battery_book, grid,
                                                      pins_through_47, bad):
@@ -395,8 +430,9 @@ class TestHighsEntryPoint:
         cost[0] = bad
         with pytest.raises(NumericFailure):
             linprog(cost, a, b)
-        matrix = a.copy()
-        matrix.data[0] = bad
+        data = a.data.copy()
+        data[0] = bad
+        matrix = CsrMatrix(data, a.indices, a.indptr, a.shape)
         with pytest.raises(NumericFailure):
             linprog(c, matrix, b)
 
