@@ -12,6 +12,8 @@ from gridtrade.controller import (
     reset_max_lookahead,
     top_level_update,
 )
+from gridtrade.market import GridModel
+from gridtrade.solver import SolverAgent, SolverConfig
 
 
 def make_state(**overrides):
@@ -97,6 +99,43 @@ class TestReset:
     def test_reset_below_lead_rejected(self):
         with pytest.raises(ValueError):
             reset_max_lookahead(make_state(clearing_lead=2, lookahead=2), 1)
+
+
+class FixedSignalModel:
+    """A resource model that reports one fixed signal whatever the LP size."""
+
+    def __init__(self, signal):
+        self._signal = signal
+
+    def solve_time(self, n_variables):
+        return self._signal.solve_time
+
+    def signal(self, n_variables, solve_period):
+        return self._signal
+
+
+def agent_with(state, signal):
+    grid = GridModel(feeders=(), interval_hours=0.25, clearing_lead=state.clearing_lead)
+    return SolverAgent("solver-1", grid, SolverConfig(lookahead=state.lookahead),
+                       controller=state, resource_model=FixedSignalModel(signal))
+
+
+class TestHandleResourceEvent:
+    """A solver agent routes each solve's resource events to the two loops:
+    the CPU signal to the top-level update, the solve time to the low-level one."""
+
+    def test_cpu_routes_to_top_level(self):
+        agent = agent_with(make_state(), ResourceSignal(cpu_fraction=0.9))
+        agent._update_controller(time=0.0, n_variables=10, modeled_time=0.5)
+        assert agent.controller.max_lookahead == 9
+        assert agent.controller.lookahead == 8
+        assert agent.controller_trace[-1]["cpu_fraction"] == 0.9
+
+    def test_deadline_routes_to_low_level(self):
+        agent = agent_with(make_state(kp=2.0), ResourceSignal(cpu_fraction=0.1))
+        agent._update_controller(time=0.0, n_variables=10, modeled_time=1.5)
+        assert agent.controller.max_lookahead == 10
+        assert agent.controller.lookahead == 6
 
 
 class TestAffineModel:
