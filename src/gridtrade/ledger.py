@@ -99,36 +99,53 @@ class LedgerEvent:
     time: float
     kind: str
     payload: dict
-    # The offer of an OfferPosted event; see ``offer``. A slot rather than a
-    # cached_property, so that caching it adds no per-event __dict__.
-    _offer: Offer | None = field(default=None, init=False, repr=False, compare=False)
+    # The parsed payload: the Offer of an OfferPosted event or the Solution of
+    # a SolutionAccepted event; see ``offer`` and ``solution``. A slot rather
+    # than a cached_property, so that caching adds no per-event __dict__, and
+    # one slot for both kinds, as each field costs every event's construction.
+    _parsed: Offer | Solution | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     @property
     def offer(self) -> Offer:
         """The offer an ``OfferPosted`` event posts.
 
         ``Contract.post_offer`` sets it as it appends the event; an event
-        read from a log parses its payload on first use. Every state that
+        read from a log parses its payload on first use, with the checks
+        ``post_offer`` makes on its quantities and window. Every state that
         applies the event (the contract and each mirror) shares this one
         frozen ``Offer``. The cache takes no part in equality or in the
         record.
         """
-        if self._offer is not None:
-            return self._offer
+        if self._parsed is not None:
+            return self._parsed
         payload = self.payload
         offer = Offer(
             id=int(payload["offer_id"]),
             side=Side(payload["side"]),
             prosumer=str(payload["participant"]),
             feeder=str(payload["feeder"]),
-            energy_kwh=float(payload["energy_kwh"]),
+            energy_kwh=_energy(payload["energy_kwh"]),
             start=_interval("start", payload["start"]),
             end=_interval("end", payload["end"]),
-            reservation_price=(None if payload.get("reservation_price") is None
-                               else float(payload["reservation_price"])),
+            reservation_price=_price(payload.get("reservation_price")),
         )
-        object.__setattr__(self, "_offer", offer)
+        object.__setattr__(self, "_parsed", offer)
         return offer
+
+    @property
+    def solution(self) -> Solution:
+        """The solution a ``SolutionAccepted`` event accepts.
+
+        ``Contract.submit_solution`` sets it to the solution it validated;
+        an event read from a log parses ``payload["trades"]`` on first use.
+        As with ``offer``, the contract, each mirror and ``verify_log``
+        share this one object, and it takes no part in equality or in the
+        record.
+        """
+        if self._parsed is None:
+            object.__setattr__(self, "_parsed", Solution.from_payload(self.payload["trades"]))
+        return self._parsed
 
     def to_record(self) -> dict:
         return {"record": "event", "seq": self.seq, "time": self.time,
@@ -181,7 +198,7 @@ class ContractState:
                 self.open_offers[offer.id] = offer
             self.next_offer_id = max(self.next_offer_id, offer.id + 1)
         elif kind == EventKind.SOLUTION_ACCEPTED:
-            self.candidate = Solution.from_payload(payload["trades"])
+            self.candidate = event.solution
             self.candidate_objective = float(payload["objective"])
         elif kind == EventKind.SOLUTION_REJECTED:
             pass
@@ -238,6 +255,27 @@ def _interval(name: str, value) -> int:
     raise InvalidQuantity(f"{name} must be a whole interval, got {value}")
 
 
+def _energy(value) -> float:
+    """``value`` as an offer's energy; refuses non-numbers, NaN, inf and <= 0.
+
+    A float is let through before the ``Real`` check, which costs several
+    times more and runs for every offer a log holds.
+    """
+    if not ((type(value) is float or isinstance(value, Real)) and 0 < value < math.inf):
+        raise InvalidQuantity(f"energy must be positive and finite, got {value}")
+    return float(value)
+
+
+def _price(value) -> float | None:
+    """``value`` as a reservation price; None means any price."""
+    if value is None:
+        return None
+    if not ((type(value) is float or isinstance(value, Real)) and 0 <= value < math.inf):
+        raise InvalidQuantity(
+            f"reservation price must be non-negative and finite, got {value}")
+    return float(value)
+
+
 def _offer_payload(offer: Offer) -> dict:
     return {
         "offer_id": offer.id,
@@ -280,10 +318,10 @@ class Contract:
         return self._events[seq:]
 
     def _append(self, kind: EventKind, payload: dict, time: float,
-                offer: Offer | None = None) -> LedgerEvent:
+                parsed: Offer | Solution | None = None) -> LedgerEvent:
         event = LedgerEvent(len(self._events) + 1, time, kind.value, payload)
-        if offer is not None:
-            object.__setattr__(event, "_offer", offer)
+        if parsed is not None:
+            object.__setattr__(event, "_parsed", parsed)
         self.state.apply(event)
         self._events.append(event)
         return event
@@ -312,22 +350,17 @@ class Contract:
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
-        if not (isinstance(energy_kwh, Real) and 0 < energy_kwh < math.inf):
-            raise InvalidQuantity(f"energy must be positive and finite, got {energy_kwh}")
+        energy = _energy(energy_kwh)
         start, end = _interval("start", start), _interval("end", end)
         if start > end:
             raise InvalidQuantity(f"start {start} exceeds end {end}")
-        if reservation_price is not None and not (isinstance(reservation_price, Real)
-                                                  and 0 <= reservation_price < math.inf):
-            raise InvalidQuantity(
-                f"reservation price must be non-negative and finite, got {reservation_price}")
+        price = _price(reservation_price)
         earliest = self.state.current_interval + self.state.grid.clearing_lead
         if start < earliest:
             raise StaleInterval(
                 f"start {start} precedes earliest open interval {earliest}")
         offer = Offer(self.state.next_offer_id, side, participant, info["feeder"],
-                      float(energy_kwh), start, end,
-                      None if reservation_price is None else float(reservation_price))
+                      energy, start, end, price)
         payload = {
             "offer_id": offer.id,
             "participant": participant,
@@ -360,9 +393,15 @@ class Contract:
             return self._append(EventKind.SOLUTION_REJECTED, {
                 "participant": participant, "reason": "not-better",
                 "objective": value}, time)
+        # The accepted object becomes the candidate, so its keys must be the
+        # ints a replay parses from the log, not just equal to them.
+        if not all(type(s) is type(b) is type(t) is int for s, b, t in solution.keys()):
+            return self._append(EventKind.SOLUTION_REJECTED, {
+                "participant": participant,
+                "reason": "invalid: offer ids and intervals must be integers"}, time)
         return self._append(EventKind.SOLUTION_ACCEPTED, {
             "participant": participant, "objective": value,
-            "trades": solution.to_payload()}, time)
+            "trades": solution.to_payload()}, time, solution)
 
     def finalize(self, caller: str | None, interval: int,
                  *, time: float = 0.0) -> list[LedgerEvent]:
@@ -445,18 +484,20 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
             if payload["feeder"] not in state.grid.feeder_limits():
                 problems.append(f"seq {event.seq}: unknown feeder")
         elif event.kind == EventKind.OFFER_POSTED:
-            if payload["participant"] not in state.participants:
+            try:
+                offer = event.offer
+            except Exception as exc:  # a malformed payload, such as a string energy
+                problems.append(f"seq {event.seq}: malformed offer ({exc})")
+                break
+            if offer.prosumer not in state.participants:
                 problems.append(f"seq {event.seq}: offer from unregistered participant")
             if payload["offer_id"] != state.next_offer_id:
                 problems.append(f"seq {event.seq}: offer id out of order")
-            earliest = state.current_interval + state.grid.clearing_lead
-            if payload["start"] < earliest:
+            if offer.start < state.current_interval + state.grid.clearing_lead:
                 problems.append(f"seq {event.seq}: offer for closed interval")
-            if payload["energy_kwh"] <= 0:
-                problems.append(f"seq {event.seq}: non-positive energy")
         elif event.kind == EventKind.SOLUTION_ACCEPTED:
             try:
-                solution = Solution.from_payload(payload["trades"])
+                solution = event.solution
                 report = state.feasibility(solution)
             except MarketError as exc:
                 problems.append(f"seq {event.seq}: accepted invalid solution ({exc})")

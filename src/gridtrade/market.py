@@ -73,6 +73,7 @@ class GridModel:
     clearing_lead: int  # intervals between finalization and delivery
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "feeders", tuple(self.feeders))
         if not 0 < self.interval_hours < math.inf:
             raise ValueError("interval_hours must be positive and finite")
         if self.clearing_lead < 1:

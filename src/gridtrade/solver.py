@@ -15,6 +15,13 @@ Prices do not appear in the objective and every matchable pair admits a
 valid price, so the fill prices each trade at its band midpoint as it
 splits the flows, and each solve builds one :class:`Solution`.
 
+:func:`build_lp` reads a window's offers into arrays once and builds the
+columns, price tiers, carries and rows with NumPy array operations, then
+sorts the matrix entries into CSR in one step. A window of few offers, where
+NumPy's fixed cost per call outweighs the work, is built interval by
+interval in Python instead. Both give the same LP, bit for bit, in the order
+:class:`LpInstance` documents.
+
 HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
 simplex through the bindings bundled with SciPy. Only their compiled core is
 loaded (:func:`_load_highs`), so importing this module loads neither
@@ -202,6 +209,14 @@ class LpInstance:
         return self.c, self.matrix, self.rhs
 
 
+# A window of fewer open offers than this is built interval by interval in
+# Python, a larger one with NumPy. The array build makes about a hundred
+# NumPy calls whatever the window's size; the two break even near 64 offers
+# (about 100 columns). The contract fuzz's windows hold at most a dozen
+# offers, a simulated day's at least 150.
+ARRAY_BUILD_MIN_OFFERS = 64
+
+
 def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
              now: int, config: SolverConfig,
              retired: Mapping[int, Offer] | None = None) -> LpInstance:
@@ -221,14 +236,18 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     after t, the sooner its energy is used (earliest deadline first).
     Buyer and carry columns weigh 0.
     A window with no open seller or no open buyer gives the empty instance.
-    The matrix's index arrays are ``int32`` and its data ``float64``, the
-    types :func:`linprog` hands to HiGHS without a copy.
+
+    A window of at least ARRAY_BUILD_MIN_OFFERS offers is built with NumPy
+    (:func:`_build_with_arrays`), a smaller one interval by interval
+    (:func:`_build_by_interval`). Both give the same variables, rows and
+    values, bit for bit, in the order :class:`LpInstance` documents. The
+    matrix's index arrays are ``int32`` and its data ``float64``, the types
+    :func:`linprog` hands to HiGHS without a copy.
     ``book`` may be any part of the book that holds every offer open in the
     window, such as ``ContractState.open_offers``: other offers are ignored.
     ``retired`` is accepted and ignored: withdrawn offers cannot trade at
     open intervals.
     """
-    delta = grid.interval_hours
     lo = max(now + grid.clearing_lead, pinned.finalized_through + 1)
     hi = now + max(config.lookahead, grid.clearing_lead)
 
@@ -241,13 +260,29 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         none = np.zeros(0)
         empty = CsrMatrix(none, np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
         return LpInstance((), none, empty, none, none, tuple(offers), grid, pinned, now, config)
+    build = _build_with_arrays if len(offers) >= ARRAY_BUILD_MIN_OFFERS else _build_by_interval
+    return LpInstance(*build(sells, buys, grid, pinned, lo, hi),
+                      tuple(offers), grid, pinned, now, config)
+
+
+# The variables, c, matrix, rhs and tie_break of an LpInstance.
+Built = tuple[tuple[Column, ...], np.ndarray, CsrMatrix, np.ndarray, np.ndarray]
+
+
+def _build_by_interval(sells: list[Offer], buys: list[Offer], grid: GridModel,
+                       pinned: PinnedTrades, lo: int, hi: int) -> Built:
+    """The LP of :func:`build_lp` for the window [lo, hi], one interval at a time.
+
+    ``sells`` and ``buys`` are the window's offers of each side, in id order.
+    """
+    delta = grid.interval_hours
     # The open sellers and buyers of each interval, in id order.
     open_at: dict[int, tuple[list[Offer], list[Offer]]] = {
         t: ([], []) for t in range(lo, hi + 1)}
-    for offer in offers:
-        side = 0 if offer.side is Side.SELLING else 1
-        for t in range(max(offer.start, lo), min(offer.end, hi) + 1):
-            open_at[t][side].append(offer)
+    for side, offers in enumerate((sells, buys)):
+        for offer in offers:
+            for t in range(max(offer.start, lo), min(offer.end, hi) + 1):
+                open_at[t][side].append(offer)
 
     variables: list[Column] = []
     costs = array("d")
@@ -332,18 +367,131 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
 
     matrix = CsrMatrix(np.frombuffer(data), np.frombuffer(indices, dtype=np.int32),
                        np.frombuffer(indptr, dtype=np.int32), (len(rhs), len(variables)))
-    return LpInstance(
-        variables=tuple(variables),
-        c=np.frombuffer(costs),
-        matrix=matrix,
-        rhs=np.frombuffer(rhs),
-        tie_break=np.frombuffer(weights),
-        book=tuple(offers),
-        grid=grid,
-        pinned=pinned,
-        now=now,
-        config=config,
-    )
+    return (tuple(variables), np.frombuffer(costs), matrix, np.frombuffer(rhs),
+            np.frombuffer(weights))
+
+
+_KINDS = np.array(["sell", "buy", "carry"], dtype=object)  # column kinds by code
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.
+
+    ``np.unique`` builds a hash table first, which costs more than this sort
+    on the few hundred values of one window.
+    """
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _build_with_arrays(sells: list[Offer], buys: list[Offer], grid: GridModel,
+                       pinned: PinnedTrades, lo: int, hi: int) -> Built:
+    """The LP of :func:`build_lp` for the window [lo, hi], built with NumPy.
+
+    The offers are read into arrays once. Their (offer, interval) cells, the
+    price tiers, the carries and the (row, column, value) entries of every
+    row are then array operations, and one sort by (row, column) gives the
+    CSR arrays.
+    """
+    delta = grid.interval_hours
+    # Sellers then buyers, each in id order: the order of the budget rows and
+    # of the columns within an interval. Intervals are window-relative below.
+    ordered = sells + buys
+    n, span = len(ordered), hi - lo + 1
+    feeder_names = sorted({o.feeder for o in ordered})
+    feeder_of = {name: i for i, name in enumerate(feeder_names)}
+    first = np.maximum([o.start for o in ordered], lo) - lo
+    last = np.minimum([o.end for o in ordered], hi) - lo
+    price = np.array([o.reservation for o in ordered])
+    levels = _distinct(price)
+    level = levels.searchsorted(price)
+
+    # One cell per (offer, open interval), offer by offer: the first k are
+    # the sellers'. A key t * len(levels) + level orders cells by interval,
+    # then price.
+    count = last - first + 1
+    ends = count.cumsum()
+    owner = np.arange(n).repeat(count)
+    t = np.arange(ends[-1]) + (first + count - ends).repeat(count)
+    k = int(ends[len(sells) - 1])
+    key = t * len(levels) + level[owner]
+    # The floors: each interval's distinct seller levels at or below its top
+    # buyer level. A cell's tier is the highest floor of its interval at or
+    # below its own level; a buyer below every floor gets no column.
+    top = np.full(span, -1)
+    np.maximum.at(top, t[k:], level[owner[k:]])
+    cell = level[owner] <= top[t]
+    floors = _distinct(key[:k][cell[:k]])
+    floor_t = floors // len(levels)
+    opens = floors.searchsorted(np.arange(span + 1) * len(levels))  # each interval's first floor
+    tier = floors.searchsorted(key, "right") - 1
+    cell[k:] = tier[k:] >= opens[t[k:]]
+    n_sells = np.count_nonzero(cell[:k])
+    owner, t, tier = owner[cell], t[cell], tier[cell]
+    # A carry leaves each floor but the last of its interval for the next.
+    carry = (floor_t[1:] == floor_t[:-1]).nonzero()[0]
+
+    # Columns are the cells, then the carries; ``order`` lists them interval
+    # by interval as ``variables`` does, and ``position`` inverts it.
+    n_cells, n_carries = len(owner), len(carry)
+    n_columns = n_cells + n_carries
+    column_t = np.concatenate((t, floor_t[carry]))
+    order = (column_t * (n + len(floors)) + np.concatenate((owner, n + carry))).argsort()
+    position = np.empty(n_columns, dtype=np.int64)
+    position[order] = np.arange(n_columns)
+    kinds = _KINDS.repeat([n_sells, n_cells - n_sells, n_carries])
+    labels = np.concatenate((np.array([o.id for o in ordered])[owner],
+                             carry - opens[floor_t[carry]]))
+    variables = tuple(zip(kinds[order].tolist(), labels[order].tolist(),
+                          (column_t[order] + lo).tolist()))
+    weight = np.zeros(n_columns)
+    weight[:n_sells] = hi - lo - (last[owner[:n_sells]] - t[:n_sells])
+
+    # The matrix as (row, column, value) blocks, sorted into CSR at the end.
+    cells, carries = position[:n_cells], position[n_cells:]
+    buying = np.arange(n_cells) >= n_sells
+    sign = 1.0 - 2.0 * buying
+    # Energy budgets: one row per offer with a column.
+    used = np.bincount(owner, minlength=n) > 0
+    budget = used.cumsum() - 1
+    energy = np.array([o.energy_kwh - pinned.energy(o.id, delta) for o in ordered])
+    base = np.count_nonzero(used)
+    # Feeder limits: four slots per (feeder, interval), for production,
+    # consumption and net flow both ways. A slot a column uses is a row.
+    limits = grid.feeder_limits()
+    slot_bounds = np.array([(f.internal_limit_kw, f.internal_limit_kw,
+                             f.net_flow_limit_kw, f.net_flow_limit_kw)
+                            for f in map(limits.__getitem__, feeder_names)],
+                           dtype=np.float64).repeat(span, axis=0).ravel()
+    slot = (np.array([feeder_of[o.feeder] for o in ordered])[owner] * span + t) * 4
+    present = np.zeros(len(slot_bounds), dtype=bool)
+    present[slot + buying] = present[slot + 2] = present[slot + 3] = True
+    feeder_row = present.cumsum() + (base - 1)
+    net = feeder_row[slot + 2]
+    feeder_bounds = slot_bounds[present]
+    base += len(feeder_bounds)
+    # Tier balances: two opposite rows per floor. A carry leaves its floor
+    # (-1) and enters the next (+1).
+    balance = base + 2 * tier
+    leave = base + 2 * carry
+    ones = np.full(n_carries, 1.0)
+    row = np.concatenate((budget[owner], feeder_row[slot + buying], net, net + 1,
+                          balance, balance + 1, leave, leave + 1, leave + 2, leave + 3))
+    column = np.concatenate((cells,) * 6 + (carries,) * 4)
+    values = np.concatenate((np.full(n_cells, float(delta)), np.full(n_cells, 1.0),
+                             sign, -sign, sign, -sign, -ones, ones, ones, -ones))
+    rhs = np.concatenate((np.maximum(energy[used], 0.0), feeder_bounds,
+                          np.zeros(2 * len(floors))))
+
+    entries = (row * n_columns + column).argsort()
+    indptr = np.zeros(len(rhs) + 1, dtype=np.int32)
+    np.bincount(row, minlength=len(rhs)).cumsum(out=indptr[1:])
+    matrix = CsrMatrix(values[entries], column[entries].astype(np.int32),
+                       indptr, (len(rhs), n_columns))
+    return variables, (order < n_sells).astype(np.float64), matrix, rhs, weight[order]
 
 
 @dataclass(frozen=True, eq=False)

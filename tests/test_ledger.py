@@ -191,6 +191,15 @@ class TestSubmitSolution:
         assert event.kind == EventKind.SOLUTION_REJECTED
         assert event.payload["reason"].startswith("invalid")
 
+    def test_float_keys_rejected_as_invalid(self, grid):
+        contract = battery_contract_at_47(grid)
+        floats = Solution({(float(s), float(b), float(t)): value
+                           for (s, b, t), value in battery_optimum_solution().items()})
+        event = contract.submit_solution("solver-1", floats)
+        assert event.kind == EventKind.SOLUTION_REJECTED
+        assert event.payload["reason"].startswith("invalid")
+        assert contract.state.candidate == Solution.empty()
+
     def test_unregistered_submitter_raises(self, grid):
         contract = battery_contract_at_47(grid)
         with pytest.raises(NotRegistered):
@@ -418,6 +427,22 @@ class TestReplayAndVerify:
         with pytest.raises(InvalidQuantity):
             events[posted.seq - 1].offer
 
+    @pytest.mark.parametrize("field, value", [
+        ("start", "2"), ("energy_kwh", "5"), ("reservation_price", "0.5")])
+    def test_verify_flags_non_numeric_offer_field(self, grid, tmp_path, field, value):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        posted = contract.post_offer("alice", Side.SELLING, 2, 3, 5.0, 0.25)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[posted.seq]["payload"][field] = value  # after the header
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        header, events = read_events_jsonl(path)
+        problems = verify_log(GridModel.from_payload(header["grid"]), events)
+        assert [p for p in problems if p.startswith(f"seq {posted.seq}: malformed offer")]
+        with pytest.raises(InvalidQuantity):
+            events[posted.seq - 1].offer
+
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)
         events = contract.events
@@ -478,7 +503,29 @@ class TestOfferParsedOnce:
         posted = [e for e in contract.events if e.kind == EventKind.OFFER_POSTED]
         for event in posted:
             copy = type(event)(event.seq, event.time, event.kind, dict(event.payload))
-            assert event._offer is not None and copy._offer is None
+            assert event._parsed is not None and copy._parsed is None
             assert copy == event
             assert copy.to_record() == event.to_record()
             assert copy.offer == event.offer
+
+
+class TestSolutionParsedOnce:
+    def test_contract_state_holds_the_submitted_solution(self, grid):
+        contract = battery_contract_at_47(grid)
+        submitted = battery_optimum_solution()
+        event = contract.submit_solution("solver-1", submitted)
+        assert event.solution is submitted
+        assert contract.state.candidate is submitted
+        assert replay_events(grid, contract.events).candidate is submitted
+
+    def test_read_back_solution_is_parsed_once_from_its_payload(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        _, events = read_events_jsonl(path)
+        event = next(e for e in events if e.kind == EventKind.SOLUTION_ACCEPTED)
+        assert event._parsed is None
+        assert event.solution == Solution.from_payload(event.payload["trades"])
+        assert event.solution is event.solution
+        assert verify_log(grid, events) == []
+        assert replay_events(grid, events).candidate is event.solution

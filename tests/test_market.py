@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtrade.ledger import Contract
 from gridtrade.market import (
     Feeder,
     GridModel,
@@ -77,6 +78,13 @@ class TestGridValidation:
             payload["feeders"][0][field] = value
         with pytest.raises(ValueError):
             GridModel.from_payload(payload)
+
+    def test_feeder_list_is_stored_as_a_tuple(self):
+        feeders = [Feeder("main", 100.0, 100.0)]
+        grid = GridModel(feeders, 0.25, clearing_lead=1)
+        assert grid == GridModel(tuple(feeders), 0.25, clearing_lead=1)
+        assert isinstance(grid.feeders, tuple)
+        assert "main" in Contract(grid).grid.feeder_limits()
 
     def test_zero_limits_are_allowed(self):
         assert Feeder("x", 0.0, 0.0).net_flow_limit_kw == 0.0

@@ -96,6 +96,104 @@ class TestBuildLp:
         assert solution.power((2, 4, 49)) == pytest.approx(5.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("min_offers", [0, 1000], ids=["arrays", "by-interval"])
+    def test_hand_built_market_gives_the_pinned_arrays(self, monkeypatch, min_offers):
+        """Every array of one small LP, in the order LpInstance documents.
+
+        At interval 2 the floors are 0.1 and 0.3 (one carry), seller 3 asks
+        more than every ceiling and buyer 5 bids less than every floor; at
+        interval 3 seller 2, flexible over both, is the one floor. Interval 1
+        is finalized, and its pinned 2 kW (1 kWh) comes off offers 1 and 4.
+        """
+        grid = GridModel((Feeder("b", 6.0, 7.0), Feeder("a", 8.0, 9.0)), 0.5, 1)
+        book = {
+            1: Offer(1, Side.SELLING, "p1", "a", 4.0, 1, 2, reservation_price=0.1),
+            2: Offer(2, Side.SELLING, "p2", "b", 5.0, 2, 3, reservation_price=0.3),
+            3: Offer(3, Side.SELLING, "p3", "a", 2.0, 2, 2, reservation_price=0.9),
+            4: Offer(4, Side.BUYING, "p4", "b", 6.0, 1, 3, reservation_price=0.5),
+            5: Offer(5, Side.BUYING, "p5", "a", 3.0, 2, 2, reservation_price=0.05),
+            6: Offer(6, Side.BUYING, "p6", "a", 2.0, 3, 3),
+        }
+        pinned = PinnedTrades(1, {1: {(1, 4): (2.0, 0.3)}})
+        monkeypatch.setattr(solver_mod, "ARRAY_BUILD_MIN_OFFERS", min_offers)
+        instance = build_lp(book, grid, pinned, 0, SolverConfig(lookahead=3))
+
+        assert instance.variables == (
+            ("sell", 1, 2), ("sell", 2, 2), ("buy", 4, 2), ("carry", 0, 2),
+            ("sell", 2, 3), ("buy", 4, 3), ("buy", 6, 3))
+        assert instance.c.tolist() == [1, 1, 0, 0, 1, 0, 0]
+        assert instance.tie_break.tolist() == [1, 0, 0, 0, 1, 0, 0]
+        rows = [  # (columns, coefficients, bound)
+            # energy budgets: offers 1, 2, 4 and 6, net of pinned energy
+            ([0], [0.5], 3.0), ([1, 4], [0.5, 0.5], 5.0),
+            ([2, 5], [0.5, 0.5], 5.0), ([6], [0.5], 2.0),
+            # feeder a at 2: production, net flow both ways
+            ([0], [1.0], 9.0), ([0], [1.0], 8.0), ([0], [-1.0], 8.0),
+            # feeder a at 3: consumption, net flow both ways
+            ([6], [1.0], 9.0), ([6], [-1.0], 8.0), ([6], [1.0], 8.0),
+            # feeder b at 2 and at 3: production, consumption, net flow
+            ([1], [1.0], 7.0), ([2], [1.0], 7.0),
+            ([1, 2], [1.0, -1.0], 6.0), ([1, 2], [-1.0, 1.0], 6.0),
+            ([4], [1.0], 7.0), ([5], [1.0], 7.0),
+            ([4, 5], [1.0, -1.0], 6.0), ([4, 5], [-1.0, 1.0], 6.0),
+            # tier balances: floor 0.1 at 2, floor 0.3 at 2, floor 0.3 at 3
+            ([0, 3], [1.0, -1.0], 0.0), ([0, 3], [-1.0, 1.0], 0.0),
+            ([1, 2, 3], [1.0, -1.0, 1.0], 0.0), ([1, 2, 3], [-1.0, 1.0, -1.0], 0.0),
+            ([4, 5, 6], [1.0, -1.0, -1.0], 0.0), ([4, 5, 6], [-1.0, 1.0, 1.0], 0.0),
+        ]
+        matrix = instance.matrix
+        assert matrix.shape == (24, 7)
+        assert matrix.indptr.tolist() == [
+            0, 1, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18, 19, 20, 22, 24,
+            26, 28, 31, 34, 37, 40]
+        assert matrix.indices.tolist() == [j for cols, _, _ in rows for j in cols]
+        assert matrix.data.tolist() == [v for _, vals, _ in rows for v in vals]
+        assert instance.rhs.tolist() == [bound for _, _, bound in rows]
+        assert (matrix.indptr.dtype, matrix.indices.dtype) == (np.int32, np.int32)
+        assert matrix.data.dtype == instance.rhs.dtype == instance.c.dtype == np.float64
+
+    def test_array_build_matches_the_interval_build_on_random_markets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            book, grid, pinned, now, lookahead = random_market(
+                rng, max_offers=12, max_intervals=5)
+            lo = max(now + grid.clearing_lead, pinned.finalized_through + 1)
+            hi = now + max(lookahead, grid.clearing_lead)
+            offers = sorted((o for o in book.values() if o.start <= hi and o.end >= lo),
+                            key=lambda o: o.id)
+            sells = [o for o in offers if o.side is Side.SELLING]
+            buys = [o for o in offers if o.side is Side.BUYING]
+            if not sells or not buys:
+                continue
+            args = (sells, buys, grid, pinned, lo, hi)
+            want = solver_mod._build_by_interval(*args)
+            got = solver_mod._build_with_arrays(*args)
+            assert got[0] == want[0]  # variables
+            assert got[2].shape == want[2].shape
+            for name, g, w in [("c", got[1], want[1]), ("rhs", got[3], want[3]),
+                               ("tie_break", got[4], want[4]),
+                               ("indptr", got[2].indptr, want[2].indptr),
+                               ("indices", got[2].indices, want[2].indices),
+                               ("data", got[2].data, want[2].data)]:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    def test_windows_of_many_offers_take_the_array_build(self, grid, monkeypatch):
+        array_builds = []
+        build = solver_mod._build_with_arrays
+
+        def counted(*args):
+            array_builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(solver_mod, "_build_with_arrays", counted)
+        book = {i: Offer(i, Side.SELLING if i % 2 else Side.BUYING, f"p{i}", "main", 2.0, 1, 2)
+                for i in range(1, solver_mod.ARRAY_BUILD_MIN_OFFERS + 1)}
+        build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=2))
+        del book[1]
+        build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=2))
+        assert len(array_builds) == 1
+
+
 class TestSolve:
     def test_battery_scenario_unique_optimum(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,
@@ -330,6 +428,19 @@ class TestSolverAgent:
         second = agent.step(contract.events_since(agent.last_seq), time=1.0)
         assert second is not None
         assert objective(second) > objective(first) + 1e-9
+
+    def test_contract_and_mirrors_share_the_submitted_solution(self, grid):
+        contract = self.make_contract(grid)
+        contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
+        contract.post_offer("bob", Side.BUYING, 1, 2, 5.0)
+        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2)]
+        submission = agents[0].step(contract.events_since(0))
+        event = contract.submit_solution("solver-1", submission)
+        for agent in agents:
+            agent.observe(contract.events_since(agent.last_seq))
+        assert event.kind == "SolutionAccepted" and event.solution is submission
+        assert contract.state.candidate is submission
+        assert all(agent.mirror.candidate is submission for agent in agents)
 
     def test_solver_variable_count_recorded(self, grid):
         contract = self.make_contract(grid)
