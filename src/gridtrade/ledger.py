@@ -15,7 +15,6 @@ safe candidates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -319,7 +318,9 @@ class Contract:
 
     def _append(self, kind: EventKind, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
-        event = LedgerEvent(len(self._events) + 1, time, kind.value, payload)
+        if not ((type(time) is float or isinstance(time, Real)) and math.isfinite(time)):
+            raise InvalidQuantity(f"time must be a finite number, got {time}")
+        event = LedgerEvent(len(self._events) + 1, float(time), kind.value, payload)
         if parsed is not None:
             object.__setattr__(event, "_parsed", parsed)
         self.state.apply(event)
@@ -369,7 +370,7 @@ class Contract:
             "energy_kwh": offer.energy_kwh,
             "start": start,
             "end": end,
-            "reservation_price": reservation_price,
+            "reservation_price": price,
         }
         return self._append(EventKind.OFFER_POSTED, payload, time, offer)
 
@@ -383,6 +384,9 @@ class Contract:
         except MarketError as exc:
             return self._append(EventKind.SOLUTION_REJECTED, {
                 "participant": participant, "reason": f"invalid: {exc}"}, time)
+        if not math.isfinite(value):  # finite trades whose sum overflows
+            return self._append(EventKind.SOLUTION_REJECTED, {
+                "participant": participant, "reason": "invalid: objective is not finite"}, time)
         if not report.ok:
             kinds = sorted({v.kind for v in report.violations})
             return self._append(EventKind.SOLUTION_REJECTED, {
@@ -478,82 +482,86 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
         last_time = event.time
         payload = event.payload
 
-        if event.kind == EventKind.PROSUMER_REGISTERED:
-            if payload["participant"] in state.participants:
-                problems.append(f"seq {event.seq}: duplicate registration")
-            if payload["feeder"] not in state.grid.feeder_limits():
-                problems.append(f"seq {event.seq}: unknown feeder")
-        elif event.kind == EventKind.OFFER_POSTED:
-            try:
-                offer = event.offer
-            except Exception as exc:  # a malformed payload, such as a string energy
-                problems.append(f"seq {event.seq}: malformed offer ({exc})")
-                break
-            if offer.prosumer not in state.participants:
-                problems.append(f"seq {event.seq}: offer from unregistered participant")
-            if payload["offer_id"] != state.next_offer_id:
-                problems.append(f"seq {event.seq}: offer id out of order")
-            if offer.start < state.current_interval + state.grid.clearing_lead:
-                problems.append(f"seq {event.seq}: offer for closed interval")
-        elif event.kind == EventKind.SOLUTION_ACCEPTED:
-            try:
-                solution = event.solution
-                report = state.feasibility(solution)
-            except MarketError as exc:
-                problems.append(f"seq {event.seq}: accepted invalid solution ({exc})")
-            else:
-                if not report.ok:
-                    kinds = sorted({v.kind for v in report.violations})
+        try:  # a payload field of the wrong type, such as a string objective
+            if event.kind == EventKind.PROSUMER_REGISTERED:
+                if payload["participant"] in state.participants:
+                    problems.append(f"seq {event.seq}: duplicate registration")
+                if payload["feeder"] not in state.grid.feeder_limits():
+                    problems.append(f"seq {event.seq}: unknown feeder")
+            elif event.kind == EventKind.OFFER_POSTED:
+                try:
+                    offer = event.offer
+                except Exception as exc:  # a malformed payload, such as a string energy
+                    problems.append(f"seq {event.seq}: malformed offer ({exc})")
+                    break
+                if offer.prosumer not in state.participants:
+                    problems.append(f"seq {event.seq}: offer from unregistered participant")
+                if payload["offer_id"] != state.next_offer_id:
+                    problems.append(f"seq {event.seq}: offer id out of order")
+                if offer.start < state.current_interval + state.grid.clearing_lead:
+                    problems.append(f"seq {event.seq}: offer for closed interval")
+            elif event.kind == EventKind.SOLUTION_ACCEPTED:
+                try:
+                    solution = event.solution
+                    report = state.feasibility(solution)
+                except MarketError as exc:
+                    problems.append(f"seq {event.seq}: accepted invalid solution ({exc})")
+                else:
+                    if not report.ok:
+                        kinds = sorted({v.kind for v in report.violations})
+                        problems.append(
+                            f"seq {event.seq}: accepted infeasible solution ({', '.join(kinds)})")
+                    value = objective(solution)
+                    if abs(value - payload["objective"]) > 1e-9:
+                        problems.append(f"seq {event.seq}: recorded objective mismatch")
+                    if value <= state.candidate_objective + IMPROVEMENT_MARGIN:
+                        problems.append(f"seq {event.seq}: accepted non-improving solution")
+            elif event.kind == EventKind.TRADE_FINALIZED:
+                key = (int(payload["sell_offer"]), int(payload["buy_offer"]),
+                       int(payload["interval"]))
+                if payload["interval"] != state.current_interval + state.grid.clearing_lead:
+                    problems.append(f"seq {event.seq}: finalized wrong interval")
+                if state.pinned.is_pinned(int(payload["interval"])):
+                    problems.append(f"seq {event.seq}: finalized an already pinned interval")
+                want = state.candidate.power(key)
+                if want != payload["power_kw"]:
                     problems.append(
-                        f"seq {event.seq}: accepted infeasible solution ({', '.join(kinds)})")
-                value = objective(solution)
-                if abs(value - payload["objective"]) > 1e-9:
-                    problems.append(f"seq {event.seq}: recorded objective mismatch")
-                if value <= state.candidate_objective + IMPROVEMENT_MARGIN:
-                    problems.append(f"seq {event.seq}: accepted non-improving solution")
-        elif event.kind == EventKind.TRADE_FINALIZED:
-            key = (int(payload["sell_offer"]), int(payload["buy_offer"]),
-                   int(payload["interval"]))
-            if payload["interval"] != state.current_interval + state.grid.clearing_lead:
-                problems.append(f"seq {event.seq}: finalized wrong interval")
-            if state.pinned.is_pinned(int(payload["interval"])):
-                problems.append(f"seq {event.seq}: finalized an already pinned interval")
-            want = state.candidate.power(key)
-            if want != payload["power_kw"]:
-                problems.append(
-                    f"seq {event.seq}: finalized power differs from candidate")
-            pending_fin[key[:2]] = (payload["power_kw"], payload["price"])
-            finalized_count += 1
-        elif event.kind == EventKind.INTERVAL_ADVANCED:
-            fin = int(payload["finalized_interval"])
-            if fin != state.current_interval + state.grid.clearing_lead:
-                problems.append(f"seq {event.seq}: advanced wrong interval")
-            if int(payload["interval"]) != state.current_interval + 1:
-                problems.append(f"seq {event.seq}: interval advance is not sequential")
-            expected_trades = {
-                key[:2]: value for key, value in state.candidate.items()
-                if key[2] == fin and value[0] > 0.0}
-            if expected_trades != pending_fin:
-                problems.append(
-                    f"seq {event.seq}: finalized trades do not match candidate")
-            if payload["trade_count"] != finalized_count:
-                problems.append(
-                    f"seq {event.seq}: trade count {payload['trade_count']} but "
-                    f"{finalized_count} trades were finalized")
-            pending_fin = {}
-            finalized_count = 0
-        elif event.kind == EventKind.PARTICIPANT_REMOVED:
-            if payload["participant"] not in state.participants:
-                problems.append(f"seq {event.seq}: removed unknown participant")
-            expected = sorted(
-                oid for oid, offer in state.book.items()
-                if offer.prosumer == payload["participant"])
-            if expected != sorted(int(x) for x in payload["removed_offers"]):
-                problems.append(f"seq {event.seq}: removed offer set mismatch")
-            stripped = state.candidate.without_offers(
-                set(int(x) for x in payload["removed_offers"]))
-            if abs(objective(stripped) - payload["candidate_objective"]) > 1e-9:
-                problems.append(f"seq {event.seq}: post-removal objective mismatch")
+                        f"seq {event.seq}: finalized power differs from candidate")
+                pending_fin[key[:2]] = (payload["power_kw"], payload["price"])
+                finalized_count += 1
+            elif event.kind == EventKind.INTERVAL_ADVANCED:
+                fin = int(payload["finalized_interval"])
+                if fin != state.current_interval + state.grid.clearing_lead:
+                    problems.append(f"seq {event.seq}: advanced wrong interval")
+                if int(payload["interval"]) != state.current_interval + 1:
+                    problems.append(f"seq {event.seq}: interval advance is not sequential")
+                expected_trades = {
+                    key[:2]: value for key, value in state.candidate.items()
+                    if key[2] == fin and value[0] > 0.0}
+                if expected_trades != pending_fin:
+                    problems.append(
+                        f"seq {event.seq}: finalized trades do not match candidate")
+                if payload["trade_count"] != finalized_count:
+                    problems.append(
+                        f"seq {event.seq}: trade count {payload['trade_count']} but "
+                        f"{finalized_count} trades were finalized")
+                pending_fin = {}
+                finalized_count = 0
+            elif event.kind == EventKind.PARTICIPANT_REMOVED:
+                if payload["participant"] not in state.participants:
+                    problems.append(f"seq {event.seq}: removed unknown participant")
+                expected = sorted(
+                    oid for oid, offer in state.book.items()
+                    if offer.prosumer == payload["participant"])
+                if expected != sorted(int(x) for x in payload["removed_offers"]):
+                    problems.append(f"seq {event.seq}: removed offer set mismatch")
+                stripped = state.candidate.without_offers(
+                    set(int(x) for x in payload["removed_offers"]))
+                if abs(objective(stripped) - payload["candidate_objective"]) > 1e-9:
+                    problems.append(f"seq {event.seq}: post-removal objective mismatch")
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"seq {event.seq}: malformed event ({exc})")
+            break
 
         try:
             state.apply(event)
@@ -572,27 +580,45 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
 
 def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
                        grid: GridModel, *, price_cap: float = 1.0) -> Path:
-    """Write the audit log: a header record then one event per line."""
+    """Write the audit log: a header record then one event per line.
+
+    Each line is the record's canonical spelling: sorted keys, no spaces,
+    floats in their shortest round-trip form, NumPy scalars as the numbers
+    they hold. The contract refuses non-finite times and objectives, so no
+    value reaches here that JSON cannot spell.
+    """
+    import orjson  # on first use, so that importing the ledger stays cheap
+
+    if not math.isfinite(price_cap):
+        raise ValueError(f"price_cap must be finite, got {price_cap}")
     path = Path(path)
     header = {"record": "header", "format": "gridtrade-events", "version": LOG_VERSION,
               "grid": grid.to_payload(), "price_cap": price_cap}
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for event in events:
-            fh.write(json.dumps(event.to_record(), sort_keys=True) + "\n")
+    dumps = orjson.dumps
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    path.write_bytes(b"".join([dumps(header, option=option),
+                               *(dumps(event.to_record(), option=option) for event in events)]))
     return path
 
 
 def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
+    """Read an audit log; a line that is not a JSON object (NaN and Infinity
+    are not JSON) raises ``ValueError`` naming its ``path:line``."""
+    import orjson
+
     path = Path(path)
     events: list[LedgerEvent] = []
     header: dict | None = None
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            record = json.loads(line)
+            try:
+                record = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_no}: record is not an object")
             if record.get("record") == "header":
                 if record.get("version") != LOG_VERSION:
                     raise ValueError(
@@ -600,7 +626,10 @@ def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
                         f"this reader reads version {LOG_VERSION}")
                 header = record
             elif record.get("record") == "event":
-                events.append(LedgerEvent.from_record(record))
+                try:
+                    events.append(LedgerEvent.from_record(record))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line_no}: malformed event ({exc!r})") from None
             else:
                 raise ValueError(f"{path}:{line_no}: unknown record type")
     if header is None:

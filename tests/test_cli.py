@@ -202,7 +202,7 @@ class TestImports:
 
     def test_simulation_starts_without_scipy_optimize_or_sparse(self):
         code = ("import sys, gridtrade.sim\n"
-                "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))\n"
+                "print(sorted({'scipy.optimize', 'scipy.sparse', 'orjson'} & set(sys.modules)))\n"
                 + ONE_VARIABLE_LP)
         assert run_python(code) == "[]"
 

@@ -11,8 +11,9 @@ built from it must be the LP built from the whole book.
 import hashlib
 
 import numpy as np
+import pytest
 
-from gridtrade.ledger import write_events_jsonl
+from gridtrade.ledger import read_events_jsonl, write_events_jsonl
 from gridtrade.market import Feeder, GridModel
 from gridtrade.sim import FailureSpec, SimConfig, Simulation
 from gridtrade.solver import SolverAgent, build_lp
@@ -21,12 +22,14 @@ from gridtrade.traces import synthesize_traces
 HORIZON = 32
 
 # SHA-256 of ``events.jsonl`` for ``contested_day(n_adversaries=2)`` (657
-# events, 151,945 bytes), taken before the open-offer index was added. A
+# events, 136,395 bytes), taken when the log took its compact canonical
+# spelling. Its records are those of the log hashed before the open-offer
+# index was added (97180a71..., 151,945 bytes in ``json.dumps`` spelling). A
 # change that only makes the program faster must leave it as it is. Should it
 # change on purpose (a rule, the log format, the LP's tie-break, or a SciPy or
 # NumPy release that moves HiGHS's vertex or the seeded draws), record the
 # new value and the reason in CHANGES.md.
-GOLDEN_EVENTS_SHA256 = "97180a71c12264b51c87d5ecbcd72997d0639e180ada0768bbb0c03bc580f68d"
+GOLDEN_EVENTS_SHA256 = "57d325c098d31bfc5493d8dcdeccf40381cdf7b8ef257140d68a28d20cd206d9"
 
 
 def contested_day(n_adversaries: int) -> Simulation:
@@ -76,9 +79,24 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
     assert report.metrics.traded_kwh > 0
 
 
-def test_event_log_digest_is_unchanged(tmp_path):
-    sim = contested_day(n_adversaries=2)
-    report = sim.run()
+@pytest.fixture(scope="module")
+def golden_report():
+    return contested_day(n_adversaries=2).run()
+
+
+def test_event_log_digest_is_unchanged(golden_report, tmp_path):
+    report = golden_report
     path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
                               price_cap=report.price_cap)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256
+
+
+def test_every_record_reads_back_as_written(golden_report, tmp_path):
+    """Catches any value the writer would spell as ``null``, such as NaN."""
+    report = golden_report
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
+                              price_cap=report.price_cap)
+    _, events = read_events_jsonl(path)
+    assert len(events) == len(report.events)
+    for read, written in zip(events, report.events):
+        assert read.to_record() == written.to_record()

@@ -1,6 +1,9 @@
 import json
 import math
+import re
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,7 @@ from gridtrade.ledger import (
     verify_log,
     write_events_jsonl,
 )
-from gridtrade.market import GridModel, Side, Solution, objective
+from gridtrade.market import Feeder, GridModel, Side, Solution, objective
 
 
 def fresh_contract(grid, *, with_dso=True, require_dso=True):
@@ -116,6 +119,18 @@ class TestPostOffer:
             contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
         assert len(contract.events) == before
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, "1"])
+    def test_non_finite_or_non_numeric_time_rejected(self, grid, time):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        before = len(contract.events)
+        with pytest.raises(InvalidQuantity):
+            contract.post_offer("alice", Side.SELLING, 2, 2, 5.0, time=time)
+        with pytest.raises(InvalidQuantity):
+            contract.register("bob", Role.PROSUMER, "main", time=time)
+        assert len(contract.events) == before
+        assert "bob" not in contract.state.participants
+
     @pytest.mark.parametrize("side, energy, price", [
         ("sideways", 5.0, None), (Side.SELLING, "5", None), (Side.SELLING, "x", None),
         (Side.SELLING, 5.0, "5"), (Side.SELLING, 5.0, "x")])
@@ -199,6 +214,17 @@ class TestSubmitSolution:
         assert event.kind == EventKind.SOLUTION_REJECTED
         assert event.payload["reason"].startswith("invalid")
         assert contract.state.candidate == Solution.empty()
+
+    def test_overflowing_objective_rejected_as_invalid(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        huge = Solution({(1, 3, 48): (1.7e308, 0.5), (2, 3, 48): (1.7e308, 0.5)})
+        event = contract.submit_solution("solver-1", huge)
+        assert event.kind == EventKind.SOLUTION_REJECTED
+        assert event.payload == {"participant": "solver-1",
+                                 "reason": "invalid: objective is not finite"}
+        assert contract.state.candidate == Solution.empty()
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        assert read_events_jsonl(path)[1][-1] == event
 
     def test_unregistered_submitter_raises(self, grid):
         contract = battery_contract_at_47(grid)
@@ -443,6 +469,26 @@ class TestReplayAndVerify:
         with pytest.raises(InvalidQuantity):
             events[posted.seq - 1].offer
 
+    @pytest.mark.parametrize("kind, field, value", [
+        (EventKind.TRADE_FINALIZED, "sell_offer", "x"),
+        (EventKind.INTERVAL_ADVANCED, "finalized_interval", None),
+        (EventKind.SOLUTION_ACCEPTED, "objective", "x"),
+        (EventKind.SOLUTION_ACCEPTED, "objective", None),
+        (EventKind.PARTICIPANT_REMOVED, "candidate_objective", "x"),
+        (EventKind.PARTICIPANT_REMOVED, "candidate_objective", None)])
+    def test_verify_flags_malformed_payload(self, grid, kind, field, value):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        contract.finalize("dso", 47)
+        contract.remove_participant_trades("P1")
+        events = contract.events
+        i = next(i for i, e in enumerate(events) if e.kind == kind)
+        bad = events[i]
+        events[i] = LedgerEvent(bad.seq, bad.time, bad.kind, {**bad.payload, field: value})
+        problems = verify_log(grid, events)
+        assert [p for p in problems if p.startswith(f"seq {bad.seq}: malformed event")]
+        assert not [p for p in problems if p.startswith(f"seq {bad.seq + 1}:")]
+
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)
         events = contract.events
@@ -529,3 +575,64 @@ class TestSolutionParsedOnce:
         assert event.solution is event.solution
         assert verify_log(grid, events) == []
         assert replay_events(grid, events).candidate is event.solution
+
+
+class TestEventsJsonl:
+    def test_non_finite_price_cap_refused(self, grid, tmp_path):
+        path = tmp_path / "events.jsonl"
+        for cap in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="price_cap"):
+                write_events_jsonl(path, [], grid, price_cap=cap)
+        assert not path.exists()
+
+    def test_lines_are_sorted_compact_records(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        contract.finalize("dso", 47)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        assert orjson.loads(header)["record"] == "header"
+        assert lines == [orjson.dumps(e.to_record(), option=orjson.OPT_SORT_KEYS) + b"\n"
+                         for e in contract.events]
+
+    def test_numpy_scalars_are_logged_as_plain_numbers(self, tmp_path):
+        grid = GridModel((Feeder("main", np.float64(1000.0), np.float64(1000.0)),),
+                         interval_hours=1.0, clearing_lead=1)
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main", time=np.float64(0.5))
+        contract.post_offer("alice", Side.SELLING, np.int64(2), 2, np.float64(5.0),
+                            np.float64(0.25), time=np.float64(1.5))
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        header, events = read_events_jsonl(path)
+        assert [e.to_record() for e in events] == [e.to_record() for e in contract.events]
+        assert events[-1].payload["reservation_price"] == 0.25
+        assert GridModel.from_payload(header["grid"]) == contract.grid
+
+    def test_json_spelled_log_reads_and_verifies(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        contract.post_offer("P1", Side.SELLING, 49, 49, 1e-05, time=1e16)
+        contract.submit_solution("solver-1", battery_optimum_solution(), time=1e16)
+        contract.finalize("dso", 47, time=1e16)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        spelled = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert "1e-05" in spelled and "1e+16" in spelled
+        path.write_text(spelled)
+        header, events = read_events_jsonl(path)
+        assert [e.to_record() for e in events] == [e.to_record() for e in contract.events]
+        assert verify_log(GridModel.from_payload(header["grid"]), events) == []
+
+    @pytest.mark.parametrize("line", [
+        pytest.param('{"kind": "OfferPosted", "payload": {}, "record": "event"', id="truncated"),
+        pytest.param('{"record": "event", "seq": 1, "time": NaN}', id="nan"),
+        pytest.param('{"record": "event", "seq": 1, "time": Infinity}', id="infinity"),
+        pytest.param('{"record": "event", "seq": 1, "time": 1e400}', id="out-of-range"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"record": "event", "seq": 1}', id="no-time-kind-or-payload"),
+    ])
+    def test_bad_line_names_file_and_line(self, grid, tmp_path, line):
+        path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            read_events_jsonl(path)
