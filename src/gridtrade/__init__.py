@@ -16,7 +16,7 @@ _EXPORTS = {
                "write_events_jsonl"),
     "market": ("Feeder", "FeasibilityReport", "GridModel", "Offer", "PinnedTrades", "Side",
                "Solution", "check_feasibility", "matchable", "objective"),
-    "metrics": ("Metrics", "compute_metrics", "export_report", "metrics_from_totals"),
+    "metrics": ("Metrics", "compute_metrics", "export_report"),
     "sim": ("FailureSpec", "SimConfig", "SimReport", "Simulation", "run"),
     "solver": ("LpInstance", "SolverAgent", "SolverConfig", "build_lp", "solve"),
     "traces": ("ProsumerTrace", "ingest_traces", "synthesize_traces"),

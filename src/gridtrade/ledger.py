@@ -603,7 +603,8 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
 
 def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
     """Read an audit log; a line that is not a JSON object (NaN and Infinity
-    are not JSON) raises ``ValueError`` naming its ``path:line``."""
+    are not JSON), or a header that is not the first record or not the only
+    one, raises ``ValueError`` naming its ``path:line``."""
     import orjson
 
     path = Path(path)
@@ -620,11 +621,15 @@ def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{line_no}: record is not an object")
             if record.get("record") == "header":
+                if header is not None:
+                    raise ValueError(f"{path}:{line_no}: second header record")
                 if record.get("version") != LOG_VERSION:
                     raise ValueError(
                         f"{path}: log version {record.get('version')} is not supported; "
                         f"this reader reads version {LOG_VERSION}")
                 header = record
+            elif header is None:
+                raise ValueError(f"{path}:{line_no}: record before the header")
             elif record.get("record") == "event":
                 try:
                     events.append(LedgerEvent.from_record(record))

@@ -76,12 +76,6 @@ class Metrics:
         ]
 
 
-def metrics_from_totals(sell_offered_kwh: float, buy_offered_kwh: float,
-                        traded_kwh: float,
-                        unit_price: float = DEFAULT_UNIT_PRICE) -> Metrics:
-    return Metrics(sell_offered_kwh, buy_offered_kwh, traded_kwh, unit_price)
-
-
 def compute_metrics(events: Iterable[LedgerEvent], interval_hours: float,
                     *, unit_price: float = DEFAULT_UNIT_PRICE,
                     horizon: int | None = None) -> Metrics:

@@ -17,9 +17,7 @@ splits the flows, and each solve builds one :class:`Solution`.
 
 :func:`build_lp` reads a window's offers into arrays once and builds the
 columns, price tiers, carries and rows with NumPy array operations, then
-sorts the matrix entries into CSR in one step. A window of few offers, where
-NumPy's fixed cost per call outweighs the work, is built interval by
-interval in Python instead. Both give the same LP, bit for bit, in the order
+sorts the matrix entries into CSR in one step, in the order
 :class:`LpInstance` documents.
 
 HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
@@ -39,8 +37,6 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -209,12 +205,20 @@ class LpInstance:
         return self.c, self.matrix, self.rhs
 
 
-# A window of fewer open offers than this is built interval by interval in
-# Python, a larger one with NumPy. The array build makes about a hundred
-# NumPy calls whatever the window's size; the two break even near 64 offers
-# (about 100 columns). The contract fuzz's windows hold at most a dozen
-# offers, a simulated day's at least 150.
-ARRAY_BUILD_MIN_OFFERS = 64
+_KINDS = np.array(["sell", "buy", "carry"], dtype=object)  # column kinds by code
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.
+
+    ``np.unique`` builds a hash table first, which costs more than this sort
+    on the few hundred values of one window.
+    """
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
@@ -237,12 +241,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     Buyer and carry columns weigh 0.
     A window with no open seller or no open buyer gives the empty instance.
 
-    A window of at least ARRAY_BUILD_MIN_OFFERS offers is built with NumPy
-    (:func:`_build_with_arrays`), a smaller one interval by interval
-    (:func:`_build_by_interval`). Both give the same variables, rows and
-    values, bit for bit, in the order :class:`LpInstance` documents. The
-    matrix's index arrays are ``int32`` and its data ``float64``, the types
-    :func:`linprog` hands to HiGHS without a copy.
+    The matrix's index arrays are ``int32`` and its data ``float64``, the
+    types :func:`linprog` hands to HiGHS without a copy.
     ``book`` may be any part of the book that holds every offer open in the
     window, such as ``ContractState.open_offers``: other offers are ignored.
     ``retired`` is accepted and ignored: withdrawn offers cannot trade at
@@ -260,142 +260,7 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
         none = np.zeros(0)
         empty = CsrMatrix(none, np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
         return LpInstance((), none, empty, none, none, tuple(offers), grid, pinned, now, config)
-    build = _build_with_arrays if len(offers) >= ARRAY_BUILD_MIN_OFFERS else _build_by_interval
-    return LpInstance(*build(sells, buys, grid, pinned, lo, hi),
-                      tuple(offers), grid, pinned, now, config)
 
-
-# The variables, c, matrix, rhs and tie_break of an LpInstance.
-Built = tuple[tuple[Column, ...], np.ndarray, CsrMatrix, np.ndarray, np.ndarray]
-
-
-def _build_by_interval(sells: list[Offer], buys: list[Offer], grid: GridModel,
-                       pinned: PinnedTrades, lo: int, hi: int) -> Built:
-    """The LP of :func:`build_lp` for the window [lo, hi], one interval at a time.
-
-    ``sells`` and ``buys`` are the window's offers of each side, in id order.
-    """
-    delta = grid.interval_hours
-    # The open sellers and buyers of each interval, in id order.
-    open_at: dict[int, tuple[list[Offer], list[Offer]]] = {
-        t: ([], []) for t in range(lo, hi + 1)}
-    for side, offers in enumerate((sells, buys)):
-        for offer in offers:
-            for t in range(max(offer.start, lo), min(offer.end, hi) + 1):
-                open_at[t][side].append(offer)
-
-    variables: list[Column] = []
-    costs = array("d")
-    weights = array("d")
-    columns_of: dict[int, list[int]] = {}
-    # Columns and their signs (+1 for supply, -1 for demand) per feeder and
-    # interval, and per tier balance.
-    feeder_flows: dict[tuple[str, int], tuple[list[int], list[float]]] = {}
-    balances: list[tuple[list[int], list[float]]] = []
-
-    for t, (open_sells, open_buys) in open_at.items():
-        if not open_sells or not open_buys:
-            continue
-        top = max(o.reservation for o in open_buys)
-        floors = sorted({o.reservation for o in open_sells if o.reservation <= top})
-        if not floors:
-            continue
-        tiers: list[tuple[list[int], list[float]]] = [([], []) for _ in floors]
-        for offer in open_sells + open_buys:
-            if offer.side is Side.SELLING:
-                if offer.reservation > top:
-                    continue
-                kind, tier, sign = "sell", bisect_left(floors, offer.reservation), 1.0
-            else:
-                kind, tier, sign = "buy", bisect_right(floors, offer.reservation) - 1, -1.0
-                if tier < 0:
-                    continue
-            j = len(variables)
-            variables.append((kind, offer.id, t))
-            costs.append(1.0 if kind == "sell" else 0.0)
-            weights.append(hi - lo - (min(offer.end, hi) - t) if kind == "sell" else 0.0)
-            columns_of.setdefault(offer.id, []).append(j)
-            flow = feeder_flows.setdefault((offer.feeder, t), ([], []))
-            for cols, signs in (tiers[tier], flow):
-                cols.append(j)
-                signs.append(sign)
-        for k in range(len(floors) - 1):
-            j = len(variables)
-            variables.append(("carry", k, t))
-            costs.append(0.0)
-            weights.append(0.0)
-            tiers[k][0].append(j)
-            tiers[k][1].append(-1.0)
-            tiers[k + 1][0].append(j)
-            tiers[k + 1][1].append(1.0)
-        balances.extend(tiers)
-
-    # The CSR arrays, typed as HiGHS takes them: C int indices, double values.
-    rhs = array("d")
-    indices = array("i")
-    data = array("d")
-    indptr = array("i", [0])
-
-    def add_row(columns: list[int], coeffs: list[float], bound: float) -> None:
-        if not columns:
-            return
-        rhs.append(bound)
-        indices.extend(columns)
-        data.extend(coeffs)
-        indptr.append(len(indices))
-
-    for offer in sells + buys:
-        columns = columns_of.get(offer.id)
-        if columns:
-            add_row(columns, [delta] * len(columns),
-                    max(offer.energy_kwh - pinned.energy(offer.id, delta), 0.0))
-
-    feeders = grid.feeder_limits()
-    for feeder_id, t in sorted(feeder_flows):
-        limits = feeders[feeder_id]
-        cols, signs = feeder_flows[(feeder_id, t)]
-        supply = [j for j, s in zip(cols, signs) if s > 0]
-        demand = [j for j, s in zip(cols, signs) if s < 0]
-        add_row(supply, [1.0] * len(supply), limits.internal_limit_kw)
-        add_row(demand, [1.0] * len(demand), limits.internal_limit_kw)
-        add_row(cols, signs, limits.net_flow_limit_kw)
-        add_row(cols, [-s for s in signs], limits.net_flow_limit_kw)
-
-    for cols, signs in balances:
-        add_row(cols, signs, 0.0)
-        add_row(cols, [-s for s in signs], 0.0)
-
-    matrix = CsrMatrix(np.frombuffer(data), np.frombuffer(indices, dtype=np.int32),
-                       np.frombuffer(indptr, dtype=np.int32), (len(rhs), len(variables)))
-    return (tuple(variables), np.frombuffer(costs), matrix, np.frombuffer(rhs),
-            np.frombuffer(weights))
-
-
-_KINDS = np.array(["sell", "buy", "carry"], dtype=object)  # column kinds by code
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending.
-
-    ``np.unique`` builds a hash table first, which costs more than this sort
-    on the few hundred values of one window.
-    """
-    values = np.sort(values)
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
-def _build_with_arrays(sells: list[Offer], buys: list[Offer], grid: GridModel,
-                       pinned: PinnedTrades, lo: int, hi: int) -> Built:
-    """The LP of :func:`build_lp` for the window [lo, hi], built with NumPy.
-
-    The offers are read into arrays once. Their (offer, interval) cells, the
-    price tiers, the carries and the (row, column, value) entries of every
-    row are then array operations, and one sort by (row, column) gives the
-    CSR arrays.
-    """
     delta = grid.interval_hours
     # Sellers then buyers, each in id order: the order of the budget rows and
     # of the columns within an interval. Intervals are window-relative below.
@@ -491,7 +356,10 @@ def _build_with_arrays(sells: list[Offer], buys: list[Offer], grid: GridModel,
     np.bincount(row, minlength=len(rhs)).cumsum(out=indptr[1:])
     matrix = CsrMatrix(values[entries], column[entries].astype(np.int32),
                        indptr, (len(rhs), n_columns))
-    return variables, (order < n_sells).astype(np.float64), matrix, rhs, weight[order]
+    return LpInstance(variables, (order < n_sells).astype(np.float64), matrix, rhs,
+                      weight[order], tuple(offers), grid, pinned, now, config)
+
+
 
 
 @dataclass(frozen=True, eq=False)

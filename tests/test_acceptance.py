@@ -36,7 +36,7 @@ from gridtrade.market import (
     check_feasibility,
     objective,
 )
-from gridtrade.metrics import export_report, metrics_from_totals
+from gridtrade.metrics import DEFAULT_UNIT_PRICE, Metrics, export_report
 from gridtrade.oracle import run_comparison_suite
 from gridtrade.sim import FailureSpec, SimConfig, run
 from gridtrade.solver import SolverConfig, build_lp, solve
@@ -377,8 +377,8 @@ def test_c06_controller_pressure_and_convergence():
 
 
 def test_c07_metric_formulas_and_capacity_sweep():
-    loose = metrics_from_totals(4.5, 8.3, 3.668)
-    tight = metrics_from_totals(4.5, 8.3, 2.288)
+    loose = Metrics(4.5, 8.3, 3.668, DEFAULT_UNIT_PRICE)
+    tight = Metrics(4.5, 8.3, 2.288, DEFAULT_UNIT_PRICE)
     assert abs(loose.unused_fraction * 100 - 19.0) <= 1.0
     assert abs(loose.unmet_fraction * 100 - 56.0) <= 1.0
     assert abs(tight.unused_fraction * 100 - 50.0) <= 1.0

@@ -622,6 +622,25 @@ class TestEventsJsonl:
         assert [e.to_record() for e in events] == [e.to_record() for e in contract.events]
         assert verify_log(GridModel.from_payload(header["grid"]), events) == []
 
+    def test_second_header_is_refused(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        first = write_events_jsonl(tmp_path / "a.jsonl", contract.events, contract.grid)
+        other = GridModel((Feeder("elsewhere", 5.0, 5.0),), interval_hours=1.0, clearing_lead=1)
+        second = write_events_jsonl(tmp_path / "b.jsonl", [], other)
+        path = tmp_path / "both.jsonl"
+        path.write_bytes(first.read_bytes() + second.read_bytes())
+        line = len(contract.events) + 2
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: second header"):
+            read_events_jsonl(path)
+
+    def test_event_before_the_header_is_refused(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        header, *events = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\n" + events[0] + header + b"".join(events[1:]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: record before the header"):
+            read_events_jsonl(path)
+
     @pytest.mark.parametrize("line", [
         pytest.param('{"kind": "OfferPosted", "payload": {}, "record": "event"', id="truncated"),
         pytest.param('{"record": "event", "seq": 1, "time": NaN}', id="nan"),

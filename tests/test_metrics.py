@@ -4,10 +4,11 @@ import pytest
 
 from gridtrade.ledger import ContractState, read_events_jsonl
 from gridtrade.metrics import (
+    DEFAULT_UNIT_PRICE,
     IncompleteLogError,
+    Metrics,
     compute_metrics,
     export_report,
-    metrics_from_totals,
 )
 from gridtrade.sim import SimConfig, SimReport, run
 from gridtrade.traces import ProsumerTrace
@@ -17,32 +18,32 @@ from conftest import make_battery_traces
 
 class TestFormulas:
     def test_loose_capacity_row(self):
-        m = metrics_from_totals(4.5, 8.3, 3.668)
+        m = Metrics(4.5, 8.3, 3.668, DEFAULT_UNIT_PRICE)
         assert m.unused_fraction * 100 == pytest.approx(19.0, abs=1.0)
         assert m.unmet_fraction * 100 == pytest.approx(56.0, abs=1.0)
 
     def test_tight_capacity_row(self):
-        m = metrics_from_totals(4.5, 8.3, 2.288)
+        m = Metrics(4.5, 8.3, 2.288, DEFAULT_UNIT_PRICE)
         assert m.unused_fraction * 100 == pytest.approx(50.0, abs=1.0)
         assert m.unmet_fraction * 100 == pytest.approx(73.0, abs=1.0)
 
     def test_nothing_traded_wastes_everything(self):
-        m = metrics_from_totals(5.0, 7.0, 0.0)
+        m = Metrics(5.0, 7.0, 0.0, DEFAULT_UNIT_PRICE)
         assert m.unused_fraction == 1.0
         assert m.unmet_fraction == 1.0
 
     def test_dollar_values_use_unit_price(self):
-        m = metrics_from_totals(10.0, 10.0, 4.0, unit_price=0.12)
+        m = Metrics(10.0, 10.0, 4.0, unit_price=0.12)
         assert m.unused_dollars == pytest.approx(6.0 * 0.12)
         assert m.unmet_dollars == pytest.approx(6.0 * 0.12)
 
     def test_zero_denominators_give_zero_fractions(self):
-        m = metrics_from_totals(0.0, 0.0, 0.0)
+        m = Metrics(0.0, 0.0, 0.0, DEFAULT_UNIT_PRICE)
         assert m.unused_fraction == 0.0
         assert m.unmet_fraction == 0.0
 
     def test_fractions_bounded(self):
-        m = metrics_from_totals(4.0, 9.0, 4.0)
+        m = Metrics(4.0, 9.0, 4.0, DEFAULT_UNIT_PRICE)
         assert 0.0 <= m.unused_fraction <= 1.0
         assert 0.0 <= m.unmet_fraction <= 1.0
 
@@ -113,7 +114,7 @@ class TestExport:
     def test_empty_report_writes_headers_only(self, grid, tmp_path):
         report = SimReport(
             grid=grid, horizon=0, price_cap=1.0, interval_hours=1.0, events=[],
-            metrics=metrics_from_totals(0.0, 0.0, 0.0), solver_records=[],
+            metrics=Metrics(0.0, 0.0, 0.0, DEFAULT_UNIT_PRICE), solver_records=[],
             controller_rows=[], failure_log=[], final_state=ContractState(grid),
             intervals_finalized=0)
         paths = export_report(report, tmp_path / "empty")
@@ -123,7 +124,7 @@ class TestExport:
 
 
 def test_metrics_value_rows_cover_all_fields():
-    m = metrics_from_totals(2.0, 4.0, 1.0)
+    m = Metrics(2.0, 4.0, 1.0, DEFAULT_UNIT_PRICE)
     names = [name for name, _ in m.rows()]
     assert names == ["sell_offered_kwh", "buy_offered_kwh", "traded_kwh",
                      "unused_fraction", "unmet_fraction", "unused_dollars",

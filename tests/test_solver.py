@@ -96,8 +96,7 @@ class TestBuildLp:
         assert solution.power((2, 4, 49)) == pytest.approx(5.0, abs=1e-9)
 
 
-    @pytest.mark.parametrize("min_offers", [0, 1000], ids=["arrays", "by-interval"])
-    def test_hand_built_market_gives_the_pinned_arrays(self, monkeypatch, min_offers):
+    def test_hand_built_market_gives_the_pinned_arrays(self):
         """Every array of one small LP, in the order LpInstance documents.
 
         At interval 2 the floors are 0.1 and 0.3 (one carry), seller 3 asks
@@ -115,7 +114,6 @@ class TestBuildLp:
             6: Offer(6, Side.BUYING, "p6", "a", 2.0, 3, 3),
         }
         pinned = PinnedTrades(1, {1: {(1, 4): (2.0, 0.3)}})
-        monkeypatch.setattr(solver_mod, "ARRAY_BUILD_MIN_OFFERS", min_offers)
         instance = build_lp(book, grid, pinned, 0, SolverConfig(lookahead=3))
 
         assert instance.variables == (
@@ -152,46 +150,16 @@ class TestBuildLp:
         assert (matrix.indptr.dtype, matrix.indices.dtype) == (np.int32, np.int32)
         assert matrix.data.dtype == instance.rhs.dtype == instance.c.dtype == np.float64
 
-    def test_array_build_matches_the_interval_build_on_random_markets(self):
+    def test_random_markets_of_up_to_twelve_offers_match_the_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             book, grid, pinned, now, lookahead = random_market(
                 rng, max_offers=12, max_intervals=5)
-            lo = max(now + grid.clearing_lead, pinned.finalized_through + 1)
-            hi = now + max(lookahead, grid.clearing_lead)
-            offers = sorted((o for o in book.values() if o.start <= hi and o.end >= lo),
-                            key=lambda o: o.id)
-            sells = [o for o in offers if o.side is Side.SELLING]
-            buys = [o for o in offers if o.side is Side.BUYING]
-            if not sells or not buys:
-                continue
-            args = (sells, buys, grid, pinned, lo, hi)
-            want = solver_mod._build_by_interval(*args)
-            got = solver_mod._build_with_arrays(*args)
-            assert got[0] == want[0]  # variables
-            assert got[2].shape == want[2].shape
-            for name, g, w in [("c", got[1], want[1]), ("rhs", got[3], want[3]),
-                               ("tie_break", got[4], want[4]),
-                               ("indptr", got[2].indptr, want[2].indptr),
-                               ("indices", got[2].indices, want[2].indices),
-                               ("data", got[2].data, want[2].data)]:
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
-
-    def test_windows_of_many_offers_take_the_array_build(self, grid, monkeypatch):
-        array_builds = []
-        build = solver_mod._build_with_arrays
-
-        def counted(*args):
-            array_builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(solver_mod, "_build_with_arrays", counted)
-        book = {i: Offer(i, Side.SELLING if i % 2 else Side.BUYING, f"p{i}", "main", 2.0, 1, 2)
-                for i in range(1, solver_mod.ARRAY_BUILD_MIN_OFFERS + 1)}
-        build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=2))
-        del book[1]
-        build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=2))
-        assert len(array_builds) == 1
+            instance = build_lp(book, grid, pinned, now, SolverConfig(lookahead=lookahead))
+            solution, diagnostics = solve_with_diagnostics(instance)
+            want = reference_optimum(book, grid, pinned, now, lookahead)
+            assert objective(solution) == pytest.approx(want, abs=1e-6)
+            assert verify_certificate(instance, diagnostics) == []
 
 
 class TestSolve:
