@@ -189,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     header, events = read_events_jsonl(args.log)
     grid = GridModel.from_payload(header["grid"])
-    problems = verify_log(grid, events, price_cap=header.get("price_cap", 1.0))
+    problems = verify_log(grid, events)
     if problems:
         for problem in problems:
             print(json.dumps({"error": "verification", "detail": problem}),

@@ -3,7 +3,9 @@
 The contract is an event-sourced state machine: every public operation
 validates its inputs, emits one or more totally ordered events, and applies
 them. Replaying the event stream from an empty state reconstructs the
-contract exactly, which is what the audit tooling relies on.
+contract exactly, which is what the audit tooling relies on. ``verify_log``
+re-executes a log through a fresh contract, so the market rules are stated
+once, here and in ``market``; it reports the first divergence only.
 
 The contract tracks the registry, both offer books, the best feasible
 candidate solution seen so far, and the finalized (pinned) trades. The
@@ -30,6 +32,7 @@ from .market import (
     PinnedTrades,
     Side,
     Solution,
+    VIOLATION_KINDS,
     check_feasibility,
     objective,
 )
@@ -116,21 +119,12 @@ class LedgerEvent:
         frozen ``Offer``. The cache takes no part in equality or in the
         record.
         """
-        if self._parsed is not None:
-            return self._parsed
-        payload = self.payload
-        offer = Offer(
-            id=int(payload["offer_id"]),
-            side=Side(payload["side"]),
-            prosumer=str(payload["participant"]),
-            feeder=str(payload["feeder"]),
-            energy_kwh=_energy(payload["energy_kwh"]),
-            start=_interval("start", payload["start"]),
-            end=_interval("end", payload["end"]),
-            reservation_price=_price(payload.get("reservation_price")),
-        )
-        object.__setattr__(self, "_parsed", offer)
-        return offer
+        if self._parsed is None:
+            p = self.payload
+            object.__setattr__(self, "_parsed", _new_offer(
+                int(p["offer_id"]), p["side"], str(p["participant"]), str(p["feeder"]),
+                p["energy_kwh"], p["start"], p["end"], p.get("reservation_price")))
+        return self._parsed
 
     @property
     def solution(self) -> Solution:
@@ -152,8 +146,10 @@ class LedgerEvent:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "LedgerEvent":
-        return cls(int(record["seq"]), float(record["time"]),
-                   str(record["kind"]), dict(record["payload"]))
+        payload = record["payload"]
+        if type(payload) is not dict:
+            raise TypeError(f"payload is a {type(payload).__name__}, not an object")
+        return cls(int(record["seq"]), float(record["time"]), str(record["kind"]), payload)
 
 
 class ContractState:
@@ -166,9 +162,8 @@ class ContractState:
     neither is rebuilt from the day's history.
     """
 
-    def __init__(self, grid: GridModel, *, price_cap: float = 1.0):
+    def __init__(self, grid: GridModel):
         self.grid = grid.with_feeder(OPERATOR_FEEDER)
-        self.price_cap = price_cap
         self.participants: dict[str, dict] = {}
         self.book: dict[int, Offer] = {}
         self.selling: dict[int, Offer] = {}
@@ -275,6 +270,20 @@ def _price(value) -> float | None:
     return float(value)
 
 
+def _new_offer(offer_id: int, side, participant: str, feeder: str, energy_kwh, start, end,
+               reservation_price) -> Offer:
+    """An offer from posted values, refusing what ``post_offer`` refuses."""
+    try:
+        side = Side(side)
+    except ValueError:
+        raise InvalidQuantity(f"side must be buying or selling, got {side!r}") from None
+    start, end = _interval("start", start), _interval("end", end)
+    if start > end:
+        raise InvalidQuantity(f"start {start} exceeds end {end}")
+    return Offer(offer_id, side, participant, feeder, _energy(energy_kwh), start, end,
+                 _price(reservation_price))
+
+
 def _offer_payload(offer: Offer) -> dict:
     return {
         "offer_id": offer.id,
@@ -296,9 +305,8 @@ class Contract:
     snapshots or poll ``events_since``.
     """
 
-    def __init__(self, grid: GridModel, *, price_cap: float = 1.0,
-                 require_dso_finalize: bool = True):
-        self.state = ContractState(grid, price_cap=price_cap)
+    def __init__(self, grid: GridModel, *, require_dso_finalize: bool = True):
+        self.state = ContractState(grid)
         self.require_dso_finalize = require_dso_finalize
         self._events: list[LedgerEvent] = []
 
@@ -344,35 +352,16 @@ class Contract:
     def post_offer(self, participant: str, side: Side | str, start: int, end: int,
                    energy_kwh: float, reservation_price: float | None = None,
                    *, time: float = 0.0) -> LedgerEvent:
-        try:
-            side = Side(side)
-        except ValueError:
-            raise InvalidQuantity(f"side must be buying or selling, got {side!r}") from None
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
-        energy = _energy(energy_kwh)
-        start, end = _interval("start", start), _interval("end", end)
-        if start > end:
-            raise InvalidQuantity(f"start {start} exceeds end {end}")
-        price = _price(reservation_price)
+        offer = _new_offer(self.state.next_offer_id, side, participant, info["feeder"],
+                           energy_kwh, start, end, reservation_price)
         earliest = self.state.current_interval + self.state.grid.clearing_lead
-        if start < earliest:
+        if offer.start < earliest:
             raise StaleInterval(
-                f"start {start} precedes earliest open interval {earliest}")
-        offer = Offer(self.state.next_offer_id, side, participant, info["feeder"],
-                      energy, start, end, price)
-        payload = {
-            "offer_id": offer.id,
-            "participant": participant,
-            "side": side.value,
-            "feeder": offer.feeder,
-            "energy_kwh": offer.energy_kwh,
-            "start": start,
-            "end": end,
-            "reservation_price": price,
-        }
-        return self._append(EventKind.OFFER_POSTED, payload, time, offer)
+                f"start {offer.start} precedes earliest open interval {earliest}")
+        return self._append(EventKind.OFFER_POSTED, _offer_payload(offer), time, offer)
 
     def submit_solution(self, participant: str, solution: Solution,
                         *, time: float = 0.0) -> LedgerEvent:
@@ -447,10 +436,96 @@ class Contract:
         return [event]
 
 
-def replay_events(grid: GridModel, events: Iterable[LedgerEvent],
-                  *, price_cap: float = 1.0) -> ContractState:
+class _Divergence(Exception):
+    """The log parts from its re-execution: ``(seq, detail)``."""
+
+
+class _Replay(Contract):
+    """A contract that re-executes a recorded log: each event an operation
+    would append must equal the next recorded one in seq, kind, time and
+    payload, and the recorded event is applied with the offer or solution parsed."""
+
+    def run(self, events: Iterable[LedgerEvent]) -> list[str]:
+        self.recorded, self.pos, last_time = list(events), 0, -math.inf
+        try:
+            while self.pos < len(self.recorded):
+                event = self.recorded[self.pos]
+                payload, kind, time = event.payload, event.kind, event.time
+                if event.seq != self.pos + 1:
+                    raise _Divergence(event.seq, f"expected {self.pos + 1}")
+                if not (math.isfinite(time) and time >= last_time):
+                    raise _Divergence(event.seq, f"time {time} went backwards or is not finite")
+                last_time = time
+                if kind == EventKind.OFFER_POSTED:
+                    self.post_offer(payload["participant"], payload["side"], payload["start"],
+                                    payload["end"], payload["energy_kwh"],
+                                    payload["reservation_price"], time=time)
+                elif kind == EventKind.SOLUTION_REJECTED:
+                    self._check_rejection(event)
+                elif kind == EventKind.TRADE_FINALIZED or kind == EventKind.INTERVAL_ADVANCED:
+                    self.finalize(None, self.state.current_interval, time=time)
+                elif kind == EventKind.SOLUTION_ACCEPTED:
+                    self.submit_solution(payload["participant"], event.solution, time=time)
+                elif kind == EventKind.PROSUMER_REGISTERED:
+                    self.register(payload["participant"], payload["role"], payload["feeder"],
+                                  time=time)
+                elif kind == EventKind.PARTICIPANT_REMOVED:
+                    self.remove_participant_trades(payload["participant"], time=time)
+                else:
+                    raise _Divergence(event.seq, f"unknown event kind {kind!r}")
+        except _Divergence as exc:
+            return ["seq {}: {}".format(*exc.args)]
+        except (ContractError, MarketError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:  # the operation refused the recorded values
+            return [f"seq {event.seq}: {event.kind} refused ({type(exc).__name__}: {exc})"]
+        return []
+
+    def _append(self, kind: EventKind, payload: dict, time: float,
+                parsed: Offer | Solution | None = None) -> LedgerEvent:
+        if self.pos == len(self.recorded):
+            raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind.value}")
+        event = self.recorded[self.pos]
+        self.pos += 1
+        if event.seq != self.pos or event.kind != kind or event.time != time:
+            detail = f" ({payload['reason']})" if "reason" in payload else ""
+            raise _Divergence(event.seq, f"{event.kind} at {event.time}; the contract records "
+                                         f"{kind.value} at {time}{detail}")
+        if event.payload != payload:
+            field = next(key for key in {**event.payload, **payload}
+                         if event.payload.get(key, ...) != payload.get(key, ...))
+            raise _Divergence(event.seq, f"{event.kind} {field} is {event.payload.get(field)!r}, "
+                                         f"the contract records {payload.get(field)!r}")
+        if parsed is not None:
+            object.__setattr__(event, "_parsed", parsed)
+        self.state.apply(event)
+        return event
+
+    def _check_rejection(self, event: LedgerEvent) -> None:
+        """A rejection records no solution, so it is checked, not re-executed."""
+        payload = event.payload
+        reason, value = payload["reason"], payload.get("objective")
+        kinds = reason.removeprefix("infeasible: ").split(", ")  # listed once each, sorted
+        scored = reason == "not-better" or (
+            reason.startswith("infeasible: ")
+            and kinds == sorted(VIOLATION_KINDS.intersection(kinds)))
+        if payload["participant"] not in self.state.participants:
+            problem = "participant is not registered"
+        elif not (scored or reason.startswith("invalid: ")):
+            problem = "reason is not one the contract gives"
+        elif len(payload) != 2 + scored or scored and not (
+                type(value) in (int, float) and math.isfinite(value)):
+            problem = "objective does not fit the reason"
+        elif reason == "not-better" and value > self.state.candidate_objective + IMPROVEMENT_MARGIN:
+            problem = "not-better objective beats the candidate"
+        else:
+            self.pos += 1
+            return
+        raise _Divergence(event.seq, f"SolutionRejected {problem}")
+
+
+def replay_events(grid: GridModel, events: Iterable[LedgerEvent]) -> ContractState:
     """Rebuild contract state by applying events in order."""
-    state = ContractState(grid, price_cap=price_cap)
+    state = ContractState(grid)
     for event in events:
         state.apply(event)
     return state
@@ -458,124 +533,21 @@ def replay_events(grid: GridModel, events: Iterable[LedgerEvent],
 
 def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
                *, price_cap: float = 1.0) -> list[str]:
-    """Re-validate every transition in an event log.
+    """Check an event log by re-executing it through a fresh contract.
 
-    Returns a list of problems; an empty list means the log is a valid
-    history: gapless sequence, offers posted in open intervals, accepted
-    solutions feasible, strictly improving and covering open intervals
-    only, finalized trades drawn exactly from the candidate, and each
-    interval advance counting the trades it finalized.
+    Each event's operation (``register``, ``post_offer``, ``submit_solution``,
+    ``finalize`` for an interval's ``TradeFinalized`` run and
+    ``IntervalAdvanced``, ``remove_participant_trades``) runs again, and each
+    event it appends must equal the recorded one. A ``SolutionRejected``
+    records no solution, so its participant, reason and objective are checked
+    against what the contract can reject with. Times must not go backwards.
+    The finalizer is not re-authorized: the log does not name it.
+
+    Returns ``[]`` or the first divergence, ``["seq N: ..."]``; past it the
+    re-executed state is not the log's. ``price_cap`` is ignored; callers
+    pass the log header's value.
     """
-    problems: list[str] = []
-    state = ContractState(grid, price_cap=price_cap)
-    expected_seq = 1
-    last_time = float("-inf")
-    pending_fin: dict[tuple[int, int], tuple[float, float]] = {}
-    finalized_count = 0
-
-    for event in events:
-        if event.seq != expected_seq:
-            problems.append(f"seq {event.seq}: expected {expected_seq}")
-        expected_seq = event.seq + 1
-        if event.time < last_time:
-            problems.append(f"seq {event.seq}: time went backwards")
-        last_time = event.time
-        payload = event.payload
-
-        try:  # a payload field of the wrong type, such as a string objective
-            if event.kind == EventKind.PROSUMER_REGISTERED:
-                if payload["participant"] in state.participants:
-                    problems.append(f"seq {event.seq}: duplicate registration")
-                if payload["feeder"] not in state.grid.feeder_limits():
-                    problems.append(f"seq {event.seq}: unknown feeder")
-            elif event.kind == EventKind.OFFER_POSTED:
-                try:
-                    offer = event.offer
-                except Exception as exc:  # a malformed payload, such as a string energy
-                    problems.append(f"seq {event.seq}: malformed offer ({exc})")
-                    break
-                if offer.prosumer not in state.participants:
-                    problems.append(f"seq {event.seq}: offer from unregistered participant")
-                if payload["offer_id"] != state.next_offer_id:
-                    problems.append(f"seq {event.seq}: offer id out of order")
-                if offer.start < state.current_interval + state.grid.clearing_lead:
-                    problems.append(f"seq {event.seq}: offer for closed interval")
-            elif event.kind == EventKind.SOLUTION_ACCEPTED:
-                try:
-                    solution = event.solution
-                    report = state.feasibility(solution)
-                except MarketError as exc:
-                    problems.append(f"seq {event.seq}: accepted invalid solution ({exc})")
-                else:
-                    if not report.ok:
-                        kinds = sorted({v.kind for v in report.violations})
-                        problems.append(
-                            f"seq {event.seq}: accepted infeasible solution ({', '.join(kinds)})")
-                    value = objective(solution)
-                    if abs(value - payload["objective"]) > 1e-9:
-                        problems.append(f"seq {event.seq}: recorded objective mismatch")
-                    if value <= state.candidate_objective + IMPROVEMENT_MARGIN:
-                        problems.append(f"seq {event.seq}: accepted non-improving solution")
-            elif event.kind == EventKind.TRADE_FINALIZED:
-                key = (int(payload["sell_offer"]), int(payload["buy_offer"]),
-                       int(payload["interval"]))
-                if payload["interval"] != state.current_interval + state.grid.clearing_lead:
-                    problems.append(f"seq {event.seq}: finalized wrong interval")
-                if state.pinned.is_pinned(int(payload["interval"])):
-                    problems.append(f"seq {event.seq}: finalized an already pinned interval")
-                want = state.candidate.power(key)
-                if want != payload["power_kw"]:
-                    problems.append(
-                        f"seq {event.seq}: finalized power differs from candidate")
-                pending_fin[key[:2]] = (payload["power_kw"], payload["price"])
-                finalized_count += 1
-            elif event.kind == EventKind.INTERVAL_ADVANCED:
-                fin = int(payload["finalized_interval"])
-                if fin != state.current_interval + state.grid.clearing_lead:
-                    problems.append(f"seq {event.seq}: advanced wrong interval")
-                if int(payload["interval"]) != state.current_interval + 1:
-                    problems.append(f"seq {event.seq}: interval advance is not sequential")
-                expected_trades = {
-                    key[:2]: value for key, value in state.candidate.items()
-                    if key[2] == fin and value[0] > 0.0}
-                if expected_trades != pending_fin:
-                    problems.append(
-                        f"seq {event.seq}: finalized trades do not match candidate")
-                if payload["trade_count"] != finalized_count:
-                    problems.append(
-                        f"seq {event.seq}: trade count {payload['trade_count']} but "
-                        f"{finalized_count} trades were finalized")
-                pending_fin = {}
-                finalized_count = 0
-            elif event.kind == EventKind.PARTICIPANT_REMOVED:
-                if payload["participant"] not in state.participants:
-                    problems.append(f"seq {event.seq}: removed unknown participant")
-                expected = sorted(
-                    oid for oid, offer in state.book.items()
-                    if offer.prosumer == payload["participant"])
-                if expected != sorted(int(x) for x in payload["removed_offers"]):
-                    problems.append(f"seq {event.seq}: removed offer set mismatch")
-                stripped = state.candidate.without_offers(
-                    set(int(x) for x in payload["removed_offers"]))
-                if abs(objective(stripped) - payload["candidate_objective"]) > 1e-9:
-                    problems.append(f"seq {event.seq}: post-removal objective mismatch")
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"seq {event.seq}: malformed event ({exc})")
-            break
-
-        try:
-            state.apply(event)
-        except Exception as exc:  # a malformed event, such as a fractional window
-            problems.append(f"seq {event.seq}: apply failed ({exc})")
-            break
-
-    try:
-        report = state.feasibility(state.candidate)
-        if not report.ok:
-            problems.append("final candidate is infeasible")
-    except MarketError as exc:
-        problems.append(f"final candidate is invalid ({exc})")
-    return problems
+    return _Replay(grid, require_dso_finalize=False).run(events)
 
 
 def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],

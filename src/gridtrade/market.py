@@ -20,6 +20,8 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 TOLERANCE = 1e-9
+VIOLATION_KINDS = frozenset(
+    {"energy-seller", "energy-buyer", "feeder-net", "feeder-internal", "price-band"})
 
 TradeKey = tuple[int, int, int]  # (sell offer id, buy offer id, interval)
 
@@ -273,9 +275,6 @@ class PinnedTrades:
     def empty(cls) -> "PinnedTrades":
         return cls(-1)
 
-    def is_pinned(self, interval: int) -> bool:
-        return interval <= self.finalized_through
-
     def entries(self, interval: int) -> dict[tuple[int, int], tuple[float, float]]:
         return dict(self._by_interval.get(interval, {}))
 
@@ -322,7 +321,7 @@ class PinnedTrades:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # energy-seller | energy-buyer | feeder-net | feeder-internal | price-band
+    kind: str  # one of VIOLATION_KINDS
     subject: str
     detail: str
     excess: float = 0.0

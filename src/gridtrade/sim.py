@@ -225,8 +225,7 @@ class Simulation:
         self.traces = list(traces)
         self._validate()
 
-        self.contract = Contract(config.grid, price_cap=config.price_cap,
-                                 require_dso_finalize=True)
+        self.contract = Contract(config.grid, require_dso_finalize=True)
         self.time = 0.0
         self._heap: list[tuple[float, int, int, str, dict]] = []
         self._push_seq = 0

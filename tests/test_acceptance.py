@@ -440,7 +440,7 @@ def test_c09_event_sourcing_determinism(runs, capsys):
         log_path = bundle.out_dir / "events.jsonl"
         header, events = read_events_jsonl(log_path)
         grid = GridModel.from_payload(header["grid"])
-        state = replay_events(grid, events, price_cap=header["price_cap"])
+        state = replay_events(grid, events)
         assert state.snapshot() == bundle.report.final_state.snapshot(), name
         assert cli_main(["verify", "--log", str(log_path)]) == 0, name
         verified += 1

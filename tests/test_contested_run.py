@@ -9,11 +9,14 @@ built from it must be the LP built from the whole book.
 """
 
 import hashlib
+import math
+import random
 
 import numpy as np
 import pytest
 
-from gridtrade.ledger import read_events_jsonl, write_events_jsonl
+from gridtrade.ledger import (EventKind, LedgerEvent, read_events_jsonl, verify_log,
+                              write_events_jsonl)
 from gridtrade.market import Feeder, GridModel
 from gridtrade.sim import FailureSpec, SimConfig, Simulation
 from gridtrade.solver import SolverAgent, build_lp
@@ -100,3 +103,55 @@ def test_every_record_reads_back_as_written(golden_report, tmp_path):
     assert len(events) == len(report.events)
     for read, written in zip(events, report.events):
         assert read.to_record() == written.to_record()
+
+
+def _other_feeder(payload, rng):
+    return {**payload, "feeder": rng.choice(sorted({"f01", "f02", "f03"} - {payload["feeder"]}))}
+
+
+def _drop_or_add_objective(payload, rng):
+    if "objective" in payload:
+        return {k: v for k, v in payload.items() if k != "objective"}
+    return {**payload, "objective": 1.0}
+
+
+# One edit per case: the event kind it targets, whether the target must carry
+# an objective, and the edit. A moved offer or an unregistered solver breaks
+# no rule of its own event's fields; only re-executing the operation shows it.
+MUTATIONS = {
+    "offer-moved-to-another-feeder": (EventKind.OFFER_POSTED, False, _other_feeder),
+    "accepted-from-unregistered": (EventKind.SOLUTION_ACCEPTED, False,
+                                   lambda p, rng: {**p, "participant": f"intruder-{rng.random()}"}),
+    "finalized-price-edited": (EventKind.TRADE_FINALIZED, False,
+                               lambda p, rng: {**p, "price": p["price"] + rng.uniform(0.01, 0.5)}),
+    "rejected-from-unregistered": (EventKind.SOLUTION_REJECTED, False,
+                                   lambda p, rng: {**p, "participant": f"intruder-{rng.random()}"}),
+    "rejection-reason-unknown": (EventKind.SOLUTION_REJECTED, False, lambda p, rng: {
+        **p, "reason": rng.choice(["accepted", "infeasible: teleport", "infeasible: ",
+                                   "infeasible: price-band, energy-buyer", "not better"])}),
+    "rejection-objective-dropped-or-added": (EventKind.SOLUTION_REJECTED, False,
+                                             _drop_or_add_objective),
+    "rejection-objective-not-a-finite-number": (EventKind.SOLUTION_REJECTED, True, lambda p, rng: {
+        **p, "objective": rng.choice([math.nan, math.inf, -math.inf, "1.0", None])}),
+    "not-better-beats-candidate": (EventKind.SOLUTION_REJECTED, False, lambda p, rng: {
+        "participant": p["participant"], "reason": "not-better",
+        "objective": rng.uniform(1e3, 1e6)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTATIONS))
+def test_every_edit_is_flagged_at_its_seq(golden_report, case):
+    """20 seeded edits of one kind, each in its own copy of the golden log."""
+    kind, scored, edit = MUTATIONS[case]
+    events, grid = golden_report.events, golden_report.grid
+    assert verify_log(grid, events) == []
+    targets = [i for i, e in enumerate(events)
+               if e.kind == kind and (not scored or "objective" in e.payload)]
+    rng = random.Random(case)
+    for _ in range(20):
+        i = rng.choice(targets)
+        event = events[i]
+        mutated = LedgerEvent(event.seq, event.time, event.kind, edit(event.payload, rng))
+        assert mutated != event
+        problems = verify_log(grid, [*events[:i], mutated, *events[i + 1:]])
+        assert len(problems) == 1 and problems[0].startswith(f"seq {event.seq}: "), problems

@@ -7,6 +7,7 @@ import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from gridtrade.ledger import (
     AlreadyFinalized,
@@ -27,7 +28,7 @@ from gridtrade.ledger import (
     verify_log,
     write_events_jsonl,
 )
-from gridtrade.market import Feeder, GridModel, Side, Solution, objective
+from gridtrade.market import Feeder, GridModel, Side, Solution, matchable, objective
 
 
 def fresh_contract(grid, *, with_dso=True, require_dso=True):
@@ -429,7 +430,9 @@ class TestReplayAndVerify:
         path.write_text("\n".join(tampered) + "\n")
         header, events = read_events_jsonl(path)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
-        assert any("trade count" in p for p in problems)
+        first = next(e for e in events if e.kind == EventKind.INTERVAL_ADVANCED)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"seq {first.seq}: IntervalAdvanced trade_count is ")
 
     def test_version_1_log_refused(self, grid, tmp_path):
         path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
@@ -465,7 +468,8 @@ class TestReplayAndVerify:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         header, events = read_events_jsonl(path)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
-        assert [p for p in problems if p.startswith(f"seq {posted.seq}: malformed offer")]
+        assert len(problems) == 1
+        assert problems[0].startswith(f"seq {posted.seq}: OfferPosted refused (InvalidQuantity")
         with pytest.raises(InvalidQuantity):
             events[posted.seq - 1].offer
 
@@ -486,13 +490,191 @@ class TestReplayAndVerify:
         bad = events[i]
         events[i] = LedgerEvent(bad.seq, bad.time, bad.kind, {**bad.payload, field: value})
         problems = verify_log(grid, events)
-        assert [p for p in problems if p.startswith(f"seq {bad.seq}: malformed event")]
-        assert not [p for p in problems if p.startswith(f"seq {bad.seq + 1}:")]
+        assert len(problems) == 1
+        assert problems[0].startswith(f"seq {bad.seq}: {kind.value} {field} is ")
 
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)
         events = contract.events
         assert verify_log(grid, events[:3] + events[4:]) != []
+
+
+def audited_history(grid):
+    """Every event kind, and a rejection for each reason, at seqs 1-65.
+
+    Registrations 1-5, advances to interval 47 at 6-52, the battery offers
+    53-56, submissions 57-61 (accepted, not-better, infeasible, invalid,
+    accepted), two finalized trades 62-63 and their advance 64, a removal 65.
+    """
+    contract = battery_contract_at_47(grid)
+    for solution in (Solution({(2, 3, 48): (4.0, 0.5)}), Solution({(2, 3, 48): (2.0, 0.5)}),
+                     Solution({(1, 3, 48): (50.0, 0.5)}), Solution({(9, 3, 48): (1.0, 0.5)}),
+                     battery_optimum_solution()):
+        contract.submit_solution("solver-1", solution)
+    contract.finalize("dso", 47)
+    contract.remove_participant_trades("P2")
+    return contract.events
+
+
+DROP = object()
+
+
+def edit(seq, **fields):
+    """Replace payload fields of the event at ``seq``; ``DROP`` deletes one."""
+    def apply(events):
+        old = events[seq - 1]
+        payload = {k: v for k, v in {**old.payload, **fields}.items() if v is not DROP}
+        events[seq - 1] = LedgerEvent(old.seq, old.time, old.kind, payload)
+    return apply
+
+
+def retime(seq, time):
+    def apply(events):
+        old = events[seq - 1]
+        events[seq - 1] = LedgerEvent(old.seq, time, old.kind, old.payload)
+    return apply
+
+
+def drop(seq, *, renumber):
+    def apply(events):
+        del events[seq - 1]
+        if renumber:
+            events[seq - 1:] = [LedgerEvent(e.seq - 1, e.time, e.kind, e.payload)
+                                for e in events[seq - 1:]]
+    return apply
+
+
+# One hand edit per rule: ``verify_log`` must report the edited seq and
+# nothing after it. The first 18 are rules of the contract's operations and
+# of the log's order; the last 8 are the rules a rejection is checked against.
+RULE_EDITS = {
+    "duplicate-registration": (3, edit(3, participant="P1")),
+    "unknown-feeder": (2, edit(2, feeder="nowhere")),
+    "offer-from-unregistered": (53, edit(53, participant="mallory")),
+    "offer-id-out-of-order": (54, edit(54, offer_id=7)),
+    "offer-for-closed-interval": (53, edit(53, start=40)),
+    "accepted-infeasible": (57, edit(57, trades=[[1, 3, 48, 50.0, 0.5]], objective=50.0)),
+    "accepted-not-improving": (61, edit(61, trades=[[2, 3, 48, 3.0, 0.5]], objective=3.0)),
+    "accepted-objective-mismatch": (61, edit(61, objective=41.0)),
+    "finalized-wrong-interval": (62, edit(62, interval=49)),
+    "finalized-wrong-power": (63, edit(63, power_kw=26.0)),
+    "finalized-trades-not-the-candidate": (62, drop(62, renumber=True)),
+    "wrong-trade-count": (64, edit(64, trade_count=3)),
+    "advance-not-sequential": (64, edit(64, interval=50)),
+    "removed-unknown-participant": (65, edit(65, participant="mallory")),
+    "removed-offer-set": (65, edit(65, removed_offers=[2, 3])),
+    "removed-objective": (65, edit(65, candidate_objective=99.0)),
+    "time-went-backwards": (57, retime(57, -1.0)),
+    "seq-gap": (61, drop(60, renumber=False)),
+    "rejected-from-unregistered": (58, edit(58, participant="mallory")),
+    "rejection-reason-unknown": (60, edit(60, reason="approved")),
+    "rejection-kind-unknown": (59, edit(59, reason="infeasible: teleport")),
+    "rejection-kinds-unsorted": (59, edit(59, reason="infeasible: energy-seller, energy-buyer")),
+    "not-better-without-objective": (58, edit(58, objective=DROP)),
+    "invalid-with-objective": (60, edit(60, objective=1.0)),
+    "rejection-objective-not-finite": (59, edit(59, objective=math.inf)),
+    "not-better-beats-candidate": (58, edit(58, objective=5.0)),
+}
+
+
+class TestVerifyRules:
+    def test_history_is_clean_and_laid_out_as_documented(self, grid):
+        events = audited_history(grid)
+        assert verify_log(grid, events) == []
+        assert [e.seq for e in events] == list(range(1, 66))
+        assert [e.payload.get("reason", e.kind)[:10] for e in events[56:]] == [
+            "SolutionAc", "not-better", "infeasible", "invalid: o", "SolutionAc",
+            "TradeFinal", "TradeFinal", "IntervalAd", "Participan"]
+
+    @pytest.mark.parametrize("rule", sorted(RULE_EDITS))
+    def test_each_rule_is_flagged_at_its_seq(self, grid, rule):
+        seq, apply = RULE_EDITS[rule]
+        events = audited_history(grid)
+        apply(events)
+        problems = verify_log(grid, events)
+        assert len(problems) == 1 and problems[0].startswith(f"seq {seq}: "), problems
+
+
+NAMES = ("dso", "solver", "alice", "bob", "carol")
+
+
+class HonestHistory(RuleBasedStateMachine):
+    """Random contract calls, refused ones included; the log must verify."""
+
+    def __init__(self):
+        super().__init__()
+        self.grid = GridModel((Feeder("east", 4.0, 6.0), Feeder("west", 4.0, 6.0)),
+                              interval_hours=1.0, clearing_lead=1)
+        self.contract = Contract(self.grid)
+        self.time = 0.0
+
+    @initialize()
+    def register_dso_solver_and_two_homes(self):
+        self.contract.register("dso", Role.DSO)
+        self.contract.register("solver", Role.SOLVER)
+        self.contract.register("alice", Role.PROSUMER, "east")
+        self.contract.register("bob", Role.PROSUMER, "west")
+
+    def attempt(self, operation, *args):
+        self.time += 0.5
+        try:
+            operation(*args, time=self.time)
+        except ContractError:
+            pass
+
+    @rule(name=st.sampled_from(NAMES), role=st.sampled_from(Role),
+          feeder=st.sampled_from(["east", "west", "nowhere", None]))
+    def register(self, name, role, feeder):
+        self.attempt(self.contract.register, name, role, feeder)
+
+    @rule(name=st.sampled_from(("alice", "bob", "carol")), side=st.sampled_from(Side),
+          start=st.integers(0, 4), length=st.integers(0, 3), energy=st.floats(0.5, 8.0),
+          price=st.none() | st.floats(0.0, 1.0))
+    def post_offer(self, name, side, start, length, energy, price):
+        first = self.contract.state.current_interval + start
+        self.attempt(self.contract.post_offer, name, side, first, first + length, energy, price)
+
+    @rule(start=st.integers(1, 3), length=st.integers(0, 2), energy=st.floats(0.5, 4.0))
+    def post_matching_pair(self, start, length, energy):
+        first = self.contract.state.current_interval + start
+        self.attempt(self.contract.post_offer, "alice", Side.SELLING, first, first + length, energy)
+        self.attempt(self.contract.post_offer, "bob", Side.BUYING, first, first + length, energy)
+
+    @rule(name=st.sampled_from(NAMES), bogus=st.booleans(),
+          picks=st.lists(st.tuples(st.integers(0, 99), st.floats(0.05, 0.6)), max_size=4))
+    def submit_solution(self, name, bogus, picks):
+        state = self.contract.state
+        keys = [(s.id, b.id, t) for s in state.open_offers.values()
+                for b in state.open_offers.values() if matchable(s, b)
+                for t in range(max(s.start, b.start, state.pinned.finalized_through + 1),
+                               min(s.end, b.end) + 1)]
+        entries = {}
+        for pick, share in picks:  # a share of the smaller offer's energy
+            if keys:
+                s_id, b_id, t = keys[pick % len(keys)]
+                energy = min(state.book[s_id].energy_kwh, state.book[b_id].energy_kwh)
+                entries[(s_id, b_id, t)] = (share * energy, state.book[s_id].reservation)
+        if bogus:
+            entries[(999, 998, state.current_interval + 1)] = (1.0, 0.5)
+        self.attempt(self.contract.submit_solution, name, Solution(entries))
+
+    @rule(caller=st.sampled_from(("dso", "alice", None)), ahead=st.sampled_from((0, 0, -1, 1)))
+    def finalize(self, caller, ahead):
+        self.attempt(self.contract.finalize, caller, self.contract.state.current_interval + ahead)
+
+    @rule(name=st.sampled_from(("bob", "carol", "nobody")))
+    def remove_participant_trades(self, name):
+        self.attempt(self.contract.remove_participant_trades, name)
+
+    @invariant()
+    def log_verifies_and_replays(self):
+        events = self.contract.events
+        assert verify_log(self.grid, events) == []
+        assert replay_events(self.grid, events).snapshot() == self.contract.state.snapshot()
+
+
+TestHonestHistory = HonestHistory.TestCase
+TestHonestHistory.settings = settings(max_examples=30, stateful_step_count=50, deadline=None)
 
 
 class TestContractInvariants:
@@ -641,6 +823,11 @@ class TestEventsJsonl:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: record before the header"):
             read_events_jsonl(path)
 
+    def test_read_event_keeps_its_parsed_payload(self):
+        record = {"record": "event", "seq": 1, "time": 0.0, "kind": "ProsumerRegistered",
+                  "payload": {"participant": "p1", "role": "solver", "feeder": "__operator__"}}
+        assert LedgerEvent.from_record(record).payload is record["payload"]
+
     @pytest.mark.parametrize("line", [
         pytest.param('{"kind": "OfferPosted", "payload": {}, "record": "event"', id="truncated"),
         pytest.param('{"record": "event", "seq": 1, "time": NaN}', id="nan"),
@@ -648,6 +835,9 @@ class TestEventsJsonl:
         pytest.param('{"record": "event", "seq": 1, "time": 1e400}', id="out-of-range"),
         pytest.param("[1, 2]", id="not-an-object"),
         pytest.param('{"record": "event", "seq": 1}', id="no-time-kind-or-payload"),
+        pytest.param('{"kind": "ProsumerRegistered", "payload": [["participant", "p1"], '
+                     '["role", "solver"], ["feeder", "__operator__"]], "record": "event", '
+                     '"seq": 1, "time": 0.0}', id="payload-not-an-object"),
     ])
     def test_bad_line_names_file_and_line(self, grid, tmp_path, line):
         path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
