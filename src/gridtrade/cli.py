@@ -19,6 +19,7 @@ the command line with ``--set key=value``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -53,12 +54,21 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return values
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}") from None
+
+
 def _get(cfg: dict[str, str], key: str, default, cast):
     if key not in cfg:
         return default
     try:
-        if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes", "on")
         return cast(cfg[key])
     except ValueError as exc:
         raise CliError(f"config key {key!r}: {exc}") from exc
@@ -77,7 +87,7 @@ def _parse_feeders(text: str) -> list[Feeder]:
     return feeders
 
 
-def _parse_failures(text: str) -> list[FailureSpec]:
+def _parse_failures(text: str) -> tuple[FailureSpec, ...]:
     from .sim import FailureSpec
 
     specs = []
@@ -90,7 +100,7 @@ def _parse_failures(text: str) -> list[FailureSpec]:
             raise CliError(f"failure entry {chunk!r}: expected id:fail_time:recover_time")
         recover = None if parts[2].strip() in ("-", "") else float(parts[2])
         specs.append(FailureSpec(parts[0].strip(), float(parts[1]), recover))
-    return specs
+    return tuple(specs)
 
 
 def _parse_synthesize(text: str) -> dict[str, int]:
@@ -107,10 +117,43 @@ def _parse_synthesize(text: str) -> dict[str, int]:
     return spec
 
 
+# Config key -> (SimConfig field, cast). Only the keys present are passed on,
+# so SimConfig holds the only copy of each default.
+_SIM_KEYS = {
+    "horizon": ("horizon", int),
+    "seconds_per_interval": ("seconds_per_interval", float),
+    "prediction_window": ("prediction_window", int),
+    "solver_period": ("solver_period", float),
+    "lookahead": ("lookahead", int),
+    "solvers": ("n_solvers", int),
+    "adversaries": ("n_adversaries", int),
+    "seed": ("seed", int),
+    "price_cap": ("price_cap", float),
+    "failures": ("failures", _parse_failures),
+    "detect_latency": ("detect_latency", float),
+    "notify_latency": ("notify_latency", float),
+    "reactivate_latency": ("reactivate_latency", float),
+    "confirmation_delay": ("confirmation_delay", float),
+    "adaptive": ("adaptive", _parse_bool),
+}
+# Keys build_run_setup reads itself: traces, grid and report pricing.
+_SETUP_KEYS = {"synthesize", "feeders", "default_feeder_net_kw",
+               "default_feeder_internal_kw", "interval_hours", "clearing_lead",
+               "unit_price"}
+
+
 def build_run_setup(cfg: dict[str, str], traces_path: str | None):
     """Assemble (SimConfig, traces, unit_price) from flat config values."""
     from .sim import SimConfig
     from .traces import ingest_traces, synthesize_traces
+
+    unknown = sorted(set(cfg) - _SIM_KEYS.keys() - _SETUP_KEYS)
+    if unknown:
+        raise CliError(f"unknown config key {', '.join(map(repr, unknown))}")
+    if "horizon" not in cfg:
+        raise CliError("config key 'horizon' is required")
+    sim_values = {field: _get(cfg, key, None, cast)
+                  for key, (field, cast) in _SIM_KEYS.items() if key in cfg}
 
     if traces_path is not None:
         traces = ingest_traces(traces_path)
@@ -118,7 +161,7 @@ def build_run_setup(cfg: dict[str, str], traces_path: str | None):
         spec = _parse_synthesize(cfg["synthesize"])
         traces = synthesize_traces(
             spec["homes"], spec["producers"], spec["feeders"], spec["intervals"],
-            seed=_get(cfg, "seed", 0, int))
+            seed=sim_values.get("seed", SimConfig.seed))
     else:
         raise CliError("provide --traces or a 'synthesize' config key")
 
@@ -138,28 +181,7 @@ def build_run_setup(cfg: dict[str, str], traces_path: str | None):
         interval_hours=_get(cfg, "interval_hours", 0.25, float),
         clearing_lead=_get(cfg, "clearing_lead", 1, int),
     )
-    horizon = _get(cfg, "horizon", None, int)
-    if horizon is None:
-        raise CliError("config key 'horizon' is required")
-
-    config = SimConfig(
-        grid=grid,
-        horizon=horizon,
-        seconds_per_interval=_get(cfg, "seconds_per_interval", 4.0, float),
-        prediction_window=_get(cfg, "prediction_window", 3, int),
-        solver_period=_get(cfg, "solver_period", 1.0, float),
-        lookahead=_get(cfg, "lookahead", 5, int),
-        n_solvers=_get(cfg, "solvers", 1, int),
-        n_adversaries=_get(cfg, "adversaries", 0, int),
-        seed=_get(cfg, "seed", 0, int),
-        price_cap=_get(cfg, "price_cap", 1.0, float),
-        failures=tuple(_parse_failures(cfg.get("failures", ""))),
-        detect_latency=_get(cfg, "detect_latency", 0.14, float),
-        notify_latency=_get(cfg, "notify_latency", 1.88, float),
-        reactivate_latency=_get(cfg, "reactivate_latency", 6.52, float),
-        confirmation_delay=_get(cfg, "confirmation_delay", 0.0, float),
-        adaptive=_get(cfg, "adaptive", False, bool),
-    )
+    config = SimConfig(grid=grid, **sim_values)
     unit_price = _get(cfg, "unit_price", DEFAULT_UNIT_PRICE, float)
     return config, traces, unit_price
 
@@ -173,8 +195,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not _:
             raise CliError(f"--set {override!r}: expected key=value")
         cfg[key.strip()] = value.strip()
-    config, traces, _ = build_run_setup(cfg, args.traces)
+    config, traces, unit_price = build_run_setup(cfg, args.traces)
     report = run(config, traces)
+    report.metrics = dataclasses.replace(report.metrics, unit_price=unit_price)
     paths = export_report(report, args.out)
     print(f"finalized {report.intervals_finalized}/{report.horizon} intervals")
     print(f"traded {report.metrics.traded_kwh:.6g} kWh "

@@ -16,12 +16,13 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import AffineResourceModel, ControllerState, ResourceModel
-from .ledger import Contract, ContractState, EventKind, LedgerEvent, Role
+from .controller import AffineResourceModel, ControllerState
+from .ledger import Contract, ContractError, ContractState, EventKind, LedgerEvent, Role
 from .market import GridModel, Side, Solution, TradeKey
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
@@ -73,8 +74,6 @@ class SimConfig:
     reactivate_latency: float = 6.52
     confirmation_delay: float = 0.0
     adaptive: bool = False
-    initial_max_lookahead: int | None = None
-    resource_model: ResourceModel | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -197,7 +196,6 @@ class SimReport:
     grid: GridModel
     horizon: int
     price_cap: float
-    interval_hours: float
     events: list[LedgerEvent]
     metrics: Metrics
     solver_records: list[SolveRecord]
@@ -227,10 +225,10 @@ class Simulation:
 
         self.contract = Contract(config.grid, require_dso_finalize=True)
         self.time = 0.0
-        self._heap: list[tuple[float, int, int, str, dict]] = []
+        # (time, priority, push seq, handler, args); ties run in push order.
+        self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._push_seq = 0
         self.failure_log: list[dict] = []
-        self.offer_errors: list[dict] = []
 
         self.contract.register(DSO_ID, Role.DSO, time=0.0)
         self.prosumers: dict[str, ProsumerAgent] = {}
@@ -238,18 +236,17 @@ class Simulation:
             self.contract.register(trace.participant, Role.PROSUMER, trace.feeder, time=0.0)
             self.prosumers[trace.participant] = ProsumerAgent(trace, config.horizon)
 
-        model = config.resource_model or AffineResourceModel()
+        model = AffineResourceModel()
         self.solvers: dict[str, SolverAgent] = {}
         for i in range(config.n_solvers):
             sid = f"solver-{i + 1}"
             self.contract.register(sid, Role.SOLVER, time=0.0)
             controller = None
             if config.adaptive:
-                ceiling = config.initial_max_lookahead or config.lookahead
                 controller = ControllerState(
                     clearing_lead=config.grid.clearing_lead,
-                    max_lookahead=ceiling,
-                    lookahead=min(config.lookahead, ceiling))
+                    max_lookahead=config.lookahead,
+                    lookahead=config.lookahead)
             solver_config = SolverConfig(
                 lookahead=config.lookahead, solve_period=config.solver_period,
                 price_cap=config.price_cap)
@@ -262,15 +259,16 @@ class Simulation:
             aid = f"adversary-{i + 1}"
             self.contract.register(aid, Role.SOLVER, time=0.0)
             self.adversaries[aid] = AdversaryAgent(aid, config.seed + 1000 + i)
+        self._agents = {**self.prosumers, **self.solvers, **self.adversaries}
 
         dt = config.seconds_per_interval
         for k in range(config.horizon):
-            self._push(k * dt, _PRI_PROSUMER, "prosumer-phase", {"interval": k})
-            self._push((k + 1) * dt, _PRI_FINALIZE, "finalize", {"interval": k})
+            self._push(k * dt, _PRI_PROSUMER, self._prosumer_phase, k)
+            self._push((k + 1) * dt, _PRI_FINALIZE, self._finalize, k)
         for sid in sorted(self.solvers):
-            self._push(0.0, _PRI_SOLVER, "solver-tick", {"agent": sid, "tick": 0})
+            self._schedule_tick(_PRI_SOLVER, self._solver_tick, sid, 0)
         for aid in sorted(self.adversaries):
-            self._push(0.0, _PRI_ADVERSARY, "adversary-tick", {"agent": aid, "tick": 0})
+            self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, 0)
         for spec in config.failures:
             self.inject_failure(spec.participant, spec.fail_time, spec.recover_time)
 
@@ -295,31 +293,40 @@ class Simulation:
     def end_time(self) -> float:
         return self.config.horizon * self.config.seconds_per_interval
 
-    def _push(self, time: float, priority: int, kind: str, data: dict) -> None:
+    def _push(self, time: float, priority: int, handler: Callable[..., None],
+              *args) -> None:
         self._push_seq += 1
-        heapq.heappush(self._heap, (time, priority, self._push_seq, kind, data))
+        heapq.heappush(self._heap, (time, priority, self._push_seq, handler, args))
+
+    def _schedule_tick(self, priority: int, handler: Callable[[str, int], None],
+                       agent_id: str, tick: int) -> None:
+        """Schedule an agent's ``tick``-th period, if it starts before the end."""
+        at = tick * self.config.solver_period
+        if at < self.end_time:
+            self._push(at, priority, handler, agent_id, tick)
+
+    def _confirmed(self, handler: Callable[..., None], *args) -> bool:
+        """Call ``handler(*args)`` now and return True, or after the delay."""
+        delay = self.config.confirmation_delay
+        if delay > 0:
+            self._push(self.time + delay, _PRI_FAULT, handler, *args)
+            return False
+        handler(*args)
+        return True
 
     def inject_failure(self, participant: str, at_time: float,
                        recover_time: float | None = None) -> None:
         """Silence a participant at ``at_time``; peers react after latency."""
-        if participant not in self._all_agents():
+        if participant not in self._agents:
             raise UnknownParticipantError(f"no agent named {participant!r}")
         cfg = self.config
-        self._push(at_time, _PRI_FAULT, "fail", {"participant": participant})
-        self._push(at_time + cfg.detect_latency, _PRI_FAULT, "detect",
-                   {"participant": participant})
-        self._push(at_time + cfg.notify_latency, _PRI_FAULT, "remove",
-                   {"participant": participant})
+        self._push(at_time, _PRI_FAULT, self._fail, participant)
+        self._push(at_time + cfg.detect_latency, _PRI_FAULT, self._log_failure,
+                   participant, "detected")
+        self._push(at_time + cfg.notify_latency, _PRI_FAULT, self._remove, participant)
         if recover_time is not None:
-            self._push(recover_time + cfg.reactivate_latency, _PRI_FAULT, "recover",
-                       {"participant": participant})
-
-    def _all_agents(self) -> dict:
-        agents: dict[str, object] = {}
-        agents.update(self.prosumers)
-        agents.update(self.solvers)
-        agents.update(self.adversaries)
-        return agents
+            self._push(recover_time + cfg.reactivate_latency, _PRI_FAULT,
+                       self._recover, participant)
 
     def advance_clock(self) -> float:
         """Process every event at the next timestamp; strictly advances time."""
@@ -328,8 +335,8 @@ class Simulation:
         next_time = self._heap[0][0]
         self.time = next_time
         while self._heap and self._heap[0][0] == next_time:
-            _, _, _, kind, data = heapq.heappop(self._heap)
-            self._dispatch(kind, data)
+            _, _, _, handler, args = heapq.heappop(self._heap)
+            handler(*args)
         return self.time
 
     def run(self) -> SimReport:
@@ -339,37 +346,23 @@ class Simulation:
 
     # -- event handlers -----------------------------------------------------
 
-    def _dispatch(self, kind: str, data: dict) -> None:
-        if kind == "prosumer-phase":
-            self._prosumer_phase(data["interval"])
-        elif kind == "finalize":
-            self.contract.finalize(DSO_ID, data["interval"], time=self.time)
-        elif kind == "solver-tick":
-            self._solver_tick(data["agent"], data["tick"])
-        elif kind == "adversary-tick":
-            self._adversary_tick(data["agent"], data["tick"])
-        elif kind == "fail":
-            agent = self._all_agents()[data["participant"]]
-            agent.active = False
-            self._log_failure(data["participant"], "failed")
-        elif kind == "detect":
-            self._log_failure(data["participant"], "detected")
-        elif kind == "remove":
-            self.contract.remove_participant_trades(data["participant"], time=self.time)
-            self._log_failure(data["participant"], "removed")
-        elif kind == "recover":
-            agent = self._all_agents()[data["participant"]]
-            agent.active = True
-            if isinstance(agent, ProsumerAgent):
-                agent.forget_future_offers(self.contract.state.current_interval)
-            self._log_failure(data["participant"], "recovered")
-        elif kind == "post-offer":
-            self._apply_offer(data)
-        elif kind == "submit-solution":
-            self.contract.submit_solution(data["participant"], data["solution"],
-                                          time=self.time)
-        else:  # pragma: no cover
-            raise SimulationError(f"unknown event kind {kind!r}")
+    def _finalize(self, interval: int) -> None:
+        self.contract.finalize(DSO_ID, interval, time=self.time)
+
+    def _fail(self, participant: str) -> None:
+        self._agents[participant].active = False
+        self._log_failure(participant, "failed")
+
+    def _remove(self, participant: str) -> None:
+        self.contract.remove_participant_trades(participant, time=self.time)
+        self._log_failure(participant, "removed")
+
+    def _recover(self, participant: str) -> None:
+        agent = self._agents[participant]
+        agent.active = True
+        if isinstance(agent, ProsumerAgent):
+            agent.forget_future_offers(self.contract.state.current_interval)
+        self._log_failure(participant, "recovered")
 
     def _log_failure(self, participant: str, phase: str) -> None:
         self.failure_log.append(
@@ -383,56 +376,35 @@ class Simulation:
                 continue
             for offer in agent.offers_for(now, cfg.grid.clearing_lead,
                                           cfg.prediction_window):
-                data = {"participant": pid, **offer}
-                if cfg.confirmation_delay > 0:
-                    self._push(self.time + cfg.confirmation_delay, _PRI_FAULT,
-                               "post-offer", data)
-                else:
-                    self._apply_offer(data)
+                self._confirmed(self._post_offer, pid, offer)
 
-    def _apply_offer(self, data: dict) -> None:
-        from .ledger import ContractError
+    def _post_offer(self, participant: str, offer: dict) -> None:
         try:
-            self.contract.post_offer(
-                data["participant"], data["side"], data["start"], data["end"],
-                data["energy_kwh"], time=self.time)
-        except ContractError as exc:
-            self.offer_errors.append(
-                {"time": self.time, "participant": data["participant"],
-                 "error": str(exc)})
+            self.contract.post_offer(participant, time=self.time, **offer)
+        except ContractError:
+            pass  # a delayed offer for an interval finalized meanwhile is refused
+
+    def _submit(self, participant: str, solution: Solution) -> None:
+        self.contract.submit_solution(participant, solution, time=self.time)
 
     def _solver_tick(self, sid: str, tick: int) -> None:
-        cfg = self.config
-        next_time = (tick + 1) * cfg.solver_period
-        if next_time < self.end_time:
-            self._push(next_time, _PRI_SOLVER, "solver-tick",
-                       {"agent": sid, "tick": tick + 1})
+        self._schedule_tick(_PRI_SOLVER, self._solver_tick, sid, tick + 1)
         agent = self.solvers[sid]
         if not agent.active:
             return
         events = self.contract.events_since(agent.last_seq)
         submission = agent.step(events, time=self.time)
-        if submission is None:
-            return
-        if cfg.confirmation_delay > 0:
-            self._push(self.time + cfg.confirmation_delay, _PRI_FAULT,
-                       "submit-solution", {"participant": sid, "solution": submission})
-        else:
-            self.contract.submit_solution(sid, submission, time=self.time)
+        if submission is not None and self._confirmed(self._submit, sid, submission):
             agent.observe(self.contract.events_since(agent.last_seq))
 
     def _adversary_tick(self, aid: str, tick: int) -> None:
-        cfg = self.config
-        next_time = (tick + 1) * cfg.solver_period
-        if next_time < self.end_time:
-            self._push(next_time, _PRI_ADVERSARY, "adversary-tick",
-                       {"agent": aid, "tick": tick + 1})
+        self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, tick + 1)
         agent = self.adversaries[aid]
         if not agent.active:
             return
         submission = agent.make_submission(self.contract.state)
         if submission is not None:
-            self.contract.submit_solution(aid, submission, time=self.time)
+            self._submit(aid, submission)
 
     # -- reporting ----------------------------------------------------------
 
@@ -455,7 +427,6 @@ class Simulation:
             grid=self.contract.grid,
             horizon=self.config.horizon,
             price_cap=self.config.price_cap,
-            interval_hours=self.config.grid.interval_hours,
             events=events,
             metrics=metrics,
             solver_records=records,

@@ -8,11 +8,15 @@ import pytest
 
 import gridtrade
 from gridtrade.cli import (
+    _SETUP_KEYS,
+    _SIM_KEYS,
     CliError,
     build_run_setup,
     main,
     parse_flat_config,
 )
+from gridtrade.metrics import DEFAULT_UNIT_PRICE
+from gridtrade.sim import SimConfig
 from gridtrade.traces import synthesize_traces, write_traces
 
 BASE_CONFIG = """
@@ -28,6 +32,14 @@ solvers = 1
 seed = 5
 feeders = f01:50:60; f02:50:60; f03:50:60
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> str:
+    """The README's example config: its one ``ini`` code block."""
+    return README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 @pytest.fixture
@@ -82,6 +94,48 @@ class TestConfigParsing:
         config, _, _ = build_run_setup(cfg, str(path))
         assert config.grid.feeder_limits()["f04"].net_flow_limit_kw == 9
 
+    def test_absent_keys_take_the_simconfig_defaults(self, traces_csv):
+        config, _, unit_price = build_run_setup(
+            {"horizon": "12", "feeders": "f01:50:60"}, str(traces_csv))
+        assert config == SimConfig(grid=config.grid, horizon=12)
+        assert unit_price == DEFAULT_UNIT_PRICE
+
+    @pytest.mark.parametrize("text, value", [("1", True), ("ON", True), ("yes", True),
+                                             ("True", True), ("0", False), ("off", False),
+                                             ("No", False), ("false", False)])
+    def test_boolean_spellings(self, traces_csv, text, value):
+        cfg = parse_flat_config(BASE_CONFIG + f"adaptive = {text}\n")
+        assert build_run_setup(cfg, str(traces_csv))[0].adaptive is value
+
+    @pytest.mark.parametrize("line, key", [("lookahed = 2", "lookahed"),
+                                           ("adaptive = maybe", "adaptive")])
+    def test_unknown_key_or_bad_boolean_refused(self, tmp_path, config_file, traces_csv,
+                                                capsys, line, key):
+        config_file.write_text(BASE_CONFIG + line + "\n")
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+                   "--out", str(out_dir)])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"] == "CliError"
+        assert repr(key) in record["detail"]
+        assert not out_dir.exists()
+
+    def test_readme_example_sets_every_key(self):
+        cfg = parse_flat_config(readme_config())
+        assert set(cfg) == _SIM_KEYS.keys() | _SETUP_KEYS
+        config, traces, unit_price = build_run_setup(cfg, None)
+        for key, (field, cast) in _SIM_KEYS.items():
+            assert getattr(config, field) == cast(cfg[key]), key
+        assert unit_price == float(cfg["unit_price"])
+        assert config.grid.interval_hours == float(cfg["interval_hours"])
+        assert config.grid.clearing_lead == int(cfg["clearing_lead"])
+        limits = config.grid.feeder_limits()
+        assert limits["f01"].net_flow_limit_kw == 2000.0
+        assert limits["f03"].net_flow_limit_kw == float(cfg["default_feeder_net_kw"])
+        assert limits["f03"].internal_limit_kw == float(cfg["default_feeder_internal_kw"])
+        assert len(traces) == 102
+
 
 class TestCommands:
     @pytest.mark.parametrize("override", ["feeders=f01:nan:60; f02:50:60; f03:50:60",
@@ -118,6 +172,17 @@ class TestCommands:
                    "--out", str(out_dir), "--set", "horizon=6"])
         assert rc == 0
         assert "finalized 6/6 intervals" in capsys.readouterr().out
+
+    def test_run_applies_unit_price(self, tmp_path, config_file, traces_csv, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+                     "--out", str(out_dir), "--set", "unit_price=1.0"]) == 0
+        lines = (out_dir / "metrics.csv").read_text().splitlines()[1:]
+        rows = {name: float(value) for name, value in (line.split(",") for line in lines)}
+        assert rows["unit_price"] == 1.0
+        assert rows["unmet_dollars"] == pytest.approx(
+            max(rows["buy_offered_kwh"] - rows["traded_kwh"], 0.0))
+        assert rows["unmet_dollars"] > 0
 
     def test_run_with_synthesize_key(self, tmp_path, config_file, capsys):
         out_dir = tmp_path / "out"

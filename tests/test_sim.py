@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from gridtrade.ledger import EventKind
+from gridtrade.ledger import ContractError, EventKind, verify_log
 from gridtrade.market import Feeder, GridModel, Solution, check_feasibility, PinnedTrades, Offer, Side
 from gridtrade.sim import (
     ConfigError,
@@ -10,7 +12,7 @@ from gridtrade.sim import (
     UnknownParticipantError,
     run,
 )
-from gridtrade.traces import ProsumerTrace
+from gridtrade.traces import ProsumerTrace, synthesize_traces
 
 from conftest import make_battery_traces
 
@@ -272,6 +274,36 @@ def test_confirmation_delay_still_completes(grid):
     report = run(config, traces)
     assert report.intervals_finalized == 50
     assert report.metrics.traded_kwh == pytest.approx(40.0, abs=1e-9)
+
+
+def test_offer_delayed_past_its_interval_is_refused_and_not_logged():
+    """A confirmation delay longer than an interval lands some offers after
+    their first interval was finalized: the contract refuses them, the day
+    still finalizes every interval, and the log holds none of them."""
+    traces = synthesize_traces(6, 2, 3, 12, seed=5)
+    grid = GridModel(tuple(Feeder(f, 50.0, 60.0) for f in ("f01", "f02", "f03")), 0.25, 1)
+    config = SimConfig(grid=grid, horizon=12, seconds_per_interval=4.0, lookahead=3,
+                       solver_period=2.0, seed=5, confirmation_delay=5.0)
+    sim = Simulation(config, traces)
+    post_offer = sim.contract.post_offer
+    refused = []
+
+    def spy(*args, **kwargs):
+        try:
+            return post_offer(*args, **kwargs)
+        except ContractError:
+            offer = inspect.signature(post_offer).bind(*args, **kwargs).arguments
+            refused.append((offer["participant"], offer["start"]))
+            raise
+
+    sim.contract.post_offer = spy
+    report = sim.run()
+    assert report.intervals_finalized == 12
+    assert verify_log(grid, report.events) == []
+    posted = {(e.payload["participant"], e.payload["start"])
+              for e in report.events if e.kind == EventKind.OFFER_POSTED}
+    assert len(refused) == 6
+    assert posted and not posted & set(refused)
 
 
 def test_three_solvers_killing_two_changes_nothing(grid):
