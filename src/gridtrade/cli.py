@@ -74,27 +74,25 @@ def _get(cfg: dict[str, str], key: str, default, cast):
         raise CliError(f"config key {key!r}: {exc}") from exc
 
 
-def _parse_feeders(text: str) -> list[Feeder]:
-    feeders = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _chunks(text: str, sep: str) -> list[str]:
+    return [chunk.strip() for chunk in text.split(sep) if chunk.strip()]
+
+
+def _parse_feeders(text: str) -> list[tuple[str, float, float]]:
+    entries = []
+    for chunk in _chunks(text, ";"):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise CliError(f"feeder entry {chunk!r}: expected id:net_kw:internal_kw")
-        feeders.append(Feeder(parts[0].strip(), float(parts[1]), float(parts[2])))
-    return feeders
+        entries.append((parts[0].strip(), float(parts[1]), float(parts[2])))
+    return entries
 
 
 def _parse_failures(text: str) -> tuple[FailureSpec, ...]:
     from .sim import FailureSpec
 
     specs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(text, ";"):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise CliError(f"failure entry {chunk!r}: expected id:fail_time:recover_time")
@@ -105,10 +103,7 @@ def _parse_failures(text: str) -> tuple[FailureSpec, ...]:
 
 def _parse_synthesize(text: str) -> dict[str, int]:
     spec = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(text, ","):
         key, _, value = chunk.partition("=")
         spec[key.strip()] = int(value)
     missing = {"homes", "producers", "feeders", "intervals"} - set(spec)
@@ -158,14 +153,14 @@ def build_run_setup(cfg: dict[str, str], traces_path: str | None):
     if traces_path is not None:
         traces = ingest_traces(traces_path)
     elif "synthesize" in cfg:
-        spec = _parse_synthesize(cfg["synthesize"])
+        spec = _get(cfg, "synthesize", None, _parse_synthesize)
         traces = synthesize_traces(
             spec["homes"], spec["producers"], spec["feeders"], spec["intervals"],
             seed=sim_values.get("seed", SimConfig.seed))
     else:
         raise CliError("provide --traces or a 'synthesize' config key")
 
-    feeders = _parse_feeders(cfg.get("feeders", ""))
+    feeders = [Feeder(*entry) for entry in _get(cfg, "feeders", [], _parse_feeders)]
     known = {f.id for f in feeders}
     default_net = _get(cfg, "default_feeder_net_kw", 1e6, float)
     default_internal = _get(cfg, "default_feeder_internal_kw", 1e6, float)

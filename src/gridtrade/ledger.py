@@ -26,7 +26,6 @@ from typing import Iterable, Mapping
 
 from .market import (
     GridModel,
-    Feeder,
     MarketError,
     Offer,
     PinnedTrades,
@@ -42,9 +41,6 @@ IMPROVEMENT_MARGIN = 1e-9
 # Version 2 logs record solutions over open intervals only; version 1 logs
 # restated every finalized trade in each accepted solution.
 LOG_VERSION = 2
-
-OPERATOR_FEEDER_ID = "__operator__"
-OPERATOR_FEEDER = Feeder(OPERATOR_FEEDER_ID, 1e12, 1e12)
 
 
 class ContractError(Exception):
@@ -114,10 +110,9 @@ class LedgerEvent:
 
         ``Contract.post_offer`` sets it as it appends the event; an event
         read from a log parses its payload on first use, with the checks
-        ``post_offer`` makes on its quantities and window. Every state that
-        applies the event (the contract and each mirror) shares this one
-        frozen ``Offer``. The cache takes no part in equality or in the
-        record.
+        ``Offer`` makes. Every state that applies the event (the contract
+        and each mirror) shares this one frozen ``Offer``. The cache takes no
+        part in equality or in the record.
         """
         if self._parsed is None:
             p = self.payload
@@ -163,7 +158,7 @@ class ContractState:
     """
 
     def __init__(self, grid: GridModel):
-        self.grid = grid.with_feeder(OPERATOR_FEEDER)
+        self.grid = grid
         self.participants: dict[str, dict] = {}
         self.book: dict[int, Offer] = {}
         self.selling: dict[int, Offer] = {}
@@ -239,49 +234,14 @@ class ContractState:
         }
 
 
-def _interval(name: str, value) -> int:
-    """``value`` as an interval index; refuses NaN, inf and fractions."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidQuantity(f"{name} must be a whole interval, got {value}")
-
-
-def _energy(value) -> float:
-    """``value`` as an offer's energy; refuses non-numbers, NaN, inf and <= 0.
-
-    A float is let through before the ``Real`` check, which costs several
-    times more and runs for every offer a log holds.
-    """
-    if not ((type(value) is float or isinstance(value, Real)) and 0 < value < math.inf):
-        raise InvalidQuantity(f"energy must be positive and finite, got {value}")
-    return float(value)
-
-
-def _price(value) -> float | None:
-    """``value`` as a reservation price; None means any price."""
-    if value is None:
-        return None
-    if not ((type(value) is float or isinstance(value, Real)) and 0 <= value < math.inf):
-        raise InvalidQuantity(
-            f"reservation price must be non-negative and finite, got {value}")
-    return float(value)
-
-
 def _new_offer(offer_id: int, side, participant: str, feeder: str, energy_kwh, start, end,
                reservation_price) -> Offer:
-    """An offer from posted values, refusing what ``post_offer`` refuses."""
+    """An offer from posted values; ``Offer`` refuses bad ones with ``InvalidQuantity``."""
     try:
-        side = Side(side)
-    except ValueError:
-        raise InvalidQuantity(f"side must be buying or selling, got {side!r}") from None
-    start, end = _interval("start", start), _interval("end", end)
-    if start > end:
-        raise InvalidQuantity(f"start {start} exceeds end {end}")
-    return Offer(offer_id, side, participant, feeder, _energy(energy_kwh), start, end,
-                 _price(reservation_price))
+        return Offer(offer_id, side, participant, feeder, energy_kwh, start, end,
+                     reservation_price)
+    except ValueError as exc:
+        raise InvalidQuantity(str(exc)) from None
 
 
 def _offer_payload(offer: Offer) -> dict:
@@ -337,14 +297,17 @@ class Contract:
 
     def register(self, participant: str, role: Role | str, feeder: str | None = None,
                  *, time: float = 0.0) -> LedgerEvent:
-        role = Role(role)
+        """A prosumer names its feeder; others may. A named feeder must exist."""
+        try:
+            role = Role(role)
+        except ValueError:
+            raise ContractError(f"role must be prosumer, solver or dso, got {role!r}") from None
         if participant in self.state.participants:
             raise DuplicateRegistration(f"{participant} is already registered")
         if feeder is None:
             if role is Role.PROSUMER:
                 raise UnknownFeeder("prosumers must register with a feeder")
-            feeder = OPERATOR_FEEDER_ID
-        if feeder not in self.state.grid.feeder_limits():
+        elif feeder not in self.state.grid.feeder_limits():
             raise UnknownFeeder(f"feeder {feeder!r} does not exist")
         return self._append(EventKind.PROSUMER_REGISTERED, {
             "participant": participant, "role": role.value, "feeder": feeder}, time)
@@ -355,6 +318,8 @@ class Contract:
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
+        if info["role"] != Role.PROSUMER:
+            raise NotAuthorized(f"{participant} is a {info['role']}; only prosumers post offers")
         offer = _new_offer(self.state.next_offer_id, side, participant, info["feeder"],
                            energy_kwh, start, end, reservation_price)
         earliest = self.state.current_interval + self.state.grid.clearing_lead

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Iterable, Iterator, Mapping
 
 TOLERANCE = 1e-9
@@ -87,11 +88,6 @@ class GridModel:
     def feeder_limits(self) -> dict[str, Feeder]:
         return {f.id: f for f in self.feeders}
 
-    def with_feeder(self, feeder: Feeder) -> "GridModel":
-        if any(f.id == feeder.id for f in self.feeders):
-            return self
-        return GridModel(self.feeders + (feeder,), self.interval_hours, self.clearing_lead)
-
     def to_payload(self) -> dict:
         return {
             "feeders": [
@@ -112,6 +108,27 @@ class GridModel:
         return cls(feeders, payload["interval_hours"], payload["clearing_lead"])
 
 
+_SIDES = {side.value: side for side in Side}
+
+
+def _whole(offer: Offer, name: str) -> int:
+    """Field ``name`` of ``offer`` as an ``int`` interval index, written back."""
+    value = getattr(offer, name)
+    if not (isinstance(value, Real) and -math.inf < value < math.inf and int(value) == value):
+        raise ValueError(f"offer {offer.id}: {name} must be a whole interval, got {value!r}")
+    object.__setattr__(offer, name, int(value))
+    return int(value)
+
+
+def _real(offer: Offer, name: str) -> float:
+    """Field ``name`` of ``offer`` as a ``float``, written back."""
+    value = getattr(offer, name)
+    if not isinstance(value, Real):
+        raise ValueError(f"offer {offer.id}: {name} must be a number, got {value!r}")
+    object.__setattr__(offer, name, float(value))
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Offer:
     """A forward offer to sell or buy energy.
@@ -120,6 +137,11 @@ class Offer:
     reservation price means "any price": 0 for sellers, unbounded for buyers.
     ``reservation`` is the effective price, with that default applied; it is
     set once, at construction.
+
+    Construction is the one check of an offer's values: it makes the side a
+    ``Side``, the window ``int``s and the quantities ``float``s, and raises
+    ``ValueError`` for anything else, NaN, inf and fractions of an interval
+    included.
     """
 
     id: int
@@ -133,16 +155,29 @@ class Offer:
     reservation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.energy_kwh) or self.energy_kwh <= 0:
-            raise ValueError(f"offer {self.id}: energy must be positive")
-        if self.start > self.end:
-            raise ValueError(f"offer {self.id}: start must not exceed end")
-        if self.reservation_price is not None:
-            if not math.isfinite(self.reservation_price) or self.reservation_price < 0:
-                raise ValueError(f"offer {self.id}: reservation price must be >= 0")
+        oid, side, start, end = self.id, self.side, self.start, self.end
+        energy, price = self.energy_kwh, self.reservation_price
+        # Values of the right types skip the conversions; a logged side is a str.
+        if type(side) is not Side:
+            side = _SIDES.get(side) if isinstance(side, str) else None
+            if side is None:
+                raise ValueError(f"offer {oid}: side must be buying or selling, got {self.side!r}")
+            object.__setattr__(self, "side", side)
+        if not (type(start) is type(end) is int):
+            start, end = _whole(self, "start"), _whole(self, "end")
+        if type(energy) is not float:
+            energy = _real(self, "energy_kwh")
+        if not (price is None or type(price) is float):
+            price = _real(self, "reservation_price")
+        if not 0 < energy < math.inf:
+            raise ValueError(f"offer {oid}: energy must be positive and finite, got {energy}")
+        if start > end:
+            raise ValueError(f"offer {oid}: start {start} exceeds end {end}")
+        if price is not None and not 0 <= price < math.inf:
+            raise ValueError(
+                f"offer {oid}: reservation price must be non-negative and finite, got {price}")
         object.__setattr__(self, "reservation", (
-            self.reservation_price if self.reservation_price is not None
-            else 0.0 if self.side is Side.SELLING else math.inf))
+            price if price is not None else 0.0 if side is Side.SELLING else math.inf))
 
     def covers(self, interval: int) -> bool:
         return self.start <= interval <= self.end

@@ -168,6 +168,10 @@ def export_report(report: "SimReport", out_dir: str | Path) -> dict[str, Path]:
         ((row["time"], row["solver"], row["solve_time"], row["lookahead"],
           row["max_lookahead"], row["cpu_fraction"]) for row in report.controller_rows))
 
+    paths["failures"] = _write_csv(
+        out / "failures.csv", ["time", "participant", "phase"],
+        ((row["time"], row["participant"], row["phase"]) for row in report.failure_log))
+
     paths["metrics"] = _write_csv(
         out / "metrics.csv", ["metric", "value"], report.metrics.rows())
 

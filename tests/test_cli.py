@@ -80,6 +80,15 @@ class TestConfigParsing:
         config, traces, _ = build_run_setup(cfg, None)
         assert len(traces) == 6
 
+    @pytest.mark.parametrize("key, value", [
+        ("feeders", "f01:abc:60"), ("synthesize", "homes=x,producers=2,feeders=3,intervals=12")])
+    def test_malformed_feeders_or_synthesize_names_the_key(self, key, value):
+        cfg = parse_flat_config(
+            BASE_CONFIG + "synthesize = homes=6,producers=2,feeders=3,intervals=12\n")
+        cfg[key] = value
+        with pytest.raises(CliError, match=f"^config key {key!r}: "):
+            build_run_setup(cfg, None)
+
     def test_failures_parsed(self, traces_csv):
         cfg = parse_flat_config(BASE_CONFIG + "failures = p001:8.0:-; p002:4.0:20.0\n")
         config, _, _ = build_run_setup(cfg, str(traces_csv))

@@ -25,14 +25,14 @@ from gridtrade.traces import synthesize_traces
 HORIZON = 32
 
 # SHA-256 of ``events.jsonl`` for ``contested_day(n_adversaries=2)`` (657
-# events, 136,395 bytes), taken when the log took its compact canonical
-# spelling. Its records are those of the log hashed before the open-offer
-# index was added (97180a71..., 151,945 bytes in ``json.dumps`` spelling). A
-# change that only makes the program faster must leave it as it is. Should it
-# change on purpose (a rule, the log format, the LP's tie-break, or a SciPy or
-# NumPy release that moves HiGHS's vertex or the seeded draws), record the
-# new value and the reason in CHANGES.md.
-GOLDEN_EVENTS_SHA256 = "57d325c098d31bfc5493d8dcdeccf40381cdf7b8ef257140d68a28d20cd206d9"
+# events, 136,241 bytes), taken when the DSO and the solvers began to register
+# with no feeder. Before, they named ``__operator__``, which the header listed
+# (57d325c0..., 136,395 bytes); every other line is unchanged. A change that
+# only makes the program faster must leave it as it is. Should it change on
+# purpose (a rule, the log format, the LP's tie-break, or a SciPy or NumPy
+# release that moves HiGHS's vertex or the seeded draws), record the new value
+# and the reason in CHANGES.md.
+GOLDEN_EVENTS_SHA256 = "d65d37ebb016b47039841d2dc05b0324332f2a3d12536ca135dd51423f3feb7f"
 
 
 def contested_day(n_adversaries: int) -> Simulation:
@@ -115,43 +115,64 @@ def _drop_or_add_objective(payload, rng):
     return {**payload, "objective": 1.0}
 
 
-# One edit per case: the event kind it targets, whether the target must carry
-# an objective, and the edit. A moved offer or an unregistered solver breaks
-# no rule of its own event's fields; only re-executing the operation shows it.
+def _scored(payload):
+    return "objective" in payload
+
+
+def _prosumer(payload):
+    return payload["role"] == "prosumer"
+
+
+def _first_offer(events, event):
+    return next(e.seq for e in events if e.kind == EventKind.OFFER_POSTED
+                and e.payload["participant"] == event.payload["participant"])
+
+
+# One edit per case: the event kind it targets, which of those events it may
+# target (None: any) and the edit. A moved offer or an unregistered solver
+# breaks no rule of its own event's fields; only re-executing the operation
+# shows it.
 MUTATIONS = {
-    "offer-moved-to-another-feeder": (EventKind.OFFER_POSTED, False, _other_feeder),
-    "accepted-from-unregistered": (EventKind.SOLUTION_ACCEPTED, False,
+    "offer-moved-to-another-feeder": (EventKind.OFFER_POSTED, None, _other_feeder),
+    "accepted-from-unregistered": (EventKind.SOLUTION_ACCEPTED, None,
                                    lambda p, rng: {**p, "participant": f"intruder-{rng.random()}"}),
-    "finalized-price-edited": (EventKind.TRADE_FINALIZED, False,
+    "finalized-price-edited": (EventKind.TRADE_FINALIZED, None,
                                lambda p, rng: {**p, "price": p["price"] + rng.uniform(0.01, 0.5)}),
-    "rejected-from-unregistered": (EventKind.SOLUTION_REJECTED, False,
+    "rejected-from-unregistered": (EventKind.SOLUTION_REJECTED, None,
                                    lambda p, rng: {**p, "participant": f"intruder-{rng.random()}"}),
-    "rejection-reason-unknown": (EventKind.SOLUTION_REJECTED, False, lambda p, rng: {
+    "rejection-reason-unknown": (EventKind.SOLUTION_REJECTED, None, lambda p, rng: {
         **p, "reason": rng.choice(["accepted", "infeasible: teleport", "infeasible: ",
                                    "infeasible: price-band, energy-buyer", "not better"])}),
-    "rejection-objective-dropped-or-added": (EventKind.SOLUTION_REJECTED, False,
+    "rejection-objective-dropped-or-added": (EventKind.SOLUTION_REJECTED, None,
                                              _drop_or_add_objective),
-    "rejection-objective-not-a-finite-number": (EventKind.SOLUTION_REJECTED, True, lambda p, rng: {
-        **p, "objective": rng.choice([math.nan, math.inf, -math.inf, "1.0", None])}),
-    "not-better-beats-candidate": (EventKind.SOLUTION_REJECTED, False, lambda p, rng: {
+    "rejection-objective-not-a-finite-number": (
+        EventKind.SOLUTION_REJECTED, _scored, lambda p, rng: {
+            **p, "objective": rng.choice([math.nan, math.inf, -math.inf, "1.0", None])}),
+    "not-better-beats-candidate": (EventKind.SOLUTION_REJECTED, None, lambda p, rng: {
         "participant": p["participant"], "reason": "not-better",
         "objective": rng.uniform(1e3, 1e6)}),
+    "prosumer-role-rewritten": (EventKind.PROSUMER_REGISTERED, _prosumer,
+                                lambda p, rng: {**p, "role": rng.choice(["solver", "dso"])}),
 }
+# Edits that break no rule of their own event, and the seq each is flagged at
+# instead: a prosumer registered as a solver or the DSO may not post offers.
+FLAGGED_LATER = {"prosumer-role-rewritten": _first_offer}
 
 
 @pytest.mark.parametrize("case", sorted(MUTATIONS))
 def test_every_edit_is_flagged_at_its_seq(golden_report, case):
     """20 seeded edits of one kind, each in its own copy of the golden log."""
-    kind, scored, edit = MUTATIONS[case]
+    kind, target, edit = MUTATIONS[case]
     events, grid = golden_report.events, golden_report.grid
     assert verify_log(grid, events) == []
     targets = [i for i, e in enumerate(events)
-               if e.kind == kind and (not scored or "objective" in e.payload)]
+               if e.kind == kind and (target is None or target(e.payload))]
     rng = random.Random(case)
     for _ in range(20):
         i = rng.choice(targets)
         event = events[i]
         mutated = LedgerEvent(event.seq, event.time, event.kind, edit(event.payload, rng))
         assert mutated != event
+        seq = FLAGGED_LATER[case](events, event) if case in FLAGGED_LATER else event.seq
         problems = verify_log(grid, [*events[:i], mutated, *events[i + 1:]])
-        assert len(problems) == 1 and problems[0].startswith(f"seq {event.seq}: "), problems
+        assert len(problems) == 1 and problems[0].startswith(f"seq {seq}: "), problems

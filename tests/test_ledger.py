@@ -19,7 +19,6 @@ from gridtrade.ledger import (
     LedgerEvent,
     NotAuthorized,
     NotRegistered,
-    OPERATOR_FEEDER_ID,
     Role,
     StaleInterval,
     UnknownFeeder,
@@ -31,20 +30,20 @@ from gridtrade.ledger import (
 from gridtrade.market import Feeder, GridModel, Side, Solution, matchable, objective
 
 
-def fresh_contract(grid, *, with_dso=True, require_dso=True):
+def fresh_contract(grid, *, with_dso=True, require_dso=True, operator_feeder=None):
     contract = Contract(grid, require_dso_finalize=require_dso)
     if with_dso:
-        contract.register("dso", Role.DSO)
+        contract.register("dso", Role.DSO, operator_feeder)
     return contract
 
 
-def battery_contract_at_47(grid):
+def battery_contract_at_47(grid, operator_feeder=None):
     """Contract advanced to interval 47 with the battery-scenario offers."""
-    contract = fresh_contract(grid)
+    contract = fresh_contract(grid, operator_feeder=operator_feeder)
     contract.register("P1", Role.PROSUMER, "main")
     contract.register("P2", Role.PROSUMER, "main")
     contract.register("C1", Role.PROSUMER, "main")
-    contract.register("solver-1", Role.SOLVER)
+    contract.register("solver-1", Role.SOLVER, operator_feeder)
     for k in range(47):
         contract.finalize("dso", k)
     contract.post_offer("P1", Side.SELLING, 48, 48, 10.0)
@@ -77,17 +76,27 @@ class TestRegister:
         with pytest.raises(DuplicateRegistration):
             contract.register("alice", Role.PROSUMER, "main")
 
-    def test_dso_binds_to_operator_feeder(self, grid):
+    @pytest.mark.parametrize("role", [Role.DSO, Role.SOLVER])
+    def test_non_prosumer_registers_without_a_feeder(self, grid, role):
         contract = fresh_contract(grid, with_dso=False)
-        event = contract.register("dso", Role.DSO)
-        assert event.payload["feeder"] == OPERATOR_FEEDER_ID
-        feeder = contract.grid.feeder_limits()[OPERATOR_FEEDER_ID]
-        assert feeder.net_flow_limit_kw >= 1e9
+        event = contract.register("op", role)
+        assert event.payload == {"participant": "op", "role": role.value, "feeder": None}
+        assert contract.grid is grid
 
     def test_unknown_feeder_rejected(self, grid):
         contract = fresh_contract(grid, with_dso=False)
         with pytest.raises(UnknownFeeder):
             contract.register("alice", Role.PROSUMER, "nowhere")
+        with pytest.raises(UnknownFeeder):
+            contract.register("op", Role.SOLVER, "nowhere")
+        assert contract.events == []
+
+    @pytest.mark.parametrize("role", ["boss", "", None, "Prosumer"])
+    def test_unknown_role_rejected(self, grid, role):
+        contract = fresh_contract(grid, with_dso=False)
+        with pytest.raises(ContractError, match="role must be"):
+            contract.register("x", role, "main")
+        assert contract.events == [] and contract.state.participants == {}
 
 
 class TestPostOffer:
@@ -165,6 +174,17 @@ class TestPostOffer:
         contract = fresh_contract(grid)
         with pytest.raises(NotRegistered):
             contract.post_offer("ghost", Side.SELLING, 2, 2, 5.0)
+
+    @pytest.mark.parametrize("name, role, feeder", [
+        ("dso", Role.DSO, None), ("solver-1", Role.SOLVER, None),
+        ("solver-2", Role.SOLVER, "main")])
+    def test_only_prosumers_post(self, grid, name, role, feeder):
+        contract = fresh_contract(grid, with_dso=False)
+        contract.register(name, role, feeder)
+        before = len(contract.events)
+        with pytest.raises(NotAuthorized):
+            contract.post_offer(name, Side.SELLING, 2, 2, 500.0)
+        assert len(contract.events) == before and contract.state.book == {}
 
     def test_offer_ids_follow_arrival_order(self, grid):
         contract = fresh_contract(grid)
@@ -492,6 +512,20 @@ class TestReplayAndVerify:
         problems = verify_log(grid, events)
         assert len(problems) == 1
         assert problems[0].startswith(f"seq {bad.seq}: {kind.value} {field} is ")
+
+    def test_log_naming_an_operator_feeder_verifies(self, grid, tmp_path):
+        """Logs once registered the DSO and the solvers on a feeder of their
+        own, ``__operator__``, which the header lists as an ordinary feeder."""
+        grid = GridModel((*grid.feeders, Feeder("__operator__", 1e12, 1e12)),
+                         grid.interval_hours, grid.clearing_lead)
+        contract = battery_contract_at_47(grid, operator_feeder="__operator__")
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        contract.finalize("dso", 47)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, grid)
+        header, events = read_events_jsonl(path)
+        assert [e.payload["feeder"] for e in events[:5]] == [
+            "__operator__", "main", "main", "main", "__operator__"]
+        assert verify_log(GridModel.from_payload(header["grid"]), events) == []
 
     def test_verify_flags_sequence_gap(self, grid):
         contract = battery_contract_at_47(grid)

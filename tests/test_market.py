@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,25 @@ class TestOfferValidation:
     def test_unpriced_defaults(self):
         assert sell(1, 1.0, 1, 1).reservation == 0.0
         assert buy(2, 1.0, 1, 1).reservation == math.inf
+
+    @pytest.mark.parametrize("side, energy, start, end, price", [
+        ("sideways", 1.0, 1, 1, None), (1, 1.0, 1, 1, None), ([], 1.0, 1, 1, None),
+        (Side.SELLING, "1", 1, 1, None), (Side.SELLING, 1.0, 1, 1, "0.5"),
+        (Side.SELLING, math.nan, 1, 1, None), (Side.SELLING, math.inf, 1, 1, None),
+        (Side.SELLING, 1.0, 1, 1, math.nan), (Side.SELLING, 1.0, 1, 1, math.inf),
+        (Side.SELLING, 1.0, 1.5, 2, None), (Side.SELLING, 1.0, 1, 2.5, None),
+        (Side.SELLING, 1.0, math.nan, 2, None), (Side.SELLING, 1.0, 1, math.inf, None),
+        (Side.SELLING, 1.0, "1", 2, None)])
+    def test_rejects_malformed_values(self, side, energy, start, end, price):
+        with pytest.raises(ValueError):
+            Offer(1, side, "s", "main", energy, start, end, price)
+
+    def test_coerces_to_side_whole_ints_and_floats(self):
+        offer = Offer(1, "selling", "s", "main", 2, 3.0, np.int64(4), 1)
+        assert offer == sell(1, 2.0, 3, 4, 1.0)
+        assert offer.side is Side.SELLING and offer.reservation == 1.0
+        assert type(offer.start) is type(offer.end) is int
+        assert type(offer.energy_kwh) is type(offer.reservation_price) is float
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -10,7 +10,7 @@ from gridtrade.metrics import (
     compute_metrics,
     export_report,
 )
-from gridtrade.sim import SimConfig, SimReport, run
+from gridtrade.sim import FailureSpec, SimConfig, SimReport, run
 from gridtrade.traces import ProsumerTrace
 
 from conftest import make_battery_traces
@@ -100,7 +100,24 @@ class TestExport:
         paths = export_report(report, tmp_path / "out")
         assert {p.name for p in paths.values()} == {
             "events.jsonl", "intervals.csv", "solver.csv", "controller.csv",
-            "metrics.csv", "summary.json"}
+            "failures.csv", "metrics.csv", "summary.json"}
+
+    def test_failure_log_written_identically(self, grid, tmp_path):
+        horizon = 16
+        traces = [ProsumerTrace("s1", "main", (2.0,) * horizon, (0.0,) * horizon),
+                  ProsumerTrace("c1", "main", (0.0,) * horizon, (2.0,) * horizon)]
+        config = SimConfig(grid=grid, horizon=horizon, seconds_per_interval=4.0,
+                           prediction_window=3, solver_period=1.0, lookahead=3, n_solvers=1,
+                           seed=1, failures=(FailureSpec("s1", 8.0, recover_time=20.0),))
+        written = [export_report(run(config, traces), tmp_path / name)["failures"].read_text()
+                   for name in ("a", "b")]
+        assert written[0] == written[1]
+        header, *rows = written[0].splitlines()
+        assert header == "time,participant,phase"
+        assert [row.split(",")[1:] for row in rows] == [
+            ["s1", phase] for phase in ("failed", "detected", "removed", "recovered")]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert times == sorted(times) and times[0] == 8.0 and times[-1] > 20.0
 
     def test_interval_rows_for_active_intervals(self, grid, tmp_path):
         _, report = battery_report(grid)
@@ -118,7 +135,7 @@ class TestExport:
             controller_rows=[], failure_log=[], final_state=ContractState(grid),
             intervals_finalized=0)
         paths = export_report(report, tmp_path / "empty")
-        for name in ("intervals", "solver", "controller"):
+        for name in ("intervals", "solver", "controller", "failures"):
             lines = paths[name].read_text().splitlines()
             assert len(lines) == 1  # header only
 
