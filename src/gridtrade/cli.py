@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,6 +64,13 @@ def _parse_bool(text: str) -> bool:
         return _BOOLS[text.lower()]
     except KeyError:
         raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}") from None
+
+
+def _unit_price(text: str) -> float:
+    price = float(text)
+    if not 0 <= price < math.inf:
+        raise ValueError(f"unit price must be non-negative and finite, got {text!r}")
+    return price
 
 
 def _get(cfg: dict[str, str], key: str, default, cast):
@@ -177,7 +185,7 @@ def build_run_setup(cfg: dict[str, str], traces_path: str | None):
         clearing_lead=_get(cfg, "clearing_lead", 1, int),
     )
     config = SimConfig(grid=grid, **sim_values)
-    unit_price = _get(cfg, "unit_price", DEFAULT_UNIT_PRICE, float)
+    unit_price = _get(cfg, "unit_price", DEFAULT_UNIT_PRICE, _unit_price)
     return config, traces, unit_price
 
 
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from a log")
     p_metrics.add_argument("--log", required=True, help="events.jsonl path")
-    p_metrics.add_argument("--unit-price", type=float, default=DEFAULT_UNIT_PRICE)
+    p_metrics.add_argument("--unit-price", type=_unit_price, default=DEFAULT_UNIT_PRICE)
     p_metrics.set_defaults(func=_cmd_metrics)
     return parser
 

@@ -2,10 +2,10 @@
 
 The contract is an event-sourced state machine: every public operation
 validates its inputs, emits one or more totally ordered events, and applies
-them. Replaying the event stream from an empty state reconstructs the
-contract exactly, which is what the audit tooling relies on. ``verify_log``
-re-executes a log through a fresh contract, so the market rules are stated
-once, here and in ``market``; it reports the first divergence only.
+them. A log becomes state one way: it is re-executed through a fresh
+contract, so the market rules are stated once, here and in ``market``.
+``verify_log`` reports the first divergence; ``replay_events`` returns the
+rebuilt state, or raises at that divergence.
 
 The contract tracks the registry, both offer books, the best feasible
 candidate solution seen so far, and the finalized (pinned) trades. The
@@ -97,43 +97,12 @@ class LedgerEvent:
     time: float
     kind: str
     payload: dict
-    # The parsed payload: the Offer of an OfferPosted event or the Solution of
-    # a SolutionAccepted event; see ``offer`` and ``solution``. A slot rather
-    # than a cached_property, so that caching adds no per-event __dict__, and
-    # one slot for both kinds, as each field costs every event's construction.
-    _parsed: Offer | Solution | None = field(default=None, init=False, repr=False,
-                                              compare=False)
-
-    @property
-    def offer(self) -> Offer:
-        """The offer an ``OfferPosted`` event posts.
-
-        ``Contract.post_offer`` sets it as it appends the event; an event
-        read from a log parses its payload on first use, with the checks
-        ``Offer`` makes. Every state that applies the event (the contract
-        and each mirror) shares this one frozen ``Offer``. The cache takes no
-        part in equality or in the record.
-        """
-        if self._parsed is None:
-            p = self.payload
-            object.__setattr__(self, "_parsed", _new_offer(
-                int(p["offer_id"]), p["side"], str(p["participant"]), str(p["feeder"]),
-                p["energy_kwh"], p["start"], p["end"], p.get("reservation_price")))
-        return self._parsed
-
-    @property
-    def solution(self) -> Solution:
-        """The solution a ``SolutionAccepted`` event accepts.
-
-        ``Contract.submit_solution`` sets it to the solution it validated;
-        an event read from a log parses ``payload["trades"]`` on first use.
-        As with ``offer``, the contract, each mirror and ``verify_log``
-        share this one object, and it takes no part in equality or in the
-        record.
-        """
-        if self._parsed is None:
-            object.__setattr__(self, "_parsed", Solution.from_payload(self.payload["trades"]))
-        return self._parsed
+    # The Offer of an OfferPosted event or the Solution of a SolutionAccepted
+    # event, set by the contract that appends it; None for every other event
+    # and for events read from a log. The contract and each mirror that
+    # applies the event share this one object. It takes no part in equality
+    # or in the record.
+    parsed: Offer | Solution | None = field(default=None, compare=False, repr=False)
 
     def to_record(self) -> dict:
         return {"record": "event", "seq": self.seq, "time": self.time,
@@ -141,10 +110,14 @@ class LedgerEvent:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "LedgerEvent":
-        payload = record["payload"]
+        seq, time, payload = record["seq"], record["time"], record["payload"]
+        if type(seq) is not int:
+            raise TypeError(f"seq is {seq!r}, not an integer")
+        if type(time) is not float and type(time) is not int:  # a bool is no time
+            raise TypeError(f"time is {time!r}, not a number")
         if type(payload) is not dict:
             raise TypeError(f"payload is a {type(payload).__name__}, not an object")
-        return cls(int(record["seq"]), float(record["time"]), str(record["kind"]), payload)
+        return cls(seq, float(time), str(record["kind"]), payload)
 
 
 class ContractState:
@@ -155,6 +128,10 @@ class ContractState:
     book that can still trade: offers whose window ends after
     ``pinned.finalized_through``. Both are kept up to date by ``apply``, so
     neither is rebuilt from the day's history.
+
+    ``apply`` takes the events a contract appends, which carry their parsed
+    offer or solution; a log read from disk becomes state only by
+    re-execution, through ``replay_events``.
     """
 
     def __init__(self, grid: GridModel):
@@ -173,13 +150,14 @@ class ContractState:
         self._pending_pins: dict[tuple[int, int], tuple[float, float]] = {}
 
     def apply(self, event: LedgerEvent) -> None:
-        payload = event.payload
-        kind = event.kind
+        self._apply(event.kind, event.payload, event.parsed)
+
+    def _apply(self, kind: str, payload: dict, parsed: Offer | Solution | None) -> None:
         if kind == EventKind.PROSUMER_REGISTERED:
             self.participants[payload["participant"]] = {
                 "role": payload["role"], "feeder": payload["feeder"]}
         elif kind == EventKind.OFFER_POSTED:
-            offer = event.offer
+            offer = parsed
             target = self.selling if offer.side is Side.SELLING else self.buying
             target[offer.id] = offer
             self.book[offer.id] = offer
@@ -187,7 +165,7 @@ class ContractState:
                 self.open_offers[offer.id] = offer
             self.next_offer_id = max(self.next_offer_id, offer.id + 1)
         elif kind == EventKind.SOLUTION_ACCEPTED:
-            self.candidate = event.solution
+            self.candidate = parsed
             self.candidate_objective = float(payload["objective"])
         elif kind == EventKind.SOLUTION_REJECTED:
             pass
@@ -234,16 +212,6 @@ class ContractState:
         }
 
 
-def _new_offer(offer_id: int, side, participant: str, feeder: str, energy_kwh, start, end,
-               reservation_price) -> Offer:
-    """An offer from posted values; ``Offer`` refuses bad ones with ``InvalidQuantity``."""
-    try:
-        return Offer(offer_id, side, participant, feeder, energy_kwh, start, end,
-                     reservation_price)
-    except ValueError as exc:
-        raise InvalidQuantity(str(exc)) from None
-
-
 def _offer_payload(offer: Offer) -> dict:
     return {
         "offer_id": offer.id,
@@ -288,9 +256,7 @@ class Contract:
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
         if not ((type(time) is float or isinstance(time, Real)) and math.isfinite(time)):
             raise InvalidQuantity(f"time must be a finite number, got {time}")
-        event = LedgerEvent(len(self._events) + 1, float(time), kind.value, payload)
-        if parsed is not None:
-            object.__setattr__(event, "_parsed", parsed)
+        event = LedgerEvent(len(self._events) + 1, float(time), kind.value, payload, parsed)
         self.state.apply(event)
         self._events.append(event)
         return event
@@ -320,8 +286,11 @@ class Contract:
             raise NotRegistered(f"{participant} is not registered")
         if info["role"] != Role.PROSUMER:
             raise NotAuthorized(f"{participant} is a {info['role']}; only prosumers post offers")
-        offer = _new_offer(self.state.next_offer_id, side, participant, info["feeder"],
-                           energy_kwh, start, end, reservation_price)
+        try:
+            offer = Offer(self.state.next_offer_id, side, participant, info["feeder"],
+                          energy_kwh, start, end, reservation_price)
+        except ValueError as exc:
+            raise InvalidQuantity(str(exc)) from None
         earliest = self.state.current_interval + self.state.grid.clearing_lead
         if offer.start < earliest:
             raise StaleInterval(
@@ -351,12 +320,6 @@ class Contract:
             return self._append(EventKind.SOLUTION_REJECTED, {
                 "participant": participant, "reason": "not-better",
                 "objective": value}, time)
-        # The accepted object becomes the candidate, so its keys must be the
-        # ints a replay parses from the log, not just equal to them.
-        if not all(type(s) is type(b) is type(t) is int for s, b, t in solution.keys()):
-            return self._append(EventKind.SOLUTION_REJECTED, {
-                "participant": participant,
-                "reason": "invalid: offer ids and intervals must be integers"}, time)
         return self._append(EventKind.SOLUTION_ACCEPTED, {
             "participant": participant, "objective": value,
             "trades": solution.to_payload()}, time, solution)
@@ -408,7 +371,8 @@ class _Divergence(Exception):
 class _Replay(Contract):
     """A contract that re-executes a recorded log: each event an operation
     would append must equal the next recorded one in seq, kind, time and
-    payload, and the recorded event is applied with the offer or solution parsed."""
+    payload. The state applies the contract's own payload and the offer or
+    solution the operation parsed; the recorded events are left as they are."""
 
     def run(self, events: Iterable[LedgerEvent]) -> list[str]:
         self.recorded, self.pos, last_time = list(events), 0, -math.inf
@@ -430,7 +394,8 @@ class _Replay(Contract):
                 elif kind == EventKind.TRADE_FINALIZED or kind == EventKind.INTERVAL_ADVANCED:
                     self.finalize(None, self.state.current_interval, time=time)
                 elif kind == EventKind.SOLUTION_ACCEPTED:
-                    self.submit_solution(payload["participant"], event.solution, time=time)
+                    self.submit_solution(payload["participant"],
+                                         Solution.from_payload(payload["trades"]), time=time)
                 elif kind == EventKind.PROSUMER_REGISTERED:
                     self.register(payload["participant"], payload["role"], payload["feeder"],
                                   time=time)
@@ -460,9 +425,7 @@ class _Replay(Contract):
                          if event.payload.get(key, ...) != payload.get(key, ...))
             raise _Divergence(event.seq, f"{event.kind} {field} is {event.payload.get(field)!r}, "
                                          f"the contract records {payload.get(field)!r}")
-        if parsed is not None:
-            object.__setattr__(event, "_parsed", parsed)
-        self.state.apply(event)
+        self.state._apply(event.kind, payload, parsed)
         return event
 
     def _check_rejection(self, event: LedgerEvent) -> None:
@@ -489,11 +452,15 @@ class _Replay(Contract):
 
 
 def replay_events(grid: GridModel, events: Iterable[LedgerEvent]) -> ContractState:
-    """Rebuild contract state by applying events in order."""
-    state = ContractState(grid)
-    for event in events:
-        state.apply(event)
-    return state
+    """Rebuild contract state by re-executing a log, as ``verify_log`` does.
+
+    Raises ``ValueError`` naming the first divergence.
+    """
+    replay = _Replay(grid, require_dso_finalize=False)
+    problems = replay.run(events)
+    if problems:
+        raise ValueError(problems[0])
+    return replay.state
 
 
 def verify_log(grid: GridModel, events: Iterable[LedgerEvent],

@@ -114,7 +114,8 @@ _SIDES = {side.value: side for side in Side}
 def _whole(offer: Offer, name: str) -> int:
     """Field ``name`` of ``offer`` as an ``int`` interval index, written back."""
     value = getattr(offer, name)
-    if not (isinstance(value, Real) and -math.inf < value < math.inf and int(value) == value):
+    if not (isinstance(value, Real) and type(value) is not bool
+            and -math.inf < value < math.inf and int(value) == value):
         raise ValueError(f"offer {offer.id}: {name} must be a whole interval, got {value!r}")
     object.__setattr__(offer, name, int(value))
     return int(value)
@@ -123,7 +124,7 @@ def _whole(offer: Offer, name: str) -> int:
 def _real(offer: Offer, name: str) -> float:
     """Field ``name`` of ``offer`` as a ``float``, written back."""
     value = getattr(offer, name)
-    if not isinstance(value, Real):
+    if not isinstance(value, Real) or type(value) is bool:
         raise ValueError(f"offer {offer.id}: {name} must be a number, got {value!r}")
     object.__setattr__(offer, name, float(value))
     return float(value)
@@ -140,8 +141,8 @@ class Offer:
 
     Construction is the one check of an offer's values: it makes the side a
     ``Side``, the window ``int``s and the quantities ``float``s, and raises
-    ``ValueError`` for anything else, NaN, inf and fractions of an interval
-    included.
+    ``ValueError`` for anything else, NaN, inf, ``bool`` and fractions of an
+    interval included.
     """
 
     id: int
@@ -191,25 +192,38 @@ def matchable(sell: Offer, buy: Offer) -> bool:
             and max(sell.start, buy.start) <= min(sell.end, buy.end))
 
 
+def _finite(value) -> bool:
+    """True for a finite real number; a ``bool`` is not one."""
+    return ((type(value) is float or isinstance(value, Real) and type(value) is not bool)
+            and -math.inf < value < math.inf)
+
+
 class Solution:
     """A sparse assignment of (power, price) to (sell, buy, interval) keys.
 
     Absent keys mean zero power. Instances are immutable; all iteration is
     in sorted key order so downstream arithmetic is deterministic.
+    Construction is the one check of a trade's values: keys must be triples
+    of ``int`` (not ``bool``, not ``float``), power and price finite numbers
+    (not ``bool``) and power non-negative; anything else raises
+    ``InvalidTradeError``.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[TradeKey, tuple[float, float]] | None = None):
-        items = sorted((entries or {}).items())
+        entries = entries or {}
+        for key in entries:
+            if not (type(key) is tuple and len(key) == 3
+                    and type(key[0]) is type(key[1]) is type(key[2]) is int):
+                raise InvalidTradeError(
+                    f"trade {key!r}: key must be three ints (sell offer, buy offer, interval)")
         cleaned: dict[TradeKey, tuple[float, float]] = {}
-        for key, (power, price) in items:
-            if not (math.isfinite(power) and math.isfinite(price)):
-                raise InvalidTradeError(f"trade {key}: values must be finite")
+        for key, (power, price) in sorted(entries.items()):
+            if not (_finite(power) and _finite(price)):
+                raise InvalidTradeError(f"trade {key}: values must be finite numbers")
             if power < 0:
                 raise InvalidTradeError(f"trade {key}: power must be non-negative")
-            if key in cleaned:
-                raise InvalidTradeError(f"trade {key}: duplicate key")
             cleaned[key] = (float(power), float(price))
         self._entries = cleaned
 
@@ -262,12 +276,14 @@ class Solution:
 
     @classmethod
     def from_payload(cls, payload: Iterable[Iterable]) -> "Solution":
+        """The solution a ``to_payload`` list spells; its values are checked
+        as given, so a key spelled ``1.0`` or ``true`` is refused."""
         entries: dict[TradeKey, tuple[float, float]] = {}
         for s, b, t, p, pi in payload:
-            key = (int(s), int(b), int(t))
+            key = (s, b, t)
             if key in entries:
                 raise InvalidTradeError(f"trade {key}: duplicate key")
-            entries[key] = (float(p), float(pi))
+            entries[key] = (p, pi)
         return cls(entries)
 
 
@@ -388,8 +404,8 @@ def check_feasibility(
     count each offer's finalized energy from ``pinned``. Raises
     ``MarketError`` for a trade at a finalized interval or on an unknown
     feeder, ``UnknownOfferError`` for offer ids not in the book,
-    ``UnmatchablePairError`` for keys pairing offers that cannot trade, and
-    ``InvalidTradeError`` for malformed values.
+    and ``UnmatchablePairError`` for keys pairing offers that cannot trade.
+    Malformed trade values never reach it: ``Solution`` refuses them.
     """
     pinned = pinned or PinnedTrades.empty()
     feeders = grid.feeder_limits()

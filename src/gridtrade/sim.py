@@ -50,10 +50,12 @@ class FailureSpec:
     recover_time: float | None = None
 
     def __post_init__(self) -> None:
-        if self.fail_time < 0:
-            raise ValueError("fail_time must be non-negative")
-        if self.recover_time is not None and self.recover_time <= self.fail_time:
-            raise ValueError("recover_time must follow fail_time")
+        if not 0 <= self.fail_time < math.inf:
+            raise ConfigError(f"{self.participant}: fail_time must be non-negative and finite, "
+                              f"got {self.fail_time}")
+        if self.recover_time is not None and not self.fail_time < self.recover_time < math.inf:
+            raise ConfigError(f"{self.participant}: recover_time must be finite and follow "
+                              f"fail_time, got {self.recover_time}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,18 @@ class SimConfig:
             raise ConfigError("prediction_window must exceed 1")
         if self.lookahead < self.grid.clearing_lead:
             raise ConfigError("lookahead must be at least the clearing lead")
-        if self.seconds_per_interval <= 0:
-            raise ConfigError("seconds_per_interval must be positive")
+        # NaN fails every comparison, so each bound is written to fail on it.
+        for name in ("seconds_per_interval", "solver_period"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
+                     "confirmation_delay"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
         if self.seconds_per_interval > self.grid.interval_hours * 3600.0:
             raise ConfigError("simulated interval cannot exceed the real interval")
-        if self.solver_period <= 0:
-            raise ConfigError("solver_period must be positive")
         if self.n_solvers < 0 or self.n_adversaries < 0:
             raise ConfigError("agent counts must be non-negative")
 

@@ -601,13 +601,17 @@ class SolverAgent:
         return self._maybe_submission()
 
     def _maybe_submission(self) -> Solution | None:
+        """The last solve's solution if it beats the mirrored candidate, once:
+        a submission still in flight is not in the mirror, and a copy sent on
+        every tick until it lands would be refused as stale."""
         if self._last_solution is None:
             return None
         if self._last_objective > (self.mirror.candidate_objective
                                    + ledger_mod.IMPROVEMENT_MARGIN):
             if self.records:
                 self.records[-1].submitted = True
-            return self._last_solution
+            solution, self._last_solution = self._last_solution, None
+            return solution
         return None
 
     def _update_controller(self, time: float, n_variables: int, modeled_time: float) -> None:

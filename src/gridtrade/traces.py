@@ -64,8 +64,8 @@ class ProsumerTrace:
 _REQUIRED_COLUMNS = ["participant", "feeder", "interval", "production_kwh", "demand_kwh"]
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
+          "": False}
 
 
 def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
@@ -87,6 +87,7 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
                 interval = int(row["interval"])
                 production = float(row["production_kwh"])
                 demand = float(row["demand_kwh"])
+                flex_window = int(row.get("flex_window") or 1)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{line_no}: malformed row ({exc})") from exc
             if not participant or not feeder:
@@ -103,9 +104,15 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
                 raise ParseError(
                     f"{path}:{line_no}: {participant} appears on multiple feeders")
             feeders[participant] = feeder
-            flexible = _parse_bool(row.get("flexible") or "")
-            flex_window = int(row["flex_window"]) if row.get("flex_window") else 1
-            flags[participant] = (flexible, max(flex_window, 1))
+            flexible = _FLAGS.get((row.get("flexible") or "").strip().lower())
+            if flexible is None:
+                raise ParseError(f"{path}:{line_no}: flexible must be 1/0, true/false or "
+                                 f"yes/no, got {row['flexible']!r}")
+            if flex_window < 1:
+                raise ParseError(f"{path}:{line_no}: flex_window must be at least 1")
+            if flags.setdefault(participant, (flexible, flex_window)) != (flexible, flex_window):
+                raise ParseError(f"{path}:{line_no}: {participant}'s flexible or flex_window "
+                                 f"differs from its earlier rows")
             per = rows.setdefault(participant, {})
             if interval in per:
                 raise ParseError(f"{path}:{line_no}: duplicate interval {interval}")

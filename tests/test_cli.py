@@ -160,6 +160,41 @@ class TestCommands:
         assert "ValueError" in err and "and finite" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("overrides, error", [
+        (["seconds_per_interval=nan"], "ConfigError"),
+        (["failures=p001:nan:-"], "ConfigError"),
+        (["failures=p001:4.0:inf"], "ConfigError"),
+        (["failures=p001:4.0:-", "detect_latency=nan"], "ConfigError"),
+        (["notify_latency=inf"], "ConfigError"),
+        (["notify_latency=-100"], "ConfigError"),
+        (["reactivate_latency=nan"], "ConfigError"),
+        (["price_cap=nan"], "ConfigError"),
+        (["price_cap=inf"], "ConfigError"),
+        (["solver_period=nan"], "ConfigError"),
+        (["solver_period=inf"], "ConfigError"),
+        (["confirmation_delay=inf"], "ConfigError"),
+        (["unit_price=nan"], "CliError"),
+        (["unit_price=-1"], "CliError")])
+    def test_run_refuses_bad_timings_and_prices_before_simulating(
+            self, tmp_path, config_file, traces_csv, capsys, overrides, error):
+        out_dir = tmp_path / "out"
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        rc = main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+                   "--out", str(out_dir), *sets])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"] == error
+        key = overrides[-1].partition("=")[0]
+        assert key in record["detail"] or overrides[-1].startswith("failures")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-1"])
+    def test_metrics_refuses_a_bad_unit_price(self, tmp_path, capsys, price):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--log", str(tmp_path / "events.jsonl"), "--unit-price", price])
+        assert exc.value.code == 2
+        assert "--unit-price" in capsys.readouterr().err
+
     def test_run_verify_metrics_cycle(self, tmp_path, config_file, traces_csv, capsys):
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(config_file), "--traces", str(traces_csv),

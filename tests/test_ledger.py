@@ -13,6 +13,7 @@ from gridtrade.ledger import (
     AlreadyFinalized,
     Contract,
     ContractError,
+    ContractState,
     DuplicateRegistration,
     EventKind,
     InvalidQuantity,
@@ -27,7 +28,8 @@ from gridtrade.ledger import (
     verify_log,
     write_events_jsonl,
 )
-from gridtrade.market import Feeder, GridModel, Side, Solution, matchable, objective
+from gridtrade.market import (Feeder, GridModel, InvalidTradeError, Side, Solution, matchable,
+                              objective)
 
 
 def fresh_contract(grid, *, with_dso=True, require_dso=True, operator_feeder=None):
@@ -168,7 +170,7 @@ class TestPostOffer:
         contract.register("alice", Role.PROSUMER, "main")
         event = contract.post_offer("alice", Side.SELLING, 2.0, 3.0, 5.0)
         assert (event.payload["start"], event.payload["end"]) == (2, 3)
-        assert type(event.payload["start"]) is int and type(event.offer.end) is int
+        assert type(event.payload["start"]) is int and type(event.parsed.end) is int
 
     def test_unregistered_poster_rejected(self, grid):
         contract = fresh_contract(grid)
@@ -229,12 +231,13 @@ class TestSubmitSolution:
 
     def test_float_keys_rejected_as_invalid(self, grid):
         contract = battery_contract_at_47(grid)
-        floats = Solution({(float(s), float(b), float(t)): value
-                           for (s, b, t), value in battery_optimum_solution().items()})
-        event = contract.submit_solution("solver-1", floats)
-        assert event.kind == EventKind.SOLUTION_REJECTED
-        assert event.payload["reason"].startswith("invalid")
+        before = len(contract.events)
+        with pytest.raises(InvalidTradeError, match="key must be three ints"):
+            contract.submit_solution("solver-1", Solution({
+                (float(s), float(b), float(t)): value
+                for (s, b, t), value in battery_optimum_solution().items()}))
         assert contract.state.candidate == Solution.empty()
+        assert len(contract.events) == before
 
     def test_overflowing_objective_rejected_as_invalid(self, grid, tmp_path):
         contract = battery_contract_at_47(grid)
@@ -472,9 +475,10 @@ class TestReplayAndVerify:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         header, events = read_events_jsonl(path)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
-        assert any(p.startswith(f"seq {posted.seq}:") for p in problems)
-        with pytest.raises(InvalidQuantity):
-            events[posted.seq - 1].offer
+        assert len(problems) == 1
+        assert problems[0].startswith(f"seq {posted.seq}: OfferPosted refused (InvalidQuantity")
+        with pytest.raises(ValueError, match=f"^{re.escape(problems[0])}$"):
+            replay_events(GridModel.from_payload(header["grid"]), events)
 
     @pytest.mark.parametrize("field, value", [
         ("start", "2"), ("energy_kwh", "5"), ("reservation_price", "0.5")])
@@ -490,8 +494,8 @@ class TestReplayAndVerify:
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
         assert len(problems) == 1
         assert problems[0].startswith(f"seq {posted.seq}: OfferPosted refused (InvalidQuantity")
-        with pytest.raises(InvalidQuantity):
-            events[posted.seq - 1].offer
+        with pytest.raises(ValueError, match=f"^{re.escape(problems[0])}$"):
+            replay_events(GridModel.from_payload(header["grid"]), events)
 
     @pytest.mark.parametrize("kind, field, value", [
         (EventKind.TRADE_FINALIZED, "sell_offer", "x"),
@@ -579,8 +583,9 @@ def drop(seq, *, renumber):
 
 
 # One hand edit per rule: ``verify_log`` must report the edited seq and
-# nothing after it. The first 18 are rules of the contract's operations and
-# of the log's order; the last 8 are the rules a rejection is checked against.
+# nothing after it, and ``replay_events`` must raise there. The first 20 are
+# rules of the contract's operations and of the log's order; the last 8 are
+# the rules a rejection is checked against.
 RULE_EDITS = {
     "duplicate-registration": (3, edit(3, participant="P1")),
     "unknown-feeder": (2, edit(2, feeder="nowhere")),
@@ -590,6 +595,10 @@ RULE_EDITS = {
     "accepted-infeasible": (57, edit(57, trades=[[1, 3, 48, 50.0, 0.5]], objective=50.0)),
     "accepted-not-improving": (61, edit(61, trades=[[2, 3, 48, 3.0, 0.5]], objective=3.0)),
     "accepted-objective-mismatch": (61, edit(61, objective=41.0)),
+    "accepted-trade-id-float": (57, edit(57, trades=[[2.0, 3, 48, 4.0, 0.5]])),
+    "accepted-trade-id-bool": (61, edit(61, trades=[[True, 3, 48, 10.0, 0.5],
+                                                    [2, 3, 48, 20.0, 0.5],
+                                                    [2, 4, 49, 10.0, 0.5]])),
     "finalized-wrong-interval": (62, edit(62, interval=49)),
     "finalized-wrong-power": (63, edit(63, power_kw=26.0)),
     "finalized-trades-not-the-candidate": (62, drop(62, renumber=True)),
@@ -627,6 +636,8 @@ class TestVerifyRules:
         apply(events)
         problems = verify_log(grid, events)
         assert len(problems) == 1 and problems[0].startswith(f"seq {seq}: "), problems
+        with pytest.raises(ValueError, match=f"^{re.escape(problems[0])}$"):
+            replay_events(grid, events)
 
 
 NAMES = ("dso", "solver", "alice", "bob", "carol")
@@ -741,34 +752,53 @@ class TestContractInvariants:
         assert event.payload["objective"] == objective(contract.state.candidate)
 
 
+def mirror_of(contract):
+    """A state that applies the contract's events, as a solver's mirror does."""
+    mirror = ContractState(contract.grid)
+    for event in contract.events:
+        mirror.apply(event)
+    return mirror
+
+
 class TestOfferParsedOnce:
     def test_contract_and_replicas_share_one_offer_per_event(self, grid):
         contract = battery_contract_at_47(grid)
-        replica = replay_events(grid, contract.events)
-        again = replay_events(grid, contract.events)
+        replica, again = mirror_of(contract), mirror_of(contract)
         assert contract.state.book
         for oid, offer in contract.state.book.items():
             assert replica.book[oid] is offer
             assert again.book[oid] is offer
 
-    def test_posted_offer_equals_the_parsed_payload(self, grid):
+    def test_posted_offer_equals_the_parsed_payload(self, grid, tmp_path):
         contract = fresh_contract(grid)
         contract.register("alice", Role.PROSUMER, "main")
         event = contract.post_offer("alice", Side.BUYING, 2, 4, 5, 1)
-        assert contract.state.book[1] is event.offer
-        parsed = LedgerEvent.from_record(json.loads(json.dumps(event.to_record()))).offer
-        assert parsed == event.offer
-        assert type(event.offer.energy_kwh) is type(event.offer.reservation_price) is float
+        assert contract.state.book[1] is event.parsed
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        assert replay_events(grid, read_events_jsonl(path)[1]).book[1] == event.parsed
+        assert type(event.parsed.energy_kwh) is type(event.parsed.reservation_price) is float
 
     def test_parsed_offer_leaves_event_equality_and_record_alone(self, grid):
         contract = battery_contract_at_47(grid)
         posted = [e for e in contract.events if e.kind == EventKind.OFFER_POSTED]
         for event in posted:
             copy = type(event)(event.seq, event.time, event.kind, dict(event.payload))
-            assert event._parsed is not None and copy._parsed is None
+            assert event.parsed is not None and copy.parsed is None
             assert copy == event
             assert copy.to_record() == event.to_record()
-            assert copy.offer == event.offer
+
+    def test_verify_leaves_each_event_as_it_found_it(self, grid):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        contract.finalize("dso", 47)
+        events = contract.events
+        before = [event.parsed for event in events]
+        assert verify_log(grid, events) == []
+        replayed = replay_events(grid, events)
+        assert all(event.parsed is parsed for event, parsed in zip(events, before))
+        posted = [e for e in events if e.kind == EventKind.OFFER_POSTED]
+        assert posted and all(contract.state.book[e.parsed.id] is e.parsed for e in posted)
+        assert replayed.snapshot() == contract.state.snapshot()
 
 
 class TestSolutionParsedOnce:
@@ -776,9 +806,10 @@ class TestSolutionParsedOnce:
         contract = battery_contract_at_47(grid)
         submitted = battery_optimum_solution()
         event = contract.submit_solution("solver-1", submitted)
-        assert event.solution is submitted
+        assert event.parsed is submitted
         assert contract.state.candidate is submitted
-        assert replay_events(grid, contract.events).candidate is submitted
+        assert mirror_of(contract).candidate is submitted
+        assert replay_events(grid, contract.events).candidate == submitted
 
     def test_read_back_solution_is_parsed_once_from_its_payload(self, grid, tmp_path):
         contract = battery_contract_at_47(grid)
@@ -786,11 +817,11 @@ class TestSolutionParsedOnce:
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
         _, events = read_events_jsonl(path)
         event = next(e for e in events if e.kind == EventKind.SOLUTION_ACCEPTED)
-        assert event._parsed is None
-        assert event.solution == Solution.from_payload(event.payload["trades"])
-        assert event.solution is event.solution
         assert verify_log(grid, events) == []
-        assert replay_events(grid, events).candidate is event.solution
+        candidate = replay_events(grid, events).candidate
+        assert candidate == Solution.from_payload(event.payload["trades"])
+        assert candidate == battery_optimum_solution()
+        assert event.parsed is None
 
 
 class TestEventsJsonl:
@@ -868,6 +899,12 @@ class TestEventsJsonl:
         pytest.param('{"record": "event", "seq": 1, "time": Infinity}', id="infinity"),
         pytest.param('{"record": "event", "seq": 1, "time": 1e400}', id="out-of-range"),
         pytest.param("[1, 2]", id="not-an-object"),
+        *(pytest.param('{"kind": "ProsumerRegistered", "payload": {"participant": "p1", '
+                       '"role": "solver", "feeder": null}, "record": "event", '
+                       f'"seq": {seq}, "time": {time}}}', id=name)
+          for name, seq, time in [("seq-fraction", "5.9", "0.0"), ("seq-string", '"5"', "0.0"),
+                                  ("seq-whole-float", "5.0", "0.0"), ("seq-bool", "true", "0.0"),
+                                  ("time-string", "1", '"0.0"'), ("time-bool", "1", "false")]),
         pytest.param('{"record": "event", "seq": 1}', id="no-time-kind-or-payload"),
         pytest.param('{"kind": "ProsumerRegistered", "payload": [["participant", "p1"], '
                      '["role", "solver"], ["feeder", "__operator__"]], "record": "event", '

@@ -55,7 +55,8 @@ class TestOfferValidation:
         (Side.SELLING, 1.0, 1, 1, math.nan), (Side.SELLING, 1.0, 1, 1, math.inf),
         (Side.SELLING, 1.0, 1.5, 2, None), (Side.SELLING, 1.0, 1, 2.5, None),
         (Side.SELLING, 1.0, math.nan, 2, None), (Side.SELLING, 1.0, 1, math.inf, None),
-        (Side.SELLING, 1.0, "1", 2, None)])
+        (Side.SELLING, 1.0, "1", 2, None), (Side.SELLING, True, 1, 1, None),
+        (Side.SELLING, 1.0, True, 1, None), (Side.SELLING, 1.0, 1, 1, False)])
     def test_rejects_malformed_values(self, side, energy, start, end, price):
         with pytest.raises(ValueError):
             Offer(1, side, "s", "main", energy, start, end, price)
@@ -143,9 +144,27 @@ class TestSolution:
         with pytest.raises(InvalidTradeError):
             Solution({(1, 2, 3): (1.0, math.inf)})
 
+    @pytest.mark.parametrize("key, value", [
+        ((1.0, 2, 3), (1.0, 0.5)), ((1, True, 3), (1.0, 0.5)), ((1, 2, np.int64(3)), (1.0, 0.5)),
+        ((1, 2, "3"), (1.0, 0.5)), ((1, 2), (1.0, 0.5)), ("123", (1.0, 0.5)),
+        ((1, 2, 3), (True, 0.5)), ((1, 2, 3), ("1.0", 0.5)), ((1, 2, 3), (1.0, None))])
+    def test_rejects_malformed_keys_and_values(self, key, value):
+        with pytest.raises(InvalidTradeError):
+            Solution({key: value})
+
     def test_payload_round_trip(self):
         sol = Solution({(2, 3, 5): (1.25, 0.4), (1, 3, 4): (2.0, 0.3)})
         assert Solution.from_payload(sol.to_payload()) == sol
+
+    @pytest.mark.parametrize("row", [
+        [1.0, 2, 3, 1.0, 0.5], [1, 2, True, 1.0, 0.5], [1, 2, "3", 1.0, 0.5]])
+    def test_from_payload_keeps_key_types(self, row):
+        with pytest.raises(InvalidTradeError, match="key must be three ints"):
+            Solution.from_payload([row])
+
+    def test_from_payload_refuses_a_duplicate_key(self):
+        with pytest.raises(InvalidTradeError, match="duplicate key"):
+            Solution.from_payload([[1, 2, 3, 1.0, 0.5], [1, 2, 3, 2.0, 0.5]])
 
     def test_without_offers_drops_every_trade_of_those_offers(self):
         sol = Solution({(1, 2, 3): (1.0, 0.1), (1, 2, 7): (2.0, 0.1), (4, 2, 7): (3.0, 0.1)})

@@ -1,8 +1,10 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridtrade.ledger import ContractError, EventKind, verify_log
+from gridtrade.ledger import ContractError, EventKind, replay_events, verify_log
 from gridtrade.market import Feeder, GridModel, Solution, check_feasibility, PinnedTrades, Offer, Side
 from gridtrade.sim import (
     ConfigError,
@@ -304,6 +306,42 @@ def test_offer_delayed_past_its_interval_is_refused_and_not_logged():
               for e in report.events if e.kind == EventKind.OFFER_POSTED}
     assert len(refused) == 6
     assert posted and not posted & set(refused)
+
+
+@pytest.mark.parametrize("delay, rejected", [(0.0, 0), (1.5, 0), (3.0, 12)])
+def test_honest_solver_submits_each_solve_once(delay, rejected):
+    """A delay of a solver period or more keeps a submission in flight across
+    ticks; resubmitting it on each tick logged stale copies as rejections
+    (12 at 1.5 s and 33 at 3 s). The rejections left at 3 s are solutions
+    that land after their first interval was finalized."""
+    traces = synthesize_traces(15, 4, 3, 24, seed=3)
+    grid = GridModel(tuple(Feeder(f, 50.0, 60.0) for f in ("f01", "f02", "f03")), 0.25, 1)
+    report = run(SimConfig(grid=grid, horizon=24, lookahead=3, solver_period=1.0,
+                           confirmation_delay=delay), traces)
+    submissions = [e for e in report.events
+                   if e.kind in (EventKind.SOLUTION_ACCEPTED, EventKind.SOLUTION_REJECTED)]
+    assert len(submissions) == sum(r.submitted for r in report.solver_records)
+    assert sum(e.kind == EventKind.SOLUTION_REJECTED for e in submissions) == rejected
+    assert report.metrics.traded_kwh == pytest.approx(12.3484)
+
+
+@settings(max_examples=25, deadline=None)
+@given(detect=st.floats(0.0, 6.0), notify=st.floats(0.0, 12.0), reactivate=st.floats(0.0, 12.0),
+       delay=st.floats(0.0, 6.0), period=st.floats(0.25, 6.0),
+       victim=st.sampled_from(["p001", "p004", "solver-1", "adversary-1"]),
+       fail=st.floats(0.0, 24.0), down=st.floats(0.01, 24.0))
+def test_every_log_the_simulation_writes_verifies(detect, notify, reactivate, delay, period,
+                                                  victim, fail, down):
+    traces = synthesize_traces(6, 2, 3, 6, seed=5)
+    grid = GridModel(tuple(Feeder(f, 50.0, 60.0) for f in ("f01", "f02", "f03")), 0.25, 1)
+    config = SimConfig(grid=grid, horizon=6, lookahead=3, solver_period=period,
+                       n_solvers=2, n_adversaries=1, confirmation_delay=delay,
+                       detect_latency=detect, notify_latency=notify,
+                       reactivate_latency=reactivate,
+                       failures=(FailureSpec(victim, fail, fail + down),))
+    report = run(config, traces)
+    assert verify_log(grid, report.events) == []
+    assert replay_events(grid, report.events).snapshot() == report.final_state.snapshot()
 
 
 def test_three_solvers_killing_two_changes_nothing(grid):

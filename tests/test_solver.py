@@ -406,7 +406,7 @@ class TestSolverAgent:
         event = contract.submit_solution("solver-1", submission)
         for agent in agents:
             agent.observe(contract.events_since(agent.last_seq))
-        assert event.kind == "SolutionAccepted" and event.solution is submission
+        assert event.kind == "SolutionAccepted" and event.parsed is submission
         assert contract.state.candidate is submission
         assert all(agent.mirror.candidate is submission for agent in agents)
 

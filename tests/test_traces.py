@@ -84,6 +84,27 @@ class TestIngest:
         with pytest.raises(ParseError, match="duplicate"):
             ingest_traces(path)
 
+    @pytest.mark.parametrize("rows, match", [
+        (["home1,f1,0,1.0,0.5,1,abc"], ":2: malformed row"),
+        (["home1,f1,0,1.0,0.5,1,1.5"], ":2: malformed row"),
+        (["home1,f1,0,1.0,0.5,1,-3"], ":2: flex_window must be at least 1"),
+        (["home1,f1,0,1.0,0.5,maybe,2"], ":2: flexible must be"),
+        (["home1,f1,0,1.0,0.5,1,2", "home1,f1,1,1.0,0.5,0,2"], ":3: home1's flexible"),
+        (["home1,f1,0,1.0,0.5,1,2", "home1,f1,1,1.0,0.5,1,3"], ":3: home1's flexible")])
+    def test_malformed_flags_report_line(self, tmp_path, rows, match):
+        path = write_csv(tmp_path, rows, header="participant,feeder,interval,production_kwh,"
+                                                "demand_kwh,flexible,flex_window")
+        with pytest.raises(ParseError, match=match):
+            ingest_traces(path)
+
+    def test_flag_spellings(self, tmp_path):
+        path = write_csv(tmp_path, ["a,f1,0,1.0,0.5,Yes,3", "b,f1,0,1.0,0.5,,",
+                                    "c,f1,0,1.0,0.5,false,1"],
+                         header="participant,feeder,interval,production_kwh,demand_kwh,"
+                                "flexible,flex_window")
+        assert [(t.flexible, t.flex_window) for t in ingest_traces(path)] == [
+            (True, 3), (False, 1), (False, 1)]
+
     def test_flexible_columns_round_trip(self, tmp_path):
         traces = [ProsumerTrace("batt", "f1", (3.0, 0.0), (0.0, 0.0),
                                 flexible=True, flex_window=4)]
