@@ -12,7 +12,7 @@ _EXPORTS = {
     "controller": ("AffineResourceModel", "ControllerState", "ResourceSignal",
                    "low_level_update", "reset_max_lookahead", "top_level_update"),
     "ledger": ("Contract", "ContractError", "ContractState", "EventKind", "LedgerEvent",
-               "Role", "read_events_jsonl", "replay_events", "verify_log",
+               "LogFormatError", "Role", "read_events_jsonl", "replay_events", "verify_log",
                "write_events_jsonl"),
     "market": ("Feeder", "FeasibilityReport", "GridModel", "Offer", "PinnedTrades", "Side",
                "Solution", "check_feasibility", "matchable", "objective"),

@@ -215,13 +215,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     header, events = read_events_jsonl(args.log)
     grid = GridModel.from_payload(header["grid"])
-    problems = verify_log(grid, events)
+    verified = 0
+
+    def counted():  # the log streams through verify; count it on the way
+        nonlocal verified
+        for event in events:
+            verified += 1
+            yield event
+
+    problems = verify_log(grid, counted())
     if problems:
         for problem in problems:
             print(json.dumps({"error": "verification", "detail": problem}),
                   file=sys.stderr)
         return 1
-    print(f"ok: {len(events)} events verified")
+    print(f"ok: {verified} events verified")
     return 0
 
 

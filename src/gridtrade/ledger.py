@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .market import (
     GridModel,
@@ -73,6 +73,10 @@ class AlreadyFinalized(ContractError):
 
 class NotAuthorized(ContractError):
     pass
+
+
+class LogFormatError(ValueError):
+    """A line of an audit log that the reader refuses; names its ``path:line``."""
 
 
 class Role(str, Enum):
@@ -372,13 +376,15 @@ class _Replay(Contract):
     """A contract that re-executes a recorded log: each event an operation
     would append must equal the next recorded one in seq, kind, time and
     payload. The state applies the contract's own payload and the offer or
-    solution the operation parsed; the recorded events are left as they are."""
+    solution the operation parsed; the recorded events are left as they are.
+    The log is consumed one event at a time: ``head`` is the next recorded
+    event (None past the end), read as the one before it matches."""
 
     def run(self, events: Iterable[LedgerEvent]) -> list[str]:
-        self.recorded, self.pos, last_time = list(events), 0, -math.inf
+        self.rest, self.pos, last_time = iter(events), 0, -math.inf
+        self.head = next(self.rest, None)
         try:
-            while self.pos < len(self.recorded):
-                event = self.recorded[self.pos]
+            while (event := self.head) is not None:
                 payload, kind, time = event.payload, event.kind, event.time
                 if event.seq != self.pos + 1:
                     raise _Divergence(event.seq, f"expected {self.pos + 1}")
@@ -403,20 +409,29 @@ class _Replay(Contract):
                     self.remove_participant_trades(payload["participant"], time=time)
                 else:
                     raise _Divergence(event.seq, f"unknown event kind {kind!r}")
+        except LogFormatError:
+            raise
         except _Divergence as exc:
             return ["seq {}: {}".format(*exc.args)]
         except (ContractError, MarketError, AttributeError, KeyError, TypeError,
                 ValueError) as exc:  # the operation refused the recorded values
             return [f"seq {event.seq}: {event.kind} refused ({type(exc).__name__}: {exc})"]
+        finally:
+            close = getattr(self.rest, "close", None)  # a log's file closes when verify stops
+            if close is not None:
+                close()
         return []
+
+    def _advance(self) -> None:
+        self.pos += 1
+        self.head = next(self.rest, None)
 
     def _append(self, kind: EventKind, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
-        if self.pos == len(self.recorded):
+        event = self.head
+        if event is None:
             raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind.value}")
-        event = self.recorded[self.pos]
-        self.pos += 1
-        if event.seq != self.pos or event.kind != kind or event.time != time:
+        if event.seq != self.pos + 1 or event.kind != kind or event.time != time:
             detail = f" ({payload['reason']})" if "reason" in payload else ""
             raise _Divergence(event.seq, f"{event.kind} at {event.time}; the contract records "
                                          f"{kind.value} at {time}{detail}")
@@ -426,6 +441,7 @@ class _Replay(Contract):
             raise _Divergence(event.seq, f"{event.kind} {field} is {event.payload.get(field)!r}, "
                                          f"the contract records {payload.get(field)!r}")
         self.state._apply(event.kind, payload, parsed)
+        self._advance()
         return event
 
     def _check_rejection(self, event: LedgerEvent) -> None:
@@ -446,7 +462,7 @@ class _Replay(Contract):
         elif reason == "not-better" and value > self.state.candidate_objective + IMPROVEMENT_MARGIN:
             problem = "not-better objective beats the candidate"
         else:
-            self.pos += 1
+            self._advance()
             return
         raise _Divergence(event.seq, f"SolutionRejected {problem}")
 
@@ -454,7 +470,8 @@ class _Replay(Contract):
 def replay_events(grid: GridModel, events: Iterable[LedgerEvent]) -> ContractState:
     """Rebuild contract state by re-executing a log, as ``verify_log`` does.
 
-    Raises ``ValueError`` naming the first divergence.
+    Raises ``ValueError`` naming the first divergence, or the reader's
+    ``LogFormatError`` for a line it refuses.
     """
     replay = _Replay(grid, require_dso_finalize=False)
     problems = replay.run(events)
@@ -476,7 +493,9 @@ def verify_log(grid: GridModel, events: Iterable[LedgerEvent],
     The finalizer is not re-authorized: the log does not name it.
 
     Returns ``[]`` or the first divergence, ``["seq N: ..."]``; past it the
-    re-executed state is not the log's. ``price_cap`` is ignored; callers
+    re-executed state is not the log's. A line the reader refuses raises its
+    ``LogFormatError``. ``events`` is consumed one event at a time and closed
+    (if it can be) when verification stops. ``price_cap`` is ignored; callers
     pass the log header's value.
     """
     return _Replay(grid, require_dso_finalize=False).run(events)
@@ -500,19 +519,38 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
               "grid": grid.to_payload(), "price_cap": price_cap}
     dumps = orjson.dumps
     option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
-    path.write_bytes(b"".join([dumps(header, option=option),
-                               *(dumps(event.to_record(), option=option) for event in events)]))
+    # Each line goes out as it is made: orjson reserves about 1 KB for every
+    # bytes object it returns, so joining the lines would hold 1 KB an event.
+    # Renaming the whole log over ``path`` leaves no partial log there.
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("wb") as fh:
+            fh.write(dumps(header, option=option))
+            for event in events:
+                fh.write(dumps(event.to_record(), option=option))
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path
 
 
-def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
-    """Read an audit log; a line that is not a JSON object (NaN and Infinity
-    are not JSON), or a header that is not the first record or not the only
-    one, raises ``ValueError`` naming its ``path:line``."""
+def read_events_jsonl(path: str | Path) -> tuple[dict, Iterator[LedgerEvent]]:
+    """Read an audit log: the header, which must be the first record, now;
+    each event as the iteration reaches its line. A line that is not a JSON
+    object (NaN and Infinity are not JSON), a malformed event or a second
+    header raises ``LogFormatError`` naming its ``path:line``. The file
+    closes when the events run out, when the iterator is closed (as
+    ``verify_log`` and ``replay_events`` do when they stop) or dropped.
+    """
+    records = _records(Path(path))
+    return next(records), records
+
+
+def _records(path: Path) -> Iterator[dict | LedgerEvent]:
+    """The header record, then each event; the file is open until this ends."""
     import orjson
 
-    path = Path(path)
-    events: list[LedgerEvent] = []
     header: dict | None = None
     with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -521,26 +559,28 @@ def read_events_jsonl(path: str | Path) -> tuple[dict, list[LedgerEvent]]:
             try:
                 record = orjson.loads(line)
             except orjson.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from None
+                raise LogFormatError(f"{path}:{line_no}: not valid JSON ({exc})") from None
             if not isinstance(record, dict):
-                raise ValueError(f"{path}:{line_no}: record is not an object")
-            if record.get("record") == "header":
-                if header is not None:
-                    raise ValueError(f"{path}:{line_no}: second header record")
+                raise LogFormatError(f"{path}:{line_no}: record is not an object")
+            kind = record.get("record")
+            if header is None:
+                if kind != "header":
+                    raise LogFormatError(f"{path}:{line_no}: record before the header")
                 if record.get("version") != LOG_VERSION:
-                    raise ValueError(
+                    raise LogFormatError(
                         f"{path}: log version {record.get('version')} is not supported; "
                         f"this reader reads version {LOG_VERSION}")
                 header = record
-            elif header is None:
-                raise ValueError(f"{path}:{line_no}: record before the header")
-            elif record.get("record") == "event":
+                yield header
+            elif kind == "event":
                 try:
-                    events.append(LedgerEvent.from_record(record))
+                    event = LedgerEvent.from_record(record)
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{line_no}: malformed event ({exc!r})") from None
+                    raise LogFormatError(f"{path}:{line_no}: malformed event ({exc!r})") from None
+                yield event
+            elif kind == "header":
+                raise LogFormatError(f"{path}:{line_no}: second header record")
             else:
-                raise ValueError(f"{path}:{line_no}: unknown record type")
+                raise LogFormatError(f"{path}:{line_no}: unknown record type")
     if header is None:
-        raise ValueError(f"{path}: missing header record")
-    return header, events
+        raise LogFormatError(f"{path}: missing header record")

@@ -204,7 +204,8 @@ class TestCommands:
 
         log = out_dir / "events.jsonl"
         assert main(["verify", "--log", str(log)]) == 0
-        assert "ok:" in capsys.readouterr().out
+        events = len(log.read_text().splitlines()) - 1
+        assert f"ok: {events} events verified" in capsys.readouterr().out
 
         assert main(["metrics", "--log", str(log)]) == 0
         metrics_out = capsys.readouterr().out
@@ -257,6 +258,22 @@ class TestCommands:
         assert main(["verify", "--log", str(log)]) == 1
         err = capsys.readouterr().err
         assert "verification" in err
+
+    @pytest.mark.parametrize("command", ["verify", "metrics"])
+    def test_bad_line_mid_log_is_named(self, tmp_path, config_file, traces_csv, capsys,
+                                       command):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+              "--out", str(out_dir)])
+        capsys.readouterr()
+        log = out_dir / "events.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[20] = "not json\n"
+        log.write_text("".join(lines))
+        assert main([command, "--log", str(log)]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"] == "LogFormatError"
+        assert record["detail"].startswith(f"{log}:21: not valid JSON")
 
     def test_verify_refuses_version_1_log(self, tmp_path, config_file, traces_csv, capsys):
         out_dir = tmp_path / "out"

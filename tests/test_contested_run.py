@@ -8,9 +8,11 @@ so the index must hold exactly the offers that can still trade, and the LP
 built from it must be the LP built from the whole book.
 """
 
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,9 +102,51 @@ def test_every_record_reads_back_as_written(golden_report, tmp_path):
     path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
                               price_cap=report.price_cap)
     _, events = read_events_jsonl(path)
+    events = list(events)
     assert len(events) == len(report.events)
     for read, written in zip(events, report.events):
         assert read.to_record() == written.to_record()
+
+
+def traced_peak(call) -> int:
+    """Bytes held at the peak of ``call()`` beyond those held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_the_log_holds_one_line_at_a_time(golden_report, tmp_path):
+    """orjson reserves about 1 KB for each line it returns; joining the
+    golden day's 657 lines before writing them peaked at 0.9 MB."""
+    report = golden_report
+
+    def write():
+        write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
+                           price_cap=report.price_cap)
+
+    write()  # the first write imports orjson
+    peak = traced_peak(write)
+    assert peak < 64 * 1024, f"writing the log peaked at {peak:,} bytes"
+
+
+def test_reading_and_verifying_the_log_holds_one_event_at_a_time(golden_report, tmp_path):
+    """Reading every event before verifying peaked at 4.5 times the log's size."""
+    report = golden_report
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
+                              price_cap=report.price_cap)
+
+    def read_and_verify():
+        header, events = read_events_jsonl(path)
+        assert verify_log(GridModel.from_payload(header["grid"]), events) == []
+
+    read_and_verify()
+    peak = traced_peak(read_and_verify)
+    assert peak < 2 * path.stat().st_size, f"read and verify peaked at {peak:,} bytes"
 
 
 def _other_feeder(payload, rng):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -248,7 +249,7 @@ class TestSubmitSolution:
                                  "reason": "invalid: objective is not finite"}
         assert contract.state.candidate == Solution.empty()
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
-        assert read_events_jsonl(path)[1][-1] == event
+        assert list(read_events_jsonl(path)[1])[-1] == event
 
     def test_unregistered_submitter_raises(self, grid):
         contract = battery_contract_at_47(grid)
@@ -452,6 +453,7 @@ class TestReplayAndVerify:
             tampered.append(json.dumps(record))
         path.write_text("\n".join(tampered) + "\n")
         header, events = read_events_jsonl(path)
+        events = list(events)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
         first = next(e for e in events if e.kind == EventKind.INTERVAL_ADVANCED)
         assert len(problems) == 1
@@ -474,6 +476,7 @@ class TestReplayAndVerify:
         records[posted.seq]["payload"].update(start=2.5, end=3.9)  # after the header
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         header, events = read_events_jsonl(path)
+        events = list(events)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
         assert len(problems) == 1
         assert problems[0].startswith(f"seq {posted.seq}: OfferPosted refused (InvalidQuantity")
@@ -491,6 +494,7 @@ class TestReplayAndVerify:
         records[posted.seq]["payload"][field] = value  # after the header
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         header, events = read_events_jsonl(path)
+        events = list(events)
         problems = verify_log(GridModel.from_payload(header["grid"]), events)
         assert len(problems) == 1
         assert problems[0].startswith(f"seq {posted.seq}: OfferPosted refused (InvalidQuantity")
@@ -527,6 +531,7 @@ class TestReplayAndVerify:
         contract.finalize("dso", 47)
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, grid)
         header, events = read_events_jsonl(path)
+        events = list(events)
         assert [e.payload["feeder"] for e in events[:5]] == [
             "__operator__", "main", "main", "main", "__operator__"]
         assert verify_log(GridModel.from_payload(header["grid"]), events) == []
@@ -816,6 +821,7 @@ class TestSolutionParsedOnce:
         contract.submit_solution("solver-1", battery_optimum_solution())
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
         _, events = read_events_jsonl(path)
+        events = list(events)
         event = next(e for e in events if e.kind == EventKind.SOLUTION_ACCEPTED)
         assert verify_log(grid, events) == []
         candidate = replay_events(grid, events).candidate
@@ -851,6 +857,7 @@ class TestEventsJsonl:
                             np.float64(0.25), time=np.float64(1.5))
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
         header, events = read_events_jsonl(path)
+        events = list(events)
         assert [e.to_record() for e in events] == [e.to_record() for e in contract.events]
         assert events[-1].payload["reservation_price"] == 0.25
         assert GridModel.from_payload(header["grid"]) == contract.grid
@@ -866,6 +873,7 @@ class TestEventsJsonl:
         assert "1e-05" in spelled and "1e+16" in spelled
         path.write_text(spelled)
         header, events = read_events_jsonl(path)
+        events = list(events)
         assert [e.to_record() for e in events] == [e.to_record() for e in contract.events]
         assert verify_log(GridModel.from_payload(header["grid"]), events) == []
 
@@ -877,8 +885,9 @@ class TestEventsJsonl:
         path = tmp_path / "both.jsonl"
         path.write_bytes(first.read_bytes() + second.read_bytes())
         line = len(contract.events) + 2
+        _, events = read_events_jsonl(path)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: second header"):
-            read_events_jsonl(path)
+            list(events)
 
     def test_event_before_the_header_is_refused(self, grid, tmp_path):
         contract = battery_contract_at_47(grid)
@@ -914,5 +923,100 @@ class TestEventsJsonl:
         path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
         with path.open("a") as fh:
             fh.write(line + "\n")
+        _, events = read_events_jsonl(path)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            list(events)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file opened through ``Path.open`` from here on."""
+    files, original = [], Path.open
+
+    def spy(self, *args, **kwargs):
+        fh = original(self, *args, **kwargs)
+        files.append(fh)
+        return fh
+
+    monkeypatch.setattr(Path, "open", spy)
+    return files
+
+
+def audited_log(grid, path, *edits, bad_line=None):
+    """``audited_history`` with ``edits`` applied, written to ``path``; line
+    31 (seq 30) is replaced by ``bad_line`` if one is given."""
+    events = audited_history(grid)
+    for apply in edits:
+        apply(events)
+    write_events_jsonl(path, events, grid)
+    if bad_line is not None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[30] = bad_line + "\n"
+        path.write_text("".join(lines))
+    return path
+
+
+class TestStreamedLog:
+    def test_failed_write_leaves_no_partial_log(self, grid, tmp_path):
+        events = audited_history(grid)
+        events.append(LedgerEvent(66, 0.0, "ProsumerRegistered", {"participant": object()}))
+        path = tmp_path / "events.jsonl"
+        with pytest.raises(TypeError):
+            write_events_jsonl(path, events, grid)
+        assert list(tmp_path.iterdir()) == []
+        write_events_jsonl(path, events[:-1], grid)
+        whole = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_events_jsonl(path, events, grid)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == whole
+
+    @pytest.mark.parametrize("check", [verify_log, replay_events])
+    def test_bad_line_after_a_valid_prefix_names_file_and_line(self, grid, tmp_path, check):
+        path = audited_log(grid, tmp_path / "events.jsonl", bad_line='{"seq": 30, "time": NaN')
+        header, events = read_events_jsonl(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:31: not valid JSON"):
+            check(GridModel.from_payload(header["grid"]), events)
+
+    def test_divergence_before_a_bad_line_is_reported_first(self, grid, tmp_path, opened):
+        path = audited_log(grid, tmp_path / "events.jsonl", edit(3, participant="P1"),
+                           bad_line="[30]")
+        header, events = read_events_jsonl(path)
+        problems = verify_log(GridModel.from_payload(header["grid"]), events)
+        assert len(problems) == 1 and problems[0].startswith("seq 3: "), problems
+        _, events = read_events_jsonl(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(problems[0])}$"):
+            replay_events(GridModel.from_payload(header["grid"]), events)
+        assert all(fh.closed for fh in opened)
+
+    def test_log_closes_when_the_events_run_out(self, grid, tmp_path, opened):
+        path = audited_log(grid, tmp_path / "events.jsonl")
+        opened.clear()
+        _, events = read_events_jsonl(path)
+        [log] = opened
+        assert not log.closed
+        assert [e.seq for e in events] == list(range(1, 66))
+        assert log.closed
+
+    def test_log_closes_when_verify_stops_at_a_divergence(self, grid, tmp_path, opened):
+        path = audited_log(grid, tmp_path / "events.jsonl", edit(3, participant="P1"))
+        opened.clear()
+        header, events = read_events_jsonl(path)
+        assert verify_log(GridModel.from_payload(header["grid"]), events)[0].startswith("seq 3: ")
+        [log] = opened
+        assert log.closed
+
+    def test_log_closes_when_only_the_header_is_read(self, grid, tmp_path, opened):
+        path = audited_log(grid, tmp_path / "events.jsonl")
+        opened.clear()
+        header = read_events_jsonl(path)[0]
+        assert header["record"] == "header"
+        [log] = opened
+        assert log.closed
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_log_without_a_header_is_refused_by_the_read_call(self, tmp_path, opened, text):
+        path = tmp_path / "events.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing header record$"):
             read_events_jsonl(path)
+        assert all(fh.closed for fh in opened)
