@@ -8,7 +8,7 @@ Subcommands:
                 transition and finalized interval.
 * ``oracle``  - run the solver against the independent reference
                 optimizer on random instances.
-* ``metrics`` - recompute trading metrics from an event log.
+* ``metrics`` - recompute trading metrics from an event log that verifies.
 
 The config file is a flat ``key = value`` format; ``#`` starts a comment.
 Structured values use ``:`` and ``;`` (for example
@@ -212,8 +212,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    header, events = read_events_jsonl(args.log)
+def _verify(path: str) -> int | None:
+    """Re-execute the log at ``path`` in one streaming read. Returns the
+    number of events verified, or prints each problem as a
+    ``{"error": "verification", ...}`` line and returns None."""
+    header, events = read_events_jsonl(path)
     grid = GridModel.from_payload(header["grid"])
     verified = 0
 
@@ -224,10 +227,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             yield event
 
     problems = verify_log(grid, counted())
-    if problems:
-        for problem in problems:
-            print(json.dumps({"error": "verification", "detail": problem}),
-                  file=sys.stderr)
+    for problem in problems:
+        print(json.dumps({"error": "verification", "detail": problem}), file=sys.stderr)
+    return None if problems else verified
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    verified = _verify(args.log)
+    if verified is None:
         return 1
     print(f"ok: {verified} events verified")
     return 0
@@ -251,6 +258,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    """Metrics of a log that verifies: one read re-executes it, a second sums it."""
+    if _verify(args.log) is None:
+        return 1
     header, events = read_events_jsonl(args.log)
     grid = GridModel.from_payload(header["grid"])
     metrics = compute_metrics(events, grid.interval_hours, unit_price=args.unit_price)
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_metrics = sub.add_parser("metrics", help="recompute metrics from a log")
+    p_metrics = sub.add_parser("metrics", help="verify a log, then recompute its metrics")
     p_metrics.add_argument("--log", required=True, help="events.jsonl path")
     p_metrics.add_argument("--unit-price", type=_unit_price, default=DEFAULT_UNIT_PRICE)
     p_metrics.set_defaults(func=_cmd_metrics)

@@ -18,13 +18,13 @@ safe candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .market import (
+    SELLING,
     GridModel,
     MarketError,
     Offer,
@@ -85,6 +85,9 @@ class Role(str, Enum):
     DSO = "dso"
 
 
+PROSUMER, DSO = Role.PROSUMER.value, Role.DSO.value  # as a registration records them
+
+
 class EventKind(str, Enum):
     PROSUMER_REGISTERED = "ProsumerRegistered"
     OFFER_POSTED = "OfferPosted"
@@ -95,18 +98,42 @@ class EventKind(str, Enum):
     PARTICIPANT_REMOVED = "ParticipantRemoved"
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEvent:
+# The kinds as plain strings, for the code that runs once an event: looking up
+# an Enum member costs about ten times as much as a module global.
+PROSUMER_REGISTERED = EventKind.PROSUMER_REGISTERED.value
+OFFER_POSTED = EventKind.OFFER_POSTED.value
+SOLUTION_ACCEPTED = EventKind.SOLUTION_ACCEPTED.value
+SOLUTION_REJECTED = EventKind.SOLUTION_REJECTED.value
+TRADE_FINALIZED = EventKind.TRADE_FINALIZED.value
+INTERVAL_ADVANCED = EventKind.INTERVAL_ADVANCED.value
+PARTICIPANT_REMOVED = EventKind.PARTICIPANT_REMOVED.value
+
+
+class LedgerEvent(NamedTuple):
+    """One appended event: an immutable tuple record.
+
+    ``parsed`` is the Offer of an OfferPosted event or the Solution of a
+    SolutionAccepted event, set by the contract that appends it; None for
+    every other event and for events read from a log. The contract and each
+    mirror that applies the event share this one object. It takes no part in
+    equality or in the record: events are equal when their seq, time, kind
+    and payload are.
+    """
+
     seq: int
     time: float
     kind: str
     payload: dict
-    # The Offer of an OfferPosted event or the Solution of a SolutionAccepted
-    # event, set by the contract that appends it; None for every other event
-    # and for events read from a log. The contract and each mirror that
-    # applies the event share this one object. It takes no part in equality
-    # or in the record.
-    parsed: Offer | Solution | None = field(default=None, compare=False, repr=False)
+    parsed: Offer | Solution | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LedgerEvent):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:  # tuple's own ``!=`` would compare ``parsed``
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def to_record(self) -> dict:
         return {"record": "event", "seq": self.seq, "time": self.time,
@@ -157,46 +184,66 @@ class ContractState:
         self._apply(event.kind, event.payload, event.parsed)
 
     def _apply(self, kind: str, payload: dict, parsed: Offer | Solution | None) -> None:
-        if kind == EventKind.PROSUMER_REGISTERED:
-            self.participants[payload["participant"]] = {
-                "role": payload["role"], "feeder": payload["feeder"]}
-        elif kind == EventKind.OFFER_POSTED:
-            offer = parsed
-            target = self.selling if offer.side is Side.SELLING else self.buying
-            target[offer.id] = offer
-            self.book[offer.id] = offer
-            if offer.end > self.pinned.finalized_through:
-                self.open_offers[offer.id] = offer
-            self.next_offer_id = max(self.next_offer_id, offer.id + 1)
-        elif kind == EventKind.SOLUTION_ACCEPTED:
-            self.candidate = parsed
-            self.candidate_objective = float(payload["objective"])
-        elif kind == EventKind.SOLUTION_REJECTED:
-            pass
-        elif kind == EventKind.TRADE_FINALIZED:
-            key = (int(payload["sell_offer"]), int(payload["buy_offer"]))
-            self._pending_pins[key] = (float(payload["power_kw"]), float(payload["price"]))
-        elif kind == EventKind.INTERVAL_ADVANCED:
-            fin = int(payload["finalized_interval"])
-            self.pinned.pin(fin, self._pending_pins)
-            self._pending_pins = {}
-            self.candidate = self.candidate.after(fin)
-            self.candidate_objective = objective(self.candidate)
-            self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
-                                if offer.end > fin}
-            self.current_interval = int(payload["interval"])
-        elif kind == EventKind.PARTICIPANT_REMOVED:
-            removed = {int(oid) for oid in payload["removed_offers"]}
-            for oid in sorted(removed):
-                offer = self.book.pop(oid, None)
-                if offer is not None:
-                    del (self.selling if offer.side is Side.SELLING else self.buying)[oid]
-                    self.open_offers.pop(oid, None)
-                    self.retired[oid] = offer
-            self.candidate = self.candidate.without_offers(removed)
-            self.candidate_objective = float(payload["candidate_objective"])
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
+        try:
+            handler = self._HANDLERS[kind]
+        except (KeyError, TypeError):  # TypeError: a kind that is not even hashable
+            raise ValueError(f"unknown event kind {kind!r}") from None
+        handler(self, payload, parsed)
+
+    def _registered(self, payload: dict, parsed: None) -> None:
+        self.participants[payload["participant"]] = {
+            "role": payload["role"], "feeder": payload["feeder"]}
+
+    def _offer_posted(self, payload: dict, offer: Offer) -> None:
+        oid = offer.id
+        (self.selling if offer.side is SELLING else self.buying)[oid] = offer
+        self.book[oid] = offer
+        if offer.end > self.pinned.finalized_through:
+            self.open_offers[oid] = offer
+        if oid >= self.next_offer_id:
+            self.next_offer_id = oid + 1
+
+    def _solution_accepted(self, payload: dict, solution: Solution) -> None:
+        self.candidate = solution
+        self.candidate_objective = float(payload["objective"])
+
+    def _solution_rejected(self, payload: dict, parsed: None) -> None:
+        pass
+
+    def _trade_finalized(self, payload: dict, parsed: None) -> None:
+        key = (int(payload["sell_offer"]), int(payload["buy_offer"]))
+        self._pending_pins[key] = (float(payload["power_kw"]), float(payload["price"]))
+
+    def _interval_advanced(self, payload: dict, parsed: None) -> None:
+        fin = int(payload["finalized_interval"])
+        self.pinned.pin(fin, self._pending_pins)
+        self._pending_pins = {}
+        self.candidate = self.candidate.after(fin)
+        self.candidate_objective = objective(self.candidate)
+        self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
+                            if offer.end > fin}
+        self.current_interval = int(payload["interval"])
+
+    def _participant_removed(self, payload: dict, parsed: None) -> None:
+        removed = {int(oid) for oid in payload["removed_offers"]}
+        for oid in sorted(removed):
+            offer = self.book.pop(oid, None)
+            if offer is not None:
+                del (self.selling if offer.side is SELLING else self.buying)[oid]
+                self.open_offers.pop(oid, None)
+                self.retired[oid] = offer
+        self.candidate = self.candidate.without_offers(removed)
+        self.candidate_objective = float(payload["candidate_objective"])
+
+    _HANDLERS = {
+        PROSUMER_REGISTERED: _registered,
+        OFFER_POSTED: _offer_posted,
+        SOLUTION_ACCEPTED: _solution_accepted,
+        SOLUTION_REJECTED: _solution_rejected,
+        TRADE_FINALIZED: _trade_finalized,
+        INTERVAL_ADVANCED: _interval_advanced,
+        PARTICIPANT_REMOVED: _participant_removed,
+    }
 
     def feasibility(self, solution: Solution):
         return check_feasibility(solution, self.book, self.grid, self.pinned)
@@ -220,7 +267,7 @@ def _offer_payload(offer: Offer) -> dict:
     return {
         "offer_id": offer.id,
         "participant": offer.prosumer,
-        "side": offer.side.value,
+        "side": offer.side._value_,  # ``.value`` is a property, several times slower
         "feeder": offer.feeder,
         "energy_kwh": offer.energy_kwh,
         "start": offer.start,
@@ -256,11 +303,11 @@ class Contract:
             raise ValueError("seq must be non-negative")
         return self._events[seq:]
 
-    def _append(self, kind: EventKind, payload: dict, time: float,
+    def _append(self, kind: str, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
         if not ((type(time) is float or isinstance(time, Real)) and math.isfinite(time)):
             raise InvalidQuantity(f"time must be a finite number, got {time}")
-        event = LedgerEvent(len(self._events) + 1, float(time), kind.value, payload, parsed)
+        event = LedgerEvent(len(self._events) + 1, float(time), kind, payload, parsed)
         self.state.apply(event)
         self._events.append(event)
         return event
@@ -279,7 +326,7 @@ class Contract:
                 raise UnknownFeeder("prosumers must register with a feeder")
         elif feeder not in self.state.grid.feeder_limits():
             raise UnknownFeeder(f"feeder {feeder!r} does not exist")
-        return self._append(EventKind.PROSUMER_REGISTERED, {
+        return self._append(PROSUMER_REGISTERED, {
             "participant": participant, "role": role.value, "feeder": feeder}, time)
 
     def post_offer(self, participant: str, side: Side | str, start: int, end: int,
@@ -288,7 +335,7 @@ class Contract:
         info = self.state.participants.get(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
-        if info["role"] != Role.PROSUMER:
+        if info["role"] != PROSUMER:
             raise NotAuthorized(f"{participant} is a {info['role']}; only prosumers post offers")
         try:
             offer = Offer(self.state.next_offer_id, side, participant, info["feeder"],
@@ -299,7 +346,7 @@ class Contract:
         if offer.start < earliest:
             raise StaleInterval(
                 f"start {offer.start} precedes earliest open interval {earliest}")
-        return self._append(EventKind.OFFER_POSTED, _offer_payload(offer), time, offer)
+        return self._append(OFFER_POSTED, _offer_payload(offer), time, offer)
 
     def submit_solution(self, participant: str, solution: Solution,
                         *, time: float = 0.0) -> LedgerEvent:
@@ -309,22 +356,22 @@ class Contract:
             report = self.state.feasibility(solution)
             value = objective(solution)
         except MarketError as exc:
-            return self._append(EventKind.SOLUTION_REJECTED, {
+            return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": f"invalid: {exc}"}, time)
         if not math.isfinite(value):  # finite trades whose sum overflows
-            return self._append(EventKind.SOLUTION_REJECTED, {
+            return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": "invalid: objective is not finite"}, time)
         if not report.ok:
             kinds = sorted({v.kind for v in report.violations})
-            return self._append(EventKind.SOLUTION_REJECTED, {
+            return self._append(SOLUTION_REJECTED, {
                 "participant": participant,
                 "reason": "infeasible: " + ", ".join(kinds),
                 "objective": value}, time)
         if value <= self.state.candidate_objective + IMPROVEMENT_MARGIN:
-            return self._append(EventKind.SOLUTION_REJECTED, {
+            return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": "not-better",
                 "objective": value}, time)
-        return self._append(EventKind.SOLUTION_ACCEPTED, {
+        return self._append(SOLUTION_ACCEPTED, {
             "participant": participant, "objective": value,
             "trades": solution.to_payload()}, time, solution)
 
@@ -333,7 +380,7 @@ class Contract:
         """Pin the trades for ``interval + clearing_lead`` from the candidate."""
         if self.require_dso_finalize:
             info = self.state.participants.get(caller) if caller else None
-            if info is None or info["role"] != Role.DSO.value:
+            if info is None or info["role"] != DSO:
                 raise NotAuthorized("finalization requires the grid operator")
         if interval < self.state.current_interval:
             raise AlreadyFinalized(f"interval {interval} was already finalized")
@@ -345,10 +392,10 @@ class Contract:
         events = []
         for (s_id, b_id, t), (power, price) in self.state.candidate.items():
             if t == fin and power > 0.0:
-                events.append(self._append(EventKind.TRADE_FINALIZED, {
+                events.append(self._append(TRADE_FINALIZED, {
                     "buy_offer": b_id, "sell_offer": s_id, "interval": t,
                     "power_kw": power, "price": price}, time))
-        events.append(self._append(EventKind.INTERVAL_ADVANCED, {
+        events.append(self._append(INTERVAL_ADVANCED, {
             "interval": interval + 1, "finalized_interval": fin,
             "trade_count": len(events)}, time))
         return events
@@ -361,7 +408,7 @@ class Contract:
         removed = sorted(
             oid for oid, offer in self.state.book.items() if offer.prosumer == participant)
         stripped = self.state.candidate.without_offers(set(removed))
-        event = self._append(EventKind.PARTICIPANT_REMOVED, {
+        event = self._append(PARTICIPANT_REMOVED, {
             "participant": participant,
             "removed_offers": removed,
             "candidate_objective": objective(stripped)}, time)
@@ -385,30 +432,17 @@ class _Replay(Contract):
         self.head = next(self.rest, None)
         try:
             while (event := self.head) is not None:
-                payload, kind, time = event.payload, event.kind, event.time
+                time = event.time
                 if event.seq != self.pos + 1:
                     raise _Divergence(event.seq, f"expected {self.pos + 1}")
                 if not (math.isfinite(time) and time >= last_time):
                     raise _Divergence(event.seq, f"time {time} went backwards or is not finite")
                 last_time = time
-                if kind == EventKind.OFFER_POSTED:
-                    self.post_offer(payload["participant"], payload["side"], payload["start"],
-                                    payload["end"], payload["energy_kwh"],
-                                    payload["reservation_price"], time=time)
-                elif kind == EventKind.SOLUTION_REJECTED:
-                    self._check_rejection(event)
-                elif kind == EventKind.TRADE_FINALIZED or kind == EventKind.INTERVAL_ADVANCED:
-                    self.finalize(None, self.state.current_interval, time=time)
-                elif kind == EventKind.SOLUTION_ACCEPTED:
-                    self.submit_solution(payload["participant"],
-                                         Solution.from_payload(payload["trades"]), time=time)
-                elif kind == EventKind.PROSUMER_REGISTERED:
-                    self.register(payload["participant"], payload["role"], payload["feeder"],
-                                  time=time)
-                elif kind == EventKind.PARTICIPANT_REMOVED:
-                    self.remove_participant_trades(payload["participant"], time=time)
-                else:
-                    raise _Divergence(event.seq, f"unknown event kind {kind!r}")
+                try:
+                    operation = self._OPERATIONS[event.kind]
+                except (KeyError, TypeError):  # TypeError: a kind that is not even hashable
+                    raise _Divergence(event.seq, f"unknown event kind {event.kind!r}") from None
+                operation(self, event.payload, time)
         except LogFormatError:
             raise
         except _Divergence as exc:
@@ -422,31 +456,51 @@ class _Replay(Contract):
                 close()
         return []
 
+    # The operation that appends each kind of event, run on the recorded payload.
+
+    def _post(self, payload: dict, time: float) -> None:
+        self.post_offer(payload["participant"], payload["side"], payload["start"],
+                        payload["end"], payload["energy_kwh"], payload["reservation_price"],
+                        time=time)
+
+    def _submit(self, payload: dict, time: float) -> None:
+        self.submit_solution(payload["participant"], Solution.from_payload(payload["trades"]),
+                             time=time)
+
+    def _finalize(self, payload: dict, time: float) -> None:
+        self.finalize(None, self.state.current_interval, time=time)
+
+    def _register(self, payload: dict, time: float) -> None:
+        self.register(payload["participant"], payload["role"], payload["feeder"], time=time)
+
+    def _remove(self, payload: dict, time: float) -> None:
+        self.remove_participant_trades(payload["participant"], time=time)
+
     def _advance(self) -> None:
         self.pos += 1
         self.head = next(self.rest, None)
 
-    def _append(self, kind: EventKind, payload: dict, time: float,
+    def _append(self, kind: str, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
         event = self.head
         if event is None:
-            raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind.value}")
+            raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind}")
         if event.seq != self.pos + 1 or event.kind != kind or event.time != time:
             detail = f" ({payload['reason']})" if "reason" in payload else ""
             raise _Divergence(event.seq, f"{event.kind} at {event.time}; the contract records "
-                                         f"{kind.value} at {time}{detail}")
+                                         f"{kind} at {time}{detail}")
         if event.payload != payload:
             field = next(key for key in {**event.payload, **payload}
                          if event.payload.get(key, ...) != payload.get(key, ...))
             raise _Divergence(event.seq, f"{event.kind} {field} is {event.payload.get(field)!r}, "
                                          f"the contract records {payload.get(field)!r}")
-        self.state._apply(event.kind, payload, parsed)
+        self.state._apply(kind, payload, parsed)
         self._advance()
         return event
 
-    def _check_rejection(self, event: LedgerEvent) -> None:
+    def _check_rejection(self, payload: dict, time: float) -> None:
         """A rejection records no solution, so it is checked, not re-executed."""
-        payload = event.payload
+        event = self.head
         reason, value = payload["reason"], payload.get("objective")
         kinds = reason.removeprefix("infeasible: ").split(", ")  # listed once each, sorted
         scored = reason == "not-better" or (
@@ -465,6 +519,16 @@ class _Replay(Contract):
             self._advance()
             return
         raise _Divergence(event.seq, f"SolutionRejected {problem}")
+
+    _OPERATIONS = {
+        PROSUMER_REGISTERED: _register,
+        OFFER_POSTED: _post,
+        SOLUTION_ACCEPTED: _submit,
+        SOLUTION_REJECTED: _check_rejection,
+        TRADE_FINALIZED: _finalize,
+        INTERVAL_ADVANCED: _finalize,
+        PARTICIPANT_REMOVED: _remove,
+    }
 
 
 def replay_events(grid: GridModel, events: Iterable[LedgerEvent]) -> ContractState:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 TOLERANCE = 1e-9
 VIOLATION_KINDS = frozenset(
@@ -46,6 +46,11 @@ class InvalidTradeError(MarketError):
 class Side(str, Enum):
     SELLING = "selling"
     BUYING = "buying"
+
+
+# The members as module globals, for per-offer and per-trade code: looking up
+# ``Side.SELLING`` goes through the Enum class and costs about ten times as much.
+SELLING, BUYING = Side.SELLING, Side.BUYING
 
 
 @dataclass(frozen=True)
@@ -111,40 +116,22 @@ class GridModel:
 _SIDES = {side.value: side for side in Side}
 
 
-def _whole(offer: Offer, name: str) -> int:
-    """Field ``name`` of ``offer`` as an ``int`` interval index, written back."""
-    value = getattr(offer, name)
+def _whole(oid: int, name: str, value) -> int:
+    """``value`` of field ``name`` of offer ``oid`` as an ``int`` interval index."""
     if not (isinstance(value, Real) and type(value) is not bool
             and -math.inf < value < math.inf and int(value) == value):
-        raise ValueError(f"offer {offer.id}: {name} must be a whole interval, got {value!r}")
-    object.__setattr__(offer, name, int(value))
+        raise ValueError(f"offer {oid}: {name} must be a whole interval, got {value!r}")
     return int(value)
 
 
-def _real(offer: Offer, name: str) -> float:
-    """Field ``name`` of ``offer`` as a ``float``, written back."""
-    value = getattr(offer, name)
+def _real(oid: int, name: str, value) -> float:
+    """``value`` of field ``name`` of offer ``oid`` as a ``float``."""
     if not isinstance(value, Real) or type(value) is bool:
-        raise ValueError(f"offer {offer.id}: {name} must be a number, got {value!r}")
-    object.__setattr__(offer, name, float(value))
+        raise ValueError(f"offer {oid}: {name} must be a number, got {value!r}")
     return float(value)
 
 
-@dataclass(frozen=True)
-class Offer:
-    """A forward offer to sell or buy energy.
-
-    The interval window is contiguous, ``[start, end]`` inclusive. An absent
-    reservation price means "any price": 0 for sellers, unbounded for buyers.
-    ``reservation`` is the effective price, with that default applied; it is
-    set once, at construction.
-
-    Construction is the one check of an offer's values: it makes the side a
-    ``Side``, the window ``int``s and the quantities ``float``s, and raises
-    ``ValueError`` for anything else, NaN, inf, ``bool`` and fractions of an
-    interval included.
-    """
-
+class _OfferRecord(NamedTuple):
     id: int
     side: Side
     prosumer: str
@@ -152,33 +139,65 @@ class Offer:
     energy_kwh: float
     start: int
     end: int
-    reservation_price: float | None = None
-    reservation: float = field(init=False, repr=False, compare=False)
+    reservation_price: float | None
+    reservation: float
 
-    def __post_init__(self) -> None:
-        oid, side, start, end = self.id, self.side, self.start, self.end
-        energy, price = self.energy_kwh, self.reservation_price
+
+class Offer(_OfferRecord):
+    """A forward offer to sell or buy energy: an immutable tuple record.
+
+    The interval window is contiguous, ``[start, end]`` inclusive. An absent
+    reservation price means "any price": 0 for sellers, unbounded for buyers.
+    ``reservation`` is the effective price, with that default applied; it is
+    derived at construction and is not an argument.
+
+    ``__new__`` is the one check of an offer's values: it makes the side a
+    ``Side``, the window ``int``s and the quantities ``float``s, and raises
+    ``ValueError`` for anything else, NaN, inf, ``bool`` and fractions of an
+    interval included. ``_make``, ``_replace`` and copying all go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, side: Side | str, prosumer: str, feeder: str,
+                energy_kwh: float, start: int, end: int,
+                reservation_price: float | None = None) -> "Offer":
         # Values of the right types skip the conversions; a logged side is a str.
         if type(side) is not Side:
-            side = _SIDES.get(side) if isinstance(side, str) else None
-            if side is None:
-                raise ValueError(f"offer {oid}: side must be buying or selling, got {self.side!r}")
-            object.__setattr__(self, "side", side)
+            checked = _SIDES.get(side) if isinstance(side, str) else None
+            if checked is None:
+                raise ValueError(f"offer {id}: side must be buying or selling, got {side!r}")
+            side = checked
         if not (type(start) is type(end) is int):
-            start, end = _whole(self, "start"), _whole(self, "end")
-        if type(energy) is not float:
-            energy = _real(self, "energy_kwh")
+            start, end = _whole(id, "start", start), _whole(id, "end", end)
+        if type(energy_kwh) is not float:
+            energy_kwh = _real(id, "energy_kwh", energy_kwh)
+        price = reservation_price
         if not (price is None or type(price) is float):
-            price = _real(self, "reservation_price")
-        if not 0 < energy < math.inf:
-            raise ValueError(f"offer {oid}: energy must be positive and finite, got {energy}")
+            price = _real(id, "reservation_price", price)
+        if not 0 < energy_kwh < math.inf:
+            raise ValueError(
+                f"offer {id}: energy must be positive and finite, got {energy_kwh}")
         if start > end:
-            raise ValueError(f"offer {oid}: start {start} exceeds end {end}")
+            raise ValueError(f"offer {id}: start {start} exceeds end {end}")
         if price is not None and not 0 <= price < math.inf:
             raise ValueError(
-                f"offer {oid}: reservation price must be non-negative and finite, got {price}")
-        object.__setattr__(self, "reservation", (
-            price if price is not None else 0.0 if side is Side.SELLING else math.inf))
+                f"offer {id}: reservation price must be non-negative and finite, got {price}")
+        reservation = price if price is not None else 0.0 if side is SELLING else math.inf
+        return tuple.__new__(cls, (id, side, prosumer, feeder, energy_kwh, start, end, price,
+                                   reservation))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Offer":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Offer":
+        """A copy with ``changes``, checked as a new offer is; ``reservation``
+        is derived, so changing it is refused."""
+        return Offer(**{**dict(zip(self._fields, self[:8])), **changes})
+
+    def __getnewargs__(self) -> tuple:
+        return self[:8]  # copy and pickle rebuild through ``__new__``
 
     def covers(self, interval: int) -> bool:
         return self.start <= interval <= self.end
@@ -186,7 +205,7 @@ class Offer:
 
 def matchable(sell: Offer, buy: Offer) -> bool:
     """True iff some price and some interval suit both offers."""
-    if sell.side is not Side.SELLING or buy.side is not Side.BUYING:
+    if sell.side is not SELLING or buy.side is not BUYING:
         return False
     return (sell.reservation <= buy.reservation
             and max(sell.start, buy.start) <= min(sell.end, buy.end))
@@ -219,12 +238,21 @@ class Solution:
                 raise InvalidTradeError(
                     f"trade {key!r}: key must be three ints (sell offer, buy offer, interval)")
         cleaned: dict[TradeKey, tuple[float, float]] = {}
-        for key, (power, price) in sorted(entries.items()):
-            if not (_finite(power) and _finite(price)):
+        isfinite = math.isfinite
+        for key, value in sorted(entries.items()):
+            power, price = value
+            # A pair of floats, as the solver and the log reader give, is kept
+            # as it is; any other value is checked as a number and converted.
+            if type(power) is float and type(price) is float and type(value) is tuple:
+                if not (isfinite(power) and isfinite(price)):
+                    raise InvalidTradeError(f"trade {key}: values must be finite numbers")
+            elif _finite(power) and _finite(price):
+                value = (float(power), float(price))
+            else:
                 raise InvalidTradeError(f"trade {key}: values must be finite numbers")
             if power < 0:
                 raise InvalidTradeError(f"trade {key}: power must be non-negative")
-            cleaned[key] = (float(power), float(price))
+            cleaned[key] = value
         self._entries = cleaned
 
     @classmethod
@@ -417,26 +445,31 @@ def check_feasibility(
     production: dict[tuple[str, int], float] = {}
     consumption: dict[tuple[str, int], float] = {}
 
+    finalized_through = pinned.finalized_through
+    offer_of = book.get
     for (s_id, b_id, interval), (power, price) in solution.items():
-        if interval <= pinned.finalized_through:
+        if interval <= finalized_through:
             raise MarketError(
                 f"trade ({s_id},{b_id},{interval}) is at a finalized interval "
-                f"(finalized through {pinned.finalized_through})")
-        sell, buy = book.get(s_id), book.get(b_id)
+                f"(finalized through {finalized_through})")
+        sell, buy = offer_of(s_id), offer_of(b_id)
         if sell is None or buy is None:
             raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
         if not matchable(sell, buy):
             raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
-        if not (sell.covers(interval) and buy.covers(interval)):
+        if not (sell.start <= interval <= sell.end and buy.start <= interval <= buy.end):
             raise UnmatchablePairError(
                 f"interval {interval} outside the shared window of {s_id} and {b_id}")
-        if sell.feeder not in feeders or buy.feeder not in feeders:
+        s_feeder, b_feeder = sell.feeder, buy.feeder
+        if s_feeder not in feeders or b_feeder not in feeders:
             raise MarketError(f"trade ({s_id},{b_id},{interval}) references unknown feeder")
 
-        sold[s_id] = sold.get(s_id, 0.0) + power * delta
-        bought[b_id] = bought.get(b_id, 0.0) + power * delta
-        production[(sell.feeder, interval)] = production.get((sell.feeder, interval), 0.0) + power
-        consumption[(buy.feeder, interval)] = consumption.get((buy.feeder, interval), 0.0) + power
+        energy = power * delta
+        at_sell, at_buy = (s_feeder, interval), (b_feeder, interval)
+        sold[s_id] = sold.get(s_id, 0.0) + energy
+        bought[b_id] = bought.get(b_id, 0.0) + energy
+        production[at_sell] = production.get(at_sell, 0.0) + power
+        consumption[at_buy] = consumption.get(at_buy, 0.0) + power
 
         if power > tol:
             if price < sell.reservation - tol or price > buy.reservation + tol:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .ledger import EventKind, LedgerEvent, write_events_jsonl
+from .ledger import (INTERVAL_ADVANCED, OFFER_POSTED, TRADE_FINALIZED, LedgerEvent,
+                     write_events_jsonl)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import SimReport
@@ -87,20 +88,21 @@ def compute_metrics(events: Iterable[LedgerEvent], interval_hours: float,
     highest_finalized = -1
 
     for event in events:
-        if event.kind == EventKind.OFFER_POSTED:
-            start = int(event.payload["start"])
-            energy = float(event.payload["energy_kwh"])
-            if event.payload["side"] == "selling":
+        kind, payload = event.kind, event.payload
+        if kind == OFFER_POSTED:
+            start = int(payload["start"])
+            energy = float(payload["energy_kwh"])
+            if payload["side"] == "selling":
                 sell_by_interval[start] = sell_by_interval.get(start, 0.0) + energy
             else:
                 buy_by_interval[start] = buy_by_interval.get(start, 0.0) + energy
-        elif event.kind == EventKind.TRADE_FINALIZED:
-            t = int(event.payload["interval"])
+        elif kind == TRADE_FINALIZED:
+            t = int(payload["interval"])
             traded_by_interval[t] = (traded_by_interval.get(t, 0.0)
-                                     + float(event.payload["power_kw"]) * interval_hours)
+                                     + float(payload["power_kw"]) * interval_hours)
             count_by_interval[t] = count_by_interval.get(t, 0) + 1
-        elif event.kind == EventKind.INTERVAL_ADVANCED:
-            highest_finalized = max(highest_finalized, int(event.payload["finalized_interval"]))
+        elif kind == INTERVAL_ADVANCED:
+            highest_finalized = max(highest_finalized, int(payload["finalized_interval"]))
 
     if horizon is not None and highest_finalized < horizon - 1:
         raise IncompleteLogError(

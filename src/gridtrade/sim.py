@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
-from .ledger import Contract, ContractError, ContractState, EventKind, LedgerEvent, Role
-from .market import GridModel, Side, Solution, TradeKey
+from .ledger import INTERVAL_ADVANCED, Contract, ContractError, ContractState, LedgerEvent, Role
+from .market import BUYING, SELLING, GridModel, Solution, TradeKey
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -121,10 +121,10 @@ class ProsumerAgent:
                 end = t
                 if self.trace.flexible:
                     end = min(t + self.trace.flex_window - 1, self.horizon - 1)
-                out.append({"side": Side.SELLING, "start": t, "end": end,
+                out.append({"side": SELLING, "start": t, "end": end,
                             "energy_kwh": net})
             elif net < -1e-12:
-                out.append({"side": Side.BUYING, "start": t, "end": t,
+                out.append({"side": BUYING, "start": t, "end": t,
                             "energy_kwh": -net})
         return out
 
@@ -418,7 +418,7 @@ class Simulation:
 
     def _report(self) -> SimReport:
         events = self.contract.events
-        finalized = sum(1 for e in events if e.kind == EventKind.INTERVAL_ADVANCED)
+        finalized = sum(1 for e in events if e.kind == INTERVAL_ADVANCED)
         if finalized != self.config.horizon:
             raise SimulationError(
                 f"finalized {finalized} intervals, expected {self.config.horizon}")

@@ -47,10 +47,11 @@ import numpy as np
 from . import ledger as ledger_mod
 from .controller import ControllerState, ResourceModel, low_level_update, top_level_update
 from .market import (
+    BUYING,
+    SELLING,
     GridModel,
     Offer,
     PinnedTrades,
-    Side,
     Solution,
     TradeKey,
     check_feasibility,
@@ -254,8 +255,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     # Offers whose window misses [lo, hi] cannot produce variables.
     offers = sorted((o for o in book.values() if o.start <= hi and o.end >= lo),
                     key=lambda o: o.id)
-    sells = [o for o in offers if o.side is Side.SELLING]
-    buys = [o for o in offers if o.side is Side.BUYING]
+    sells = [o for o in offers if o.side is SELLING]
+    buys = [o for o in offers if o.side is BUYING]
     if not sells or not buys:  # nothing can trade in the window
         none = np.zeros(0)
         empty = CsrMatrix(none, np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
@@ -512,6 +513,10 @@ def solve(instance: LpInstance) -> Solution:
     return solution
 
 
+# The events after which the mirrored book differs, so the LP must be rebuilt.
+_BOOK_CHANGES = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOVED})
+
+
 @dataclass
 class SolveRecord:
     """One solver run, for the solver activity export."""
@@ -557,8 +562,7 @@ class SolverAgent:
                 continue
             self.mirror.apply(event)
             self.last_seq = event.seq
-            if event.kind in (ledger_mod.EventKind.OFFER_POSTED,
-                              ledger_mod.EventKind.PARTICIPANT_REMOVED):
+            if event.kind in _BOOK_CHANGES:
                 self._needs_solve = True
 
     def _lookahead(self) -> int:

@@ -259,6 +259,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "verification" in err
 
+    def test_metrics_refuses_a_log_that_does_not_verify(self, tmp_path, config_file,
+                                                         traces_csv, capsys):
+        out_dir = tmp_path / "out"
+        main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+              "--out", str(out_dir)])
+        capsys.readouterr()
+        log = out_dir / "events.jsonl"
+        doctored, first = [], None
+        for seq, line in enumerate(log.read_text().splitlines()):
+            record = json.loads(line)
+            if record.get("kind") == "TradeFinalized":  # ten times the settled power
+                record["payload"]["power_kw"] *= 10
+                first = first or seq
+            doctored.append(json.dumps(record))
+        assert first is not None
+        log.write_text("\n".join(doctored) + "\n")
+        assert main(["metrics", "--log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "verification"
+        assert record["detail"].startswith(f"seq {first}: TradeFinalized power_kw is ")
+        assert main(["verify", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == captured.err
+
     @pytest.mark.parametrize("command", ["verify", "metrics"])
     def test_bad_line_mid_log_is_named(self, tmp_path, config_file, traces_csv, capsys,
                                        command):

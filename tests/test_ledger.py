@@ -645,6 +645,39 @@ class TestVerifyRules:
             replay_events(grid, events)
 
 
+def through_first(events, kind):
+    """The log up to the first event of ``kind``, on to the end of its finalization."""
+    end = next(i for i, event in enumerate(events) if event.kind == kind)
+    while events[end].kind == EventKind.TRADE_FINALIZED:
+        end += 1
+    return events[:end + 1]
+
+
+class TestEventDispatch:
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_apply_and_re_execution_handle_every_kind(self, grid, kind):
+        events = through_first(audited_history(grid), kind)
+        mirror = ContractState(grid)
+        for event in events:
+            mirror.apply(event)
+        assert verify_log(grid, events) == []
+        assert replay_events(grid, events).snapshot() == mirror.snapshot()
+
+    @pytest.mark.parametrize("kind", ["Bogus", "offerposted", "", None, ["OfferPosted"]])
+    def test_apply_refuses_an_unknown_kind_by_name(self, grid, kind):
+        with pytest.raises(ValueError, match=f"^unknown event kind {re.escape(repr(kind))}$"):
+            ContractState(grid).apply(LedgerEvent(1, 0.0, kind, {}))
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_verify_names_an_unknown_kind_at_its_seq(self, grid, kind):
+        events = audited_history(grid)
+        seq = next(event.seq for event in events if event.kind == kind)
+        old = events[seq - 1]
+        events[seq - 1] = old._replace(kind=kind.value.lower())
+        assert verify_log(grid, events) == [
+            f"seq {seq}: unknown event kind {kind.value.lower()!r}"]
+
+
 NAMES = ("dso", "solver", "alice", "bob", "carol")
 
 
@@ -804,6 +837,30 @@ class TestOfferParsedOnce:
         posted = [e for e in events if e.kind == EventKind.OFFER_POSTED]
         assert posted and all(contract.state.book[e.parsed.id] is e.parsed for e in posted)
         assert replayed.snapshot() == contract.state.snapshot()
+
+
+class TestEventRecord:
+    @pytest.mark.parametrize("name", ["seq", "time", "kind", "payload", "parsed", "extra"])
+    def test_no_field_can_be_assigned(self, grid, name):
+        contract = fresh_contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        event = contract.post_offer("alice", Side.BUYING, 2, 4, 5.0)
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+        assert event.seq == 3 and event.parsed is contract.state.book[1]
+
+    def test_read_back_events_equal_the_contracts(self, grid, tmp_path):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
+        read_back = list(read_events_jsonl(path)[1])
+        assert {e.kind for e in contract.events if e.parsed is not None} == {
+            EventKind.OFFER_POSTED, EventKind.SOLUTION_ACCEPTED}
+        assert all(event.parsed is None for event in read_back)
+        assert read_back == contract.events and not read_back != contract.events
+        assert all(a == b and not a != b for a, b in zip(read_back, contract.events))
+        edited = read_back[-1]._replace(time=1.0)
+        assert edited != contract.events[-1] and not edited == contract.events[-1]
 
 
 class TestSolutionParsedOnce:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,48 @@ class TestOfferValidation:
         assert offer.side is Side.SELLING and offer.reservation == 1.0
         assert type(offer.start) is type(offer.end) is int
         assert type(offer.energy_kwh) is type(offer.reservation_price) is float
+
+
+class TestOfferRecord:
+    @pytest.mark.parametrize("name", ["id", "side", "prosumer", "feeder", "energy_kwh", "start",
+                                      "end", "reservation_price", "reservation", "extra"])
+    def test_no_field_can_be_assigned(self, name):
+        offer = sell(1, 2.0, 3, 4, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(offer, name, 1.0)
+        assert offer == sell(1, 2.0, 3, 4, 0.5)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda o: Offer(1, Side.SELLING, "s", "main", math.nan, 3, 4, 0.5), id="new"),
+        pytest.param(lambda o: o._replace(energy_kwh=math.nan), id="replace"),
+        pytest.param(lambda o: Offer._make([1, Side.SELLING, "s", "main", math.nan, 3, 4, 0.5]),
+                     id="make"),
+        pytest.param(lambda o: Offer._make([*o[:4], math.nan, *o[5:]]), id="make-whole-record"),
+    ])
+    def test_no_constructor_makes_a_nan_offer(self, make):
+        with pytest.raises((ValueError, TypeError)):
+            make(sell(1, 2.0, 3, 4, 0.5))
+
+    def test_replace_checks_and_derives_like_a_new_offer(self):
+        offer = sell(1, 2.0, 3, 4)
+        assert offer._replace(side="buying") == buy(1, 2.0, 3, 4, who="s")
+        assert offer._replace(side="buying").reservation == math.inf
+        assert offer._replace(start=3.0, end=np.int64(5)) == sell(1, 2.0, 3, 5)
+        with pytest.raises(ValueError, match="start 5 exceeds end 4"):
+            offer._replace(start=5)
+        with pytest.raises(TypeError):
+            offer._replace(reservation=9.0)
+
+    def test_copies_and_pickles_are_equal_offers(self):
+        offer = buy(2, 1.5, 3, 3, 0.25)
+        for twin in (copy.copy(offer), copy.deepcopy(offer), pickle.loads(pickle.dumps(offer))):
+            assert twin == offer and type(twin) is Offer
+
+    def test_offers_with_equal_fields_are_equal(self):
+        first = Offer(1, "selling", "s", "main", 2, 3.0, np.int64(4), 1)
+        second = Offer(1, Side.SELLING, "s", "main", 2.0, 3, 4, 1.0)
+        assert first == second and not first != second and hash(first) == hash(second)
+        assert first != second._replace(energy_kwh=2.5)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
