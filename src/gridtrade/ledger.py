@@ -41,6 +41,8 @@ IMPROVEMENT_MARGIN = 1e-9
 # Version 2 logs record solutions over open intervals only; version 1 logs
 # restated every finalized trade in each accepted solution.
 LOG_VERSION = 2
+LOG_FORMAT = "gridtrade-events"
+_HEADER_FIELDS = frozenset({"record", "format", "version", "grid", "price_cap"})
 
 
 class ContractError(Exception):
@@ -112,12 +114,13 @@ PARTICIPANT_REMOVED = EventKind.PARTICIPANT_REMOVED.value
 class LedgerEvent(NamedTuple):
     """One appended event: an immutable tuple record.
 
-    ``parsed`` is the Offer of an OfferPosted event or the Solution of a
-    SolutionAccepted event, set by the contract that appends it; None for
-    every other event and for events read from a log. The contract and each
-    mirror that applies the event share this one object. It takes no part in
-    equality or in the record: events are equal when their seq, time, kind
-    and payload are.
+    ``parsed`` is the outcome the contract decided, set by the contract that
+    appends the event: the Offer of an OfferPosted event, the Solution of a
+    SolutionAccepted event, or the stripped candidate of a
+    ParticipantRemoved event; None for every other event and for events read
+    from a log. The contract and each mirror that applies the event share
+    this one object. It takes no part in equality or in the record: events
+    are equal when their seq, time, kind and payload are.
     """
 
     seq: int
@@ -160,9 +163,12 @@ class ContractState:
     ``pinned.finalized_through``. Both are kept up to date by ``apply``, so
     neither is rebuilt from the day's history.
 
-    ``apply`` takes the events a contract appends, which carry their parsed
-    offer or solution; a log read from disk becomes state only by
-    re-execution, through ``replay_events``.
+    ``apply`` takes the events a contract appends, which carry the offer,
+    solution or stripped candidate the contract decided on, and applies it as
+    decided: nothing is parsed or recomputed here. An ``IntervalAdvanced``
+    pins the candidate's trades at the finalized interval in the pass that
+    keeps the rest; ``TradeFinalized`` changes nothing. A log read from disk
+    becomes state only by re-execution, through ``replay_events``.
     """
 
     def __init__(self, grid: GridModel):
@@ -178,7 +184,6 @@ class ContractState:
         self.pinned = PinnedTrades(grid.clearing_lead - 1)
         self.current_interval: int = 0
         self.next_offer_id: int = 1
-        self._pending_pins: dict[tuple[int, int], tuple[float, float]] = {}
 
     def apply(self, event: LedgerEvent) -> None:
         self._apply(event.kind, event.payload, event.parsed)
@@ -207,40 +212,34 @@ class ContractState:
         self.candidate = solution
         self.candidate_objective = float(payload["objective"])
 
-    def _solution_rejected(self, payload: dict, parsed: None) -> None:
-        pass
-
-    def _trade_finalized(self, payload: dict, parsed: None) -> None:
-        key = (int(payload["sell_offer"]), int(payload["buy_offer"]))
-        self._pending_pins[key] = (float(payload["power_kw"]), float(payload["price"]))
+    def _unchanged(self, payload: dict, parsed: None) -> None:
+        """A rejection changes nothing, and a ``TradeFinalized`` records a
+        trade that its interval's ``IntervalAdvanced`` pins."""
 
     def _interval_advanced(self, payload: dict, parsed: None) -> None:
-        fin = int(payload["finalized_interval"])
-        self.pinned.pin(fin, self._pending_pins)
-        self._pending_pins = {}
-        self.candidate = self.candidate.after(fin)
+        fin = payload["finalized_interval"]
+        due, self.candidate = self.candidate.split(fin)
+        self.pinned.pin(fin, due)
         self.candidate_objective = objective(self.candidate)
         self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
                             if offer.end > fin}
-        self.current_interval = int(payload["interval"])
+        self.current_interval = payload["interval"]
 
-    def _participant_removed(self, payload: dict, parsed: None) -> None:
-        removed = {int(oid) for oid in payload["removed_offers"]}
-        for oid in sorted(removed):
-            offer = self.book.pop(oid, None)
-            if offer is not None:
-                del (self.selling if offer.side is SELLING else self.buying)[oid]
-                self.open_offers.pop(oid, None)
-                self.retired[oid] = offer
-        self.candidate = self.candidate.without_offers(removed)
+    def _participant_removed(self, payload: dict, stripped: Solution) -> None:
+        for oid in payload["removed_offers"]:
+            offer = self.book.pop(oid)
+            del (self.selling if offer.side is SELLING else self.buying)[oid]
+            self.open_offers.pop(oid, None)
+            self.retired[oid] = offer
+        self.candidate = stripped
         self.candidate_objective = float(payload["candidate_objective"])
 
     _HANDLERS = {
         PROSUMER_REGISTERED: _registered,
         OFFER_POSTED: _offer_posted,
         SOLUTION_ACCEPTED: _solution_accepted,
-        SOLUTION_REJECTED: _solution_rejected,
-        TRADE_FINALIZED: _trade_finalized,
+        SOLUTION_REJECTED: _unchanged,
+        TRADE_FINALIZED: _unchanged,
         INTERVAL_ADVANCED: _interval_advanced,
         PARTICIPANT_REMOVED: _participant_removed,
     }
@@ -408,11 +407,10 @@ class Contract:
         removed = sorted(
             oid for oid, offer in self.state.book.items() if offer.prosumer == participant)
         stripped = self.state.candidate.without_offers(set(removed))
-        event = self._append(PARTICIPANT_REMOVED, {
+        return [self._append(PARTICIPANT_REMOVED, {
             "participant": participant,
             "removed_offers": removed,
-            "candidate_objective": objective(stripped)}, time)
-        return [event]
+            "candidate_objective": objective(stripped)}, time, stripped)]
 
 
 class _Divergence(Exception):
@@ -422,8 +420,8 @@ class _Divergence(Exception):
 class _Replay(Contract):
     """A contract that re-executes a recorded log: each event an operation
     would append must equal the next recorded one in seq, kind, time and
-    payload. The state applies the contract's own payload and the offer or
-    solution the operation parsed; the recorded events are left as they are.
+    payload. The state applies the contract's own payload and the outcome the
+    operation decided; the recorded events are left as they are.
     The log is consumed one event at a time: ``head`` is the next recorded
     event (None past the end), read as the one before it matches."""
 
@@ -576,10 +574,10 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
     """
     import orjson  # on first use, so that importing the ledger stays cheap
 
-    if not math.isfinite(price_cap):
-        raise ValueError(f"price_cap must be finite, got {price_cap}")
+    if not _is_price_cap(price_cap):
+        raise ValueError(f"price_cap must be a non-negative finite number, got {price_cap!r}")
     path = Path(path)
-    header = {"record": "header", "format": "gridtrade-events", "version": LOG_VERSION,
+    header = {"record": "header", "format": LOG_FORMAT, "version": LOG_VERSION,
               "grid": grid.to_payload(), "price_cap": price_cap}
     dumps = orjson.dumps
     option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
@@ -599,13 +597,41 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
     return path
 
 
+def _is_price_cap(value) -> bool:
+    """True for a non-negative finite number; a ``bool`` is not one."""
+    return isinstance(value, Real) and type(value) is not bool and 0 <= value < math.inf
+
+
+def _check_header(where: str, header: dict) -> None:
+    """Refuse a header the writer would not write, naming ``where`` it is."""
+    if header.keys() != _HEADER_FIELDS:
+        problem = f"header fields are {sorted(header)}, not {sorted(_HEADER_FIELDS)}"
+    elif type(header["version"]) is not int:  # 2.0 equals the version but is not its spelling
+        problem = f"version is {header['version']!r}, not {LOG_VERSION}"
+    elif header["format"] != LOG_FORMAT:
+        problem = f"format is {header['format']!r}, not {LOG_FORMAT!r}"
+    elif not _is_price_cap(header["price_cap"]):
+        problem = f"price_cap is {header['price_cap']!r}, not a non-negative finite number"
+    else:
+        try:
+            GridModel.from_payload(header["grid"])
+            return
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"grid refused ({type(exc).__name__}: {exc})"
+    raise LogFormatError(f"{where}: {problem}")
+
+
 def read_events_jsonl(path: str | Path) -> tuple[dict, Iterator[LedgerEvent]]:
     """Read an audit log: the header, which must be the first record, now;
-    each event as the iteration reaches its line. A line that is not a JSON
-    object (NaN and Infinity are not JSON), a malformed event or a second
-    header raises ``LogFormatError`` naming its ``path:line``. The file
-    closes when the events run out, when the iterator is closed (as
-    ``verify_log`` and ``replay_events`` do when they stop) or dropped.
+    each event as the iteration reaches its line. The header must be the
+    writer's: its five fields, this format and version, a price cap
+    ``write_events_jsonl`` takes and a grid ``GridModel.from_payload``
+    takes. A line that is not a JSON object (NaN and Infinity are not
+    JSON), a header that is not the writer's, an event with other fields
+    than the writer's or malformed ones, or a second header raises
+    ``LogFormatError`` naming its ``path:line``. The file closes when the
+    events run out, when the iterator is closed (as ``verify_log`` and
+    ``replay_events`` do when they stop) or dropped.
     """
     records = _records(Path(path))
     return next(records), records
@@ -634,9 +660,13 @@ def _records(path: Path) -> Iterator[dict | LedgerEvent]:
                     raise LogFormatError(
                         f"{path}: log version {record.get('version')} is not supported; "
                         f"this reader reads version {LOG_VERSION}")
+                _check_header(f"{path}:{line_no}", record)
                 header = record
                 yield header
             elif kind == "event":
+                if len(record) != 5:  # "record" and the four from_record reads, no more
+                    raise LogFormatError(f"{path}:{line_no}: event fields are {sorted(record)}, "
+                                         "not record, seq, time, kind and payload")
                 try:
                     event = LedgerEvent.from_record(record)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -648,3 +678,4 @@ def _records(path: Path) -> Iterator[dict | LedgerEvent]:
                 raise LogFormatError(f"{path}:{line_no}: unknown record type")
     if header is None:
         raise LogFormatError(f"{path}: missing header record")
+

@@ -15,9 +15,9 @@ interval length in hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 TOLERANCE = 1e-9
@@ -59,7 +59,8 @@ class Feeder:
 
     ``net_flow_limit_kw`` bounds the absolute net power flowing in or out of
     the feeder; ``internal_limit_kw`` bounds total production and total
-    consumption inside the feeder, each separately.
+    consumption inside the feeder, each separately. Each is a non-negative
+    finite number (NumPy's included, a ``bool`` not).
     """
 
     id: str
@@ -68,13 +69,16 @@ class Feeder:
 
     def __post_init__(self) -> None:
         for limit in (self.net_flow_limit_kw, self.internal_limit_kw):
-            if not 0 <= limit < math.inf:
-                raise ValueError(f"feeder {self.id}: limits must be non-negative and finite")
+            if not (_finite(limit) and limit >= 0):
+                raise ValueError(f"feeder {self.id}: limits must be non-negative and finite "
+                                 f"numbers, got {limit!r}")
 
 
 @dataclass(frozen=True)
 class GridModel:
-    """Static grid description plus the market's timing constants."""
+    """Static grid description plus the market's timing constants:
+    ``interval_hours`` a positive finite number and ``clearing_lead`` an
+    integer of at least 1 (NumPy's included, a ``bool`` or ``1.0`` not)."""
 
     feeders: tuple[Feeder, ...]
     interval_hours: float
@@ -82,10 +86,12 @@ class GridModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feeders", tuple(self.feeders))
-        if not 0 < self.interval_hours < math.inf:
-            raise ValueError("interval_hours must be positive and finite")
-        if self.clearing_lead < 1:
-            raise ValueError("clearing_lead must be at least 1")
+        if not (_finite(self.interval_hours) and self.interval_hours > 0):
+            raise ValueError(
+                f"interval_hours must be a positive and finite number, got {self.interval_hours!r}")
+        lead = self.clearing_lead
+        if not (isinstance(lead, Integral) and type(lead) is not bool and lead >= 1):
+            raise ValueError(f"clearing_lead must be an integer of at least 1, got {lead!r}")
         ids = [f.id for f in self.feeders]
         if len(set(ids)) != len(ids):
             raise ValueError("feeder ids must be unique")
@@ -288,16 +294,22 @@ class Solution:
         return Solution({key: value for key, value in self._entries.items()
                          if key[0] not in offer_ids and key[1] not in offer_ids})
 
-    def after(self, interval: int) -> "Solution":
-        """The trades at intervals after ``interval``.
-
-        The kept entries are already sorted and validated, so they are not
-        checked again.
+    def split(self, interval: int) -> tuple[dict[tuple[int, int], tuple[float, float]],
+                                            "Solution"]:
+        """The trades at ``interval``, keyed by (sell, buy), and the solution
+        of the trades after it, taken in one pass; earlier trades are in
+        neither. The kept entries are already sorted and validated, so they
+        are not checked again.
         """
-        kept = Solution.__new__(Solution)
-        kept._entries = {key: value for key, value in self._entries.items()
-                         if key[2] > interval}
-        return kept
+        due: dict[tuple[int, int], tuple[float, float]] = {}
+        later = Solution.__new__(Solution)
+        later._entries = kept = {}
+        for key, value in self._entries.items():
+            if key[2] > interval:
+                kept[key] = value
+            elif key[2] == interval:
+                due[key[:2]] = value
+        return due, later
 
     def to_payload(self) -> list[list]:
         return [[s, b, t, p, pi] for (s, b, t), (p, pi) in self._entries.items()]
@@ -398,17 +410,17 @@ class PinnedTrades:
                 and self._by_interval == other._by_interval)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """A violated constraint: which rule, and what it was broken for (a trade
+    ``(s,b,t)``, an offer id, or ``feeder@interval``)."""
+
     kind: str  # one of VIOLATION_KINDS
     subject: str
-    detail: str
-    excess: float = 0.0
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    violations: tuple[Violation, ...] = field(default=())
+    violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -473,38 +485,23 @@ def check_feasibility(
 
         if power > tol:
             if price < sell.reservation - tol or price > buy.reservation + tol:
-                violations.append(Violation(
-                    "price-band", f"({s_id},{b_id},{interval})",
-                    f"price {price} outside [{sell.reservation}, {buy.reservation}]"))
+                violations.append(Violation("price-band", f"({s_id},{b_id},{interval})"))
 
-    for kind, verb, used in (("energy-seller", "sold", sold), ("energy-buyer", "bought", bought)):
+    for kind, used in (("energy-seller", sold), ("energy-buyer", bought)):
         for offer_id in sorted(used):
-            total = used[offer_id] + pinned.energy(offer_id, delta)
-            offered = book[offer_id].energy_kwh
-            if total > offered + tol:
-                violations.append(Violation(
-                    kind, str(offer_id),
-                    f"{verb} {total} kWh exceeds offered {offered}", total - offered))
+            if used[offer_id] + pinned.energy(offer_id, delta) > book[offer_id].energy_kwh + tol:
+                violations.append(Violation(kind, str(offer_id)))
 
     for feeder_id, interval in sorted(set(production) | set(consumption)):
         feeder = feeders[feeder_id]
         prod = production.get((feeder_id, interval), 0.0)
         cons = consumption.get((feeder_id, interval), 0.0)
-        net = prod - cons
-        if abs(net) > feeder.net_flow_limit_kw + tol:
-            violations.append(Violation(
-                "feeder-net", f"{feeder_id}@{interval}",
-                f"net flow {net} kW exceeds limit {feeder.net_flow_limit_kw}",
-                abs(net) - feeder.net_flow_limit_kw))
+        at = f"{feeder_id}@{interval}"
+        if abs(prod - cons) > feeder.net_flow_limit_kw + tol:
+            violations.append(Violation("feeder-net", at))
         if prod > feeder.internal_limit_kw + tol:
-            violations.append(Violation(
-                "feeder-internal", f"{feeder_id}@{interval}",
-                f"production {prod} kW exceeds limit {feeder.internal_limit_kw}",
-                prod - feeder.internal_limit_kw))
+            violations.append(Violation("feeder-internal", at))
         if cons > feeder.internal_limit_kw + tol:
-            violations.append(Violation(
-                "feeder-internal", f"{feeder_id}@{interval}",
-                f"consumption {cons} kW exceeds limit {feeder.internal_limit_kw}",
-                cons - feeder.internal_limit_kw))
+            violations.append(Violation("feeder-internal", at))
 
     return FeasibilityReport(tuple(violations))

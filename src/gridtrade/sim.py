@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
-from .ledger import INTERVAL_ADVANCED, Contract, ContractError, ContractState, LedgerEvent, Role
+from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
 from .market import BUYING, SELLING, GridModel, Solution, TradeKey
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
@@ -101,21 +101,23 @@ class SimConfig:
 
 
 class ProsumerAgent:
-    """Posts one offer per surplus or deficit interval, never twice."""
+    """Posts one offer per surplus or deficit interval, never twice.
+
+    ``offered_through`` is the last interval considered for an offer: the
+    windows considered only move forward, so none up to it comes again.
+    """
 
     def __init__(self, trace: ProsumerTrace, horizon: int):
         self.trace = trace
         self.horizon = horizon
         self.active = True
-        self.offered: set[int] = set()
+        self.offered_through = -1
 
     def offers_for(self, now: int, clearing_lead: int, prediction_window: int) -> list[dict]:
         out: list[dict] = []
         last = min(now + prediction_window, self.horizon - 1, len(self.trace) - 1)
-        for t in range(now + clearing_lead, last + 1):
-            if t in self.offered:
-                continue
-            self.offered.add(t)
+        for t in range(max(now + clearing_lead, self.offered_through + 1), last + 1):
+            self.offered_through = t
             net = self.trace.net(t)
             if net > 1e-12:
                 end = t
@@ -130,7 +132,7 @@ class ProsumerAgent:
 
     def forget_future_offers(self, current_interval: int) -> None:
         """After recovery, allow re-posting for still-open intervals."""
-        self.offered = {t for t in self.offered if t <= current_interval}
+        self.offered_through = min(self.offered_through, current_interval)
 
 
 class AdversaryAgent:
@@ -418,7 +420,7 @@ class Simulation:
 
     def _report(self) -> SimReport:
         events = self.contract.events
-        finalized = sum(1 for e in events if e.kind == INTERVAL_ADVANCED)
+        finalized = self.contract.state.current_interval  # one per IntervalAdvanced
         if finalized != self.config.horizon:
             raise SimulationError(
                 f"finalized {finalized} intervals, expected {self.config.horizon}")

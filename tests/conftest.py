@@ -61,3 +61,43 @@ def make_battery_traces(horizon: int = HORIZON) -> list[ProsumerTrace]:
 @pytest.fixture
 def battery_traces() -> list[ProsumerTrace]:
     return make_battery_traces()
+
+
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+def _grid_edit(**changes):
+    return lambda header: {**header, "grid": {**header["grid"], **changes}}
+
+
+def _first_feeder_edit(**changes):
+    def edit(header):
+        feeders = [{**header["grid"]["feeders"][0], **changes}, *header["grid"]["feeders"][1:]]
+        return {**header, "grid": {**header["grid"], "feeders": feeders}}
+    return edit
+
+
+# Edits of a log's header record that the writer never makes; the reader
+# refuses each with ``LogFormatError``.
+HEADER_EDITS = {
+    "clearing-lead-true": _grid_edit(clearing_lead=True),
+    "clearing-lead-float": _grid_edit(clearing_lead=1.0),
+    "clearing-lead-zero": _grid_edit(clearing_lead=0),
+    "interval-hours-string": _grid_edit(interval_hours="0.25"),
+    "interval-hours-bool": _grid_edit(interval_hours=True),
+    "limit-string": _first_feeder_edit(net_flow_limit_kw="50"),
+    "limit-bool": _first_feeder_edit(internal_limit_kw=False),
+    "feeder-without-id": lambda h: {**h, "grid": {
+        **h["grid"], "feeders": [_without(f, "id") for f in h["grid"]["feeders"]]}},
+    "grid-not-an-object": lambda h: {**h, "grid": [1, 2]},
+    "no-grid": lambda h: _without(h, "grid"),
+    "no-price-cap": lambda h: _without(h, "price_cap"),
+    "extra-field": lambda h: {**h, "comment": "hello"},
+    "format-other": lambda h: {**h, "format": "other"},
+    "version-float": lambda h: {**h, "version": 2.0},
+    "price-cap-string": lambda h: {**h, "price_cap": "x"},
+    "price-cap-bool": lambda h: {**h, "price_cap": True},
+    "price-cap-negative": lambda h: {**h, "price_cap": -1.0},
+    "price-cap-null": lambda h: {**h, "price_cap": None},
+}

@@ -15,9 +15,13 @@ from gridtrade.cli import (
     main,
     parse_flat_config,
 )
+from gridtrade.ledger import Contract, Role, write_events_jsonl
+from gridtrade.market import SELLING
 from gridtrade.metrics import DEFAULT_UNIT_PRICE
 from gridtrade.sim import SimConfig
 from gridtrade.traces import synthesize_traces, write_traces
+
+from conftest import HEADER_EDITS
 
 BASE_CONFIG = """
 # community setup
@@ -314,6 +318,27 @@ class TestCommands:
         log.write_text("\n".join([json.dumps(record)] + rest) + "\n")
         assert main(["verify", "--log", str(log)]) == 1
         assert "log version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [*sorted(HEADER_EDITS), "event-extra-field"])
+    def test_verify_refuses_a_log_the_writer_would_not_write(self, tmp_path, grid, case,
+                                                             capsys):
+        contract = Contract(grid)
+        contract.register("dso", Role.DSO)
+        contract.register("p1", Role.PROSUMER, "main")
+        contract.post_offer("p1", SELLING, 2, 3, 1.0)
+        log = write_events_jsonl(tmp_path / "events.jsonl", contract.events, grid)
+        assert main(["verify", "--log", str(log)]) == 0
+        assert capsys.readouterr().out == "ok: 3 events verified\n"
+        lines = log.read_text().splitlines()
+        line = 4 if case == "event-extra-field" else 1
+        record = json.loads(lines[line - 1])
+        lines[line - 1] = json.dumps({**record, "signed": "me"} if line == 4
+                                     else HEADER_EDITS[case](record))
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--log", str(log)]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert error["error"] == "LogFormatError"
+        assert error["detail"].startswith(f"{log}:{line}: ")
 
     def test_errors_are_machine_readable(self, tmp_path, capsys):
         rc = main(["verify", "--log", str(tmp_path / "missing.jsonl")])

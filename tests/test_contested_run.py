@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridtrade.ledger import (EventKind, LedgerEvent, read_events_jsonl, verify_log,
-                              write_events_jsonl)
+from gridtrade.ledger import (ContractState, EventKind, LedgerEvent, read_events_jsonl,
+                              verify_log, write_events_jsonl)
 from gridtrade.market import Feeder, GridModel
 from gridtrade.sim import FailureSpec, SimConfig, Simulation
 from gridtrade.solver import SolverAgent, build_lp
@@ -82,6 +82,33 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
     assert {o.prosumer for o in state.retired.values()} == {"p001"}
     assert state.open_offers == {}
     assert report.metrics.traded_kwh > 0
+
+
+def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
+    """On each removal every solver mirror takes the contract's own stripped
+    candidate, not a copy it recomputed, and each ends the day with the
+    contract's pins and state."""
+    sim = contested_day(n_adversaries=2)
+    original = ContractState.apply
+    removals = {}
+
+    def apply(state, event):
+        original(state, event)
+        if event.kind == EventKind.PARTICIPANT_REMOVED:
+            removals.setdefault(event.seq, []).append((state, state.candidate))
+
+    monkeypatch.setattr(ContractState, "apply", apply)
+    sim.run()
+    contract = sim.contract.state
+    mirrors = {id(agent.mirror) for agent in sim.solvers.values()}
+    assert len(removals) == 2 and len(mirrors) == 3
+    for (own, decided), *applied in removals.values():
+        assert own is contract and {id(state) for state, _ in applied} == mirrors
+        assert all(candidate is decided for _, candidate in applied)
+    for agent in sim.solvers.values():
+        agent.observe(sim.contract.events)  # the events after its last tick
+        assert agent.mirror.pinned.snapshot() == contract.pinned.snapshot()
+        assert agent.mirror.snapshot() == contract.snapshot()
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +194,16 @@ def _prosumer(payload):
     return payload["role"] == "prosumer"
 
 
+def _removed_any(payload):
+    return bool(payload["removed_offers"])
+
+
+def _keep_one_offer(payload, rng):
+    removed = list(payload["removed_offers"])
+    removed.remove(rng.choice(removed))
+    return {**payload, "removed_offers": removed}
+
+
 def _first_offer(events, event):
     return next(e.seq for e in events if e.kind == EventKind.OFFER_POSTED
                 and e.payload["participant"] == event.payload["participant"])
@@ -197,6 +234,9 @@ MUTATIONS = {
         "objective": rng.uniform(1e3, 1e6)}),
     "prosumer-role-rewritten": (EventKind.PROSUMER_REGISTERED, _prosumer,
                                 lambda p, rng: {**p, "role": rng.choice(["solver", "dso"])}),
+    "removal-objective-edited": (EventKind.PARTICIPANT_REMOVED, None, lambda p, rng: {
+        **p, "candidate_objective": p["candidate_objective"] + rng.uniform(0.01, 1.0)}),
+    "removal-keeps-an-offer": (EventKind.PARTICIPANT_REMOVED, _removed_any, _keep_one_offer),
 }
 # Edits that break no rule of their own event, and the seq each is flagged at
 # instead: a prosumer registered as a solver or the DSO may not post offers.

@@ -19,6 +19,7 @@ from gridtrade.ledger import (
     EventKind,
     InvalidQuantity,
     LedgerEvent,
+    LogFormatError,
     NotAuthorized,
     NotRegistered,
     Role,
@@ -31,6 +32,8 @@ from gridtrade.ledger import (
 )
 from gridtrade.market import (Feeder, GridModel, InvalidTradeError, Side, Solution, matchable,
                               objective)
+
+from conftest import HEADER_EDITS
 
 
 def fresh_contract(grid, *, with_dso=True, require_dso=True, operator_feeder=None):
@@ -975,14 +978,41 @@ class TestEventsJsonl:
         pytest.param('{"kind": "ProsumerRegistered", "payload": [["participant", "p1"], '
                      '["role", "solver"], ["feeder", "__operator__"]], "record": "event", '
                      '"seq": 1, "time": 0.0}', id="payload-not-an-object"),
+        pytest.param('{"kind": "ProsumerRegistered", "payload": {"participant": "p1", '
+                     '"role": "solver", "feeder": null}, "record": "event", "seq": 1, '
+                     '"time": 0.0, "signed": "me"}', id="extra-field"),
     ])
     def test_bad_line_names_file_and_line(self, grid, tmp_path, line):
         path = write_events_jsonl(tmp_path / "events.jsonl", [], grid)
         with path.open("a") as fh:
             fh.write(line + "\n")
         _, events = read_events_jsonl(path)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}:2: "):
             list(events)
+
+    @pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+    def test_header_the_writer_would_not_write_is_refused(self, grid, tmp_path, case):
+        contract = battery_contract_at_47(grid)
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, grid)
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        edited = HEADER_EDITS[case](orjson.loads(header))
+        path.write_bytes(orjson.dumps(edited) + b"\n" + b"".join(lines))
+        with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}:1: "):
+            read_events_jsonl(path)
+
+    @pytest.mark.parametrize("price_cap", [True, -1.0, math.nan, "1"])
+    def test_writer_refuses_a_price_cap_the_reader_would(self, grid, tmp_path, price_cap):
+        with pytest.raises(ValueError, match="price_cap must be a non-negative finite number"):
+            write_events_jsonl(tmp_path / "events.jsonl", [], grid, price_cap=price_cap)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_grid_and_price_cap_are_written_and_read(self, tmp_path):
+        grid = GridModel((Feeder("main", np.float64(5.0), np.float64(6.0)),),
+                         np.float64(0.5), np.int64(2))
+        path = write_events_jsonl(tmp_path / "events.jsonl", [], grid, price_cap=np.float64(1.5))
+        header, events = read_events_jsonl(path)
+        assert list(events) == []
+        assert GridModel.from_payload(header["grid"]) == grid and header["price_cap"] == 1.5
 
 
 @pytest.fixture

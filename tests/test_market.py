@@ -154,6 +154,28 @@ class TestGridValidation:
     def test_zero_limits_are_allowed(self):
         assert Feeder("x", 0.0, 0.0).net_flow_limit_kw == 0.0
 
+    @pytest.mark.parametrize("value", [True, "50", None, np.bool_(True)])
+    def test_limit_that_is_not_a_number_is_refused(self, value):
+        with pytest.raises(ValueError, match="limits must be"):
+            Feeder("x", value, 1.0)
+        with pytest.raises(ValueError, match="limits must be"):
+            Feeder("x", 1.0, value)
+
+    @pytest.mark.parametrize("value", [True, "0.25", None])
+    def test_interval_hours_that_is_not_a_number_is_refused(self, value):
+        with pytest.raises(ValueError, match="interval_hours must be"):
+            GridModel((Feeder("x", 1.0, 1.0),), value, 1)
+
+    @pytest.mark.parametrize("value", [True, 1.0, np.float64(2.0), "1", None, 0, -1])
+    def test_clearing_lead_that_is_not_a_whole_count_is_refused(self, value):
+        with pytest.raises(ValueError, match="clearing_lead must be an integer of at least 1"):
+            GridModel((Feeder("x", 1.0, 1.0),), 0.25, value)
+
+    def test_numpy_scalars_are_accepted(self):
+        grid = GridModel((Feeder("x", np.float64(2.0), np.int64(3)),), np.float32(0.25),
+                         np.int64(2))
+        assert grid == GridModel((Feeder("x", 2.0, 3.0),), 0.25, 2)
+
 
 class TestMatchable:
     def test_price_and_window_compatible(self):
@@ -216,11 +238,16 @@ class TestSolution:
         assert stripped == Solution({(4, 2, 7): (3.0, 0.1)})
 
     def test_after_keeps_later_trades_in_key_order(self):
-        sol = Solution({(4, 2, 7): (3.0, 0.1), (1, 2, 3): (1.0, 0.1), (1, 2, 8): (2.0, 0.2)})
-        later = sol.after(3)
+        """``split`` keeps the trades after the interval, in key order, and
+        takes those at it."""
+        sol = Solution({(4, 2, 7): (3.0, 0.1), (1, 2, 3): (1.0, 0.1), (1, 2, 8): (2.0, 0.2),
+                        (5, 6, 3): (0.0, 0.3)})
+        due, later = sol.split(3)
+        assert due == {(1, 2): (1.0, 0.1), (5, 6): (0.0, 0.3)}
         assert later == Solution({(1, 2, 8): (2.0, 0.2), (4, 2, 7): (3.0, 0.1)})
         assert list(later.keys()) == [(1, 2, 8), (4, 2, 7)]
-        assert len(sol) == 3 and len(sol.after(8)) == 0
+        assert sol.split(7) == ({(4, 2): (3.0, 0.1)}, Solution({(1, 2, 8): (2.0, 0.2)}))
+        assert len(sol) == 4 and sol.split(8) == ({(1, 2): (2.0, 0.2)}, Solution.empty())
 
 
 class TestObjective:
