@@ -34,6 +34,7 @@ from .market import (
     VIOLATION_KINDS,
     check_feasibility,
     objective,
+    whole_interval,
 )
 
 IMPROVEMENT_MARGIN = 1e-9
@@ -75,6 +76,11 @@ class AlreadyFinalized(ContractError):
 
 class NotAuthorized(ContractError):
     pass
+
+
+class InvalidArgument(ContractError):
+    """A call argument of the wrong type: a participant name that is not a
+    ``str`` or a submission that is not a ``Solution``."""
 
 
 class LogFormatError(ValueError):
@@ -147,11 +153,16 @@ class LedgerEvent(NamedTuple):
         seq, time, payload = record["seq"], record["time"], record["payload"]
         if type(seq) is not int:
             raise TypeError(f"seq is {seq!r}, not an integer")
-        if type(time) is not float and type(time) is not int:  # a bool is no time
-            raise TypeError(f"time is {time!r}, not a number")
+        if type(time) is not float:
+            if type(time) is not int:  # a bool is no time
+                raise TypeError(f"time is {time!r}, not a number")
+            time = float(time)
         if type(payload) is not dict:
             raise TypeError(f"payload is a {type(payload).__name__}, not an object")
-        return cls(seq, float(time), str(record["kind"]), payload)
+        kind = record["kind"]
+        if type(kind) is not str:
+            kind = str(kind)
+        return tuple.__new__(cls, (seq, time, kind, payload, None))  # no second pass over them
 
 
 class ContractState:
@@ -304,7 +315,8 @@ class Contract:
 
     def _append(self, kind: str, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
-        if not ((type(time) is float or isinstance(time, Real)) and math.isfinite(time)):
+        if not ((type(time) is float or isinstance(time, Real) and type(time) is not bool)
+                and math.isfinite(time)):
             raise InvalidQuantity(f"time must be a finite number, got {time}")
         event = LedgerEvent(len(self._events) + 1, float(time), kind, payload, parsed)
         self.state.apply(event)
@@ -314,6 +326,8 @@ class Contract:
     def register(self, participant: str, role: Role | str, feeder: str | None = None,
                  *, time: float = 0.0) -> LedgerEvent:
         """A prosumer names its feeder; others may. A named feeder must exist."""
+        if not isinstance(participant, str):
+            raise InvalidArgument(f"participant must be a str, got {participant!r}")
         try:
             role = Role(role)
         except ValueError:
@@ -351,6 +365,9 @@ class Contract:
                         *, time: float = 0.0) -> LedgerEvent:
         if participant not in self.state.participants:
             raise NotRegistered(f"{participant} is not registered")
+        if type(solution) is not Solution:  # only its constructor checks trade values
+            raise InvalidArgument(
+                f"a submission must be a Solution, got a {type(solution).__name__}")
         try:
             report = self.state.feasibility(solution)
             value = objective(solution)
@@ -376,11 +393,20 @@ class Contract:
 
     def finalize(self, caller: str | None, interval: int,
                  *, time: float = 0.0) -> list[LedgerEvent]:
-        """Pin the trades for ``interval + clearing_lead`` from the candidate."""
+        """Pin the trades for ``interval + clearing_lead`` from the candidate.
+
+        ``interval`` is taken as an offer's window is: a whole number, made
+        an ``int``; a ``bool``, a fraction or a non-number is refused.
+        """
         if self.require_dso_finalize:
             info = self.state.participants.get(caller) if caller else None
             if info is None or info["role"] != DSO:
                 raise NotAuthorized("finalization requires the grid operator")
+        if type(interval) is not int:
+            try:
+                interval = whole_interval("finalize: interval", interval)
+            except ValueError as exc:
+                raise InvalidQuantity(str(exc)) from None
         if interval < self.state.current_interval:
             raise AlreadyFinalized(f"interval {interval} was already finalized")
         if interval > self.state.current_interval:
@@ -641,19 +667,29 @@ def _records(path: Path) -> Iterator[dict | LedgerEvent]:
     """The header record, then each event; the file is open until this ends."""
     import orjson
 
+    loads, from_record = orjson.loads, LedgerEvent.from_record
     header: dict | None = None
     with path.open("rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                record = orjson.loads(line)
+                record = loads(line)
             except orjson.JSONDecodeError as exc:
                 raise LogFormatError(f"{path}:{line_no}: not valid JSON ({exc})") from None
-            if not isinstance(record, dict):
+            if type(record) is not dict:
                 raise LogFormatError(f"{path}:{line_no}: record is not an object")
             kind = record.get("record")
-            if header is None:
+            if kind == "event" and header is not None:  # every line after the header
+                if len(record) != 5:  # "record" and the four from_record reads, no more
+                    raise LogFormatError(f"{path}:{line_no}: event fields are {sorted(record)}, "
+                                         "not record, seq, time, kind and payload")
+                try:
+                    event = from_record(record)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise LogFormatError(f"{path}:{line_no}: malformed event ({exc!r})") from None
+                yield event
+            elif header is None:
                 if kind != "header":
                     raise LogFormatError(f"{path}:{line_no}: record before the header")
                 if record.get("version") != LOG_VERSION:
@@ -663,15 +699,6 @@ def _records(path: Path) -> Iterator[dict | LedgerEvent]:
                 _check_header(f"{path}:{line_no}", record)
                 header = record
                 yield header
-            elif kind == "event":
-                if len(record) != 5:  # "record" and the four from_record reads, no more
-                    raise LogFormatError(f"{path}:{line_no}: event fields are {sorted(record)}, "
-                                         "not record, seq, time, kind and payload")
-                try:
-                    event = LedgerEvent.from_record(record)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise LogFormatError(f"{path}:{line_no}: malformed event ({exc!r})") from None
-                yield event
             elif kind == "header":
                 raise LogFormatError(f"{path}:{line_no}: second header record")
             else:

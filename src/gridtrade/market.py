@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 TOLERANCE = 1e-9
@@ -92,12 +93,14 @@ class GridModel:
         lead = self.clearing_lead
         if not (isinstance(lead, Integral) and type(lead) is not bool and lead >= 1):
             raise ValueError(f"clearing_lead must be an integer of at least 1, got {lead!r}")
-        ids = [f.id for f in self.feeders]
-        if len(set(ids)) != len(ids):
+        limits = {f.id: f for f in self.feeders}
+        if len(limits) != len(self.feeders):
             raise ValueError("feeder ids must be unique")
+        object.__setattr__(self, "_limits", limits)  # read by check_feasibility
 
-    def feeder_limits(self) -> dict[str, Feeder]:
-        return {f.id: f for f in self.feeders}
+    def feeder_limits(self) -> Mapping[str, Feeder]:
+        """Each feeder by id: a read-only view of a dict built once per grid."""
+        return MappingProxyType(self._limits)
 
     def to_payload(self) -> dict:
         return {
@@ -122,11 +125,12 @@ class GridModel:
 _SIDES = {side.value: side for side in Side}
 
 
-def _whole(oid: int, name: str, value) -> int:
-    """``value`` of field ``name`` of offer ``oid`` as an ``int`` interval index."""
+def whole_interval(what: str, value) -> int:
+    """``value`` as an ``int`` interval index: a whole finite number, not a
+    ``bool``; anything else raises ``ValueError`` naming ``what`` it is."""
     if not (isinstance(value, Real) and type(value) is not bool
             and -math.inf < value < math.inf and int(value) == value):
-        raise ValueError(f"offer {oid}: {name} must be a whole interval, got {value!r}")
+        raise ValueError(f"{what} must be a whole interval, got {value!r}")
     return int(value)
 
 
@@ -175,7 +179,8 @@ class Offer(_OfferRecord):
                 raise ValueError(f"offer {id}: side must be buying or selling, got {side!r}")
             side = checked
         if not (type(start) is type(end) is int):
-            start, end = _whole(id, "start", start), _whole(id, "end", end)
+            start = whole_interval(f"offer {id}: start", start)
+            end = whole_interval(f"offer {id}: end", end)
         if type(energy_kwh) is not float:
             energy_kwh = _real(id, "energy_kwh", energy_kwh)
         price = reservation_price
@@ -245,7 +250,10 @@ class Solution:
                     f"trade {key!r}: key must be three ints (sell offer, buy offer, interval)")
         cleaned: dict[TradeKey, tuple[float, float]] = {}
         isfinite = math.isfinite
-        for key, value in sorted(entries.items()):
+        # Sorting the keys alone costs a fraction of sorting the items, whose
+        # first elements are tuples and so compare by the generic path.
+        for key in sorted(entries):
+            value = entries[key]
             power, price = value
             # A pair of floats, as the solver and the log reader give, is kept
             # as it is; any other value is checked as a number and converted.
@@ -260,6 +268,14 @@ class Solution:
                 raise InvalidTradeError(f"trade {key}: power must be non-negative")
             cleaned[key] = value
         self._entries = cleaned
+
+    @classmethod
+    def _of(cls, entries: dict[TradeKey, tuple[float, float]]) -> "Solution":
+        """A solution of entries already checked and in key order, such as
+        a part of another solution's: nothing is checked or sorted again."""
+        solution = cls.__new__(cls)
+        solution._entries = entries
+        return solution
 
     @classmethod
     def empty(cls) -> "Solution":
@@ -291,8 +307,8 @@ class Solution:
 
     def without_offers(self, offer_ids: set[int]) -> "Solution":
         """Drop every trade touching ``offer_ids``."""
-        return Solution({key: value for key, value in self._entries.items()
-                         if key[0] not in offer_ids and key[1] not in offer_ids})
+        return Solution._of({key: value for key, value in self._entries.items()
+                             if key[0] not in offer_ids and key[1] not in offer_ids})
 
     def split(self, interval: int) -> tuple[dict[tuple[int, int], tuple[float, float]],
                                             "Solution"]:
@@ -302,14 +318,13 @@ class Solution:
         are not checked again.
         """
         due: dict[tuple[int, int], tuple[float, float]] = {}
-        later = Solution.__new__(Solution)
-        later._entries = kept = {}
+        kept: dict[TradeKey, tuple[float, float]] = {}
         for key, value in self._entries.items():
             if key[2] > interval:
                 kept[key] = value
             elif key[2] == interval:
                 due[key[:2]] = value
-        return due, later
+        return due, Solution._of(kept)
 
     def to_payload(self) -> list[list]:
         return [[s, b, t, p, pi] for (s, b, t), (p, pi) in self._entries.items()]
@@ -329,7 +344,7 @@ class Solution:
 
 def objective(solution: Solution) -> float:
     """Total traded power, summed over all trades and intervals (kW)."""
-    return sum(power for _, (power, _) in solution.items())
+    return sum([value[0] for value in solution._entries.values()])
 
 
 class PinnedTrades:
@@ -351,16 +366,17 @@ class PinnedTrades:
         for interval, entries in sorted((by_interval or {}).items()):
             if interval > finalized_through:
                 raise ValueError(f"interval {interval} beyond finalized_through")
-            self._store(int(interval), entries)
+            self._keep(int(interval), {(int(s), int(b)): (float(p), float(pi))
+                                       for (s, b), (p, pi) in sorted(entries.items())})
 
-    def _store(self, interval: int,
-               entries: Mapping[tuple[int, int], tuple[float, float]]) -> None:
-        kept = {(int(s), int(b)): (float(p), float(pi))
-                for (s, b), (p, pi) in sorted(entries.items())}
+    def _keep(self, interval: int, kept: dict[tuple[int, int], tuple[float, float]]) -> None:
+        """Hold ``kept``, in key order with float values, as the trades of
+        ``interval``, and add their power to each offer's sum."""
         self._by_interval[interval] = kept
+        total = self._power_by_offer
         for (s, b), (power, _) in kept.items():
-            self._power_by_offer[s] = self._power_by_offer.get(s, 0.0) + power
-            self._power_by_offer[b] = self._power_by_offer.get(b, 0.0) + power
+            total[s] = total.get(s, 0.0) + power
+            total[b] = total.get(b, 0.0) + power
 
     @classmethod
     def empty(cls) -> "PinnedTrades":
@@ -370,26 +386,33 @@ class PinnedTrades:
         return dict(self._by_interval.get(interval, {}))
 
     def pin(self, interval: int, entries: Mapping[tuple[int, int], tuple[float, float]]) -> None:
-        """Lock an interval's trades. Intervals must be pinned in order."""
+        """Lock an interval's trades; trades of no power are not kept.
+        Intervals must be pinned in order.
+
+        ``entries`` are taken as ``Solution.split`` gives them: (sell, buy)
+        keys in order and float values, already checked, so they are not
+        sorted or converted again.
+        """
         if interval != self.finalized_through + 1:
             raise ValueError(
                 f"interval {interval} cannot be pinned; next is {self.finalized_through + 1}")
         kept = {key: value for key, value in entries.items() if value[0] > 0.0}
         if kept:
-            self._store(interval, kept)
+            self._keep(interval, kept)
         self.finalized_through = interval
 
     def overlay(self) -> dict[TradeKey, tuple[float, float]]:
         """All pinned values keyed as solution entries."""
         out: dict[TradeKey, tuple[float, float]] = {}
-        for interval in sorted(self._by_interval):
-            for (s, b), value in self._by_interval[interval].items():
+        for interval, entries in self._by_interval.items():  # pinned in interval order
+            for (s, b), value in entries.items():
                 out[(s, b, interval)] = value
         return out
 
-    def energy(self, offer_id: int, interval_hours: float) -> float:
-        """Pinned energy (kWh) already committed by one offer."""
-        return self._power_by_offer.get(offer_id, 0.0) * interval_hours
+    def energies(self, offer_ids: Iterable[int], interval_hours: float) -> list[float]:
+        """Pinned energy (kWh) already committed by each of ``offer_ids``."""
+        power = self._power_by_offer.get
+        return [power(offer_id, 0.0) * interval_hours for offer_id in offer_ids]
 
     def copy(self) -> "PinnedTrades":
         return PinnedTrades(self.finalized_through, self._by_interval)
@@ -430,6 +453,9 @@ class FeasibilityReport:
         return self.ok
 
 
+_FEASIBLE = FeasibilityReport()
+
+
 def check_feasibility(
     solution: Solution,
     book: Mapping[int, Offer],
@@ -446,62 +472,86 @@ def check_feasibility(
     feeder, ``UnknownOfferError`` for offer ids not in the book,
     and ``UnmatchablePairError`` for keys pairing offers that cannot trade.
     Malformed trade values never reach it: ``Solution`` refuses them.
+
+    One pass reads the trades. They come in key order, so a seller's
+    trades are consecutive: an offer is looked up and unpacked only when the
+    seller or buyer changes, and a seller's energy is summed as its trades
+    pass. :func:`matchable` only words a refusal.
     """
     pinned = pinned or PinnedTrades.empty()
-    feeders = grid.feeder_limits()
+    finalized_through = pinned.finalized_through
+    feeders = grid._limits
     delta = grid.interval_hours
 
     violations: list[Violation] = []
-    sold: dict[int, float] = {}
+    sold: list[tuple[int, float]] = []  # (seller id, energy), in id order
     bought: dict[int, float] = {}
-    production: dict[tuple[str, int], float] = {}
-    consumption: dict[tuple[str, int], float] = {}
+    flow: dict[tuple[str, int], list[float]] = {}  # (feeder, interval) -> [production, consumption]
 
-    finalized_through = pinned.finalized_through
     offer_of = book.get
-    for (s_id, b_id, interval), (power, price) in solution.items():
+    sell_id = buy_id = None  # the offers unpacked below
+    for (s_id, b_id, interval), (power, price) in solution._entries.items():
         if interval <= finalized_through:
             raise MarketError(
                 f"trade ({s_id},{b_id},{interval}) is at a finalized interval "
                 f"(finalized through {finalized_through})")
-        sell, buy = offer_of(s_id), offer_of(b_id)
-        if sell is None or buy is None:
-            raise UnknownOfferError(f"offer {s_id if sell is None else b_id} not in book")
-        if not matchable(sell, buy):
-            raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
-        if not (sell.start <= interval <= sell.end and buy.start <= interval <= buy.end):
+        if s_id != sell_id:
+            sell = offer_of(s_id)
+            if sell is None:
+                raise UnknownOfferError(f"offer {s_id} not in book")
+            if sell_id is not None:
+                sold.append((sell_id, energy_sold))
+            sell_id, energy_sold = s_id, 0.0
+            _, s_side, _, s_feeder, _, s_start, s_end, _, floor = sell
+        if b_id != buy_id:
+            buy = offer_of(b_id)
+            if buy is None:
+                raise UnknownOfferError(f"offer {b_id} not in book")
+            buy_id = b_id
+            _, b_side, _, b_feeder, _, b_start, b_end, _, ceiling = buy
+        if not (s_side is SELLING and b_side is BUYING and floor <= ceiling
+                and s_start <= interval <= s_end and b_start <= interval <= b_end):
+            if not matchable(sell, buy):
+                raise UnmatchablePairError(f"offers {s_id} and {b_id} are not matchable")
             raise UnmatchablePairError(
                 f"interval {interval} outside the shared window of {s_id} and {b_id}")
-        s_feeder, b_feeder = sell.feeder, buy.feeder
-        if s_feeder not in feeders or b_feeder not in feeders:
-            raise MarketError(f"trade ({s_id},{b_id},{interval}) references unknown feeder")
+        # A (feeder, interval) enters ``flow`` only once its feeder is known.
+        at_sell = flow.get((s_feeder, interval))
+        if at_sell is None:
+            if s_feeder not in feeders:
+                raise MarketError(f"trade ({s_id},{b_id},{interval}) references unknown feeder")
+            at_sell = flow[(s_feeder, interval)] = [0.0, 0.0]
+        at_buy = flow.get((b_feeder, interval))
+        if at_buy is None:
+            if b_feeder not in feeders:
+                raise MarketError(f"trade ({s_id},{b_id},{interval}) references unknown feeder")
+            at_buy = flow[(b_feeder, interval)] = [0.0, 0.0]
 
         energy = power * delta
-        at_sell, at_buy = (s_feeder, interval), (b_feeder, interval)
-        sold[s_id] = sold.get(s_id, 0.0) + energy
+        energy_sold += energy
         bought[b_id] = bought.get(b_id, 0.0) + energy
-        production[at_sell] = production.get(at_sell, 0.0) + power
-        consumption[at_buy] = consumption.get(at_buy, 0.0) + power
+        at_sell[0] += power
+        at_buy[1] += power
 
-        if power > tol:
-            if price < sell.reservation - tol or price > buy.reservation + tol:
-                violations.append(Violation("price-band", f"({s_id},{b_id},{interval})"))
+        if power > tol and (price < floor - tol or price > ceiling + tol):
+            violations.append(Violation("price-band", f"({s_id},{b_id},{interval})"))
+    if sell_id is not None:
+        sold.append((sell_id, energy_sold))
 
-    for kind, used in (("energy-seller", sold), ("energy-buyer", bought)):
-        for offer_id in sorted(used):
-            if used[offer_id] + pinned.energy(offer_id, delta) > book[offer_id].energy_kwh + tol:
+    for kind, used in (("energy-seller", sold), ("energy-buyer", sorted(bought.items()))):
+        finalized = pinned.energies([offer_id for offer_id, _ in used], delta)
+        for (offer_id, energy), before in zip(used, finalized):
+            if energy + before > book[offer_id].energy_kwh + tol:
                 violations.append(Violation(kind, str(offer_id)))
 
-    for feeder_id, interval in sorted(set(production) | set(consumption)):
+    for feeder_id, interval in sorted(flow):
         feeder = feeders[feeder_id]
-        prod = production.get((feeder_id, interval), 0.0)
-        cons = consumption.get((feeder_id, interval), 0.0)
-        at = f"{feeder_id}@{interval}"
+        prod, cons = flow[(feeder_id, interval)]
         if abs(prod - cons) > feeder.net_flow_limit_kw + tol:
-            violations.append(Violation("feeder-net", at))
+            violations.append(Violation("feeder-net", f"{feeder_id}@{interval}"))
         if prod > feeder.internal_limit_kw + tol:
-            violations.append(Violation("feeder-internal", at))
+            violations.append(Violation("feeder-internal", f"{feeder_id}@{interval}"))
         if cons > feeder.internal_limit_kw + tol:
-            violations.append(Violation("feeder-internal", at))
+            violations.append(Violation("feeder-internal", f"{feeder_id}@{interval}"))
 
-    return FeasibilityReport(tuple(violations))
+    return FeasibilityReport(tuple(violations)) if violations else _FEASIBLE

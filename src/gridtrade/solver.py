@@ -253,8 +253,8 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     hi = now + max(config.lookahead, grid.clearing_lead)
 
     # Offers whose window misses [lo, hi] cannot produce variables.
-    offers = sorted((o for o in book.values() if o.start <= hi and o.end >= lo),
-                    key=lambda o: o.id)
+    # An offer is a tuple led by its id, and ids are unique: they sort by id.
+    offers = sorted(o for o in book.values() if o.start <= hi and o.end >= lo)
     sells = [o for o in offers if o.side is SELLING]
     buys = [o for o in offers if o.side is BUYING]
     if not sells or not buys:  # nothing can trade in the window
@@ -266,6 +266,7 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     # Sellers then buyers, each in id order: the order of the budget rows and
     # of the columns within an interval. Intervals are window-relative below.
     ordered = sells + buys
+    ids = [o.id for o in ordered]
     n, span = len(ordered), hi - lo + 1
     feeder_names = sorted({o.feeder for o in ordered})
     feeder_of = {name: i for i, name in enumerate(feeder_names)}
@@ -309,7 +310,7 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     position = np.empty(n_columns, dtype=np.int64)
     position[order] = np.arange(n_columns)
     kinds = _KINDS.repeat([n_sells, n_cells - n_sells, n_carries])
-    labels = np.concatenate((np.array([o.id for o in ordered])[owner],
+    labels = np.concatenate((np.array(ids)[owner],
                              carry - opens[floor_t[carry]]))
     variables = tuple(zip(kinds[order].tolist(), labels[order].tolist(),
                           (column_t[order] + lo).tolist()))
@@ -323,7 +324,7 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     # Energy budgets: one row per offer with a column.
     used = np.bincount(owner, minlength=n) > 0
     budget = used.cumsum() - 1
-    energy = np.array([o.energy_kwh - pinned.energy(o.id, delta) for o in ordered])
+    energy = np.array([o.energy_kwh for o in ordered]) - pinned.energies(ids, delta)
     base = np.count_nonzero(used)
     # Feeder limits: four slots per (feeder, interval), for production,
     # consumption and net flow both ways. A slot a column uses is a row.
@@ -402,7 +403,8 @@ def _fill(variables: tuple[Column, ...], x: np.ndarray, book: Mapping[int, Offer
     trade with (ceiling at or above its floor) in id order. Eligibility is
     nested along the floors and the tier balances hold, so every seller's
     flow finds room among the buyers left to it. Each trade is priced at the
-    band midpoint (:func:`midpoint_price`).
+    band midpoint by the arithmetic of :func:`midpoint_price`, written out
+    here with each ``min``/``max`` as the comparison it makes.
     """
     flows: dict[int, tuple[list, list]] = {}
     positive = np.flatnonzero(x > 0.0)
@@ -410,21 +412,28 @@ def _fill(variables: tuple[Column, ...], x: np.ndarray, book: Mapping[int, Offer
         kind, offer_id, t = variables[j]
         if kind != "carry":
             sells, buys = flows.setdefault(t, ([], []))
-            (sells if kind == "sell" else buys).append([book[offer_id], value])
+            reservation = book[offer_id].reservation
+            if kind == "sell":  # sorts by descending floor, then id
+                sells.append((-reservation, offer_id, reservation, value))
+            else:
+                buys.append([value, reservation, offer_id])
 
     entries: dict[TradeKey, tuple[float, float]] = {}
     for t, (sells, buys) in flows.items():
-        sells.sort(key=lambda flow: (-flow[0].reservation, flow[0].id))
-        for sell, supply in sells:
+        sells.sort()
+        for _, s_id, floor, supply in sells:
             for flow in buys:
-                buy, demand = flow
-                if demand <= 0.0 or buy.reservation < sell.reservation:
+                demand, ceiling, b_id = flow
+                if demand <= 0.0 or ceiling < floor:
                     continue
-                amount = min(supply, demand)
-                flow[1] = demand - amount
+                amount = demand if demand < supply else supply
+                flow[0] = demand - amount
                 supply -= amount
                 if amount > 1e-9:
-                    entries[(sell.id, buy.id, t)] = (amount, midpoint_price(sell, buy, price_cap))
+                    price = (floor + (price_cap if price_cap < ceiling else ceiling)) / 2.0
+                    if floor > price:
+                        price = floor
+                    entries[(s_id, b_id, t)] = (amount, ceiling if ceiling < price else price)
                 if supply <= 0.0:
                     break
     return Solution(entries)

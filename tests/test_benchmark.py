@@ -29,14 +29,29 @@ def traced_run(workload: str) -> dict:
     return result["metrics"]
 
 
+def decisions(metrics: dict, names: list[str]) -> dict:
+    return {name: metrics[name]["value"] for name in names}
+
+
 def test_traced_contract_fuzz_runs_clean():
+    """Seed 1's decisions are fixed: a change to a hot path that moves one
+    verdict or one solve fails here, not only in the benchmark."""
     metrics = traced_run("contract_fuzz")
     assert metrics["ledger.restated_pinned_rows"]["value"] == 0
+    assert decisions(metrics, ["ledger.accepted", "ledger.rejected.invalid",
+                               "ledger.rejected.infeasible", "ledger.rejected.not_better",
+                               "solver.highs_calls"]) == {
+        "ledger.accepted": 61, "ledger.rejected.invalid": 3417,
+        "ledger.rejected.infeasible": 1303, "ledger.rejected.not_better": 79,
+        "solver.highs_calls": 60}
 
 
 def test_traced_community_day_certifies_every_lp():
     """Every one of the day's LPs passes the weak-duality certificate, and
-    the aggregate LP stays small: one column per open offer and interval."""
+    the aggregate LP stays small: one column per open offer and interval.
+    Seed 1's decisions are fixed, as in the fuzz."""
     metrics = traced_run("community_day")
     assert metrics["solver.build_lp_calls"]["value"] == 96
     assert metrics["solver.lp_variables_max"]["value"] <= 1000
+    assert decisions(metrics, ["solver.highs_calls", "ledger.accepted"]) == {
+        "solver.highs_calls": 52, "ledger.accepted": 47}

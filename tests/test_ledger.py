@@ -17,6 +17,7 @@ from gridtrade.ledger import (
     ContractState,
     DuplicateRegistration,
     EventKind,
+    InvalidArgument,
     InvalidQuantity,
     LedgerEvent,
     LogFormatError,
@@ -104,6 +105,13 @@ class TestRegister:
             contract.register("x", role, "main")
         assert contract.events == [] and contract.state.participants == {}
 
+    @pytest.mark.parametrize("participant", [7, None, True, b"p1", ("p1",)])
+    def test_participant_that_is_not_a_str_refused(self, grid, participant):
+        contract = fresh_contract(grid, with_dso=False)
+        with pytest.raises(InvalidArgument, match="participant must be a str"):
+            contract.register(participant, Role.SOLVER)
+        assert contract.events == [] and contract.state.participants == {}
+
 
 class TestPostOffer:
     def test_future_offer_accepted(self, grid):
@@ -135,7 +143,7 @@ class TestPostOffer:
             contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
         assert len(contract.events) == before
 
-    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, "1"])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, "1", True, False])
     def test_non_finite_or_non_numeric_time_rejected(self, grid, time):
         contract = fresh_contract(grid)
         contract.register("alice", Role.PROSUMER, "main")
@@ -254,6 +262,19 @@ class TestSubmitSolution:
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
         assert list(read_events_jsonl(path)[1])[-1] == event
 
+    @pytest.mark.parametrize("submission", [
+        pytest.param({(1, 3, 48): (-3.0, 0.5)}, id="dict-of-trades"),
+        pytest.param([[1, 3, 48, 10.0, 0.5]], id="payload"),
+        pytest.param(None, id="none"),
+    ])
+    def test_submission_that_is_not_a_solution_refused(self, grid, submission):
+        contract = battery_contract_at_47(grid)
+        before = len(contract.events)
+        with pytest.raises(InvalidArgument, match="must be a Solution"):
+            contract.submit_solution("solver-1", submission)
+        assert len(contract.events) == before
+        assert contract.state.candidate == Solution.empty()
+
     def test_unregistered_submitter_raises(self, grid):
         contract = battery_contract_at_47(grid)
         with pytest.raises(NotRegistered):
@@ -293,6 +314,23 @@ class TestFinalize:
         contract = fresh_contract(grid)
         with pytest.raises(ContractError):
             contract.finalize("dso", 5)
+
+    @pytest.mark.parametrize("interval", [True, False, 0.5, math.nan, math.inf, "0", None])
+    def test_interval_that_is_not_whole_refused(self, grid, interval):
+        contract = fresh_contract(grid, with_dso=False, require_dso=False)
+        with pytest.raises(InvalidQuantity, match="interval must be a whole interval"):
+            contract.finalize(None, interval)
+        assert contract.events == [] and contract.state.current_interval == 0
+
+    @pytest.mark.parametrize("interval", [0.0, np.int64(0)])
+    def test_whole_number_interval_is_logged_as_an_int(self, grid, interval, tmp_path):
+        contract = fresh_contract(grid, with_dso=False, require_dso=False)
+        advanced = contract.finalize(None, interval)[-1]
+        assert advanced.payload == {"interval": 1, "finalized_interval": 1, "trade_count": 0}
+        assert all(type(advanced.payload[k]) is int for k in ("interval", "finalized_interval"))
+        assert type(contract.state.current_interval) is int
+        path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, grid)
+        assert b'"interval":1,' in path.read_bytes()
 
     def test_non_dso_caller_unauthorized(self, grid):
         contract = battery_contract_at_47(grid)

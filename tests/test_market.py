@@ -4,11 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from gridtrade.ledger import Contract
 from gridtrade.market import (
+    TOLERANCE,
     Feeder,
     GridModel,
     InvalidTradeError,
@@ -19,6 +20,7 @@ from gridtrade.market import (
     Solution,
     UnknownOfferError,
     UnmatchablePairError,
+    VIOLATION_KINDS,
     check_feasibility,
     matchable,
     objective,
@@ -364,7 +366,7 @@ class TestCheckFeasibility:
         # A withdrawn offer's finalized trades stand in the pins; no solution
         # may cite it, at a finalized interval or an open one.
         pinned = PinnedTrades(1, {1: {(1, 2): (2.0, 0.5)}})
-        assert [pinned.energy(oid, 1.0) for oid in (1, 2, 3)] == [2.0, 2.0, 0.0]
+        assert pinned.energies((1, 2, 3), 1.0) == [2.0, 2.0, 0.0]
         with pytest.raises(MarketError, match="finalized interval"):
             check_feasibility(Solution({(1, 2, 1): (2.0, 0.5)}), {}, grid, pinned)
         with pytest.raises(UnknownOfferError):
@@ -478,6 +480,127 @@ def test_zero_solution_always_feasible(data):
     assert check_feasibility(Solution.empty(), book, grid).ok
 
 
+def restated_check(solution, book, grid, pinned):
+    """The market rules restated one at a time, as ``check_feasibility``
+    documents them: each trade's refusals in turn, then the price bands,
+    the offers' budgets and the feeders' limits, in key order."""
+    pinned = pinned or PinnedTrades.empty()
+    feeders = {f.id: f for f in grid.feeders}
+    hours = grid.interval_hours
+    trades = list(solution.items())
+    for (s, b, t), _ in trades:
+        if t <= pinned.finalized_through:
+            raise MarketError(f"trade ({s},{b},{t}) is at a finalized interval "
+                              f"(finalized through {pinned.finalized_through})")
+        for oid in (s, b):
+            if oid not in book:
+                raise UnknownOfferError(f"offer {oid} not in book")
+        if not matchable(book[s], book[b]):
+            raise UnmatchablePairError(f"offers {s} and {b} are not matchable")
+        if not (book[s].covers(t) and book[b].covers(t)):
+            raise UnmatchablePairError(f"interval {t} outside the shared window of {s} and {b}")
+        if book[s].feeder not in feeders or book[b].feeder not in feeders:
+            raise MarketError(f"trade ({s},{b},{t}) references unknown feeder")
+    violations = [
+        ("price-band", f"({s},{b},{t})") for (s, b, t), (power, price) in trades
+        if power > TOLERANCE
+        and not book[s].reservation - TOLERANCE <= price <= book[b].reservation + TOLERANCE]
+    for kind, end in (("energy-seller", 0), ("energy-buyer", 1)):
+        for oid in sorted({key[end] for key, _ in trades}):
+            energy = 0.0
+            for key, (power, _) in trades:
+                if key[end] == oid:
+                    energy += power * hours
+            if energy + pinned.energies([oid], hours)[0] > book[oid].energy_kwh + TOLERANCE:
+                violations.append((kind, str(oid)))
+    for feeder_id, t in sorted({(book[key[end]].feeder, key[2])
+                                for key, _ in trades for end in (0, 1)}):
+        production = consumption = 0.0
+        for (s, b, u), (power, _) in trades:
+            if u == t and book[s].feeder == feeder_id:
+                production += power
+            if u == t and book[b].feeder == feeder_id:
+                consumption += power
+        feeder, at = feeders[feeder_id], f"{feeder_id}@{t}"
+        if abs(production - consumption) > feeder.net_flow_limit_kw + TOLERANCE:
+            violations.append(("feeder-net", at))
+        for flow in (production, consumption):
+            if flow > feeder.internal_limit_kw + TOLERANCE:
+                violations.append(("feeder-internal", at))
+    return violations
+
+
+@st.composite
+def audited_markets(draw):
+    """A small book on tight feeders, pins, and a solution that may break
+    any rule. Its keys are drawn from one source: the open intervals of
+    the pairs that can trade; those pairs at any interval, finalized and
+    outside their windows too; or any ids, unknown ones too, at any
+    interval. Some offers sit on a feeder the grid lacks."""
+    limit = st.sampled_from([0.5, 1.0, 4.0, 100.0])
+    grid = GridModel(tuple(Feeder(f, draw(limit), draw(limit)) for f in ("f0", "f1")),
+                     interval_hours=draw(st.sampled_from([0.25, 1.0])), clearing_lead=1)
+    book = {}
+    for oid in range(1, draw(st.integers(2, 6)) + 1):
+        start = draw(st.integers(1, 4))
+        book[oid] = Offer(oid, draw(st.sampled_from([Side.SELLING, Side.BUYING])), f"h{oid}",
+                          draw(st.sampled_from(["f0", "f1", "f0", "f1", "f9"])),
+                          draw(st.sampled_from([0.5, 1.0, 3.0])), start,
+                          draw(st.integers(start, 5)), draw(st.sampled_from([None, 0.0, 0.2, 0.5])))
+    ids = sorted(book)
+    finalized = draw(st.integers(0, 2))
+    pins = {t: {(draw(st.sampled_from(ids)), draw(st.sampled_from(ids))): (1.0, 0.3)}
+            for t in range(1, finalized + 1) if draw(st.booleans())}
+    pinned = draw(st.sampled_from([None, PinnedTrades(finalized, pins)])) if not pins \
+        else PinnedTrades(finalized, pins)
+    pairs = [(s, b) for s in ids for b in ids if matchable(book[s], book[b])]
+    tradable = [(s, b, t) for s, b in pairs
+                for t in range(max(book[s].start, book[b].start, finalized + 1),
+                               min(book[s].end, book[b].end) + 1)]
+    keys = draw(st.sampled_from(
+        ([st.sampled_from(tradable)] * 2 if tradable else [])
+        + ([st.tuples(st.sampled_from(pairs), st.integers(0, 6)).map(lambda k: (*k[0], k[1]))]
+           if pairs else [])
+        + [st.tuples(st.sampled_from(ids + [99]), st.sampled_from(ids + [99]),
+                     st.integers(0, 6))]))
+    entries = {draw(keys): (draw(st.sampled_from([0.0, 0.25, 1.0, 3.0])),
+                            draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 2.0])))
+               for _ in range(draw(st.integers(0, 8)))}
+    return Solution(entries), book, grid, pinned
+
+
+def restated_outcome(market) -> set[str]:
+    """The refusal's wording, or the kinds violated, by the restated rules."""
+    try:
+        return {kind for kind, _ in restated_check(*market)} or {"feasible"}
+    except MarketError as exc:
+        return {str(exc).split(" ", 2)[2] if isinstance(exc, UnknownOfferError)
+                else next(p for p in ("finalized", "unknown feeder", "not matchable",
+                                      "outside the shared window") if p in str(exc))}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(market=audited_markets())
+def test_check_feasibility_agrees_with_the_rules_restated(market):
+    try:
+        want = restated_check(*market)
+    except MarketError as exc:
+        with pytest.raises(MarketError) as raised:
+            check_feasibility(*market)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        assert check_feasibility(*market).violations == tuple(want)
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATION_KINDS) + [
+    "feasible", "not in book", "finalized", "unknown feeder", "not matchable",
+    "outside the shared window"])
+def test_audited_markets_reach_every_case(case):
+    find(audited_markets(), lambda market: case in restated_outcome(market),
+         settings=settings(max_examples=2000, database=None, derandomize=True,
+                           phases=[Phase.generate]))
+
+
 class TestPinnedTrades:
     def test_intervals_pin_in_order_only(self):
         pinned = PinnedTrades.empty()
@@ -497,8 +620,7 @@ class TestPinnedTrades:
         pinned = PinnedTrades(-1)
         pinned.pin(0, {(1, 2): (4.0, 0.5)})
         pinned.pin(1, {(1, 3): (2.0, 0.5)})
-        used = {oid: pinned.energy(oid, 0.5) for oid in (1, 2, 3, 4)}
-        assert used == {1: 3.0, 2: 2.0, 3: 1.0, 4: 0.0}
+        assert pinned.energies((1, 2, 3, 4), 0.5) == [3.0, 2.0, 1.0, 0.0]
 
     def test_copy_is_independent(self):
         pinned = PinnedTrades(-1)
