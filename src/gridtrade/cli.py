@@ -21,13 +21,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ledger import read_events_jsonl, verify_log
-from .market import Feeder, GridModel
+from .market import Feeder, GridModel, number
 from .metrics import DEFAULT_UNIT_PRICE, compute_metrics, export_report
 
 # The simulation, the solver and the oracle (and with them NumPy and HiGHS)
@@ -67,10 +66,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _unit_price(text: str) -> float:
-    price = float(text)
-    if not 0 <= price < math.inf:
-        raise ValueError(f"unit price must be non-negative and finite, got {text!r}")
-    return price
+    return number("unit price", float(text), 0.0)
 
 
 def _get(cfg: dict[str, str], key: str, default, cast):

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Protocol
 
+from .market import count, number
+
 
 @dataclass(frozen=True)
 class ResourceSignal:
@@ -27,10 +29,10 @@ class ResourceSignal:
     solve_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.cpu_fraction <= 1.0:
-            raise ValueError("cpu_fraction must be within [0, 1]")
-        if min(self.mem_bytes, self.solve_time) < 0:
-            raise ValueError("resource signals must be non-negative")
+        if number("cpu_fraction", self.cpu_fraction, 0.0) > 1.0:
+            raise ValueError(f"cpu_fraction must be within [0, 1], got {self.cpu_fraction!r}")
+        number("mem_bytes", self.mem_bytes, 0.0)
+        number("solve_time", self.solve_time, 0.0)
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,16 @@ class ControllerState:
     kp: float = 2.0  # intervals per second of solve-time error
     setpoint: float = 0.5  # seconds
     cpu_threshold: float = 0.30
-    mem_threshold: float = math.inf
+    mem_threshold: float = math.inf  # inf: memory never lowers the ceiling
 
     def __post_init__(self) -> None:
-        if self.clearing_lead < 1:
-            raise ValueError("clearing_lead must be at least 1")
-        if not self.clearing_lead <= self.lookahead <= self.max_lookahead:
-            raise ValueError("lookahead must lie within [clearing_lead, max_lookahead]")
+        count("clearing_lead", self.clearing_lead, 1)
+        count("lookahead", self.lookahead, self.clearing_lead)
+        count("max_lookahead", self.max_lookahead, self.lookahead)
+        for name in ("kp", "setpoint", "cpu_threshold"):
+            number(name, getattr(self, name), 0.0)
+        if self.mem_threshold != math.inf:
+            number("mem_threshold", self.mem_threshold, 0.0)
 
 
 def _round_half_away(value: float) -> int:
@@ -69,17 +74,15 @@ def top_level_update(state: ControllerState, signal: ResourceSignal) -> Controll
 
 def low_level_update(state: ControllerState, solve_time: float) -> ControllerState:
     """Proportional step toward the solve-time set point."""
-    if solve_time < 0:
-        raise ValueError("solve_time must be non-negative")
+    number("solve_time", solve_time, 0.0)
     target = state.lookahead + state.kp * (state.setpoint - solve_time)
     return replace(state, lookahead=_clamp(
         _round_half_away(target), state.clearing_lead, state.max_lookahead))
 
 
 def reset_max_lookahead(state: ControllerState, max_lookahead: int) -> ControllerState:
-    """Re-arm the ratchet after pressure has subsided."""
-    if max_lookahead < state.clearing_lead:
-        raise ValueError("max_lookahead must be at least the clearing lead")
+    """Re-arm the ratchet after pressure has subsided; a ceiling below the
+    clearing lead is refused."""
     return replace(state, max_lookahead=max_lookahead,
                    lookahead=_clamp(state.lookahead, state.clearing_lead, max_lookahead))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -33,6 +32,7 @@ from .market import (
     Solution,
     VIOLATION_KINDS,
     check_feasibility,
+    number,
     objective,
     whole_interval,
 )
@@ -154,9 +154,7 @@ class LedgerEvent(NamedTuple):
         if type(seq) is not int:
             raise TypeError(f"seq is {seq!r}, not an integer")
         if type(time) is not float:
-            if type(time) is not int:  # a bool is no time
-                raise TypeError(f"time is {time!r}, not a number")
-            time = float(time)
+            time = number("time", time)
         if type(payload) is not dict:
             raise TypeError(f"payload is a {type(payload).__name__}, not an object")
         kind = record["kind"]
@@ -315,25 +313,31 @@ class Contract:
 
     def _append(self, kind: str, payload: dict, time: float,
                 parsed: Offer | Solution | None = None) -> LedgerEvent:
-        if not ((type(time) is float or isinstance(time, Real) and type(time) is not bool)
-                and math.isfinite(time)):
-            raise InvalidQuantity(f"time must be a finite number, got {time}")
-        event = LedgerEvent(len(self._events) + 1, float(time), kind, payload, parsed)
+        if not (type(time) is float and math.isfinite(time)):
+            try:
+                time = number("time", time)
+            except ValueError as exc:
+                raise InvalidQuantity(str(exc)) from None
+        event = LedgerEvent(len(self._events) + 1, time, kind, payload, parsed)
         self.state.apply(event)
         self._events.append(event)
         return event
 
+    def _registration(self, participant: str) -> dict | None:
+        """``participant``'s registration or None; a non-``str`` name raises ``InvalidArgument``."""
+        if not isinstance(participant, str):
+            raise InvalidArgument(f"participant must be a str, got {participant!r}")
+        return self.state.participants.get(participant)
+
     def register(self, participant: str, role: Role | str, feeder: str | None = None,
                  *, time: float = 0.0) -> LedgerEvent:
         """A prosumer names its feeder; others may. A named feeder must exist."""
-        if not isinstance(participant, str):
-            raise InvalidArgument(f"participant must be a str, got {participant!r}")
+        if self._registration(participant) is not None:
+            raise DuplicateRegistration(f"{participant} is already registered")
         try:
             role = Role(role)
         except ValueError:
             raise ContractError(f"role must be prosumer, solver or dso, got {role!r}") from None
-        if participant in self.state.participants:
-            raise DuplicateRegistration(f"{participant} is already registered")
         if feeder is None:
             if role is Role.PROSUMER:
                 raise UnknownFeeder("prosumers must register with a feeder")
@@ -345,7 +349,7 @@ class Contract:
     def post_offer(self, participant: str, side: Side | str, start: int, end: int,
                    energy_kwh: float, reservation_price: float | None = None,
                    *, time: float = 0.0) -> LedgerEvent:
-        info = self.state.participants.get(participant)
+        info = self._registration(participant)
         if info is None:
             raise NotRegistered(f"{participant} is not registered")
         if info["role"] != PROSUMER:
@@ -363,7 +367,7 @@ class Contract:
 
     def submit_solution(self, participant: str, solution: Solution,
                         *, time: float = 0.0) -> LedgerEvent:
-        if participant not in self.state.participants:
+        if self._registration(participant) is None:
             raise NotRegistered(f"{participant} is not registered")
         if type(solution) is not Solution:  # only its constructor checks trade values
             raise InvalidArgument(
@@ -399,7 +403,7 @@ class Contract:
         an ``int``; a ``bool``, a fraction or a non-number is refused.
         """
         if self.require_dso_finalize:
-            info = self.state.participants.get(caller) if caller else None
+            info = None if caller is None else self._registration(caller)
             if info is None or info["role"] != DSO:
                 raise NotAuthorized("finalization requires the grid operator")
         if type(interval) is not int:
@@ -428,7 +432,7 @@ class Contract:
     def remove_participant_trades(self, participant: str,
                                   *, time: float = 0.0) -> list[LedgerEvent]:
         """Withdraw a failed participant's offers and non-finalized trades."""
-        if participant not in self.state.participants:
+        if self._registration(participant) is None:
             raise NotRegistered(f"{participant} is not registered")
         removed = sorted(
             oid for oid, offer in self.state.book.items() if offer.prosumer == participant)
@@ -600,8 +604,7 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
     """
     import orjson  # on first use, so that importing the ledger stays cheap
 
-    if not _is_price_cap(price_cap):
-        raise ValueError(f"price_cap must be a non-negative finite number, got {price_cap!r}")
+    number("price_cap", price_cap, 0.0)
     path = Path(path)
     header = {"record": "header", "format": LOG_FORMAT, "version": LOG_VERSION,
               "grid": grid.to_payload(), "price_cap": price_cap}
@@ -623,11 +626,6 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
     return path
 
 
-def _is_price_cap(value) -> bool:
-    """True for a non-negative finite number; a ``bool`` is not one."""
-    return isinstance(value, Real) and type(value) is not bool and 0 <= value < math.inf
-
-
 def _check_header(where: str, header: dict) -> None:
     """Refuse a header the writer would not write, naming ``where`` it is."""
     if header.keys() != _HEADER_FIELDS:
@@ -636,14 +634,13 @@ def _check_header(where: str, header: dict) -> None:
         problem = f"version is {header['version']!r}, not {LOG_VERSION}"
     elif header["format"] != LOG_FORMAT:
         problem = f"format is {header['format']!r}, not {LOG_FORMAT!r}"
-    elif not _is_price_cap(header["price_cap"]):
-        problem = f"price_cap is {header['price_cap']!r}, not a non-negative finite number"
     else:
         try:
+            number("price_cap", header["price_cap"], 0.0)
             GridModel.from_payload(header["grid"])
             return
         except (KeyError, TypeError, ValueError) as exc:
-            problem = f"grid refused ({type(exc).__name__}: {exc})"
+            problem = f"price_cap or grid refused ({type(exc).__name__}: {exc})"
     raise LogFormatError(f"{where}: {problem}")
 
 

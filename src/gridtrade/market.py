@@ -70,9 +70,7 @@ class Feeder:
 
     def __post_init__(self) -> None:
         for limit in (self.net_flow_limit_kw, self.internal_limit_kw):
-            if not (_finite(limit) and limit >= 0):
-                raise ValueError(f"feeder {self.id}: limits must be non-negative and finite "
-                                 f"numbers, got {limit!r}")
+            number(f"feeder {self.id}: limits", limit, 0.0)
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,8 @@ class GridModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feeders", tuple(self.feeders))
-        if not (_finite(self.interval_hours) and self.interval_hours > 0):
-            raise ValueError(
-                f"interval_hours must be a positive and finite number, got {self.interval_hours!r}")
-        lead = self.clearing_lead
-        if not (isinstance(lead, Integral) and type(lead) is not bool and lead >= 1):
-            raise ValueError(f"clearing_lead must be an integer of at least 1, got {lead!r}")
+        number("interval_hours", self.interval_hours, 0.0, above=True)
+        count("clearing_lead", self.clearing_lead, 1)
         limits = {f.id: f for f in self.feeders}
         if len(limits) != len(self.feeders):
             raise ValueError("feeder ids must be unique")
@@ -125,6 +119,36 @@ class GridModel:
 _SIDES = {side.value: side for side in Side}
 
 
+def number(what: str, value, minimum: float = -math.inf, *, above: bool = False) -> float:
+    """``value`` as a ``float``: a finite real number (NumPy's included, a
+    ``bool`` not) of at least ``minimum``, or above it if ``above``; anything
+    else raises ``ValueError`` naming ``what`` it is. The one rule for a
+    quantity at every boundary."""
+    x = math.nan
+    if type(value) is float:
+        x = value
+    elif isinstance(value, Real) and type(value) is not bool:
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the largest float stays NaN, refused below
+            pass
+    if -math.inf < x < math.inf and (x > minimum if above else x >= minimum):
+        return x
+    sign = ("positive " if above else "non-negative ") if minimum == 0 else ""
+    bound = "" if minimum == -math.inf else f", {'above' if above else 'at least'} {minimum:g}"
+    raise ValueError(
+        f"{what} must be a {sign}finite number (real and finite{bound}), got {value!r}")
+
+
+def count(what: str, value, minimum: int) -> int:
+    """``value`` as an ``int``: an integer (NumPy's included, a ``bool`` or a
+    whole float not) of at least ``minimum``; anything else raises
+    ``ValueError`` naming ``what`` it is. The one rule for a count."""
+    if isinstance(value, Integral) and type(value) is not bool and value >= minimum:
+        return int(value)
+    raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
 def whole_interval(what: str, value) -> int:
     """``value`` as an ``int`` interval index: a whole finite number, not a
     ``bool``; anything else raises ``ValueError`` naming ``what`` it is."""
@@ -132,13 +156,6 @@ def whole_interval(what: str, value) -> int:
             and -math.inf < value < math.inf and int(value) == value):
         raise ValueError(f"{what} must be a whole interval, got {value!r}")
     return int(value)
-
-
-def _real(oid: int, name: str, value) -> float:
-    """``value`` of field ``name`` of offer ``oid`` as a ``float``."""
-    if not isinstance(value, Real) or type(value) is bool:
-        raise ValueError(f"offer {oid}: {name} must be a number, got {value!r}")
-    return float(value)
 
 
 class _OfferRecord(NamedTuple):
@@ -181,19 +198,14 @@ class Offer(_OfferRecord):
         if not (type(start) is type(end) is int):
             start = whole_interval(f"offer {id}: start", start)
             end = whole_interval(f"offer {id}: end", end)
-        if type(energy_kwh) is not float:
-            energy_kwh = _real(id, "energy_kwh", energy_kwh)
+        # A float in range is kept as it is; any other value is checked and converted.
+        if not (type(energy_kwh) is float and 0 < energy_kwh < math.inf):
+            energy_kwh = number(f"offer {id}: energy_kwh", energy_kwh, 0.0, above=True)
         price = reservation_price
-        if not (price is None or type(price) is float):
-            price = _real(id, "reservation_price", price)
-        if not 0 < energy_kwh < math.inf:
-            raise ValueError(
-                f"offer {id}: energy must be positive and finite, got {energy_kwh}")
+        if not (price is None or type(price) is float and 0 <= price < math.inf):
+            price = number(f"offer {id}: reservation_price", price, 0.0)
         if start > end:
             raise ValueError(f"offer {id}: start {start} exceeds end {end}")
-        if price is not None and not 0 <= price < math.inf:
-            raise ValueError(
-                f"offer {id}: reservation price must be non-negative and finite, got {price}")
         reservation = price if price is not None else 0.0 if side is SELLING else math.inf
         return tuple.__new__(cls, (id, side, prosumer, feeder, energy_kwh, start, end, price,
                                    reservation))
@@ -220,12 +232,6 @@ def matchable(sell: Offer, buy: Offer) -> bool:
         return False
     return (sell.reservation <= buy.reservation
             and max(sell.start, buy.start) <= min(sell.end, buy.end))
-
-
-def _finite(value) -> bool:
-    """True for a finite real number; a ``bool`` is not one."""
-    return ((type(value) is float or isinstance(value, Real) and type(value) is not bool)
-            and -math.inf < value < math.inf)
 
 
 class Solution:
@@ -255,15 +261,14 @@ class Solution:
         for key in sorted(entries):
             value = entries[key]
             power, price = value
-            # A pair of floats, as the solver and the log reader give, is kept
-            # as it is; any other value is checked as a number and converted.
-            if type(power) is float and type(price) is float and type(value) is tuple:
-                if not (isfinite(power) and isfinite(price)):
-                    raise InvalidTradeError(f"trade {key}: values must be finite numbers")
-            elif _finite(power) and _finite(price):
-                value = (float(power), float(price))
-            else:
-                raise InvalidTradeError(f"trade {key}: values must be finite numbers")
+            # A pair of finite floats, as the solver and the log reader give, is
+            # kept as it is; any other value is checked as a number and converted.
+            if not (type(power) is float and type(price) is float and type(value) is tuple
+                    and isfinite(power) and isfinite(price)):
+                try:
+                    value = (number("power", power), number("price", price))
+                except ValueError as exc:
+                    raise InvalidTradeError(f"trade {key}: {exc}") from None
             if power < 0:
                 raise InvalidTradeError(f"trade {key}: power must be non-negative")
             cleaned[key] = value
@@ -461,8 +466,6 @@ def check_feasibility(
     book: Mapping[int, Offer],
     grid: GridModel,
     pinned: PinnedTrades | None = None,
-    *,
-    tol: float = TOLERANCE,
 ) -> FeasibilityReport:
     """Validate a solution against the offer book, grid limits, and pins.
 
@@ -482,6 +485,7 @@ def check_feasibility(
     finalized_through = pinned.finalized_through
     feeders = grid._limits
     delta = grid.interval_hours
+    tol = TOLERANCE
 
     violations: list[Violation] = []
     sold: list[tuple[int, float]] = []  # (seller id, energy), in id order

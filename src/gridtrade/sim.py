@@ -23,7 +23,7 @@ import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
 from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
-from .market import BUYING, SELLING, GridModel, Solution, TradeKey
+from .market import BUYING, SELLING, GridModel, Solution, TradeKey, count, number
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -50,12 +50,13 @@ class FailureSpec:
     recover_time: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.fail_time < math.inf:
-            raise ConfigError(f"{self.participant}: fail_time must be non-negative and finite, "
-                              f"got {self.fail_time}")
-        if self.recover_time is not None and not self.fail_time < self.recover_time < math.inf:
-            raise ConfigError(f"{self.participant}: recover_time must be finite and follow "
-                              f"fail_time, got {self.recover_time}")
+        try:
+            number(f"{self.participant}: fail_time", self.fail_time, 0.0)
+            if self.recover_time is not None:
+                number(f"{self.participant}: recover_time", self.recover_time, self.fail_time,
+                       above=True)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -78,26 +79,20 @@ class SimConfig:
     adaptive: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
-        if self.prediction_window <= 1:
-            raise ConfigError("prediction_window must exceed 1")
-        if self.lookahead < self.grid.clearing_lead:
-            raise ConfigError("lookahead must be at least the clearing lead")
-        # NaN fails every comparison, so each bound is written to fail on it.
-        for name in ("seconds_per_interval", "solver_period"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
-        for name in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
-                     "confirmation_delay"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+        try:
+            for name, minimum in (("horizon", 1), ("prediction_window", 2),
+                                  ("lookahead", self.grid.clearing_lead), ("n_solvers", 0),
+                                  ("n_adversaries", 0), ("seed", 0)):
+                count(name, getattr(self, name), minimum)
+            for name in ("seconds_per_interval", "solver_period"):
+                number(name, getattr(self, name), 0.0, above=True)
+            for name in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
+                         "confirmation_delay"):
+                number(name, getattr(self, name), 0.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.seconds_per_interval > self.grid.interval_hours * 3600.0:
             raise ConfigError("simulated interval cannot exceed the real interval")
-        if self.n_solvers < 0 or self.n_adversaries < 0:
-            raise ConfigError("agent counts must be non-negative")
 
 
 class ProsumerAgent:

@@ -55,6 +55,8 @@ from .market import (
     Solution,
     TradeKey,
     check_feasibility,
+    count,
+    number,
     objective,
 )
 
@@ -110,10 +112,9 @@ class SolverConfig:
     price_cap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be at least 1")
-        if self.solve_period <= 0:
-            raise ValueError("solve_period must be positive")
+        count("lookahead", self.lookahead, 1)
+        number("solve_period", self.solve_period, 0.0, above=True)
+        number("price_cap", self.price_cap, 0.0)
 
 
 Column = tuple[str, int, int]  # (kind, key, interval); see LpInstance

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .market import count, number
+
 
 class TraceError(Exception):
     """Base class for trace ingestion problems."""
@@ -48,10 +50,10 @@ class ProsumerTrace:
     def __post_init__(self) -> None:
         if len(self.production) != len(self.demand):
             raise ValueError(f"{self.participant}: series lengths differ")
-        if not all(0 <= v < math.inf for v in self.production + self.demand):
-            raise ValueError(f"{self.participant}: series must be finite and non-negative")
-        if self.flex_window < 1:
-            raise ValueError(f"{self.participant}: flex_window must be at least 1")
+        what = f"{self.participant}: series value"
+        for value in self.production + self.demand:
+            number(what, value, 0.0)
+        count(f"{self.participant}: flex_window", self.flex_window, 1)
 
     def __len__(self) -> int:
         return len(self.production)

@@ -9,12 +9,19 @@ moves 40 kW.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from gridtrade.market import Feeder, GridModel, Offer, PinnedTrades, Side, Solution
 from gridtrade.traces import ProsumerTrace
 
 HORIZON = 50
+
+# The boundary table: values every quantity and every count refuses with its
+# site's typed error. A count also refuses a fraction.
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1", None]
+BAD_COUNTS = BAD_NUMBERS + [2.5]
 
 
 @pytest.fixture

@@ -178,7 +178,10 @@ class TestCommands:
         (["solver_period=inf"], "ConfigError"),
         (["confirmation_delay=inf"], "ConfigError"),
         (["unit_price=nan"], "CliError"),
-        (["unit_price=-1"], "CliError")])
+        (["unit_price=-1"], "CliError"),
+        (["unit_price=inf"], "CliError"),
+        (["seed=-1"], "ConfigError"),
+        (["solvers=-1"], "ConfigError")])
     def test_run_refuses_bad_timings_and_prices_before_simulating(
             self, tmp_path, config_file, traces_csv, capsys, overrides, error):
         out_dir = tmp_path / "out"
@@ -192,7 +195,7 @@ class TestCommands:
         assert key in record["detail"] or overrides[-1].startswith("failures")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("price", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("price", ["nan", "inf", "-1", "-inf"])
     def test_metrics_refuses_a_bad_unit_price(self, tmp_path, capsys, price):
         with pytest.raises(SystemExit) as exc:
             main(["metrics", "--log", str(tmp_path / "events.jsonl"), "--unit-price", price])

@@ -15,6 +15,8 @@ from gridtrade.controller import (
 from gridtrade.market import GridModel
 from gridtrade.solver import SolverAgent, SolverConfig
 
+from conftest import BAD_COUNTS, BAD_NUMBERS
+
 
 def make_state(**overrides):
     defaults = dict(clearing_lead=1, max_lookahead=10, lookahead=8)
@@ -180,3 +182,26 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         ResourceSignal(mem_bytes=-1.0)
     assert math.isinf(ControllerState(1, 5, 3).mem_threshold)
+
+
+@pytest.mark.parametrize("field", ["cpu_fraction", "mem_bytes", "solve_time"])
+@pytest.mark.parametrize("value", [*BAD_NUMBERS, -1.0])
+def test_signal_refuses_a_bad_value(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ResourceSignal(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    *[(field, bad) for field in ("clearing_lead", "max_lookahead", "lookahead")
+      for bad in BAD_COUNTS],
+    *[(field, bad) for field in ("kp", "setpoint", "cpu_threshold") for bad in BAD_NUMBERS],
+    *[("mem_threshold", bad) for bad in BAD_NUMBERS if bad != math.inf]])
+def test_controller_state_refuses_a_bad_value(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make_state(**{field: value})
+
+
+def test_low_level_update_refuses_a_bad_solve_time():
+    for bad in BAD_NUMBERS:
+        with pytest.raises(ValueError, match="^solve_time must be "):
+            low_level_update(make_state(), bad)

@@ -112,6 +112,20 @@ class TestRegister:
             contract.register(participant, Role.SOLVER)
         assert contract.events == [] and contract.state.participants == {}
 
+    @pytest.mark.parametrize("call", [
+        lambda c, p: c.post_offer(p, Side.SELLING, 2, 2, 5.0),
+        lambda c, p: c.submit_solution(p, Solution.empty()),
+        lambda c, p: c.remove_participant_trades(p),
+        lambda c, p: c.finalize(p, 0)], ids=["post", "submit", "remove", "finalize"])
+    @pytest.mark.parametrize("participant", [["x"], {}, ["dso"], 7, True, b"dso", ("dso",)])
+    def test_every_call_refuses_a_participant_that_is_not_a_str(self, grid, call, participant):
+        contract = fresh_contract(grid)
+        contract.register("x", Role.PROSUMER, "main")
+        before = contract.state.snapshot()
+        with pytest.raises(InvalidArgument, match="participant must be a str"):
+            call(contract, participant)
+        assert len(contract.events) == 2 and contract.state.snapshot() == before
+
 
 class TestPostOffer:
     def test_future_offer_accepted(self, grid):
@@ -134,7 +148,9 @@ class TestPostOffer:
             contract.post_offer("alice", Side.SELLING, 2, 2, 0.0)
 
     @pytest.mark.parametrize("energy, price", [
-        (math.nan, None), (math.inf, None), (5.0, math.nan), (5.0, math.inf)])
+        (math.nan, None), (math.inf, None), (5.0, math.nan), (5.0, math.inf),
+        (-math.inf, None), (True, None), ("1", None), (None, None),
+        (5.0, -math.inf), (5.0, True), (5.0, "1")])
     def test_non_finite_quantities_rejected(self, grid, energy, price):
         contract = fresh_contract(grid)
         contract.register("alice", Role.PROSUMER, "main")
@@ -143,7 +159,7 @@ class TestPostOffer:
             contract.post_offer("alice", Side.SELLING, 2, 2, energy, price)
         assert len(contract.events) == before
 
-    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, "1", True, False])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf, "1", True, False, None])
     def test_non_finite_or_non_numeric_time_rejected(self, grid, time):
         contract = fresh_contract(grid)
         contract.register("alice", Role.PROSUMER, "main")
@@ -1038,7 +1054,7 @@ class TestEventsJsonl:
         with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}:1: "):
             read_events_jsonl(path)
 
-    @pytest.mark.parametrize("price_cap", [True, -1.0, math.nan, "1"])
+    @pytest.mark.parametrize("price_cap", [True, -1.0, math.nan, "1", math.inf, -math.inf, None])
     def test_writer_refuses_a_price_cap_the_reader_would(self, grid, tmp_path, price_cap):
         with pytest.raises(ValueError, match="price_cap must be a non-negative finite number"):
             write_events_jsonl(tmp_path / "events.jsonl", [], grid, price_cap=price_cap)

@@ -22,9 +22,13 @@ from gridtrade.market import (
     UnmatchablePairError,
     VIOLATION_KINDS,
     check_feasibility,
+    count,
     matchable,
+    number,
     objective,
 )
+
+from conftest import BAD_COUNTS, BAD_NUMBERS
 
 
 def sell(oid, energy, start, end, reservation=None, feeder="main", who="s"):
@@ -118,6 +122,36 @@ class TestOfferRecord:
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
+class TestNumberRules:
+    @pytest.mark.parametrize("value", [2, 2.0, np.float32(2.0), np.int64(2)])
+    def test_number_takes_any_real_as_a_float(self, value):
+        assert number("x", value) == 2.0 and type(number("x", value)) is float
+
+    @pytest.mark.parametrize("value", [*BAD_NUMBERS, np.bool_(True), np.float64("nan"), 10**400])
+    def test_number_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ValueError, match=r"^price must be a finite number \(real and finite\)"):
+            number("price", value)
+
+    def test_number_bounds(self):
+        assert number("x", 0, 0.0) == 0.0
+        assert number("x", 5, 4.0, above=True) == 5.0
+        with pytest.raises(ValueError, match=r"^x must be a positive finite number \(real and "
+                                             r"finite, above 0\), got 0$"):
+            number("x", 0, 0.0, above=True)
+        with pytest.raises(ValueError, match=r"^x must be a non-negative finite number"):
+            number("x", -1e-300, 0.0)
+        with pytest.raises(ValueError, match=r"above 4\), got 4\.0$"):
+            number("x", 4.0, 4.0, above=True)
+
+    @pytest.mark.parametrize("value", [*BAD_COUNTS, 1.0, np.float64(1.0), np.bool_(True), 0])
+    def test_count_refuses_what_is_not_an_integer_of_the_minimum(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer of at least 1, got "):
+            count("n", value, 1)
+
+    def test_count_takes_numpy_integers(self):
+        assert count("n", np.int64(3), 1) == 3 and type(count("n", np.int64(3), 1)) is int
+
+
 class TestGridValidation:
     @pytest.mark.parametrize("value", NON_FINITE + [-1.0])
     def test_rejects_bad_net_flow_limit(self, value):
@@ -156,19 +190,20 @@ class TestGridValidation:
     def test_zero_limits_are_allowed(self):
         assert Feeder("x", 0.0, 0.0).net_flow_limit_kw == 0.0
 
-    @pytest.mark.parametrize("value", [True, "50", None, np.bool_(True)])
+    @pytest.mark.parametrize("value", [True, "50", None, np.bool_(True), *NON_FINITE])
     def test_limit_that_is_not_a_number_is_refused(self, value):
         with pytest.raises(ValueError, match="limits must be"):
             Feeder("x", value, 1.0)
         with pytest.raises(ValueError, match="limits must be"):
             Feeder("x", 1.0, value)
 
-    @pytest.mark.parametrize("value", [True, "0.25", None])
+    @pytest.mark.parametrize("value", [True, "0.25", None, *NON_FINITE])
     def test_interval_hours_that_is_not_a_number_is_refused(self, value):
         with pytest.raises(ValueError, match="interval_hours must be"):
             GridModel((Feeder("x", 1.0, 1.0),), value, 1)
 
-    @pytest.mark.parametrize("value", [True, 1.0, np.float64(2.0), "1", None, 0, -1])
+    @pytest.mark.parametrize("value", [True, 1.0, np.float64(2.0), "1", None, 0, -1,
+                                       *NON_FINITE, 2.5])
     def test_clearing_lead_that_is_not_a_whole_count_is_refused(self, value):
         with pytest.raises(ValueError, match="clearing_lead must be an integer of at least 1"):
             GridModel((Feeder("x", 1.0, 1.0),), 0.25, value)
@@ -215,7 +250,9 @@ class TestSolution:
     @pytest.mark.parametrize("key, value", [
         ((1.0, 2, 3), (1.0, 0.5)), ((1, True, 3), (1.0, 0.5)), ((1, 2, np.int64(3)), (1.0, 0.5)),
         ((1, 2, "3"), (1.0, 0.5)), ((1, 2), (1.0, 0.5)), ("123", (1.0, 0.5)),
-        ((1, 2, 3), (True, 0.5)), ((1, 2, 3), ("1.0", 0.5)), ((1, 2, 3), (1.0, None))])
+        ((1, 2, 3), (True, 0.5)), ((1, 2, 3), ("1.0", 0.5)), ((1, 2, 3), (1.0, None)),
+        *[((1, 2, 3), (bad, 0.5)) for bad in BAD_NUMBERS],
+        *[((1, 2, 3), (1.0, bad)) for bad in BAD_NUMBERS]])
     def test_rejects_malformed_keys_and_values(self, key, value):
         with pytest.raises(InvalidTradeError):
             Solution({key: value})

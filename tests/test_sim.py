@@ -16,7 +16,7 @@ from gridtrade.sim import (
 )
 from gridtrade.traces import ProsumerTrace, synthesize_traces
 
-from conftest import make_battery_traces
+from conftest import BAD_COUNTS, BAD_NUMBERS, make_battery_traces
 
 
 def base_config(grid, horizon, **overrides):
@@ -268,6 +268,25 @@ class TestConfigValidation:
     def test_simulated_interval_cannot_outrun_real_one(self, grid):
         with pytest.raises(ConfigError):
             base_config(grid, 4, seconds_per_interval=3601.0)
+
+    @pytest.mark.parametrize("field, value", [
+        *[(field, bad) for field in ("horizon", "prediction_window", "lookahead", "n_solvers",
+                                     "n_adversaries", "seed") for bad in BAD_COUNTS],
+        *[(field, bad) for field in ("seconds_per_interval", "solver_period", "price_cap",
+                                     "detect_latency", "notify_latency", "reactivate_latency",
+                                     "confirmation_delay") for bad in BAD_NUMBERS],
+        ("n_solvers", 1.5), ("seed", 1.5), ("seed", -1), ("n_adversaries", -1),
+        ("seconds_per_interval", "4"), ("price_cap", -1.0)])
+    def test_every_numeric_field_refuses_a_bad_value(self, grid, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            base_config(grid, **{"horizon": 4, field: value})
+
+    @pytest.mark.parametrize("fail, recover", [
+        *[(bad, None) for bad in BAD_NUMBERS],
+        *[(4.0, bad) for bad in BAD_NUMBERS if bad is not None], (4.0, 4.0), (4.0, 3.0)])
+    def test_failure_spec_refuses_a_bad_time(self, fail, recover):
+        with pytest.raises(ConfigError, match="^s1: (fail|recover)_time must be "):
+            FailureSpec("s1", fail, recover)
 
 
 def test_confirmation_delay_still_completes(grid):

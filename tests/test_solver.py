@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import math
 import re
 import sys
 
@@ -37,6 +38,8 @@ from gridtrade.solver import (
     solve,
     solve_with_diagnostics,
 )
+
+from conftest import BAD_COUNTS, BAD_NUMBERS
 
 
 class TestBuildLp:
@@ -522,3 +525,19 @@ class TestHighsEntryPoint:
             linprog(np.array([-1.0]), csr_matrix([[coeff]]), np.array([bound]))
         primal, duals = linprog(np.array([-1.0]), csr_matrix([[1.0]]), np.array([2.0]))
         assert primal.tolist() == [2.0] and duals.tolist() == [1.0]
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        *[("lookahead", bad) for bad in BAD_COUNTS], ("lookahead", 0), ("lookahead", 3.0),
+        *[("solve_period", bad) for bad in BAD_NUMBERS], ("solve_period", 0.0),
+        *[("price_cap", bad) for bad in BAD_NUMBERS], ("price_cap", -1.0)])
+    def test_refuses_a_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SolverConfig(**{"lookahead": 3, field: value})
+
+    def test_infinite_price_cap_is_refused_before_any_solve(self):
+        # Accepted once, it priced an unpriced buyer's trade at inf, and the
+        # Solution that refused it stopped the run inside SolverAgent.step.
+        with pytest.raises(ValueError, match="price_cap must be a non-negative finite number"):
+            SolverConfig(lookahead=3, price_cap=math.inf)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,8 @@ from gridtrade.traces import (
     synthesize_traces,
     write_traces,
 )
+
+from conftest import BAD_COUNTS, BAD_NUMBERS
 
 
 def write_csv(tmp_path, rows, header="participant,feeder,interval,production_kwh,demand_kwh"):
@@ -163,9 +163,16 @@ class TestProsumerTrace:
             ProsumerTrace("x", "f", (-1.0,), (1.0,))
 
     def test_non_finite_series_rejected(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for bad in BAD_NUMBERS:
+            with pytest.raises(ValueError, match="^x: series value must be "):
                 ProsumerTrace("x", "f", (1.0,), (bad,))
+            with pytest.raises(ValueError, match="^x: series value must be "):
+                ProsumerTrace("x", "f", (bad,), (1.0,))
+
+    @pytest.mark.parametrize("value", [*BAD_COUNTS, 0, 2.0])
+    def test_flex_window_that_is_not_a_positive_count_rejected(self, value):
+        with pytest.raises(ValueError, match="^x: flex_window must be "):
+            ProsumerTrace("x", "f", (1.0,), (1.0,), True, value)
 
     def test_net_sign_convention(self):
         trace = ProsumerTrace("x", "f", (3.0, 0.0), (1.0, 2.0))
