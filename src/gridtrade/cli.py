@@ -198,7 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run(config, traces)
     report.metrics = dataclasses.replace(report.metrics, unit_price=unit_price)
     paths = export_report(report, args.out)
-    print(f"finalized {report.intervals_finalized}/{report.horizon} intervals")
+    print(f"finalized {report.intervals_finalized}/{report.config.horizon} intervals")
     print(f"traded {report.metrics.traded_kwh:.6g} kWh "
           f"(sell offered {report.metrics.sell_offered_kwh:.6g}, "
           f"buy offered {report.metrics.buy_offered_kwh:.6g})")

@@ -7,7 +7,7 @@ contract, so the market rules are stated once, here and in ``market``.
 ``verify_log`` reports the first divergence; ``replay_events`` returns the
 rebuilt state, or raises at that divergence.
 
-The contract tracks the registry, both offer books, the best feasible
+The contract tracks the registry, the offer book, the best feasible
 candidate solution seen so far, and the finalized (pinned) trades. The
 candidate covers only open intervals: finalizing an interval moves its trades
 from the candidate into the pins. The contract never accepts a solution that
@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .market import (
+    BUYING,
     SELLING,
     GridModel,
     MarketError,
@@ -166,11 +167,11 @@ class LedgerEvent(NamedTuple):
 class ContractState:
     """Mutable contract state; every mutation goes through ``apply``.
 
-    ``book`` holds every offer not withdrawn, in posting order, and is
-    ``selling`` and ``buying`` together. ``open_offers`` is the part of the
-    book that can still trade: offers whose window ends after
-    ``pinned.finalized_through``. Both are kept up to date by ``apply``, so
-    neither is rebuilt from the day's history.
+    ``book`` holds every offer not withdrawn, in posting order: the one
+    offer store. ``open_offers`` is the part of the book that can still
+    trade: offers whose window ends after ``pinned.finalized_through``. Both
+    are kept up to date by ``apply``, so neither is rebuilt from the day's
+    history. ``retired`` holds the withdrawn offers.
 
     ``apply`` takes the events a contract appends, which carry the offer,
     solution or stripped candidate the contract decided on, and applies it as
@@ -184,8 +185,6 @@ class ContractState:
         self.grid = grid
         self.participants: dict[str, dict] = {}
         self.book: dict[int, Offer] = {}
-        self.selling: dict[int, Offer] = {}
-        self.buying: dict[int, Offer] = {}
         self.open_offers: dict[int, Offer] = {}
         self.retired: dict[int, Offer] = {}
         self.candidate: Solution = Solution.empty()
@@ -210,7 +209,6 @@ class ContractState:
 
     def _offer_posted(self, payload: dict, offer: Offer) -> None:
         oid = offer.id
-        (self.selling if offer.side is SELLING else self.buying)[oid] = offer
         self.book[oid] = offer
         if offer.end > self.pinned.finalized_through:
             self.open_offers[oid] = offer
@@ -236,10 +234,8 @@ class ContractState:
 
     def _participant_removed(self, payload: dict, stripped: Solution) -> None:
         for oid in payload["removed_offers"]:
-            offer = self.book.pop(oid)
-            del (self.selling if offer.side is SELLING else self.buying)[oid]
             self.open_offers.pop(oid, None)
-            self.retired[oid] = offer
+            self.retired[oid] = self.book.pop(oid)
         self.candidate = stripped
         self.candidate_objective = float(payload["candidate_objective"])
 
@@ -252,6 +248,20 @@ class ContractState:
         INTERVAL_ADVANCED: _interval_advanced,
         PARTICIPANT_REMOVED: _participant_removed,
     }
+
+    @property
+    def selling(self) -> dict[int, Offer]:
+        """The selling offers of ``book``, in posting order, as a new dict.
+        Besides ``snapshot``, only the benchmark's fuzz reads this view; it
+        goes when the benchmark harness is ported to ``book``."""
+        return {oid: o for oid, o in self.book.items() if o.side is SELLING}
+
+    @property
+    def buying(self) -> dict[int, Offer]:
+        """The buying offers of ``book``, in posting order, as a new dict.
+        Besides ``snapshot``, only the benchmark's fuzz reads this view; it
+        goes when the benchmark harness is ported to ``book``."""
+        return {oid: o for oid, o in self.book.items() if o.side is BUYING}
 
     def feasibility(self, solution: Solution):
         return check_feasibility(solution, self.book, self.grid, self.pinned)

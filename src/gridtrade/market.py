@@ -286,18 +286,8 @@ class Solution:
     def empty(cls) -> "Solution":
         return cls({})
 
-    def power(self, key: TradeKey) -> float:
-        return self._entries.get(key, (0.0, 0.0))[0]
-
-    def price(self, key: TradeKey) -> float | None:
-        entry = self._entries.get(key)
-        return None if entry is None else entry[1]
-
     def items(self) -> Iterator[tuple[TradeKey, tuple[float, float]]]:
         return iter(self._entries.items())
-
-    def keys(self) -> Iterator[TradeKey]:
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

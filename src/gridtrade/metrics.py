@@ -148,8 +148,9 @@ def export_report(report: "SimReport", out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
+    config = report.config
     paths["events"] = write_events_jsonl(
-        out / "events.jsonl", report.events, report.grid, price_cap=report.price_cap)
+        out / "events.jsonl", report.events, config.grid, price_cap=config.price_cap)
 
     paths["intervals"] = _write_csv(
         out / "intervals.csv",
@@ -179,7 +180,7 @@ def export_report(report: "SimReport", out_dir: str | Path) -> dict[str, Path]:
 
     paths["summary"] = out / "summary.json"
     summary = {
-        "horizon": report.horizon,
+        "horizon": config.horizon,
         "intervals_finalized": report.intervals_finalized,
         "traded_kwh": report.metrics.traded_kwh,
         "sell_offered_kwh": report.metrics.sell_offered_kwh,

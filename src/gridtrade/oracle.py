@@ -210,8 +210,8 @@ def verify_certificate(instance: LpInstance, diagnostics: SolveDiagnostics,
     problems: list[str] = []
     if instance.n_variables == 0:
         return problems
-    c, matrix, b = instance.to_arrays()
-    a = matrix.toarray()  # dense NumPy products, independent of the solver's matvec
+    c, b = instance.c, instance.rhs
+    a = instance.matrix.toarray()  # dense NumPy products, independent of the solver's matvec
     x = np.asarray(diagnostics.primal)
     y = np.asarray(diagnostics.duals)
     if np.any(x < -tol):

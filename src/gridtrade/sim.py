@@ -14,7 +14,6 @@ an identical event log, byte for byte.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -91,6 +90,12 @@ class SimConfig:
                 number(name, getattr(self, name), 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if type(self.adaptive) is not bool:  # a truthy "no" must not turn control on
+            raise ConfigError(f"adaptive must be a bool, got {self.adaptive!r}")
+        if not (isinstance(self.failures, (list, tuple))
+                and all(isinstance(f, FailureSpec) for f in self.failures)):
+            raise ConfigError(f"failures must be a sequence of FailureSpec, got {self.failures!r}")
+        object.__setattr__(self, "failures", tuple(self.failures))  # a tuple, so the config hashes
         if self.seconds_per_interval > self.grid.interval_hours * 3600.0:
             raise ConfigError("simulated interval cannot exceed the real interval")
 
@@ -164,8 +169,9 @@ class AdversaryAgent:
         return Solution(entries)
 
     def _oversized_random_trade(self, state) -> Solution | None:
-        sells = list(state.selling.values())
-        buys = list(state.buying.values())
+        sells, buys = [], []
+        for offer in state.book.values():  # each side in posting order
+            (sells if offer.side is SELLING else buys).append(offer)
         if not sells or not buys:
             return None
         sell = sells[int(self.rng.integers(0, len(sells)))]
@@ -198,9 +204,7 @@ class AdversaryAgent:
 
 @dataclass
 class SimReport:
-    grid: GridModel
-    horizon: int
-    price_cap: float
+    config: SimConfig
     events: list[LedgerEvent]
     metrics: Metrics
     solver_records: list[SolveRecord]
@@ -289,10 +293,6 @@ class Simulation:
                 raise ConfigError(
                     f"{trace.participant}: trace covers {len(trace)} intervals, "
                     f"horizon needs {self.config.horizon}")
-
-    @property
-    def interval(self) -> int:
-        return int(math.floor(self.time / self.config.seconds_per_interval))
 
     @property
     def end_time(self) -> float:
@@ -429,9 +429,7 @@ class Simulation:
         records.sort(key=lambda r: (r.time, r.solver))
         controller_rows.sort(key=lambda r: (r["time"], r["solver"]))
         return SimReport(
-            grid=self.contract.grid,
-            horizon=self.config.horizon,
-            price_cap=self.config.price_cap,
+            config=self.config,
             events=events,
             metrics=metrics,
             solver_records=records,

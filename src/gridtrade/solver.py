@@ -199,13 +199,6 @@ class LpInstance:
     def n_constraints(self) -> int:
         return len(self.rhs)
 
-    def book_map(self) -> dict[int, Offer]:
-        return {o.id: o for o in self.book}
-
-    def to_arrays(self) -> tuple[np.ndarray, CsrMatrix, np.ndarray]:
-        """Objective vector, constraint matrix, and right-hand side."""
-        return self.c, self.matrix, self.rhs
-
 
 _KINDS = np.array(["sell", "buy", "carry"], dtype=object)  # column kinds by code
 
@@ -363,8 +356,6 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
                       weight[order], tuple(offers), grid, pinned, now, config)
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
     """The optimality certificate of one solve: the primal and the row duals."""
@@ -501,12 +492,12 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     if instance.n_variables == 0:
         return Solution.empty(), SolveDiagnostics(0.0, np.zeros(0), np.zeros(0))
 
-    c, a, b = instance.to_arrays()
+    c, a, b = instance.c, instance.matrix, instance.rhs
     epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
     primal, duals = linprog(-(c + epsilon * instance.tie_break), a, b)
 
     x = _repair_overages(np.maximum(primal, 0.0), a, b)
-    book = instance.book_map()
+    book = {o.id: o for o in instance.book}
     solution = _fill(instance.variables, x, book, instance.config.price_cap)
 
     report = check_feasibility(solution, book, instance.grid, instance.pinned)
@@ -575,11 +566,6 @@ class SolverAgent:
             if event.kind in _BOOK_CHANGES:
                 self._needs_solve = True
 
-    def _lookahead(self) -> int:
-        if self.controller is not None:
-            return self.controller.lookahead
-        return self.config.lookahead
-
     def step(self, events: list[ledger_mod.LedgerEvent], *, time: float = 0.0) -> Solution | None:
         """One solver tick: ingest events, maybe re-solve, maybe submit."""
         self.observe(events)
@@ -589,7 +575,7 @@ class SolverAgent:
 
         config = self.config
         if self.controller is not None:
-            config = replace(config, lookahead=self._lookahead())
+            config = replace(config, lookahead=self.controller.lookahead)
         instance = build_lp(self.mirror.open_offers, self.mirror.grid, self.mirror.pinned,
                             now, config)
         modeled_time = (self.resource_model.solve_time(instance.n_variables)

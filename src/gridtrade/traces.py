@@ -162,12 +162,19 @@ def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
 
     Producers get a midday production bell sized so that total production
     overtakes total demand around noon; consumers get a morning/evening
-    double-peaked demand profile. Same arguments, same output.
+    double-peaked demand profile. Same arguments, same output. ``homes``,
+    ``feeders`` and ``intervals`` are integers of at least 1, ``seed`` one
+    of at least 0 and ``producers`` one of at least 0 and at most
+    ``homes``; anything else raises ``SpecError``.
     """
+    try:
+        homes, feeders, intervals = (count(name, value, 1) for name, value in (
+            ("homes", homes), ("feeders", feeders), ("intervals", intervals)))
+        producers, seed = count("producers", producers, 0), count("seed", seed, 0)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     if producers > homes:
         raise SpecError("producers cannot exceed homes")
-    if feeders < 1 or homes < 1 or intervals < 1:
-        raise SpecError("homes, feeders, and intervals must be positive")
 
     rng = np.random.default_rng(seed)
     width = max(len(str(homes)), 3)

@@ -19,7 +19,7 @@ import pytest
 
 from gridtrade.ledger import (ContractState, EventKind, LedgerEvent, read_events_jsonl,
                               verify_log, write_events_jsonl)
-from gridtrade.market import Feeder, GridModel
+from gridtrade.market import Feeder, GridModel, Side
 from gridtrade.sim import FailureSpec, SimConfig, Simulation
 from gridtrade.solver import SolverAgent, build_lp
 from gridtrade.traces import synthesize_traces
@@ -49,7 +49,8 @@ def contested_day(n_adversaries: int) -> Simulation:
 
 def assert_index_consistent(state, now: int, config) -> None:
     book, pinned = state.book, state.pinned
-    assert book == {**state.selling, **state.buying}
+    for view, side in ((state.selling, Side.SELLING), (state.buying, Side.BUYING)):
+        assert list(view) == [oid for oid, o in book.items() if o.side is side]
     assert state.open_offers == {oid: o for oid, o in book.items()
                                  if o.end > pinned.finalized_through}
     windowed = build_lp(state.open_offers, state.grid, pinned, now, config)
@@ -118,16 +119,16 @@ def golden_report():
 
 def test_event_log_digest_is_unchanged(golden_report, tmp_path):
     report = golden_report
-    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
-                              price_cap=report.price_cap)
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
+                              price_cap=report.config.price_cap)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256
 
 
 def test_every_record_reads_back_as_written(golden_report, tmp_path):
     """Catches any value the writer would spell as ``null``, such as NaN."""
     report = golden_report
-    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
-                              price_cap=report.price_cap)
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
+                              price_cap=report.config.price_cap)
     _, events = read_events_jsonl(path)
     events = list(events)
     assert len(events) == len(report.events)
@@ -153,8 +154,8 @@ def test_writing_the_log_holds_one_line_at_a_time(golden_report, tmp_path):
     report = golden_report
 
     def write():
-        write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
-                           price_cap=report.price_cap)
+        write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
+                           price_cap=report.config.price_cap)
 
     write()  # the first write imports orjson
     peak = traced_peak(write)
@@ -164,8 +165,8 @@ def test_writing_the_log_holds_one_line_at_a_time(golden_report, tmp_path):
 def test_reading_and_verifying_the_log_holds_one_event_at_a_time(golden_report, tmp_path):
     """Reading every event before verifying peaked at 4.5 times the log's size."""
     report = golden_report
-    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.grid,
-                              price_cap=report.price_cap)
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
+                              price_cap=report.config.price_cap)
 
     def read_and_verify():
         header, events = read_events_jsonl(path)
@@ -247,7 +248,7 @@ FLAGGED_LATER = {"prosumer-role-rewritten": _first_offer}
 def test_every_edit_is_flagged_at_its_seq(golden_report, case):
     """20 seeded edits of one kind, each in its own copy of the golden log."""
     kind, target, edit = MUTATIONS[case]
-    events, grid = golden_report.events, golden_report.grid
+    events, grid = golden_report.events, golden_report.config.grid
     assert verify_log(grid, events) == []
     targets = [i for i, e in enumerate(events)
                if e.kind == kind and (target is None or target(e.payload))]

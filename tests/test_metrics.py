@@ -130,7 +130,7 @@ class TestExport:
 
     def test_empty_report_writes_headers_only(self, grid, tmp_path):
         report = SimReport(
-            grid=grid, horizon=0, price_cap=1.0, events=[],
+            config=SimConfig(grid=grid, horizon=1), events=[],
             metrics=Metrics(0.0, 0.0, 0.0, DEFAULT_UNIT_PRICE), solver_records=[],
             controller_rows=[], failure_log=[], final_state=ContractState(grid),
             intervals_finalized=0)

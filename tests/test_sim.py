@@ -97,7 +97,7 @@ class TestRunBasics:
             {int(t): {(s, b): (p, pi) for s, b, p, pi in entries}
              for t, entries in snapshot["pinned"]["intervals"].items()})
         candidate = Solution.from_payload(snapshot["candidate"])
-        assert check_feasibility(candidate, book, report.grid, pinned).ok
+        assert check_feasibility(candidate, book, report.config.grid, pinned).ok
 
 
 def _offer_from_snapshot(payload):
@@ -158,13 +158,13 @@ class TestClock:
     def test_fresh_sim_at_time_zero(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
         assert sim.time == 0.0
-        assert sim.interval == 0
+        assert sim.contract.state.current_interval == 0
 
     def test_interval_tracks_elapsed_time(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
         while sim.time < sim.config.seconds_per_interval:
             sim.advance_clock()
-        assert sim.interval == 1
+        assert sim.contract.state.current_interval == 1
 
     def test_full_day_reaches_final_interval(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
@@ -173,7 +173,7 @@ class TestClock:
             now = sim.advance_clock()
             assert now >= last
             last = now
-        assert sim.interval == 50
+        assert sim.contract.state.current_interval == 50
         assert sim.time == 50 * sim.config.seconds_per_interval
 
 
@@ -241,7 +241,7 @@ class TestAdversary:
         # volume can only be helped by extra submissions, never hurt
         assert noisy.metrics.traded_kwh >= clean.metrics.traded_kwh - 1e-9
         problems = __import__("gridtrade.ledger", fromlist=["verify_log"]).verify_log(
-            noisy.grid, noisy.events)
+            noisy.config.grid, noisy.events)
         assert problems == []
 
 
@@ -276,10 +276,18 @@ class TestConfigValidation:
                                      "detect_latency", "notify_latency", "reactivate_latency",
                                      "confirmation_delay") for bad in BAD_NUMBERS],
         ("n_solvers", 1.5), ("seed", 1.5), ("seed", -1), ("n_adversaries", -1),
-        ("seconds_per_interval", "4"), ("price_cap", -1.0)])
+        ("seconds_per_interval", "4"), ("price_cap", -1.0),
+        ("adaptive", "no"), ("adaptive", 1), ("adaptive", None),
+        ("failures", [("p001", 1.0, None)]), ("failures", "p001"), ("failures", None)])
     def test_every_numeric_field_refuses_a_bad_value(self, grid, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             base_config(grid, **{"horizon": 4, field: value})
+
+    def test_failures_are_kept_as_a_tuple_so_the_config_hashes(self, grid):
+        spec = FailureSpec("s1", 4.0)
+        config = base_config(grid, 4, failures=[spec])
+        assert config.failures == (spec,)
+        assert hash(config) == hash(base_config(grid, 4, failures=(spec,)))
 
     @pytest.mark.parametrize("fail, recover", [
         *[(bad, None) for bad in BAD_NUMBERS],

@@ -96,7 +96,7 @@ class TestBuildLp:
         solution = solve(instance)
         # 25 of the battery's 30 kWh are already committed at interval 48.
         assert objective(solution) == pytest.approx(5.0, abs=1e-9)
-        assert solution.power((2, 4, 49)) == pytest.approx(5.0, abs=1e-9)
+        assert dict(solution.items())[(2, 4, 49)][0] == pytest.approx(5.0, abs=1e-9)
 
 
     def test_hand_built_market_gives_the_pinned_arrays(self):
@@ -171,9 +171,10 @@ class TestSolve:
                             SolverConfig(lookahead=2))
         solution = solve(instance)
         assert objective(solution) == pytest.approx(40.0, abs=1e-9)
-        assert solution.power((1, 3, 48)) == pytest.approx(10.0, abs=1e-9)
-        assert solution.power((2, 3, 48)) == pytest.approx(20.0, abs=1e-9)
-        assert solution.power((2, 4, 49)) == pytest.approx(10.0, abs=1e-9)
+        trades = dict(solution.items())
+        assert trades[(1, 3, 48)][0] == pytest.approx(10.0, abs=1e-9)
+        assert trades[(2, 3, 48)][0] == pytest.approx(20.0, abs=1e-9)
+        assert trades[(2, 4, 49)][0] == pytest.approx(10.0, abs=1e-9)
 
     def test_no_matchable_pairs_solves_to_empty(self, grid):
         book = {
@@ -193,8 +194,9 @@ class TestSolve:
         pinned = PinnedTrades(48, {48: {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}})
         instance = build_lp(battery_book, grid, pinned, 48, SolverConfig(lookahead=2))
         solution = solve(instance)
-        assert list(solution.keys()) == [(2, 4, 49)]
-        assert solution.power((2, 4, 49)) == pytest.approx(10.0, abs=1e-9)
+        trades = dict(solution.items())
+        assert list(trades) == [(2, 4, 49)]
+        assert trades[(2, 4, 49)][0] == pytest.approx(10.0, abs=1e-9)
         assert pinned.entries(48) == {(1, 3): (10.0, 0.5), (2, 3): (20.0, 0.5)}
 
     def test_deterministic_resolve(self, battery_book, grid, pins_through_47):
@@ -238,8 +240,7 @@ def tiered_markets(count=60, seed=23):
 
 def highs_input(instance):
     """The arrays ``solve_with_diagnostics`` hands to HiGHS, tie-break included."""
-    c, a, b = instance.to_arrays()
-    return -(c + 1e-9 * instance.tie_break), a, b
+    return -(instance.c + 1e-9 * instance.tie_break), instance.matrix, instance.rhs
 
 
 class TestPriceTiers:
@@ -278,7 +279,7 @@ class TestPriceTiers:
         }
         instance = build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=1))
         solution = solve(instance)
-        assert sorted(solution.keys()) == [(1, 4, 1), (2, 3, 1)]
+        assert sorted(dict(solution.items())) == [(1, 4, 1), (2, 3, 1)]
         assert objective(solution) == pytest.approx(10.0, abs=1e-9)
 
 
@@ -293,8 +294,9 @@ class TestTieBreak:
         }
         instance = build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=3))
         solution = solve(instance)
-        assert list(solution.keys()) == [(2, 3, 1)]
-        assert solution.power((2, 3, 1)) == pytest.approx(5.0, abs=1e-9)
+        trades = dict(solution.items())
+        assert list(trades) == [(2, 3, 1)]
+        assert trades[(2, 3, 1)][0] == pytest.approx(5.0, abs=1e-9)
 
     def test_weights_grow_as_the_deadline_nears(self, grid):
         book = {
@@ -332,8 +334,9 @@ class TestAssignPrices:
         instance = build_lp(book, grid, PinnedTrades.empty(), 0,
                             SolverConfig(lookahead=1, price_cap=price_cap))
         solution = solve(instance)
-        assert list(solution.keys()) == [(1, 2, 1)]
-        price = solution.price((1, 2, 1))
+        trades = dict(solution.items())
+        assert list(trades) == [(1, 2, 1)]
+        price = trades[(1, 2, 1)][1]
         assert price == midpoint_price(book[1], book[2], price_cap)
         return book, solution, price
 

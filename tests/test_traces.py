@@ -152,6 +152,16 @@ class TestSynthesize:
         with pytest.raises(SpecError):
             synthesize_traces(2, 1, 0, 8, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        *[(field, bad) for field in ("homes", "producers", "feeders", "intervals", "seed")
+          for bad in BAD_COUNTS],
+        ("homes", 0), ("feeders", 0), ("intervals", 0), ("producers", -1), ("seed", -1)])
+    def test_every_count_refuses_a_bad_value(self, field, value):
+        counts = {"homes": 2, "producers": 1, "feeders": 1, "intervals": 4, "seed": 0,
+                  field: value}
+        with pytest.raises(SpecError, match=f"^{field} must be an integer"):
+            synthesize_traces(**counts)
+
 
 class TestProsumerTrace:
     def test_length_mismatch_rejected(self):
