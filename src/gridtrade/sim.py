@@ -17,12 +17,13 @@ import heapq
 from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
 from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
-from .market import BUYING, SELLING, GridModel, Solution, TradeKey, count, number
+from .market import BUYING, SELLING, GridModel, Offer, Solution, TradeKey, count, number
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -49,6 +50,8 @@ class FailureSpec:
     recover_time: float | None = None
 
     def __post_init__(self) -> None:
+        if type(self.participant) is not str:
+            raise ConfigError(f"participant must be a str, got {self.participant!r}")
         try:
             number(f"{self.participant}: fail_time", self.fail_time, 0.0)
             if self.recover_time is not None:
@@ -78,6 +81,8 @@ class SimConfig:
     adaptive: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.grid, GridModel):
+            raise ConfigError(f"grid must be a GridModel, got {self.grid!r}")
         try:
             for name, minimum in (("horizon", 1), ("prediction_window", 2),
                                   ("lookahead", self.grid.clearing_lead), ("n_solvers", 0),
@@ -146,6 +151,11 @@ class AdversaryAgent:
         # whose pins they include.
         self._pinned_keys: list[TradeKey] = []
         self._pinned_through = -1
+        # Each side of the book as last seen (see _book_sides).
+        self._book_state = None
+        self._retired_seen = 0
+        self._sells: list[Offer] = []
+        self._buys: list[Offer] = []
 
     def make_submission(self, state) -> Solution | None:
         strategy = int(self.rng.integers(0, 4))
@@ -168,10 +178,22 @@ class AdversaryAgent:
             entries[key] = (power * float(self.rng.uniform(0.2, 2.5)), price)
         return Solution(entries)
 
+    def _book_sides(self, state) -> tuple[list[Offer], list[Offer]]:
+        """Each side of ``state.book`` in posting order. The book grows only
+        at its tail until a removal retires offers, so the lists are extended
+        from the tail and rebuilt only when ``retired`` has grown."""
+        book = state.book
+        if state is not self._book_state or len(state.retired) != self._retired_seen:
+            self._book_state, self._retired_seen = state, len(state.retired)
+            self._sells, self._buys = [], []
+        fresh = list(islice(reversed(book.values()),
+                            len(book) - len(self._sells) - len(self._buys)))
+        for offer in reversed(fresh):
+            (self._sells if offer.side is SELLING else self._buys).append(offer)
+        return self._sells, self._buys
+
     def _oversized_random_trade(self, state) -> Solution | None:
-        sells, buys = [], []
-        for offer in state.book.values():  # each side in posting order
-            (sells if offer.side is SELLING else buys).append(offer)
+        sells, buys = self._book_sides(state)
         if not sells or not buys:
             return None
         sell = sells[int(self.rng.integers(0, len(sells)))]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,14 @@ class ProsumerTrace:
     def __post_init__(self) -> None:
         if len(self.production) != len(self.demand):
             raise ValueError(f"{self.participant}: series lengths differ")
-        what = f"{self.participant}: series value"
-        for value in self.production + self.demand:
-            number(what, value, 0.0)
+        series = self.production + self.demand
+        # Floats alone, none below 0 and a finite sum: every value is a finite
+        # number of at least 0. Anything else gets the per-value rule.
+        if not ({*map(type, series)} == {float} and min(series) >= 0.0
+                and math.isfinite(sum(series))):
+            what = f"{self.participant}: series value"
+            for value in series:
+                number(what, value, 0.0)
         count(f"{self.participant}: flex_window", self.flex_window, 1)
 
     def __len__(self) -> int:
@@ -70,67 +76,111 @@ _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
           "": False}
 
 
+class _Participant:
+    """One participant's rows so far: its feeder and flags, the raw cells
+    they were parsed from, and interval -> (production, demand)."""
+
+    __slots__ = ("feeder", "cells", "flags", "values")
+
+    def __init__(self, feeder: str):
+        self.feeder = feeder
+        self.cells = None
+        self.flags: tuple[bool, int] | None = None
+        self.values: dict[int, tuple[float, float]] = {}
+
+
 def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
-    """Read and validate traces; errors carry the offending line number."""
+    """Read and validate traces; errors carry the offending physical line.
+
+    The header names each column once and holds every required column;
+    blank lines are skipped, and every other row has one cell per header
+    column. A participant's feeder and flag cells are checked on its first
+    row and again only on a row where they differ from the last ones checked.
+    """
     path = Path(path)
-    rows: dict[str, dict[int, tuple[float, float, int]]] = {}
-    feeders: dict[str, str] = {}
-    flags: dict[str, tuple[bool, int]] = {}
+    participants: dict[str, _Participant] = {}
+    inf = math.inf
 
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [
-                c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [c for c in _REQUIRED_COLUMNS if c not in header]:
             raise ParseError(f"{path}: header must contain {', '.join(_REQUIRED_COLUMNS)}")
-        for line_no, row in enumerate(reader, start=2):
+        if len(set(header)) != len(header):
+            twice = sorted({c for c in header if header.count(c) > 1})
+            raise ParseError(f"{path}:{reader.line_num}: header names "
+                             f"{', '.join(map(repr, twice))} more than once")
+        width = len(header)
+        i_participant, i_feeder, i_interval, i_production, i_demand = map(
+            header.index, _REQUIRED_COLUMNS)
+        i_flexible, i_window = (header.index(c) if c in header else None
+                                for c in ("flexible", "flex_window"))
+        # The cells that must read the same on every row of one participant.
+        constant_cells = itemgetter(i_feeder, *(i for i in (i_flexible, i_window)
+                                                if i is not None))
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(f"{path}:{reader.line_num}: row has {len(row)} cells, "
+                                 f"the header {width}")
+            participant = row[i_participant].strip()
+            cells = constant_cells(row)
+            record = participants.get(participant)
+            changed = record is None or cells != record.cells
             try:
-                participant = row["participant"].strip()
-                feeder = row["feeder"].strip()
-                interval = int(row["interval"])
-                production = float(row["production_kwh"])
-                demand = float(row["demand_kwh"])
-                flex_window = int(row.get("flex_window") or 1)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{line_no}: malformed row ({exc})") from exc
-            if not participant or not feeder:
-                raise ParseError(f"{path}:{line_no}: empty participant or feeder")
+                interval = int(row[i_interval])
+                production = float(row[i_production])
+                demand = float(row[i_demand])
+                if changed:
+                    flex_window = 1 if i_window is None else int(row[i_window] or 1)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: malformed row ({exc})") from exc
+            if changed:
+                feeder = row[i_feeder].strip()
+                if not participant or not feeder:
+                    raise ParseError(f"{path}:{reader.line_num}: empty participant or feeder")
             if interval < 0:
-                raise ParseError(f"{path}:{line_no}: negative interval")
-            if not (math.isfinite(production) and math.isfinite(demand)):
-                raise ParseError(
-                    f"{path}:{line_no}: non-finite energy value for {participant}")
-            if production < 0 or demand < 0:
+                raise ParseError(f"{path}:{reader.line_num}: negative interval")
+            if not (0.0 <= production < inf and 0.0 <= demand < inf):
+                if not (math.isfinite(production) and math.isfinite(demand)):
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: non-finite energy value for {participant}")
                 raise NegativeValueError(
-                    f"{path}:{line_no}: negative energy value for {participant}")
-            if participant in feeders and feeders[participant] != feeder:
-                raise ParseError(
-                    f"{path}:{line_no}: {participant} appears on multiple feeders")
-            feeders[participant] = feeder
-            flexible = _FLAGS.get((row.get("flexible") or "").strip().lower())
-            if flexible is None:
-                raise ParseError(f"{path}:{line_no}: flexible must be 1/0, true/false or "
-                                 f"yes/no, got {row['flexible']!r}")
-            if flex_window < 1:
-                raise ParseError(f"{path}:{line_no}: flex_window must be at least 1")
-            if flags.setdefault(participant, (flexible, flex_window)) != (flexible, flex_window):
-                raise ParseError(f"{path}:{line_no}: {participant}'s flexible or flex_window "
-                                 f"differs from its earlier rows")
-            per = rows.setdefault(participant, {})
-            if interval in per:
-                raise ParseError(f"{path}:{line_no}: duplicate interval {interval}")
-            per[interval] = (production, demand, line_no)
+                    f"{path}:{reader.line_num}: negative energy value for {participant}")
+            if changed:
+                if record is None:
+                    record = participants[participant] = _Participant(feeder)
+                elif record.feeder != feeder:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: {participant} appears on multiple feeders")
+                flag = "" if i_flexible is None else row[i_flexible]
+                flexible = _FLAGS.get(flag.strip().lower())
+                if flexible is None:
+                    raise ParseError(f"{path}:{reader.line_num}: flexible must be 1/0, "
+                                     f"true/false or yes/no, got {flag!r}")
+                if flex_window < 1:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: flex_window must be at least 1")
+                if record.flags not in (None, (flexible, flex_window)):
+                    raise ParseError(f"{path}:{reader.line_num}: {participant}'s flexible or "
+                                     f"flex_window differs from its earlier rows")
+                record.cells, record.flags = cells, (flexible, flex_window)
+            values = record.values
+            if interval in values:
+                raise ParseError(f"{path}:{reader.line_num}: duplicate interval {interval}")
+            values[interval] = (production, demand)
 
     traces = []
-    for participant in sorted(rows):
-        per = rows[participant]
-        for expected in range(len(per)):
-            if expected not in per:
+    for participant in sorted(participants):
+        record = participants[participant]
+        values = record.values
+        for expected in range(len(values)):
+            if expected not in values:
                 raise GapError(f"{path}: {participant} is missing interval {expected}")
-        production = tuple(per[i][0] for i in range(len(per)))
-        demand = tuple(per[i][1] for i in range(len(per)))
-        flexible, flex_window = flags[participant]
-        traces.append(ProsumerTrace(participant, feeders[participant],
-                                    production, demand, flexible, flex_window))
+        production, demand = zip(*(values[i] for i in range(len(values))))
+        traces.append(ProsumerTrace(participant, record.feeder, production, demand,
+                                    *record.flags))
     return traces
 
 

@@ -20,7 +20,7 @@ import pytest
 from gridtrade.ledger import (ContractState, EventKind, LedgerEvent, read_events_jsonl,
                               verify_log, write_events_jsonl)
 from gridtrade.market import Feeder, GridModel, Side
-from gridtrade.sim import FailureSpec, SimConfig, Simulation
+from gridtrade.sim import AdversaryAgent, FailureSpec, SimConfig, Simulation
 from gridtrade.solver import SolverAgent, build_lp
 from gridtrade.traces import synthesize_traces
 
@@ -110,6 +110,27 @@ def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
         agent.observe(sim.contract.events)  # the events after its last tick
         assert agent.mirror.pinned.snapshot() == contract.pinned.snapshot()
         assert agent.mirror.snapshot() == contract.snapshot()
+
+
+def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
+    """The adversary's per-side lists, kept from the book's tail, equal the
+    whole book split by side at every draw, before and after the removal."""
+    sim = contested_day(n_adversaries=2)
+    original = AdversaryAgent._book_sides
+    draws = []
+
+    def book_sides(agent, state):
+        sells, buys = original(agent, state)
+        book = list(state.book.values())
+        draws.append((len(state.retired),
+                      sells == [o for o in book if o.side is Side.SELLING],
+                      buys == [o for o in book if o.side is Side.BUYING]))
+        return sells, buys
+
+    monkeypatch.setattr(AdversaryAgent, "_book_sides", book_sides)
+    sim.run()  # make_submission swallows exceptions, so the checks are read after
+    assert all(sells and buys for _, sells, buys in draws)
+    assert draws[0][0] == 0 and draws[-1][0] > 0
 
 
 @pytest.fixture(scope="module")

@@ -278,10 +278,11 @@ class TestConfigValidation:
         ("n_solvers", 1.5), ("seed", 1.5), ("seed", -1), ("n_adversaries", -1),
         ("seconds_per_interval", "4"), ("price_cap", -1.0),
         ("adaptive", "no"), ("adaptive", 1), ("adaptive", None),
-        ("failures", [("p001", 1.0, None)]), ("failures", "p001"), ("failures", None)])
+        ("failures", [("p001", 1.0, None)]), ("failures", "p001"), ("failures", None),
+        ("grid", None), ("grid", "main"), ("grid", ())])
     def test_every_numeric_field_refuses_a_bad_value(self, grid, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
-            base_config(grid, **{"horizon": 4, field: value})
+            base_config(**{"grid": grid, "horizon": 4, field: value})
 
     def test_failures_are_kept_as_a_tuple_so_the_config_hashes(self, grid):
         spec = FailureSpec("s1", 4.0)
@@ -295,6 +296,11 @@ class TestConfigValidation:
     def test_failure_spec_refuses_a_bad_time(self, fail, recover):
         with pytest.raises(ConfigError, match="^s1: (fail|recover)_time must be "):
             FailureSpec("s1", fail, recover)
+
+    @pytest.mark.parametrize("participant", [["x"], None, 1, b"s1", ("s1",)])
+    def test_failure_spec_refuses_a_participant_that_is_not_a_str(self, participant):
+        with pytest.raises(ConfigError, match="^participant must be a str"):
+            FailureSpec(participant, 1.0)
 
 
 def test_confirmation_delay_still_completes(grid):

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtrade.traces import (
     GapError,
@@ -15,7 +19,10 @@ from gridtrade.traces import (
 from conftest import BAD_COUNTS, BAD_NUMBERS
 
 
-def write_csv(tmp_path, rows, header="participant,feeder,interval,production_kwh,demand_kwh"):
+HEADER = "participant,feeder,interval,production_kwh,demand_kwh"
+
+
+def write_csv(tmp_path, rows, header=HEADER):
     path = tmp_path / "traces.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
@@ -68,6 +75,28 @@ class TestIngest:
         with pytest.raises(ParseError, match="header"):
             ingest_traces(path)
 
+    @pytest.mark.parametrize("rows, header, match", [
+        (["p1"], HEADER, ":2: row has 1 cells, the header 5"),
+        (["home1,f1,0,1.0"], HEADER, ":2: row has 4 cells"),
+        (["home1,f1,0,1.0,0.5,9"], HEADER, ":2: row has 6 cells"),
+        (["home1,f1,0,1.0,0.5,1"], HEADER + ",flexible,flex_window",
+         ":2: row has 6 cells, the header 7"),
+        (["home1,f1,0,1.0,0.5,0.7"], HEADER + ",demand_kwh",
+         ":1: header names 'demand_kwh' more than once"),
+        (["home1,f1,0,1.0,0.5,a,b"], HEADER + ",note,note",
+         ":1: header names 'note' more than once"),
+        (["home1,f1,0,1.0,0.5", "", "home1,f1,1,nan,0.5"], HEADER, ":4: non-finite"),
+        (["", "home1,f1,0,1.0,0.5", "", "", "home1,f1,0,1.0,0.5"], HEADER,
+         ":6: duplicate interval 0")])
+    def test_malformed_layout_reports_physical_line(self, tmp_path, rows, header, match):
+        path = write_csv(tmp_path, rows, header)
+        with pytest.raises(ParseError, match=match):
+            ingest_traces(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path, ["", "home1,f1,0,1.0,0.5", "", "home1,f1,1,2.0,0.5", ""])
+        assert ingest_traces(path) == [ProsumerTrace("home1", "f1", (1.0, 2.0), (0.5, 0.5))]
+
     def test_feeder_must_be_consistent(self, tmp_path):
         path = write_csv(tmp_path, [
             "home1,f1,0,1.0,0.5",
@@ -111,6 +140,29 @@ class TestIngest:
         path = write_traces(tmp_path / "out.csv", traces)
         restored = ingest_traces(path)
         assert restored == traces
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_with_columns_permuted_and_one_unknown(self, tmp_path_factory, data):
+        names = data.draw(st.lists(st.text("ab1_,\"", min_size=1, max_size=4),
+                                   min_size=1, max_size=4, unique=True))
+        value = st.floats(0.0, 1000.0).map(lambda v: round(v, 4))
+        traces = []
+        for name in names:
+            length = data.draw(st.integers(1, 5))
+            traces.append(ProsumerTrace(
+                name, data.draw(st.sampled_from(["f1", "f 2", "f,3"])),
+                tuple(data.draw(st.lists(value, min_size=length, max_size=length))),
+                tuple(data.draw(st.lists(value, min_size=length, max_size=length))),
+                data.draw(st.booleans()), data.draw(st.integers(1, 6))))
+        path = write_traces(tmp_path_factory.mktemp("trip") / "traces.csv", traces)
+        with path.open(newline="") as fh:
+            rows = [row + ["x"] for row in csv.reader(fh)]
+        rows[0][-1] = "note"
+        order = data.draw(st.permutations(range(len(rows[0]))))
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([[row[i] for i in order] for row in rows])
+        assert ingest_traces(path) == sorted(traces, key=lambda t: t.participant)
 
     def test_large_file_scale(self, tmp_path):
         traces = synthesize_traces(102, 5, 11, 96, seed=0)
