@@ -33,6 +33,7 @@ from .market import (
     Solution,
     VIOLATION_KINDS,
     check_feasibility,
+    count,
     number,
     objective,
     whole_interval,
@@ -316,9 +317,13 @@ class Contract:
         return self.state.grid
 
     def events_since(self, seq: int) -> list[LedgerEvent]:
-        """All events with sequence number greater than ``seq``, in order."""
-        if seq < 0:
-            raise ValueError("seq must be non-negative")
+        """All events with sequence number greater than ``seq``, in order.
+
+        ``seq`` is an integer of at least 0 (NumPy's included, a ``bool`` or
+        ``1.0`` not); anything else raises ``ValueError``.
+        """
+        if type(seq) is not int or seq < 0:  # an exact int of at least 0 is the common case
+            seq = count("seq", seq, 0)
         return self._events[seq:]
 
     def _append(self, kind: str, payload: dict, time: float,

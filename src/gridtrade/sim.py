@@ -173,10 +173,11 @@ class AdversaryAgent:
     def _perturbed_candidate(self, state) -> Solution | None:
         if not len(state.candidate):
             return None
-        entries = {}
-        for key, (power, price) in state.candidate.items():
-            entries[key] = (power * float(self.rng.uniform(0.2, 2.5)), price)
-        return Solution(entries)
+        # One draw of all the factors gives the values, and leaves the
+        # generator in the state, that one draw per trade would.
+        factors = self.rng.uniform(0.2, 2.5, size=len(state.candidate)).tolist()
+        return Solution({k: (p * factor, pi)
+                         for (k, (p, pi)), factor in zip(state.candidate.items(), factors)})
 
     def _book_sides(self, state) -> tuple[list[Offer], list[Offer]]:
         """Each side of ``state.book`` in posting order. The book grows only
@@ -234,7 +235,7 @@ class SimReport:
     failure_log: list[dict]
     final_state: ContractState
     intervals_finalized: int
-    max_variables: int = 0
+    max_variables: int = 0  # the largest LP's columns (see SolveRecord)
 
 
 # Priorities at equal timestamps: finalize the elapsed interval first, then

@@ -5,20 +5,25 @@ total traded power subject to per-offer energy budgets, net of energy
 already finalized, and per-feeder power limits. Feeder limits see only
 per-offer sums, and price compatibility is a chain over the sellers'
 reservation levels, so each interval is a transportation problem on a
-chain. The LP therefore has one power variable per open (offer, interval)
+chain. The LP therefore has one power variable per open (class, interval)
 plus one carry per price-tier boundary, instead of one per matchable
 (sell, buy, interval) triple; flow decomposition (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993, ch. 3) makes the two optima equal, and a
-deterministic fill splits each interval's flows back into trades.
+*Network Flows*, 1993, ch. 3) makes the two optima equal. A class is the
+set of offers equal in every value the market reads of them (see
+:data:`class_key`): its offers are interchangeable up to their budgets, so
+one column carries their summed flow under one budget row, as presolve's
+duplicate-column reduction would merge them (Andersen & Andersen,
+*Math. Prog.*, 1995). A deterministic fill splits each class's flow among
+its offers in id order, then each interval's flows into trades.
 Solutions cover open intervals only; finalized trades stay in the pins.
 Prices do not appear in the objective and every matchable pair admits a
 valid price, so the fill prices each trade at its band midpoint as it
 splits the flows, and each solve builds one :class:`Solution`.
 
-:func:`build_lp` reads a window's offers into arrays once and builds the
-columns, price tiers, carries and rows with NumPy array operations, then
-sorts the matrix entries into CSR in one step, in the order
-:class:`LpInstance` documents.
+:func:`build_lp` groups a window's offers into classes, reads them into
+arrays once and builds the columns, price tiers, carries and rows with
+NumPy array operations, then sorts the matrix entries into CSR in one
+step, in the order :class:`LpInstance` documents.
 
 HiGHS (Huangfu & Hall, *Math. Prog. Comp.*, 2018) solves each LP by dual
 simplex through the bindings bundled with SciPy. Only their compiled core is
@@ -39,6 +44,7 @@ import importlib.util
 import sys
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -164,20 +170,26 @@ TIE_BREAK_MAX = 5e-7
 class LpInstance:
     """A built LP: maximize ``c @ x`` subject to ``matrix @ x <= rhs``, ``x >= 0``.
 
-    Each open interval of the window contributes, in this order, a column
-    ``("sell", offer id, t)`` per seller, a column ``("buy", offer id, t)``
-    per buyer (both in id order) and a column ``("carry", k, t)`` per price
-    tier boundary, moving supply from tier ``k`` up to tier ``k + 1``.
-    ``c`` is 1 on seller columns, so ``c @ x`` is the traded power. The
-    rows are, in order: one energy budget per offer with a column (sellers,
-    then buyers, in id order); production, consumption, export and import
-    limits per feeder and interval; and each tier's balance equality, stored
-    as two opposite ``<=`` rows, so every dual is non-negative; a row with
-    no column is left out. ``tie_break`` holds the weights that choose among
-    equally optimal allocations (see :func:`build_lp`). ``book`` holds the
-    offers whose window meets the LP's, in id order. ``pinned`` is the
-    finalized state the budgets were netted against; solve the instance
-    before further intervals are pinned.
+    The LP's offers are classes of identical offers (see :data:`class_key`),
+    each labelled by its lowest offer id; an offer equal to no other is a
+    class of one. Each open interval of the window contributes, in this
+    order, a column ``("sell", label, t)`` per seller class, a column
+    ``("buy", label, t)`` per buyer class (both in label order) and a column
+    ``("carry", k, t)`` per price tier boundary, moving supply from tier
+    ``k`` up to tier ``k + 1``. ``c`` is 1 on seller columns, so ``c @ x``
+    is the traded power. The rows are, in order: one energy budget per class
+    with a column (sellers, then buyers, in label order), the sum of its
+    offers' energy net of pinned energy; production, consumption, export and
+    import limits per feeder and interval; and each tier's balance equality,
+    stored as two opposite ``<=`` rows, so every dual is non-negative; a row
+    with no column is left out. ``tie_break`` holds the weights that choose
+    among equally optimal allocations (see :func:`build_lp`). ``book`` holds
+    the offers whose window meets the LP's, in id order. ``classes`` maps
+    the label of each class of two or more offers to its offers' ids and
+    energy budgets (kWh, net of pinned energy), in id order; the fill splits
+    the class's flow by them. ``pinned`` is the finalized state the budgets
+    were netted against; solve the instance before further intervals are
+    pinned.
     """
 
     variables: tuple[Column, ...]
@@ -186,6 +198,7 @@ class LpInstance:
     rhs: np.ndarray = field(repr=False)
     tie_break: np.ndarray = field(repr=False)
     book: tuple[Offer, ...]
+    classes: Mapping[int, tuple[tuple[int, float], ...]] = field(repr=False)
     grid: GridModel
     pinned: PinnedTrades = field(repr=False)
     now: int
@@ -216,6 +229,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+# The values of an offer that every LP, the fill and check_feasibility read:
+# (side, feeder, start, end, reservation). Offers equal in all of them differ
+# only in id, prosumer and energy, and form one class. The key holds an
+# offer's own window, not its window clipped to the LP's: offers that expire
+# at different intervals are not interchangeable to later solves.
+class_key = itemgetter(*map(Offer._fields.index,
+                            ("side", "feeder", "start", "end", "reservation")))
+
+
 def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
              now: int, config: SolverConfig,
              retired: Mapping[int, Offer] | None = None) -> LpInstance:
@@ -228,7 +250,10 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     at or below its ceiling and gets no column below every floor. A seller
     in tier k can serve any buyer in tier k or above, so the tier balances,
     with carries moving supply upward only, admit exactly the per-offer
-    flows that price-compatible trades can realize.
+    flows that price-compatible trades can realize. The offers of a class
+    share every column, tier and feeder row, so one column per class and
+    interval, under the class's summed budget, admits the same sums of
+    flows; a book of distinct offers gives one class per offer.
 
     The tie-break weight of a seller column is ``(hi - lo) - (min(end, hi)
     - t)`` for the window [lo, hi]: the less of a seller's window is left
@@ -249,17 +274,25 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     # Offers whose window misses [lo, hi] cannot produce variables.
     # An offer is a tuple led by its id, and ids are unique: they sort by id.
     offers = sorted(o for o in book.values() if o.start <= hi and o.end >= lo)
-    sells = [o for o in offers if o.side is SELLING]
-    buys = [o for o in offers if o.side is BUYING]
+    # Each class's offers in id order; classes come in the order of their
+    # lowest id, the label of their columns.
+    groups: dict[tuple, list[Offer]] = {}
+    for offer in offers:
+        groups.setdefault(class_key(offer), []).append(offer)
+    sells = [group for group in groups.values() if group[0].side is SELLING]
+    buys = [group for group in groups.values() if group[0].side is BUYING]
     if not sells or not buys:  # nothing can trade in the window
         none = np.zeros(0)
         empty = CsrMatrix(none, np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
-        return LpInstance((), none, empty, none, none, tuple(offers), grid, pinned, now, config)
+        return LpInstance((), none, empty, none, none, tuple(offers), {}, grid, pinned, now,
+                          config)
 
     delta = grid.interval_hours
-    # Sellers then buyers, each in id order: the order of the budget rows and
-    # of the columns within an interval. Intervals are window-relative below.
-    ordered = sells + buys
+    # Seller classes then buyer classes, each in label order: the order of
+    # the budget rows and of the columns within an interval. A class is read
+    # through its first offer. Intervals are window-relative below.
+    classes = sells + buys
+    ordered = [group[0] for group in classes]
     ids = [o.id for o in ordered]
     n, span = len(ordered), hi - lo + 1
     feeder_names = sorted({o.feeder for o in ordered})
@@ -315,10 +348,15 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     cells, carries = position[:n_cells], position[n_cells:]
     buying = np.arange(n_cells) >= n_sells
     sign = 1.0 - 2.0 * buying
-    # Energy budgets: one row per offer with a column.
+    # Energy budgets: one row per class with a column, the sum of its
+    # offers' energy left after their pinned energy.
     used = np.bincount(owner, minlength=n) > 0
     budget = used.cumsum() - 1
-    energy = np.array([o.energy_kwh for o in ordered]) - pinned.energies(ids, delta)
+    members = [o for group in classes for o in group]
+    left = np.maximum(np.array([o.energy_kwh for o in members])
+                      - pinned.energies([o.id for o in members], delta), 0.0)
+    sizes = [len(group) for group in classes]
+    energy = np.bincount(np.arange(n).repeat(sizes), left, n)
     base = np.count_nonzero(used)
     # Feeder limits: four slots per (feeder, interval), for production,
     # consumption and net flow both ways. A slot a column uses is a row.
@@ -344,16 +382,21 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
     column = np.concatenate((cells,) * 6 + (carries,) * 4)
     values = np.concatenate((np.full(n_cells, float(delta)), np.full(n_cells, 1.0),
                              sign, -sign, sign, -sign, -ones, ones, ones, -ones))
-    rhs = np.concatenate((np.maximum(energy[used], 0.0), feeder_bounds,
-                          np.zeros(2 * len(floors))))
+    rhs = np.concatenate((energy[used], feeder_bounds, np.zeros(2 * len(floors))))
 
     entries = (row * n_columns + column).argsort()
     indptr = np.zeros(len(rhs) + 1, dtype=np.int32)
     np.bincount(row, minlength=len(rhs)).cumsum(out=indptr[1:])
     matrix = CsrMatrix(values[entries], column[entries].astype(np.int32),
                        indptr, (len(rhs), n_columns))
+    # The classes of two or more offers, for the fill's split.
+    shared, at = {}, 0
+    for group, size in zip(classes, sizes):
+        if size > 1:
+            shared[group[0].id] = tuple(zip([o.id for o in group], left[at:at + size].tolist()))
+        at += size
     return LpInstance(variables, (order < n_sells).astype(np.float64), matrix, rhs,
-                      weight[order], tuple(offers), grid, pinned, now, config)
+                      weight[order], tuple(offers), shared, grid, pinned, now, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,9 +430,15 @@ def _repair_overages(x: np.ndarray, a: CsrMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fill(variables: tuple[Column, ...], x: np.ndarray, book: Mapping[int, Offer],
-          price_cap: float) -> Solution:
-    """Split each interval's offer flows into priced (sell, buy) trades.
+def _fill(instance: LpInstance, x: np.ndarray, book: Mapping[int, Offer]) -> Solution:
+    """Split each class's flow among its offers, then each interval's offer
+    flows into priced (sell, buy) trades.
+
+    A class's flow goes to its offers in id order, interval by interval:
+    each offer takes up to the energy it has left before the next one takes
+    any. The class's budget row is the sum of theirs, so flow left over once
+    every offer is full is rounding, and it is not assigned. An offer alone
+    in its class takes its column's flow as it is.
 
     Sellers go by descending floor, then id; each fills the buyers it can
     trade with (ceiling at or above its floor) in id order. Eligibility is
@@ -398,21 +447,42 @@ def _fill(variables: tuple[Column, ...], x: np.ndarray, book: Mapping[int, Offer
     band midpoint by the arithmetic of :func:`midpoint_price`, written out
     here with each ``min``/``max`` as the comparison it makes.
     """
+    variables, shared = instance.variables, instance.classes
+    delta, price_cap = instance.grid.interval_hours, instance.config.price_cap
+    room: dict[int, float] = {}  # power each offer of a shared class has left for one interval
     flows: dict[int, tuple[list, list]] = {}
     positive = np.flatnonzero(x > 0.0)
-    for j, value in zip(positive.tolist(), x[positive].tolist()):
-        kind, offer_id, t = variables[j]
-        if kind != "carry":
-            sells, buys = flows.setdefault(t, ([], []))
-            reservation = book[offer_id].reservation
+    for j, value in zip(positive.tolist(), x[positive].tolist()):  # interval by interval
+        kind, label, t = variables[j]
+        if kind == "carry":
+            continue
+        sells, buys = flows.setdefault(t, ([], []))
+        reservation = book[label].reservation
+        shares = shared.get(label)
+        if shares is None:
+            parts = ((label, value),)
+        else:
+            parts = []
+            for offer_id, budget in shares:
+                free = room.get(offer_id, budget / delta)
+                if free > 0.0:
+                    take = value if value < free else free
+                    parts.append((offer_id, take))
+                    room[offer_id] = free - take
+                    value -= take
+                    if value <= 0.0:
+                        break
+        for offer_id, power in parts:
             if kind == "sell":  # sorts by descending floor, then id
-                sells.append((-reservation, offer_id, reservation, value))
+                sells.append((-reservation, offer_id, reservation, power))
             else:
-                buys.append([value, reservation, offer_id])
+                buys.append([power, reservation, offer_id])
 
     entries: dict[TradeKey, tuple[float, float]] = {}
+    by_id = itemgetter(2)
     for t, (sells, buys) in flows.items():
         sells.sort()
+        buys.sort(key=by_id)
         for _, s_id, floor, supply in sells:
             for flow in buys:
                 demand, ceiling, b_id = flow
@@ -498,7 +568,7 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
 
     x = _repair_overages(np.maximum(primal, 0.0), a, b)
     book = {o.id: o for o in instance.book}
-    solution = _fill(instance.variables, x, book, instance.config.price_cap)
+    solution = _fill(instance, x, book)
 
     report = check_feasibility(solution, book, instance.grid, instance.pinned)
     if not report.ok:
@@ -520,7 +590,9 @@ _BOOK_CHANGES = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOV
 
 @dataclass
 class SolveRecord:
-    """One solver run, for the solver activity export."""
+    """One solver run, for the solver activity export. ``variables`` counts
+    the LP's columns: one per class of identical offers and open interval,
+    plus the carries."""
 
     time: float
     solver: str

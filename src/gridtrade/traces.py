@@ -13,6 +13,7 @@ over a window of later intervals rather than immediately.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -92,17 +93,25 @@ class _Participant:
 def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
     """Read and validate traces; errors carry the offending physical line.
 
-    The header names each column once and holds every required column;
-    blank lines are skipped, and every other row has one cell per header
-    column. A participant's feeder and flag cells are checked on its first
+    The file is UTF-8 text, decoded whole before any row is read. The
+    header names each column once and holds every required column; blank
+    lines are skipped, and every other row has one cell per header column.
+    A participant's feeder and flag cells are checked on its first
     row and again only on a row where they differ from the last ones checked.
     """
     path = Path(path)
     participants: dict[str, _Participant] = {}
     inf = math.inf
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, [])
         if [c for c in _REQUIRED_COLUMNS if c not in header]:
             raise ParseError(f"{path}: header must contain {', '.join(_REQUIRED_COLUMNS)}")
@@ -170,6 +179,8 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
             if interval in values:
                 raise ParseError(f"{path}:{reader.line_num}: duplicate interval {interval}")
             values[interval] = (production, demand)
+    except csv.Error as exc:  # such as a quoted cell over the csv module's field size limit
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
 
     traces = []
     for participant in sorted(participants):

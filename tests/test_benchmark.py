@@ -41,14 +41,15 @@ def test_traced_contract_fuzz_runs_clean():
     assert decisions(metrics, ["ledger.accepted", "ledger.rejected.invalid",
                                "ledger.rejected.infeasible", "ledger.rejected.not_better",
                                "solver.highs_calls"]) == {
-        "ledger.accepted": 61, "ledger.rejected.invalid": 3417,
-        "ledger.rejected.infeasible": 1303, "ledger.rejected.not_better": 79,
+        "ledger.accepted": 61, "ledger.rejected.invalid": 3419,
+        "ledger.rejected.infeasible": 1309, "ledger.rejected.not_better": 71,
         "solver.highs_calls": 60}
 
 
 def test_traced_community_day_certifies_every_lp():
     """Every one of the day's LPs passes the weak-duality certificate, and
-    the aggregate LP stays small: one column per open offer and interval.
+    the aggregate LP stays small: one column per open class of identical
+    offers and interval.
     Seed 1's decisions are fixed, as in the fuzz."""
     metrics = traced_run("community_day")
     assert metrics["solver.build_lp_calls"]["value"] == 96

@@ -27,14 +27,15 @@ from gridtrade.traces import synthesize_traces
 HORIZON = 32
 
 # SHA-256 of ``events.jsonl`` for ``contested_day(n_adversaries=2)`` (657
-# events, 136,241 bytes), taken when the DSO and the solvers began to register
-# with no feeder. Before, they named ``__operator__``, which the header listed
-# (57d325c0..., 136,395 bytes); every other line is unchanged. A change that
-# only makes the program faster must leave it as it is. Should it change on
-# purpose (a rule, the log format, the LP's tie-break, or a SciPy or NumPy
-# release that moves HiGHS's vertex or the seeded draws), record the new value
-# and the reason in CHANGES.md.
-GOLDEN_EVENTS_SHA256 = "d65d37ebb016b47039841d2dc05b0324332f2a3d12536ca135dd51423f3feb7f"
+# events, 136,277 bytes), taken when the LP began to give one column to each
+# class of identical offers: which offer of a class carries a flow, and so
+# the trade rows, moved, while the traded kWh (8.9376) did not. Before, it was
+# d65d37eb... (136,241 bytes). A change that only makes the program faster
+# must leave it as it is. Should it change on purpose (a rule, the log
+# format, the LP's columns or tie-break, or a SciPy or NumPy release that
+# moves HiGHS's vertex or the seeded draws), record the new value and the
+# reason in CHANGES.md.
+GOLDEN_EVENTS_SHA256 = "936fc3b2ffce88f48c7ca3fb99b5a9c87de3542294a6644d95088af0bfc3fc6f"
 
 
 def contested_day(n_adversaries: int) -> Simulation:

@@ -34,7 +34,7 @@ from gridtrade.ledger import (
 from gridtrade.market import (Feeder, GridModel, InvalidTradeError, Side, Solution, matchable,
                               objective)
 
-from conftest import HEADER_EDITS
+from conftest import BAD_COUNTS, HEADER_EDITS
 
 
 def fresh_contract(grid, *, with_dso=True, require_dso=True, operator_feeder=None):
@@ -428,6 +428,20 @@ class TestEventsSince:
         assert [e.kind for e in events] == [
             EventKind.PROSUMER_REGISTERED, EventKind.OFFER_POSTED]
         assert contract.events_since(1) == events[1:]
+
+    @pytest.mark.parametrize("seq", [*BAD_COUNTS, -1, 1.0])
+    def test_refuses_a_seq_that_is_not_a_count(self, grid, seq):
+        contract = Contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        with pytest.raises(ValueError, match="^seq must be an integer of at least 0, got "):
+            contract.events_since(seq)
+
+    def test_numpy_integer_seq_is_a_count(self, grid):
+        contract = Contract(grid)
+        contract.register("alice", Role.PROSUMER, "main")
+        contract.register("bob", Role.PROSUMER, "main")
+        assert contract.events_since(np.int64(1)) == contract.events_since(1)
+        assert len(contract.events_since(1)) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(poll_pattern=st.lists(st.booleans(), min_size=1, max_size=20))

@@ -1,5 +1,7 @@
 import inspect
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from gridtrade.ledger import ContractError, EventKind, replay_events, verify_log
 from gridtrade.market import Feeder, GridModel, Solution, check_feasibility, PinnedTrades, Offer, Side
 from gridtrade.sim import (
+    AdversaryAgent,
     ConfigError,
     FailureSpec,
     SimConfig,
@@ -243,6 +246,19 @@ class TestAdversary:
         problems = __import__("gridtrade.ledger", fromlist=["verify_log"]).verify_log(
             noisy.config.grid, noisy.events)
         assert problems == []
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_perturbed_factors_are_the_scalar_draws(self, n):
+        # One vector draw must give the factors, and leave the generator in
+        # the state, that n scalar draws did.
+        candidate = Solution({(1, 2 + i, 1 + i % 3): (0.5 + i, 0.25) for i in range(n)})
+        agent = AdversaryAgent("adversary-1", seed=n)
+        perturbed = agent._perturbed_candidate(SimpleNamespace(candidate=candidate))
+        rng = np.random.default_rng(n)
+        want = {key: (power * float(rng.uniform(0.2, 2.5)), price)
+                for key, (power, price) in candidate.items()}
+        assert dict(perturbed.items()) == want
+        assert agent.rng.random() == rng.random()
 
 
 class TestConfigValidation:

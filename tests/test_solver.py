@@ -1,3 +1,4 @@
+import hashlib
 import importlib.machinery
 import importlib.util
 import math
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from gridtrade.ledger import Contract, Role
@@ -33,6 +36,7 @@ from gridtrade.solver import (
     SolverConfig,
     _repair_overages,
     build_lp,
+    class_key,
     linprog,
     midpoint_price,
     solve,
@@ -163,6 +167,147 @@ class TestBuildLp:
             want = reference_optimum(book, grid, pinned, now, lookahead)
             assert objective(solution) == pytest.approx(want, abs=1e-6)
             assert verify_certificate(instance, diagnostics) == []
+
+
+def with_copies(book, picks, energies):
+    """``book`` and a copy of each picked offer under the next free id, with
+    its own prosumer and energy: one more offer in the picked offer's class."""
+    book = dict(book)
+    for pick, energy in zip(picks, energies):
+        offer = book[sorted(book)[pick % len(book)]]
+        new_id = max(book) + 1
+        book[new_id] = offer._replace(id=new_id, prosumer=f"copy{new_id}", energy_kwh=energy)
+    return book
+
+
+def flows_by_offer(solution):
+    """Each offer's traded power at each interval: {offer id: {t: kW}}."""
+    flows = {}
+    for (s_id, b_id, t), (power, _) in solution.items():
+        for offer_id in (s_id, b_id):
+            at = flows.setdefault(offer_id, {})
+            at[t] = at.get(t, 0.0) + power
+    return flows
+
+
+def assert_split_in_id_order(instance, solution):
+    """Within a class, no offer trades at an interval while an offer of
+    lower id still has energy left after it."""
+    delta = instance.grid.interval_hours
+    flows = flows_by_offer(solution)
+    for shares in instance.classes.values():
+        for k, (offer_id, _) in enumerate(shares):
+            for t in sorted(flows.get(offer_id, {})):
+                for lower, budget in shares[:k]:
+                    used = sum(p for u, p in flows.get(lower, {}).items() if u <= t) * delta
+                    assert used >= budget - 1e-9, (lower, offer_id, t, used, budget)
+
+
+class TestOfferClasses:
+    """One LP column per class of identical offers, split in id order."""
+
+    def test_identical_offers_share_one_column_per_interval(self, grid):
+        book = {
+            1: Offer(1, Side.SELLING, "s", "main", 20.0, 1, 2),
+            2: Offer(2, Side.BUYING, "b2", "main", 3.0, 1, 2, reservation_price=0.5),
+            3: Offer(3, Side.BUYING, "c", "main", 4.0, 1, 2),  # no ceiling: its own class
+            4: Offer(4, Side.BUYING, "b4", "main", 5.0, 1, 2, reservation_price=0.5),
+        }
+        instance = build_lp(book, grid, PinnedTrades.empty(), 0, SolverConfig(lookahead=2))
+        assert instance.variables == tuple(
+            (kind, label, t) for t in (1, 2)
+            for kind, label in (("sell", 1), ("buy", 2), ("buy", 3)))
+        assert instance.classes == {2: ((2, 3.0), (4, 5.0))}
+        assert instance.rhs[:3].tolist() == [20.0, 8.0, 4.0]  # budgets of classes 1, 2 and 3
+
+    def test_class_key_is_the_own_window(self, battery_book, grid, pins_through_47):
+        # Clipped to [48, 48], sellers 1 ([48, 48]) and 2 ([48, 49]) would look alike.
+        instance = build_lp(battery_book, grid, pins_through_47, 47, SolverConfig(lookahead=1))
+        assert class_key(battery_book[1]) != class_key(battery_book[2])
+        assert [v for v in instance.variables if v[0] == "sell"] == [
+            ("sell", 1, 48), ("sell", 2, 48)]
+        assert instance.classes == {}
+
+    def test_split_fills_offers_in_id_order_across_intervals(self, grid):
+        # 9 kWh of supply over two intervals for three identical buyers of 4
+        # kWh each, one of which has 1 kWh pinned: 4, then 3, then 2.
+        book = {
+            1: Offer(1, Side.SELLING, "s", "main", 5.0, 1, 1),
+            2: Offer(2, Side.SELLING, "r", "main", 4.0, 2, 2),
+            3: Offer(3, Side.BUYING, "b3", "main", 4.0, 1, 2),
+            5: Offer(5, Side.BUYING, "b5", "main", 4.0, 1, 2),
+            7: Offer(7, Side.BUYING, "b7", "main", 4.0, 1, 2),
+            8: Offer(8, Side.SELLING, "q", "main", 1.0, 0, 0),
+        }
+        pinned = PinnedTrades(0, {0: {(8, 5): (1.0, 0.5)}})
+        instance = build_lp(book, grid, pinned, 0, SolverConfig(lookahead=2))
+        assert instance.classes == {3: ((3, 4.0), (5, 3.0), (7, 4.0))}
+        solution = solve(instance)
+        assert sorted((key, power) for key, (power, _) in solution.items()) == [
+            ((1, 3, 1), 4.0), ((1, 5, 1), 1.0), ((2, 5, 2), 2.0), ((2, 7, 2), 2.0)]
+        assert_split_in_id_order(instance, solution)
+        assert check_feasibility(solution, book, grid, pinned).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 11), min_size=1, max_size=6),
+           quarters=st.lists(st.integers(1, 16), min_size=6, max_size=6))
+    def test_books_with_copied_offers_match_the_reference(self, seed, picks, quarters):
+        book, grid, pinned, now, lookahead = random_market(
+            np.random.default_rng(seed), max_offers=8, max_intervals=4)
+        book = with_copies(book, picks, [0.25 * q for q in quarters])
+        instance = build_lp(book, grid, pinned, now, SolverConfig(lookahead=lookahead or 1))
+        solution, diagnostics = solve_with_diagnostics(instance)
+        want = reference_optimum(book, grid, pinned, now, lookahead)
+        assert objective(solution) == pytest.approx(want, abs=1e-6)
+        assert verify_certificate(instance, diagnostics) == []
+        assert check_feasibility(solution, book, grid, pinned).ok
+        assert_split_in_id_order(instance, solution)
+        members = [offer_id for shares in instance.classes.values() for offer_id, _ in shares]
+        assert len(members) == len(set(members))
+        assert all(class_key(book[offer_id]) == class_key(book[shares[0][0]])
+                   for shares in instance.classes.values() for offer_id, _ in shares)
+
+    def test_halving_an_offer_into_two_leaves_the_objective(self):
+        rng = np.random.default_rng(17)
+        halved = 0
+        for _ in range(150):
+            book, grid, pinned, now, lookahead = random_market(rng, max_offers=10,
+                                                               allow_pins=False)
+            config = SolverConfig(lookahead=lookahead or 1)
+            offer = book[int(rng.integers(1, len(book) + 1))]
+            split = dict(book)
+            half = offer.energy_kwh / 2.0
+            split[offer.id] = offer._replace(energy_kwh=half)
+            split[len(book) + 1] = offer._replace(id=len(book) + 1, energy_kwh=half)
+            whole = objective(solve(build_lp(book, grid, pinned, now, config)))
+            instance = build_lp(split, grid, pinned, now, config)
+            assert objective(solve(instance)) == pytest.approx(whole, abs=1e-9)
+            halved += bool(instance.classes)
+        assert halved > 100
+
+    def test_distinct_offers_give_the_per_offer_lp_bit_for_bit(self):
+        """Seeded random books in which no two offers are alike give, to the
+        byte, the columns and arrays of the LP with one column per offer and
+        interval (digest taken from that LP, before classes)."""
+        rng = np.random.default_rng(29)
+        digest = hashlib.sha256()
+        kept = 0
+        while kept < 200:
+            book, grid, pinned, now, lookahead = random_market(rng, max_offers=12,
+                                                               max_intervals=5)
+            if len({class_key(o) for o in book.values()}) < len(book):
+                continue
+            kept += 1
+            instance = build_lp(book, grid, pinned, now, SolverConfig(lookahead=lookahead or 1))
+            assert instance.classes == {}
+            a = instance.matrix
+            digest.update(repr(instance.variables).encode())
+            for array in (instance.c, a.data, a.indices, a.indptr, instance.rhs,
+                          instance.tie_break):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "35f11a41e9c5dde3f740a081164ae8a8aa2864f02c44431d4046a6e7c3262a2a")
 
 
 class TestSolve:

@@ -97,6 +97,19 @@ class TestIngest:
         path = write_csv(tmp_path, ["", "home1,f1,0,1.0,0.5", "", "home1,f1,1,2.0,0.5", ""])
         assert ingest_traces(path) == [ProsumerTrace("home1", "f1", (1.0, 2.0), (0.5, 0.5))]
 
+    def test_bytes_that_are_not_utf8_report_line(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(f"{HEADER}\nhome1,f1,0,1.0,0.5\nh\xe9,f1,0,1.0,0.5\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"traces\.csv:3: not UTF-8 text \(invalid "):
+            ingest_traces(path)
+
+    @pytest.mark.parametrize("quote", ['"', ""])
+    def test_cell_over_the_csv_field_limit_reports_line(self, tmp_path, quote):
+        cell = quote + "x" * (csv.field_size_limit() + 1) + quote
+        path = write_csv(tmp_path, ["home1,f1,0,1.0,0.5", f"{cell},f1,0,1.0,0.5"])
+        with pytest.raises(ParseError, match=r"traces\.csv:3: field larger than field limit"):
+            ingest_traces(path)
+
     def test_feeder_must_be_consistent(self, tmp_path):
         path = write_csv(tmp_path, [
             "home1,f1,0,1.0,0.5",
