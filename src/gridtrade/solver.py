@@ -32,7 +32,8 @@ loaded (:func:`_load_highs`), so importing this module loads neither
 created on the first solve, reads the typed row-wise arrays of a
 :class:`CsrMatrix` (C ``int`` indices, ``double`` values) in place through
 the pointer form of ``passModel``. :func:`linprog` is the one entry point
-into HiGHS.
+into HiGHS, and :func:`solve_with_diagnostics` its one caller, which
+reuses the last answer for a byte-identical LP solved back to back.
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -551,6 +552,13 @@ def linprog(c: np.ndarray, a: CsrMatrix, rhs: np.ndarray) -> tuple[np.ndarray, n
     return np.asarray(solution.col_value), -np.asarray(solution.row_dual)
 
 
+# The last LP handed to HiGHS, as its shape and the bytes of its arrays, and
+# the (primal, duals) HiGHS returned for it, both read-only. It is kept per
+# process, as the HiGHS object is: the agents that repeat an LP share
+# nothing else.
+_last_lp: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
+
+
 def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnostics]:
     """Solve the LP and return the priced, validated solution plus duals.
 
@@ -558,13 +566,29 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     among the optima of ``c``. The diagnostics refer to ``c`` alone: the
     duals prove the primal optimal for it within a relative
     ``epsilon * max(tie_break)``, at most TIE_BREAK_MAX.
+
+    Back-to-back solves of a byte-identical LP in one process share one
+    HiGHS run: solvers that tick at one timestamp on identical mirrors build
+    the same LP, and :func:`linprog` is a pure function of its arrays. The
+    last LP and HiGHS's answer are kept, read-only; an LP of the same shape
+    whose arrays, of :func:`build_lp`'s fixed types, hold the same bytes
+    reuses the answer. A run that raises stores nothing. Each caller still
+    fills and self-validates against its own instance.
     """
+    global _last_lp
     if instance.n_variables == 0:
         return Solution.empty(), SolveDiagnostics(0.0, np.zeros(0), np.zeros(0))
 
     c, a, b = instance.c, instance.matrix, instance.rhs
     epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
-    primal, duals = linprog(-(c + epsilon * instance.tie_break), a, b)
+    cost = -(c + epsilon * instance.tie_break)
+    key = (a.shape, a.nnz, *[v.tobytes() for v in (cost, a.data, a.indices, a.indptr, b)])
+    if _last_lp is not None and _last_lp[0] == key:
+        primal, duals = _last_lp[1]
+    else:
+        primal, duals = linprog(cost, a, b)
+        primal.flags.writeable = duals.flags.writeable = False
+        _last_lp = key, (primal, duals)
 
     x = _repair_overages(np.maximum(primal, 0.0), a, b)
     book = {o.id: o for o in instance.book}
@@ -592,7 +616,9 @@ _BOOK_CHANGES = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOV
 class SolveRecord:
     """One solver run, for the solver activity export. ``variables`` counts
     the LP's columns: one per class of identical offers and open interval,
-    plus the carries."""
+    plus the carries. ``solve_time`` is the resource model's time for an LP
+    of that size, charged to this solver even when its HiGHS run was shared
+    with the solver before it."""
 
     time: float
     solver: str
@@ -610,6 +636,12 @@ class SolverAgent:
     The agent reconstructs the book, pins, and best-known candidate
     objective purely from ledger events, rebuilds the LP when the book or
     the open window changes, and submits only strictly better solutions.
+    Each agent builds its LP from its own mirror and fills and self-validates
+    the answer against it; only the HiGHS run is shared, when agents in one
+    process solve a byte-identical LP back to back (see
+    :func:`solve_with_diagnostics`). The modeled solve time of each
+    :class:`SolveRecord` and of the controller is still charged to every
+    agent that solves.
     """
 
     def __init__(self, agent_id: str, grid: GridModel, config: SolverConfig,
@@ -660,6 +692,9 @@ class SolverAgent:
                 modeled_time, 0.0, False, error=str(exc)))
             self._needs_solve = False
             self._last_solved_interval = now
+            # A solution held back from an earlier interval is not a
+            # solution of this one: it may trade at intervals since finalized.
+            self._last_solution = None
             return None
 
         self._needs_solve = False

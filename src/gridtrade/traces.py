@@ -93,7 +93,8 @@ class _Participant:
 def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
     """Read and validate traces; errors carry the offending physical line.
 
-    The file is UTF-8 text, decoded whole before any row is read. The
+    The file is UTF-8 text, decoded whole before any row is read; a leading
+    byte-order mark, as spreadsheet programs write, is dropped. The
     header names each column once and holds every required column; blank
     lines are skipped, and every other row has one cell per header column.
     A participant's feeder and flag cells are checked on its first
@@ -105,11 +106,12 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
 
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # The codec reports positions in the bytes after a leading BOM.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte "
-                         f"{exc.start})") from None
+                         f"{exc.start + len(raw) - len(exc.object)})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])

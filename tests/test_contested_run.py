@@ -21,6 +21,7 @@ from gridtrade.ledger import (ContractState, EventKind, LedgerEvent, read_events
                               verify_log, write_events_jsonl)
 from gridtrade.market import Feeder, GridModel, Side
 from gridtrade.sim import AdversaryAgent, FailureSpec, SimConfig, Simulation
+from gridtrade import solver as solver_mod
 from gridtrade.solver import SolverAgent, build_lp
 from gridtrade.traces import synthesize_traces
 
@@ -132,6 +133,36 @@ def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
     sim.run()  # make_submission swallows exceptions, so the checks are read after
     assert all(sells and buys for _, sells, buys in draws)
     assert draws[0][0] == 0 and draws[-1][0] > 0
+
+
+def test_three_solvers_make_one_highs_run_per_distinct_lp(monkeypatch, tmp_path):
+    """The solvers tick in turn at one timestamp on identical mirrors, so
+    each LP comes back to back from each of them; HiGHS runs once for it,
+    and the log is the golden one."""
+    solves, runs = [], []
+    solve_with_diagnostics, linprog = solver_mod.solve_with_diagnostics, solver_mod.linprog
+
+    def solve_counted(instance):
+        if instance.n_variables:
+            a = instance.matrix
+            solves.append(repr((instance.variables, a.shape)).encode() + b"".join(
+                v.tobytes() for v in (instance.c, instance.tie_break, a.data, a.indices,
+                                      a.indptr, instance.rhs)))
+        return solve_with_diagnostics(instance)
+
+    def linprog_counted(c, a, rhs):
+        runs.append(a.shape)
+        return linprog(c, a, rhs)
+
+    monkeypatch.setattr(solver_mod, "solve_with_diagnostics", solve_counted)
+    monkeypatch.setattr(solver_mod, "linprog", linprog_counted)
+    monkeypatch.setattr(solver_mod, "_last_lp", None)
+    report = contested_day(n_adversaries=2).run()
+    assert len(runs) == len(set(solves)) == 21
+    assert len(solves) == 55
+    path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
+                              price_cap=report.config.price_cap)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256
 
 
 @pytest.fixture(scope="module")

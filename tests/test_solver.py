@@ -561,6 +561,29 @@ class TestSolverAgent:
         assert contract.state.candidate is submission
         assert all(agent.mirror.candidate is submission for agent in agents)
 
+    def test_failed_solve_drops_the_solution_held_from_an_earlier_interval(self, grid,
+                                                                          monkeypatch):
+        contract = self.make_contract(grid)
+        contract.register("solver-2", Role.SOLVER)
+        for t in (1, 2):
+            contract.post_offer("alice", Side.SELLING, t, t, 5.0)
+            contract.post_offer("bob", Side.BUYING, t, t, 5.0)
+        first, second = (SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3))
+                         for i in (1, 2))
+        contract.submit_solution("solver-1", first.step(contract.events_since(0)))
+        assert second.step(contract.events_since(0)) is None  # equal: held back
+        contract.finalize(None, 0)
+
+        def explode(instance):
+            raise NumericFailure("synthetic blow-up")
+
+        monkeypatch.setattr(solver_mod, "solve", explode)
+        assert second.step(contract.events_since(second.last_seq), time=1.0) is None
+        assert second.records[-1].error == "synthetic blow-up"
+        # The held solution trades at interval 1, now finalized, and beats
+        # the candidate left for interval 2: it must not go out.
+        assert second.step(contract.events_since(second.last_seq), time=2.0) is None
+
     def test_solver_variable_count_recorded(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
@@ -673,6 +696,87 @@ class TestHighsEntryPoint:
             linprog(np.array([-1.0]), csr_matrix([[coeff]]), np.array([bound]))
         primal, duals = linprog(np.array([-1.0]), csr_matrix([[1.0]]), np.array([2.0]))
         assert primal.tolist() == [2.0] and duals.tolist() == [1.0]
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """The LPs ``solver.linprog`` runs, one entry per HiGHS run, with the memo
+    emptied first."""
+    runs = []
+    real = solver_mod.linprog
+
+    def counted(c, a, rhs):
+        runs.append(a.shape)
+        return real(c, a, rhs)
+
+    monkeypatch.setattr(solver_mod, "linprog", counted)
+    monkeypatch.setattr(solver_mod, "_last_lp", None)
+    return runs
+
+
+class TestHighsMemo:
+    """Back-to-back solves of a byte-identical LP share one HiGHS run."""
+
+    def two_lps(self):
+        markets = [m[-1] for m in tiered_markets(count=12, seed=5) if m[-1].n_variables]
+        return markets[0], markets[1]
+
+    def test_agents_at_one_ledger_state_share_one_run(self, grid, highs_runs):
+        contract = Contract(grid, require_dso_finalize=False)
+        contract.register("alice", Role.PROSUMER, "main")
+        contract.register("bob", Role.PROSUMER, "main")
+        contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
+        contract.post_offer("bob", Side.BUYING, 1, 2, 6.0)
+        contract.post_offer("bob", Side.BUYING, 2, 3, 6.0)
+        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2)]
+        results = []
+        for agent in agents:
+            agent.observe(contract.events_since(0))
+            instance = build_lp(agent.mirror.open_offers, grid, agent.mirror.pinned,
+                                agent.mirror.current_interval, agent.config)
+            results.append((instance, *solve_with_diagnostics(instance)))
+        assert len(highs_runs) == 1
+        (first, one, d_one), (second, two, d_two) = results
+        assert first is not second and one is not two
+        assert one == two and objective(one) == pytest.approx(10.0, abs=1e-9)
+        assert verify_certificate(first, d_one) == []
+        assert verify_certificate(second, d_two) == []
+
+    def test_a_different_lp_between_forces_a_fresh_run(self, highs_runs):
+        a_lp, b_lp = self.two_lps()
+        first = solve(a_lp)
+        assert solve(a_lp) == first and len(highs_runs) == 1
+        solve(b_lp)
+        assert solve(a_lp) == first and len(highs_runs) == 3
+
+    def test_an_lp_that_raised_runs_highs_again(self, monkeypatch, highs_runs):
+        a_lp, _ = self.two_lps()
+        counted = solver_mod.linprog
+
+        def fails_once(c, a, rhs):
+            if not highs_runs:
+                highs_runs.append(a.shape)
+                raise NumericFailure("synthetic blow-up")
+            return counted(c, a, rhs)
+
+        monkeypatch.setattr(solver_mod, "linprog", fails_once)
+        with pytest.raises(NumericFailure, match="synthetic"):
+            solve(a_lp)
+        assert solver_mod._last_lp is None
+        solve(a_lp)
+        assert len(highs_runs) == 2
+
+    def test_a_returned_array_cannot_change_a_later_hit(self, highs_runs):
+        a_lp, _ = self.two_lps()
+        _, first = solve_with_diagnostics(a_lp)
+        kept = first.primal.tobytes(), first.duals.tobytes()
+        first.primal[:] = 7.0  # the repaired primal is the caller's own copy
+        with pytest.raises(ValueError, match="read-only"):
+            first.duals[:] = 7.0  # the duals are the stored ones, shared by every hit
+        _, again = solve_with_diagnostics(a_lp)
+        assert len(highs_runs) == 1
+        assert (again.primal.tobytes(), again.duals.tobytes()) == kept
+        assert verify_certificate(a_lp, again) == []
 
 
 class TestSolverConfig:

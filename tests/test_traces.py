@@ -1,3 +1,4 @@
+import codecs
 import csv
 
 import numpy as np
@@ -101,6 +102,25 @@ class TestIngest:
         path = tmp_path / "traces.csv"
         path.write_bytes(f"{HEADER}\nhome1,f1,0,1.0,0.5\nh\xe9,f1,0,1.0,0.5\n".encode("latin-1"))
         with pytest.raises(ParseError, match=r"traces\.csv:3: not UTF-8 text \(invalid "):
+            ingest_traces(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" with a BOM before the header.
+        path = write_csv(tmp_path, ["home1,f1,0,1.0,0.5"])
+        plain = ingest_traces(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert ingest_traces(path) == plain
+
+    def test_bad_byte_after_a_byte_order_mark_reports_its_place_in_the_file(self, tmp_path):
+        # Both newlines sit within three bytes of the bad one. Counted in the
+        # codec's frame, which starts after the BOM, the error would name
+        # line 1 and a byte offset 3 too low.
+        body = f"{HEADER}\nh\n\xe9,f1,0,1.0,0.5\n".encode("latin-1")
+        path = tmp_path / "traces.csv"
+        path.write_bytes(codecs.BOM_UTF8 + body)
+        at = len(codecs.BOM_UTF8) + body.index(b"\xe9")
+        with pytest.raises(ParseError,
+                           match=rf"traces\.csv:3: not UTF-8 text \(invalid .* at byte {at}\)$"):
             ingest_traces(path)
 
     @pytest.mark.parametrize("quote", ['"', ""])
