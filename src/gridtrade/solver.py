@@ -32,8 +32,14 @@ loaded (:func:`_load_highs`), so importing this module loads neither
 created on the first solve, reads the typed row-wise arrays of a
 :class:`CsrMatrix` (C ``int`` indices, ``double`` values) in place through
 the pointer form of ``passModel``. :func:`linprog` is the one entry point
-into HiGHS, and :func:`solve_with_diagnostics` its one caller, which
-reuses the last answer for a byte-identical LP solved back to back.
+into HiGHS, and :func:`solve_with_diagnostics` its one caller.
+
+A solver agent's mirror is a function of the event prefix it has applied
+(the state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so
+agents whose last LP-changing event is the same one build the same LP.
+Such agents in one process share one solve, the LP built and its
+validated solution; each still checks that solution against its own
+mirror (see :class:`SolverAgent`).
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -57,6 +63,7 @@ from .market import (
     BUYING,
     SELLING,
     GridModel,
+    MarketError,
     Offer,
     PinnedTrades,
     Solution,
@@ -552,11 +559,17 @@ def linprog(c: np.ndarray, a: CsrMatrix, rhs: np.ndarray) -> tuple[np.ndarray, n
     return np.asarray(solution.col_value), -np.asarray(solution.row_dual)
 
 
-# The last LP handed to HiGHS, as its shape and the bytes of its arrays, and
-# the (primal, duals) HiGHS returned for it, both read-only. It is kept per
-# process, as the HiGHS object is: the agents that repeat an LP share
-# nothing else.
-_last_lp: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
+def _self_validate(solution: Solution, book: Mapping[int, Offer], grid: GridModel,
+                   pinned: PinnedTrades) -> None:
+    """Raise :class:`NumericFailure` unless ``solution`` passes
+    :func:`check_feasibility` against ``book``, ``grid`` and ``pinned``."""
+    try:
+        report = check_feasibility(solution, book, grid, pinned)
+    except MarketError as exc:  # a trade the pins or the book rule out entirely
+        raise NumericFailure(f"solution failed self-validation: {exc}") from None
+    if not report.ok:
+        detail = "; ".join(f"{v.kind} {v.subject}" for v in report.violations[:5])
+        raise NumericFailure(f"solution failed self-validation: {detail}")
 
 
 def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnostics]:
@@ -567,38 +580,21 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     duals prove the primal optimal for it within a relative
     ``epsilon * max(tie_break)``, at most TIE_BREAK_MAX.
 
-    Back-to-back solves of a byte-identical LP in one process share one
-    HiGHS run: solvers that tick at one timestamp on identical mirrors build
-    the same LP, and :func:`linprog` is a pure function of its arrays. The
-    last LP and HiGHS's answer are kept, read-only; an LP of the same shape
-    whose arrays, of :func:`build_lp`'s fixed types, hold the same bytes
-    reuses the answer. A run that raises stores nothing. Each caller still
-    fills and self-validates against its own instance.
+    Every call with variables makes one HiGHS run. Solver agents at one
+    ledger state do not call it once each: they share one solve (see
+    :class:`SolverAgent`).
     """
-    global _last_lp
     if instance.n_variables == 0:
         return Solution.empty(), SolveDiagnostics(0.0, np.zeros(0), np.zeros(0))
 
     c, a, b = instance.c, instance.matrix, instance.rhs
     epsilon = min(TIE_BREAK, TIE_BREAK_MAX / max(float(instance.tie_break.max()), 1.0))
-    cost = -(c + epsilon * instance.tie_break)
-    key = (a.shape, a.nnz, *[v.tobytes() for v in (cost, a.data, a.indices, a.indptr, b)])
-    if _last_lp is not None and _last_lp[0] == key:
-        primal, duals = _last_lp[1]
-    else:
-        primal, duals = linprog(cost, a, b)
-        primal.flags.writeable = duals.flags.writeable = False
-        _last_lp = key, (primal, duals)
+    primal, duals = linprog(-(c + epsilon * instance.tie_break), a, b)
 
     x = _repair_overages(np.maximum(primal, 0.0), a, b)
     book = {o.id: o for o in instance.book}
     solution = _fill(instance, x, book)
-
-    report = check_feasibility(solution, book, instance.grid, instance.pinned)
-    if not report.ok:
-        detail = "; ".join(f"{v.kind} {v.subject}" for v in report.violations[:5])
-        raise NumericFailure(f"solution failed self-validation: {detail}")
-
+    _self_validate(solution, book, instance.grid, instance.pinned)
     return solution, SolveDiagnostics(float(c @ x), x, duals)
 
 
@@ -608,8 +604,20 @@ def solve(instance: LpInstance) -> Solution:
     return solution
 
 
-# The events after which the mirrored book differs, so the LP must be rebuilt.
-_BOOK_CHANGES = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOVED})
+# The kinds of event that change what build_lp reads of a mirror: its open
+# offers, its pins and its current interval.
+_LP_KINDS = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOVED,
+                       ledger_mod.INTERVAL_ADVANCED})
+
+
+class SequenceGap(ValueError):
+    """Events handed to a mirror skip a sequence number."""
+
+
+# The last solve a SolverAgent made in this process, shared by every agent:
+# the LP head, grid, interval and config it was made at, then the LP built
+# and its validated solution. A solve that raises stores nothing.
+_last_solve: tuple[object, GridModel, int, SolverConfig, LpInstance, Solution] | None = None
 
 
 @dataclass
@@ -617,8 +625,8 @@ class SolveRecord:
     """One solver run, for the solver activity export. ``variables`` counts
     the LP's columns: one per class of identical offers and open interval,
     plus the carries. ``solve_time`` is the resource model's time for an LP
-    of that size, charged to this solver even when its HiGHS run was shared
-    with the solver before it."""
+    of that size, charged to this solver even when it shared the solve of
+    a solver before it at the same ledger state."""
 
     time: float
     solver: str
@@ -634,14 +642,22 @@ class SolverAgent:
     """A solver participant: mirrors the ledger and submits improvements.
 
     The agent reconstructs the book, pins, and best-known candidate
-    objective purely from ledger events, rebuilds the LP when the book or
-    the open window changes, and submits only strictly better solutions.
-    Each agent builds its LP from its own mirror and fills and self-validates
-    the answer against it; only the HiGHS run is shared, when agents in one
-    process solve a byte-identical LP back to back (see
-    :func:`solve_with_diagnostics`). The modeled solve time of each
-    :class:`SolveRecord` and of the controller is still charged to every
-    agent that solves.
+    objective purely from ledger events, re-solves when its *LP head*
+    moves, and submits only strictly better solutions. The LP head is the
+    last observed event of a kind that changes what :func:`build_lp` reads
+    (``OfferPosted``, ``ParticipantRemoved``, ``IntervalAdvanced``; only the
+    last changes the current interval, and each one does).
+
+    A mirror is a function of the gapless event prefix it has applied, so
+    agents whose LP head is the same event object, at the same grid and
+    solver config, build the same LP. The agents of one process share one
+    solve for it: the first builds and solves, and the ones after it take
+    the LP and the validated solution. Each agent that takes a shared
+    solution still runs :func:`check_feasibility` on it against its own
+    mirror's book, grid and pins, and records a :class:`NumericFailure`
+    if that fails, so no agent submits what its own mirror has not checked.
+    The modeled solve time of each :class:`SolveRecord` and of the
+    controller is still charged to every agent that solves.
     """
 
     def __init__(self, agent_id: str, grid: GridModel, config: SolverConfig,
@@ -656,49 +672,71 @@ class SolverAgent:
         self.resource_model = resource_model
         self.records: list[SolveRecord] = []
         self.controller_trace: list[dict] = []
-        self._needs_solve = True
-        self._last_solved_interval: int | None = None
+        # Before any LP-changing event the head is this agent's own: a
+        # mirror built by hand shares no solve made from another one.
+        self._lp_head: object = object()
+        self._solved_head: object | None = None
         self._last_solution: Solution | None = None
         self._last_objective = 0.0
 
     def observe(self, events: list[ledger_mod.LedgerEvent]) -> None:
+        """Apply the events after ``last_seq``, in order; earlier ones are
+        skipped. Raises :class:`SequenceGap`, and applies nothing, when the
+        events skip a sequence number."""
+        seq, fresh = self.last_seq, []
         for event in events:
-            if event.seq <= self.last_seq:
+            if event.seq <= seq:
                 continue
-            self.mirror.apply(event)
+            if event.seq != seq + 1:
+                raise SequenceGap(f"event seq {event.seq} follows seq {seq}: "
+                                  f"the events between are missing")
+            fresh.append(event)
+            seq += 1
+        apply = self.mirror.apply
+        for event in fresh:
+            apply(event)
             self.last_seq = event.seq
-            if event.kind in _BOOK_CHANGES:
-                self._needs_solve = True
+            if event.kind in _LP_KINDS:
+                self._lp_head = event
 
     def step(self, events: list[ledger_mod.LedgerEvent], *, time: float = 0.0) -> Solution | None:
         """One solver tick: ingest events, maybe re-solve, maybe submit."""
+        global _last_solve
         self.observe(events)
-        now = self.mirror.current_interval
-        if not self._needs_solve and self._last_solved_interval == now:
+        head = self._lp_head
+        if head is self._solved_head:
             return self._maybe_submission()
 
+        self._solved_head = head
+        mirror = self.mirror
+        now = mirror.current_interval
         config = self.config
         if self.controller is not None:
             config = replace(config, lookahead=self.controller.lookahead)
-        instance = build_lp(self.mirror.open_offers, self.mirror.grid, self.mirror.pinned,
-                            now, config)
+        shared = _last_solve
+        if (shared is not None and shared[0] is head and shared[1] is mirror.grid
+                and shared[2] == now and shared[3] == config):
+            instance, solution = shared[4], shared[5]
+        else:
+            instance = build_lp(mirror.open_offers, mirror.grid, mirror.pinned, now, config)
+            solution = None
         modeled_time = (self.resource_model.solve_time(instance.n_variables)
                         if self.resource_model is not None else 0.0)
         try:
-            solution = solve(instance)
+            if solution is None:
+                solution = solve(instance)
+                _last_solve = (head, mirror.grid, now, config, instance, solution)
+            else:
+                _self_validate(solution, mirror.book, mirror.grid, mirror.pinned)
         except NumericFailure as exc:
             self.records.append(SolveRecord(
                 time, self.id, instance.n_variables, instance.n_constraints,
                 modeled_time, 0.0, False, error=str(exc)))
-            self._needs_solve = False
-            self._last_solved_interval = now
             # A solution held back from an earlier interval is not a
             # solution of this one: it may trade at intervals since finalized.
             self._last_solution = None
             return None
 
-        self._needs_solve = False
-        self._last_solved_interval = now
         self._last_solution = solution
         self._last_objective = objective(solution)
         self.records.append(SolveRecord(

@@ -56,3 +56,17 @@ def test_traced_community_day_certifies_every_lp():
     assert metrics["solver.lp_variables_max"]["value"] <= 1000
     assert decisions(metrics, ["solver.highs_calls", "ledger.accepted"]) == {
         "solver.highs_calls": 52, "ledger.accepted": 47}
+
+
+def test_traced_contested_day_certifies_every_lp():
+    """Three solvers, two adversaries and two failures: every LP solved
+    passes the weak-duality certificate, and the solvers at one ledger
+    state share one build and one HiGHS run.
+    Seed 1's decisions are fixed, as in the fuzz."""
+    metrics = traced_run("contested_day")
+    assert decisions(metrics, ["solver.build_lp_calls", "solver.highs_calls",
+                               "ledger.accepted", "ledger.rejected.invalid",
+                               "ledger.rejected.infeasible", "ledger.rejected.not_better"]) == {
+        "solver.build_lp_calls": 98, "solver.highs_calls": 54,
+        "ledger.accepted": 47, "ledger.rejected.invalid": 137,
+        "ledger.rejected.infeasible": 49, "ledger.rejected.not_better": 55}

@@ -135,12 +135,22 @@ def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
     assert draws[0][0] == 0 and draws[-1][0] > 0
 
 
-def test_three_solvers_make_one_highs_run_per_distinct_lp(monkeypatch, tmp_path):
+def test_three_solvers_share_one_solve_per_ledger_state(monkeypatch, tmp_path):
     """The solvers tick in turn at one timestamp on identical mirrors, so
-    each LP comes back to back from each of them; HiGHS runs once for it,
-    and the log is the golden one."""
-    solves, runs = [], []
+    the first to tick at a ledger state builds and solves its LP and the
+    others take that solve; the log is the golden one.
+
+    21 distinct LPs take 22 HiGHS runs: one LP is solved again because the
+    removal of the failed solver-2, which withdraws no offer, moved the LP
+    head between two solves.
+    """
+    builds, solves, runs = [], [], []
+    build_lp = solver_mod.build_lp
     solve_with_diagnostics, linprog = solver_mod.solve_with_diagnostics, solver_mod.linprog
+
+    def build_counted(*args, **kwargs):
+        builds.append(args[3])
+        return build_lp(*args, **kwargs)
 
     def solve_counted(instance):
         if instance.n_variables:
@@ -154,12 +164,13 @@ def test_three_solvers_make_one_highs_run_per_distinct_lp(monkeypatch, tmp_path)
         runs.append(a.shape)
         return linprog(c, a, rhs)
 
+    monkeypatch.setattr(solver_mod, "build_lp", build_counted)
     monkeypatch.setattr(solver_mod, "solve_with_diagnostics", solve_counted)
     monkeypatch.setattr(solver_mod, "linprog", linprog_counted)
-    monkeypatch.setattr(solver_mod, "_last_lp", None)
+    monkeypatch.setattr(solver_mod, "_last_solve", None)
     report = contested_day(n_adversaries=2).run()
-    assert len(runs) == len(set(solves)) == 21
-    assert len(solves) == 55
+    assert len(builds) == 34
+    assert len(solves) == len(runs) == 22 and len(set(solves)) == 21
     path = write_events_jsonl(tmp_path / "events.jsonl", report.events, report.config.grid,
                               price_cap=report.config.price_cap)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EVENTS_SHA256

@@ -4,6 +4,9 @@ import importlib.util
 import math
 import re
 import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from gridtrade.ledger import Contract, Role
+from gridtrade.ledger import Contract, Role, write_events_jsonl
 from gridtrade.market import (
     Feeder,
     GridModel,
@@ -28,10 +31,12 @@ from gridtrade.oracle import (
     run_comparison_suite,
     verify_certificate,
 )
+from gridtrade.sim import FailureSpec, SimConfig, Simulation
 from gridtrade import solver as solver_mod
 from gridtrade.solver import (
     CsrMatrix,
     NumericFailure,
+    SequenceGap,
     SolverAgent,
     SolverConfig,
     _repair_overages,
@@ -42,6 +47,7 @@ from gridtrade.solver import (
     solve,
     solve_with_diagnostics,
 )
+from gridtrade.traces import synthesize_traces
 
 from conftest import BAD_COUNTS, BAD_NUMBERS
 
@@ -584,6 +590,25 @@ class TestSolverAgent:
         # the candidate left for interval 2: it must not go out.
         assert second.step(contract.events_since(second.last_seq), time=2.0) is None
 
+    def test_observe_refuses_a_sequence_gap_and_applies_nothing(self, grid):
+        contract = self.make_contract(grid)
+        for t in (1, 2):
+            contract.post_offer("alice", Side.SELLING, t, t, 5.0)
+        events = contract.events_since(0)
+        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3))
+        agent.observe(events[:2])
+        before = agent.mirror.snapshot()
+        with pytest.raises(SequenceGap, match="^event seq 5 follows seq 2: ") as caught:
+            agent.observe([events[1], *events[4:]])
+        assert isinstance(caught.value, ValueError)
+        assert agent.last_seq == 2 and agent.mirror.snapshot() == before
+        with pytest.raises(SequenceGap, match="^event seq 5 follows seq 3: "):
+            agent.step([*events[2:3], *events[4:]])  # the good prefix is not applied either
+        assert agent.last_seq == 2 and agent.mirror.snapshot() == before
+        agent.observe(events)
+        assert agent.last_seq == len(events)
+        assert agent.mirror.snapshot() == contract.state.snapshot()
+
     def test_solver_variable_count_recorded(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
@@ -699,84 +724,176 @@ class TestHighsEntryPoint:
 
 
 @pytest.fixture
-def highs_runs(monkeypatch):
-    """The LPs ``solver.linprog`` runs, one entry per HiGHS run, with the memo
-    emptied first."""
-    runs = []
-    real = solver_mod.linprog
+def solve_calls(monkeypatch):
+    """The ``build_lp`` calls, HiGHS runs and ``check_feasibility`` pins of
+    ``solver``, one entry per call, with the shared solve emptied first."""
+    calls = {"build_lp": [], "linprog": [], "check": []}
+    build, run, check = solver_mod.build_lp, solver_mod.linprog, solver_mod.check_feasibility
 
-    def counted(c, a, rhs):
-        runs.append(a.shape)
-        return real(c, a, rhs)
+    def build_counted(*args, **kwargs):
+        calls["build_lp"].append(args[3])
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "linprog", counted)
-    monkeypatch.setattr(solver_mod, "_last_lp", None)
-    return runs
+    def run_counted(c, a, rhs):
+        calls["linprog"].append(a.shape)
+        return run(c, a, rhs)
+
+    def check_counted(solution, book, grid, pinned=None):
+        calls["check"].append(pinned)
+        return check(solution, book, grid, pinned)
+
+    monkeypatch.setattr(solver_mod, "build_lp", build_counted)
+    monkeypatch.setattr(solver_mod, "linprog", run_counted)
+    monkeypatch.setattr(solver_mod, "check_feasibility", check_counted)
+    monkeypatch.setattr(solver_mod, "_last_solve", None)
+    return calls
 
 
-class TestHighsMemo:
-    """Back-to-back solves of a byte-identical LP share one HiGHS run."""
+class TestSharedSolve:
+    """Solver agents at one ledger state share one solve, and each checks it."""
 
-    def two_lps(self):
-        markets = [m[-1] for m in tiered_markets(count=12, seed=5) if m[-1].n_variables]
-        return markets[0], markets[1]
-
-    def test_agents_at_one_ledger_state_share_one_run(self, grid, highs_runs):
+    def market(self, grid):
         contract = Contract(grid, require_dso_finalize=False)
+        for name in ("solver-1", "solver-2", "solver-3"):
+            contract.register(name, Role.SOLVER)
         contract.register("alice", Role.PROSUMER, "main")
         contract.register("bob", Role.PROSUMER, "main")
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 2, 6.0)
         contract.post_offer("bob", Side.BUYING, 2, 3, 6.0)
-        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2)]
-        results = []
-        for agent in agents:
-            agent.observe(contract.events_since(0))
-            instance = build_lp(agent.mirror.open_offers, grid, agent.mirror.pinned,
-                                agent.mirror.current_interval, agent.config)
-            results.append((instance, *solve_with_diagnostics(instance)))
-        assert len(highs_runs) == 1
-        (first, one, d_one), (second, two, d_two) = results
-        assert first is not second and one is not two
-        assert one == two and objective(one) == pytest.approx(10.0, abs=1e-9)
-        assert verify_certificate(first, d_one) == []
-        assert verify_certificate(second, d_two) == []
+        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2, 3)]
+        return contract, agents
 
-    def test_a_different_lp_between_forces_a_fresh_run(self, highs_runs):
-        a_lp, b_lp = self.two_lps()
-        first = solve(a_lp)
-        assert solve(a_lp) == first and len(highs_runs) == 1
-        solve(b_lp)
-        assert solve(a_lp) == first and len(highs_runs) == 3
+    def test_agents_at_one_ledger_state_make_one_build_and_one_run(self, grid, solve_calls):
+        contract, agents = self.market(grid)
+        first, second = (agent.step(contract.events_since(0)) for agent in agents[:2])
+        assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
+        assert first is second and objective(first) == pytest.approx(10.0, abs=1e-9)
+        # Each agent ran its own check, against its own mirror's pins.
+        assert [id(p) for p in solve_calls["check"]] == [id(a.mirror.pinned) for a in agents[:2]]
+        assert [r.variables for r in agents[0].records] == [r.variables for r in agents[1].records]
 
-    def test_an_lp_that_raised_runs_highs_again(self, monkeypatch, highs_runs):
-        a_lp, _ = self.two_lps()
+    def test_an_lp_changing_event_between_forces_a_fresh_build(self, grid, solve_calls):
+        contract, (one, two, _) = self.market(grid)
+        first = one.step(contract.events_since(0))
+        contract.post_offer("alice", Side.SELLING, 3, 3, 4.0)
+        second = two.step(contract.events_since(0))
+        assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
+        assert objective(first) == pytest.approx(10.0, abs=1e-9)
+        assert objective(second) == pytest.approx(12.0, abs=1e-9)  # all bob asks
+
+    def test_another_config_or_grid_builds_its_own_lp(self, grid, solve_calls):
+        contract, (one, _, _) = self.market(grid)
+        short = SolverAgent("solver-2", grid, SolverConfig(lookahead=1))
+        copied = SolverAgent("solver-3", replace(grid), SolverConfig(lookahead=1))
+        one.step(contract.events_since(0))
+        # Each differs from the solve before it in its config, then its grid object alone.
+        for agent in (short, copied):
+            assert objective(agent.step(contract.events_since(0))) == pytest.approx(6.0)
+        assert len(solve_calls["build_lp"]) == 3
+
+    def test_a_solve_that_raised_stores_nothing(self, grid, monkeypatch, solve_calls):
+        contract, (one, two, _) = self.market(grid)
         counted = solver_mod.linprog
 
         def fails_once(c, a, rhs):
-            if not highs_runs:
-                highs_runs.append(a.shape)
+            if not solve_calls["linprog"]:
+                solve_calls["linprog"].append(a.shape)
                 raise NumericFailure("synthetic blow-up")
             return counted(c, a, rhs)
 
         monkeypatch.setattr(solver_mod, "linprog", fails_once)
-        with pytest.raises(NumericFailure, match="synthetic"):
-            solve(a_lp)
-        assert solver_mod._last_lp is None
-        solve(a_lp)
-        assert len(highs_runs) == 2
+        assert one.step(contract.events_since(0)) is None
+        assert one.records[-1].error == "synthetic blow-up"
+        assert solver_mod._last_solve is None
+        assert objective(two.step(contract.events_since(0))) == pytest.approx(10.0, abs=1e-9)
+        assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
 
-    def test_a_returned_array_cannot_change_a_later_hit(self, highs_runs):
-        a_lp, _ = self.two_lps()
-        _, first = solve_with_diagnostics(a_lp)
-        kept = first.primal.tobytes(), first.duals.tobytes()
-        first.primal[:] = 7.0  # the repaired primal is the caller's own copy
-        with pytest.raises(ValueError, match="read-only"):
-            first.duals[:] = 7.0  # the duals are the stored ones, shared by every hit
-        _, again = solve_with_diagnostics(a_lp)
-        assert len(highs_runs) == 1
-        assert (again.primal.tobytes(), again.duals.tobytes()) == kept
-        assert verify_certificate(a_lp, again) == []
+    def test_a_later_hit_returns_the_first_answer(self, grid, solve_calls):
+        contract, (one, two, three) = self.market(grid)
+        first = one.step(contract.events_since(0))
+        contract.submit_solution("solver-1", first)  # an event no LP reads
+        assert two.step(contract.events_since(0)) is None  # equal to the candidate
+        assert three.step(contract.events_since(0)) is None
+        assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
+        assert two._last_solution is first and three._last_solution is first
+        assert three.mirror.candidate is first
+        assert [r.objective for r in three.records] == [objective(first)]
+
+    def test_a_mirror_with_an_extra_pin_refuses_the_shared_solution(self, grid, solve_calls):
+        contract = Contract(grid, require_dso_finalize=False)
+        contract.register("alice", Role.PROSUMER, "main")
+        contract.register("bob", Role.PROSUMER, "main")
+        sell = contract.post_offer("alice", Side.SELLING, 1, 2, 5.0).parsed
+        buy = contract.post_offer("bob", Side.BUYING, 2, 2, 5.0).parsed
+        one, two = (SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2))
+        two.observe(contract.events_since(0))
+        # Hand-built: alice's energy already sold at interval 1, in this mirror only.
+        two.mirror.pinned.pin(1, {(sell.id, buy.id): (5.0, 0.5)})
+        assert objective(one.step(contract.events_since(0))) == pytest.approx(5.0)
+        assert two.step(contract.events_since(0)) is None
+        assert two.records[-1].error.startswith("solution failed self-validation: energy")
+        assert len(solve_calls["build_lp"]) == 1 and len(solve_calls["check"]) == 2
+
+    def test_a_trade_the_own_pins_rule_out_is_a_numeric_failure(self, grid, solve_calls):
+        contract, (one, two, _) = self.market(grid)
+        two.observe(contract.events_since(0))
+        for interval in (1, 2):  # finalized in this mirror only
+            two.mirror.pinned.pin(interval, {})
+        assert one.step(contract.events_since(0)) is not None
+        assert two.step(contract.events_since(0)) is None
+        assert "finalized interval" in two.records[-1].error
+        assert len(solve_calls["build_lp"]) == 1
+
+
+def small_day(seed, n_solvers, n_adversaries, delay, adaptive, solver_down, prosumer_down):
+    traces = synthesize_traces(6, 2, 2, 8, seed=seed)
+    grid = GridModel(tuple(Feeder(f, 2.0, 2.5) for f in ("f01", "f02")), 0.25, 1)
+    solver_fail, down = solver_down
+    config = SimConfig(
+        grid=grid, horizon=8, seconds_per_interval=4.0, solver_period=1.0, lookahead=4,
+        n_solvers=n_solvers, n_adversaries=n_adversaries, seed=seed,
+        confirmation_delay=delay, adaptive=adaptive,
+        failures=(FailureSpec("solver-2", solver_fail, solver_fail + down),
+                  FailureSpec("p001", prosumer_down)))
+    return Simulation(config, traces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 20), n_solvers=st.integers(2, 3), n_adversaries=st.integers(0, 2),
+       delay=st.sampled_from([0.0, 0.5, 1.5]), adaptive=st.booleans(),
+       solver_down=st.tuples(st.floats(0.0, 8.0), st.floats(0.5, 8.0)),
+       prosumer_down=st.floats(0.0, 24.0))
+def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
+    """Forcing every agent to build and solve for itself changes no event,
+    no solve record and no controller decision; sharing builds fewer LPs."""
+    runs = []
+    for shared in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            builds, build, step = [], solver_mod.build_lp, SolverAgent.step
+
+            def build_counted(*args, **kwargs):
+                builds.append(args[3])
+                return build(*args, **kwargs)
+
+            def step_missing(agent, events, *, time=0.0):
+                solver_mod._last_solve = None
+                return step(agent, events, time=time)
+
+            patch.setattr(solver_mod, "build_lp", build_counted)
+            patch.setattr(solver_mod, "_last_solve", None)
+            if not shared:
+                patch.setattr(SolverAgent, "step", step_missing)
+            report = small_day(**day).run()
+        with tempfile.TemporaryDirectory() as folder:
+            path = write_events_jsonl(Path(folder, "events.jsonl"), report.events,
+                                      report.config.grid, price_cap=report.config.price_cap)
+            runs.append((path.read_bytes(), report.solver_records, report.controller_rows,
+                         len(builds)))
+    (log, records, trace, builds), (log_missed, records_missed, trace_missed, builds_missed) = runs
+    assert log == log_missed
+    assert records == records_missed and trace == trace_missed
+    assert builds < builds_missed
 
 
 class TestSolverConfig:
