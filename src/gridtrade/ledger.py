@@ -124,18 +124,19 @@ class LedgerEvent(NamedTuple):
 
     ``parsed`` is the outcome the contract decided, set by the contract that
     appends the event: the Offer of an OfferPosted event, the Solution of a
-    SolutionAccepted event, or the stripped candidate of a
-    ParticipantRemoved event; None for every other event and for events read
-    from a log. The contract and each mirror that applies the event share
-    this one object. It takes no part in equality or in the record: events
-    are equal when their seq, time, kind and payload are.
+    SolutionAccepted event, the stripped candidate of a ParticipantRemoved
+    event, or the pins and kept candidate of an IntervalAdvanced event; None
+    for every other event and for events read from a log. The contract and
+    each mirror that applies the event share this one object. It takes no
+    part in equality or in the record: events are equal when their seq,
+    time, kind and payload are.
     """
 
     seq: int
     time: float
     kind: str
     payload: dict
-    parsed: Offer | Solution | None = None
+    parsed: Offer | Solution | tuple[dict, Solution] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LedgerEvent):
@@ -174,12 +175,14 @@ class ContractState:
     are kept up to date by ``apply``, so neither is rebuilt from the day's
     history. ``retired`` holds the withdrawn offers.
 
-    ``apply`` takes the events a contract appends, which carry the offer,
-    solution or stripped candidate the contract decided on, and applies it as
-    decided: nothing is parsed or recomputed here. An ``IntervalAdvanced``
-    pins the candidate's trades at the finalized interval in the pass that
-    keeps the rest; ``TradeFinalized`` changes nothing. A log read from disk
-    becomes state only by re-execution, through ``replay_events``.
+    ``apply`` takes the events a contract appends, which carry the outcome
+    the contract decided (``LedgerEvent.parsed``), and applies it as decided:
+    nothing is parsed, split or recomputed here. Each handler reports whether
+    the event changed what an LP reads (the open offers, the pins or the
+    interval; a removal that withdraws no open offer does not), and
+    ``lp_head`` is the last event that did, or a marker of this state's own
+    before any. A log read from disk becomes state only by re-execution,
+    through ``replay_events``.
     """
 
     def __init__(self, grid: GridModel):
@@ -193,52 +196,67 @@ class ContractState:
         self.pinned = PinnedTrades(grid.clearing_lead - 1)
         self.current_interval: int = 0
         self.next_offer_id: int = 1
+        self.lp_head: object = object()
 
     def apply(self, event: LedgerEvent) -> None:
-        self._apply(event.kind, event.payload, event.parsed)
+        self._apply(event, event.kind, event.payload, event.parsed)
 
-    def _apply(self, kind: str, payload: dict, parsed: Offer | Solution | None) -> None:
+    def _apply(self, event: LedgerEvent, kind: str, payload: dict,
+               parsed: Offer | Solution | tuple[dict, Solution] | None) -> None:
         try:
             handler = self._HANDLERS[kind]
         except (KeyError, TypeError):  # TypeError: a kind that is not even hashable
             raise ValueError(f"unknown event kind {kind!r}") from None
-        handler(self, payload, parsed)
+        if handler(self, payload, parsed):
+            self.lp_head = event
 
-    def _registered(self, payload: dict, parsed: None) -> None:
+    def improves(self, value: float) -> bool:
+        """The one rule for when a solution of objective ``value`` beats the candidate."""
+        return value > self.candidate_objective + IMPROVEMENT_MARGIN
+
+    def _registered(self, payload: dict, parsed: None) -> bool:
         self.participants[payload["participant"]] = {
             "role": payload["role"], "feeder": payload["feeder"]}
+        return False
 
-    def _offer_posted(self, payload: dict, offer: Offer) -> None:
+    def _offer_posted(self, payload: dict, offer: Offer) -> bool:
         oid = offer.id
         self.book[oid] = offer
-        if offer.end > self.pinned.finalized_through:
-            self.open_offers[oid] = offer
         if oid >= self.next_offer_id:
             self.next_offer_id = oid + 1
+        if offer.end > self.pinned.finalized_through:
+            self.open_offers[oid] = offer
+            return True
+        return False
 
-    def _solution_accepted(self, payload: dict, solution: Solution) -> None:
+    def _solution_accepted(self, payload: dict, solution: Solution) -> bool:
         self.candidate = solution
         self.candidate_objective = float(payload["objective"])
+        return False
 
-    def _unchanged(self, payload: dict, parsed: None) -> None:
+    def _unchanged(self, payload: dict, parsed: None) -> bool:
         """A rejection changes nothing, and a ``TradeFinalized`` records a
         trade that its interval's ``IntervalAdvanced`` pins."""
+        return False
 
-    def _interval_advanced(self, payload: dict, parsed: None) -> None:
+    def _interval_advanced(self, payload: dict, decided: tuple[dict, Solution]) -> bool:
         fin = payload["finalized_interval"]
-        due, self.candidate = self.candidate.split(fin)
+        due, self.candidate = decided
         self.pinned.pin(fin, due)
         self.candidate_objective = objective(self.candidate)
         self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
                             if offer.end > fin}
         self.current_interval = payload["interval"]
+        return True
 
-    def _participant_removed(self, payload: dict, stripped: Solution) -> None:
+    def _participant_removed(self, payload: dict, stripped: Solution) -> bool:
+        withdrew = False
         for oid in payload["removed_offers"]:
-            self.open_offers.pop(oid, None)
+            withdrew |= self.open_offers.pop(oid, None) is not None
             self.retired[oid] = self.book.pop(oid)
         self.candidate = stripped
         self.candidate_objective = float(payload["candidate_objective"])
+        return withdrew
 
     _HANDLERS = {
         PROSUMER_REGISTERED: _registered,
@@ -327,7 +345,7 @@ class Contract:
         return self._events[seq:]
 
     def _append(self, kind: str, payload: dict, time: float,
-                parsed: Offer | Solution | None = None) -> LedgerEvent:
+                parsed: Offer | Solution | tuple[dict, Solution] | None = None) -> LedgerEvent:
         if not (type(time) is float and math.isfinite(time)):
             try:
                 time = number("time", time)
@@ -402,7 +420,7 @@ class Contract:
                 "participant": participant,
                 "reason": "infeasible: " + ", ".join(kinds),
                 "objective": value}, time)
-        if value <= self.state.candidate_objective + IMPROVEMENT_MARGIN:
+        if not self.state.improves(value):
             return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": "not-better",
                 "objective": value}, time)
@@ -412,7 +430,8 @@ class Contract:
 
     def finalize(self, caller: str | None, interval: int,
                  *, time: float = 0.0) -> list[LedgerEvent]:
-        """Pin the trades for ``interval + clearing_lead`` from the candidate.
+        """Pin the trades for ``interval + clearing_lead`` from the candidate,
+        split once here: the ``IntervalAdvanced`` event carries the split.
 
         ``interval`` is taken as an offer's window is: a whole number, made
         an ``int``; a ``bool``, a fraction or a non-number is refused.
@@ -433,15 +452,14 @@ class Contract:
                 f"interval {interval} is not current ({self.state.current_interval})")
 
         fin = interval + self.state.grid.clearing_lead
-        events = []
-        for (s_id, b_id, t), (power, price) in self.state.candidate.items():
-            if t == fin and power > 0.0:
-                events.append(self._append(TRADE_FINALIZED, {
-                    "buy_offer": b_id, "sell_offer": s_id, "interval": t,
-                    "power_kw": power, "price": price}, time))
+        due, kept = self.state.candidate.split(fin)
+        events = [self._append(TRADE_FINALIZED, {
+            "buy_offer": b_id, "sell_offer": s_id, "interval": fin,
+            "power_kw": power, "price": price}, time)
+            for (s_id, b_id), (power, price) in due.items() if power > 0.0]
         events.append(self._append(INTERVAL_ADVANCED, {
             "interval": interval + 1, "finalized_interval": fin,
-            "trade_count": len(events)}, time))
+            "trade_count": len(events)}, time, (due, kept)))
         return events
 
     def remove_participant_trades(self, participant: str,
@@ -524,7 +542,7 @@ class _Replay(Contract):
         self.head = next(self.rest, None)
 
     def _append(self, kind: str, payload: dict, time: float,
-                parsed: Offer | Solution | None = None) -> LedgerEvent:
+                parsed: Offer | Solution | tuple[dict, Solution] | None = None) -> LedgerEvent:
         event = self.head
         if event is None:
             raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind}")
@@ -537,7 +555,7 @@ class _Replay(Contract):
                          if event.payload.get(key, ...) != payload.get(key, ...))
             raise _Divergence(event.seq, f"{event.kind} {field} is {event.payload.get(field)!r}, "
                                          f"the contract records {payload.get(field)!r}")
-        self.state._apply(kind, payload, parsed)
+        self.state._apply(event, kind, payload, parsed)
         self._advance()
         return event
 
@@ -556,7 +574,7 @@ class _Replay(Contract):
         elif len(payload) != 2 + scored or scored and not (
                 type(value) in (int, float) and math.isfinite(value)):
             problem = "objective does not fit the reason"
-        elif reason == "not-better" and value > self.state.candidate_objective + IMPROVEMENT_MARGIN:
+        elif reason == "not-better" and self.state.improves(value):
             problem = "not-better objective beats the candidate"
         else:
             self._advance()

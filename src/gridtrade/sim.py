@@ -159,16 +159,13 @@ class AdversaryAgent:
 
     def make_submission(self, state) -> Solution | None:
         strategy = int(self.rng.integers(0, 4))
-        try:
-            if strategy == 0:
-                return self._perturbed_candidate(state)
-            if strategy == 1:
-                return self._oversized_random_trade(state)
-            if strategy == 2:
-                return self._closed_interval_trade(state)
-            return self._scaled_candidate(state)
-        except Exception:
-            return None
+        if strategy == 0:
+            return self._perturbed_candidate(state)
+        if strategy == 1:
+            return self._oversized_random_trade(state)
+        if strategy == 2:
+            return self._closed_interval_trade(state)
+        return self._scaled_candidate(state)
 
     def _perturbed_candidate(self, state) -> Solution | None:
         if not len(state.candidate):
@@ -333,14 +330,13 @@ class Simulation:
         if at < self.end_time:
             self._push(at, priority, handler, agent_id, tick)
 
-    def _confirmed(self, handler: Callable[..., None], *args) -> bool:
-        """Call ``handler(*args)`` now and return True, or after the delay."""
+    def _confirmed(self, handler: Callable[..., None], *args) -> None:
+        """Call ``handler(*args)`` now, or after the confirmation delay."""
         delay = self.config.confirmation_delay
         if delay > 0:
             self._push(self.time + delay, _PRI_FAULT, handler, *args)
-            return False
-        handler(*args)
-        return True
+        else:
+            handler(*args)
 
     def inject_failure(self, participant: str, at_time: float,
                        recover_time: float | None = None) -> None:
@@ -422,8 +418,8 @@ class Simulation:
             return
         events = self.contract.events_since(agent.last_seq)
         submission = agent.step(events, time=self.time)
-        if submission is not None and self._confirmed(self._submit, sid, submission):
-            agent.observe(self.contract.events_since(agent.last_seq))
+        if submission is not None:  # the agent observes its outcome on its next tick
+            self._confirmed(self._submit, sid, submission)
 
     def _adversary_tick(self, aid: str, tick: int) -> None:
         self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, tick + 1)

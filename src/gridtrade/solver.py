@@ -36,10 +36,10 @@ into HiGHS, and :func:`solve_with_diagnostics` its one caller.
 
 A solver agent's mirror is a function of the event prefix it has applied
 (the state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so
-agents whose last LP-changing event is the same one build the same LP.
-Such agents in one process share one solve, the LP built and its
-validated solution; each still checks that solution against its own
-mirror (see :class:`SolverAgent`).
+agents whose mirrors have the same ``lp_head`` build the same LP. Such
+agents in one process share one solve, the LP built and its validated
+solution; each still checks that solution against its own mirror (see
+:class:`SolverAgent`).
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -604,20 +604,14 @@ def solve(instance: LpInstance) -> Solution:
     return solution
 
 
-# The kinds of event that change what build_lp reads of a mirror: its open
-# offers, its pins and its current interval.
-_LP_KINDS = frozenset({ledger_mod.OFFER_POSTED, ledger_mod.PARTICIPANT_REMOVED,
-                       ledger_mod.INTERVAL_ADVANCED})
-
-
 class SequenceGap(ValueError):
     """Events handed to a mirror skip a sequence number."""
 
 
 # The last solve a SolverAgent made in this process, shared by every agent:
-# the LP head, grid, interval and config it was made at, then the LP built
-# and its validated solution. A solve that raises stores nothing.
-_last_solve: tuple[object, GridModel, int, SolverConfig, LpInstance, Solution] | None = None
+# the LP head (which fixes the interval), grid and config it was made at, then
+# the LP built and its validated solution. A solve that raises stores nothing.
+_last_solve: tuple[object, GridModel, SolverConfig, LpInstance, Solution] | None = None
 
 
 @dataclass
@@ -641,18 +635,16 @@ class SolveRecord:
 class SolverAgent:
     """A solver participant: mirrors the ledger and submits improvements.
 
-    The agent reconstructs the book, pins, and best-known candidate
-    objective purely from ledger events, re-solves when its *LP head*
-    moves, and submits only strictly better solutions. The LP head is the
-    last observed event of a kind that changes what :func:`build_lp` reads
-    (``OfferPosted``, ``ParticipantRemoved``, ``IntervalAdvanced``; only the
-    last changes the current interval, and each one does).
+    The agent mirrors the contract state from ledger events and applies the
+    mirror's decisions: it re-solves when the mirror's ``lp_head`` moves,
+    and submits only a solution that the mirror's ``improves`` accepts.
+    Between ticks it holds only a solution not yet submitted.
 
     A mirror is a function of the gapless event prefix it has applied, so
-    agents whose LP head is the same event object, at the same grid and
-    solver config, build the same LP. The agents of one process share one
-    solve for it: the first builds and solves, and the ones after it take
-    the LP and the validated solution. Each agent that takes a shared
+    agents whose mirrors' ``lp_head`` is the same event object, at the same
+    grid and solver config, build the same LP. The agents of one process
+    share one solve for it: the first builds and solves, and the ones after
+    it take the LP and the validated solution. Each agent that takes a shared
     solution still runs :func:`check_feasibility` on it against its own
     mirror's book, grid and pins, and records a :class:`NumericFailure`
     if that fails, so no agent submits what its own mirror has not checked.
@@ -672,12 +664,8 @@ class SolverAgent:
         self.resource_model = resource_model
         self.records: list[SolveRecord] = []
         self.controller_trace: list[dict] = []
-        # Before any LP-changing event the head is this agent's own: a
-        # mirror built by hand shares no solve made from another one.
-        self._lp_head: object = object()
         self._solved_head: object | None = None
         self._last_solution: Solution | None = None
-        self._last_objective = 0.0
 
     def observe(self, events: list[ledger_mod.LedgerEvent]) -> None:
         """Apply the events after ``last_seq``, in order; earlier ones are
@@ -696,36 +684,34 @@ class SolverAgent:
         for event in fresh:
             apply(event)
             self.last_seq = event.seq
-            if event.kind in _LP_KINDS:
-                self._lp_head = event
 
     def step(self, events: list[ledger_mod.LedgerEvent], *, time: float = 0.0) -> Solution | None:
         """One solver tick: ingest events, maybe re-solve, maybe submit."""
         global _last_solve
         self.observe(events)
-        head = self._lp_head
+        mirror = self.mirror
+        head = mirror.lp_head
         if head is self._solved_head:
             return self._maybe_submission()
 
         self._solved_head = head
-        mirror = self.mirror
-        now = mirror.current_interval
         config = self.config
         if self.controller is not None:
             config = replace(config, lookahead=self.controller.lookahead)
         shared = _last_solve
         if (shared is not None and shared[0] is head and shared[1] is mirror.grid
-                and shared[2] == now and shared[3] == config):
-            instance, solution = shared[4], shared[5]
+                and shared[2] == config):
+            instance, solution = shared[3], shared[4]
         else:
-            instance = build_lp(mirror.open_offers, mirror.grid, mirror.pinned, now, config)
+            instance = build_lp(mirror.open_offers, mirror.grid, mirror.pinned,
+                                mirror.current_interval, config)
             solution = None
         modeled_time = (self.resource_model.solve_time(instance.n_variables)
                         if self.resource_model is not None else 0.0)
         try:
             if solution is None:
                 solution = solve(instance)
-                _last_solve = (head, mirror.grid, now, config, instance, solution)
+                _last_solve = (head, mirror.grid, config, instance, solution)
             else:
                 _self_validate(solution, mirror.book, mirror.grid, mirror.pinned)
         except NumericFailure as exc:
@@ -738,26 +724,22 @@ class SolverAgent:
             return None
 
         self._last_solution = solution
-        self._last_objective = objective(solution)
         self.records.append(SolveRecord(
             time, self.id, instance.n_variables, instance.n_constraints,
-            modeled_time, self._last_objective, False))
+            modeled_time, objective(solution), False))
         self._update_controller(time, instance.n_variables, modeled_time)
         return self._maybe_submission()
 
     def _maybe_submission(self) -> Solution | None:
-        """The last solve's solution if it beats the mirrored candidate, once:
+        """The last solve's solution if the mirror's ``improves`` takes it, once:
         a submission still in flight is not in the mirror, and a copy sent on
         every tick until it lands would be refused as stale."""
-        if self._last_solution is None:
+        solution = self._last_solution
+        if solution is None or not self.mirror.improves(objective(solution)):
             return None
-        if self._last_objective > (self.mirror.candidate_objective
-                                   + ledger_mod.IMPROVEMENT_MARGIN):
-            if self.records:
-                self.records[-1].submitted = True
-            solution, self._last_solution = self._last_solution, None
-            return solution
-        return None
+        self.records[-1].submitted = True  # the record of the solve that made it
+        self._last_solution = None
+        return solution
 
     def _update_controller(self, time: float, n_variables: int, modeled_time: float) -> None:
         if self.controller is None or self.resource_model is None:

@@ -217,10 +217,13 @@ class SpecError(Exception):
     pass
 
 
+BASE_DEMAND_KWH = 0.09  # a synthesized home's base demand per interval
+PRODUCER_SCALE = 1.6  # the producers' peak output over the community's base demand
+PRODUCER_FLEX_WINDOW = 4  # intervals over which a producer sells a surplus
+
+
 def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
-                      seed: int = 0, *, base_demand: float = 0.09,
-                      producer_scale: float = 1.6,
-                      flex_window: int = 4) -> list[ProsumerTrace]:
+                      seed: int = 0) -> list[ProsumerTrace]:
     """Deterministic synthetic day: solar producers, household consumers.
 
     Producers get a midday production bell sized so that total production
@@ -246,7 +249,7 @@ def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
     bump_width = max(intervals / 16.0, 1.0)
 
     # Peak sized so producer output can cover the whole community at noon.
-    peak = producer_scale * base_demand * homes / max(producers, 1)
+    peak = PRODUCER_SCALE * BASE_DEMAND_KWH * homes / max(producers, 1)
 
     traces = []
     for index in range(homes):
@@ -258,7 +261,7 @@ def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
         demand = []
         production = []
         for t in range(intervals):
-            d = base_demand * demand_scale
+            d = BASE_DEMAND_KWH * demand_scale
             d += 0.12 * demand_scale * math.exp(-((t - morning) / bump_width) ** 2)
             d += 0.16 * demand_scale * math.exp(-((t - evening) / bump_width) ** 2)
             d *= float(rng.uniform(0.85, 1.15))
@@ -271,5 +274,5 @@ def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
                 production.append(0.0)
         traces.append(ProsumerTrace(
             participant, feeder, tuple(production), tuple(demand),
-            flexible=is_producer, flex_window=flex_window if is_producer else 1))
+            flexible=is_producer, flex_window=PRODUCER_FLEX_WINDOW if is_producer else 1))
     return traces

@@ -67,6 +67,6 @@ def test_traced_contested_day_certifies_every_lp():
     assert decisions(metrics, ["solver.build_lp_calls", "solver.highs_calls",
                                "ledger.accepted", "ledger.rejected.invalid",
                                "ledger.rejected.infeasible", "ledger.rejected.not_better"]) == {
-        "solver.build_lp_calls": 98, "solver.highs_calls": 54,
+        "solver.build_lp_calls": 97, "solver.highs_calls": 53,
         "ledger.accepted": 47, "ledger.rejected.invalid": 137,
         "ledger.rejected.infeasible": 49, "ledger.rejected.not_better": 55}

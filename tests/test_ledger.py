@@ -251,6 +251,13 @@ class TestSubmitSolution:
         assert event.kind == EventKind.SOLUTION_REJECTED
         assert event.payload["reason"] == "not-better"
 
+    def test_a_solution_improves_only_by_more_than_the_margin(self, grid):
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", Solution({(2, 4, 49): (10.0, 0.5)}))
+        state = contract.state
+        assert not state.improves(10.0) and not state.improves(10.0 + 5e-10)
+        assert state.improves(10.0 + 2e-9)
+
     def test_dangling_reference_rejected_not_raised(self, grid):
         contract = battery_contract_at_47(grid)
         event = contract.submit_solution("solver-1", Solution({(2, 99, 48): (1.0, 0.5)}))
@@ -926,7 +933,7 @@ class TestEventRecord:
         path = write_events_jsonl(tmp_path / "events.jsonl", contract.events, contract.grid)
         read_back = list(read_events_jsonl(path)[1])
         assert {e.kind for e in contract.events if e.parsed is not None} == {
-            EventKind.OFFER_POSTED, EventKind.SOLUTION_ACCEPTED}
+            EventKind.OFFER_POSTED, EventKind.SOLUTION_ACCEPTED, EventKind.INTERVAL_ADVANCED}
         assert all(event.parsed is None for event in read_back)
         assert read_back == contract.events and not read_back != contract.events
         assert all(a == b and not a != b for a, b in zip(read_back, contract.events))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from gridtrade.ledger import Contract, Role, write_events_jsonl
+from gridtrade.ledger import Contract, Role, replay_events, write_events_jsonl
 from gridtrade.market import (
     Feeder,
     GridModel,
@@ -819,6 +819,25 @@ class TestSharedSolve:
         assert two._last_solution is first and three._last_solution is first
         assert three.mirror.candidate is first
         assert [r.objective for r in three.records] == [objective(first)]
+
+    def test_a_removal_that_withdraws_no_open_offer_leaves_the_lp_head(self, grid, solve_calls):
+        contract, (one, two, _) = self.market(grid)
+        one.step(contract.events_since(0))
+        head = contract.state.lp_head
+        contract.remove_participant_trades("solver-3")  # a solver posts no offer
+        assert one.step(contract.events_since(0)) is None
+        assert two.step(contract.events_since(0)) is not None  # the shared solve
+        assert contract.state.lp_head is one.mirror.lp_head is two.mirror.lp_head is head
+        assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
+
+    def test_a_removal_that_withdraws_an_open_offer_moves_the_lp_head(self, grid, solve_calls):
+        contract, (one, _, _) = self.market(grid)
+        one.step(contract.events_since(0))
+        [removal] = contract.remove_participant_trades("bob")
+        assert one.step(contract.events_since(0)) is None  # no buyer is left
+        assert contract.state.lp_head is one.mirror.lp_head is removal
+        assert replay_events(grid, contract.events).lp_head is removal
+        assert len(solve_calls["build_lp"]) == 2
 
     def test_a_mirror_with_an_extra_pin_refuses_the_shared_solution(self, grid, solve_calls):
         contract = Contract(grid, require_dso_finalize=False)
