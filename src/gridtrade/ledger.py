@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -40,6 +41,16 @@ from .market import (
 )
 
 IMPROVEMENT_MARGIN = 1e-9
+
+# The reasons a rejection gives, besides ``invalid: <message>``, stated once:
+# the reason for each non-empty set of violated kinds, and every reason that
+# carries the rejected solution's objective.
+NOT_BETTER = "not-better"
+INFEASIBLE_REASONS: dict[frozenset[str], str] = {
+    frozenset(kinds): "infeasible: " + ", ".join(kinds)
+    for size in range(1, len(VIOLATION_KINDS) + 1)
+    for kinds in combinations(sorted(VIOLATION_KINDS), size)}
+SCORED_REASONS = frozenset({NOT_BETTER, *INFEASIBLE_REASONS.values()})
 
 # Version 2 logs record solutions over open intervals only; version 1 logs
 # restated every finalized trade in each accepted solution.
@@ -119,13 +130,24 @@ INTERVAL_ADVANCED = EventKind.INTERVAL_ADVANCED.value
 PARTICIPANT_REMOVED = EventKind.PARTICIPANT_REMOVED.value
 
 
+class Finalization(NamedTuple):
+    """What an ``IntervalAdvanced`` event applies, as ``Contract.finalize``
+    decided it: the pinned trades, the kept candidate and its objective, and
+    the ids of the open offers whose window the interval closes."""
+
+    pins: dict
+    candidate: Solution
+    objective: float
+    closed: list[int]
+
+
 class LedgerEvent(NamedTuple):
     """One appended event: an immutable tuple record.
 
     ``parsed`` is the outcome the contract decided, set by the contract that
     appends the event: the Offer of an OfferPosted event, the Solution of a
     SolutionAccepted event, the stripped candidate of a ParticipantRemoved
-    event, or the pins and kept candidate of an IntervalAdvanced event; None
+    event, or the ``Finalization`` of an IntervalAdvanced event; None
     for every other event and for events read from a log. The contract and
     each mirror that applies the event share this one object. It takes no
     part in equality or in the record: events are equal when their seq,
@@ -136,7 +158,7 @@ class LedgerEvent(NamedTuple):
     time: float
     kind: str
     payload: dict
-    parsed: Offer | Solution | tuple[dict, Solution] | None = None
+    parsed: Offer | Solution | Finalization | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LedgerEvent):
@@ -177,7 +199,9 @@ class ContractState:
 
     ``apply`` takes the events a contract appends, which carry the outcome
     the contract decided (``LedgerEvent.parsed``), and applies it as decided:
-    nothing is parsed, split or recomputed here. Each handler reports whether
+    nothing is parsed, split, summed or filtered here. A finalization brings
+    its pins, the kept candidate with its objective and the offers it closes;
+    a removal, the stripped candidate. Each handler reports whether
     the event changed what an LP reads (the open offers, the pins or the
     interval; a removal that withdraws no open offer does not), and
     ``lp_head`` is the last event that did, or a marker of this state's own
@@ -202,7 +226,7 @@ class ContractState:
         self._apply(event, event.kind, event.payload, event.parsed)
 
     def _apply(self, event: LedgerEvent, kind: str, payload: dict,
-               parsed: Offer | Solution | tuple[dict, Solution] | None) -> None:
+               parsed: Offer | Solution | Finalization | None) -> None:
         try:
             handler = self._HANDLERS[kind]
         except (KeyError, TypeError):  # TypeError: a kind that is not even hashable
@@ -239,13 +263,11 @@ class ContractState:
         trade that its interval's ``IntervalAdvanced`` pins."""
         return False
 
-    def _interval_advanced(self, payload: dict, decided: tuple[dict, Solution]) -> bool:
-        fin = payload["finalized_interval"]
-        due, self.candidate = decided
-        self.pinned.pin(fin, due)
-        self.candidate_objective = objective(self.candidate)
-        self.open_offers = {oid: offer for oid, offer in self.open_offers.items()
-                            if offer.end > fin}
+    def _interval_advanced(self, payload: dict, decided: Finalization) -> bool:
+        due, self.candidate, self.candidate_objective, closed = decided
+        self.pinned.pin(payload["finalized_interval"], due)
+        for oid in closed:
+            del self.open_offers[oid]
         self.current_interval = payload["interval"]
         return True
 
@@ -345,7 +367,7 @@ class Contract:
         return self._events[seq:]
 
     def _append(self, kind: str, payload: dict, time: float,
-                parsed: Offer | Solution | tuple[dict, Solution] | None = None) -> LedgerEvent:
+                parsed: Offer | Solution | Finalization | None = None) -> LedgerEvent:
         if not (type(time) is float and math.isfinite(time)):
             try:
                 time = number("time", time)
@@ -415,14 +437,13 @@ class Contract:
             return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": "invalid: objective is not finite"}, time)
         if not report.ok:
-            kinds = sorted({v.kind for v in report.violations})
             return self._append(SOLUTION_REJECTED, {
                 "participant": participant,
-                "reason": "infeasible: " + ", ".join(kinds),
+                "reason": INFEASIBLE_REASONS[frozenset(v.kind for v in report.violations)],
                 "objective": value}, time)
         if not self.state.improves(value):
             return self._append(SOLUTION_REJECTED, {
-                "participant": participant, "reason": "not-better",
+                "participant": participant, "reason": NOT_BETTER,
                 "objective": value}, time)
         return self._append(SOLUTION_ACCEPTED, {
             "participant": participant, "objective": value,
@@ -430,8 +451,13 @@ class Contract:
 
     def finalize(self, caller: str | None, interval: int,
                  *, time: float = 0.0) -> list[LedgerEvent]:
-        """Pin the trades for ``interval + clearing_lead`` from the candidate,
-        split once here: the ``IntervalAdvanced`` event carries the split.
+        """Pin the trades for ``interval + clearing_lead`` from the candidate.
+
+        Everything the interval changes is decided once, here: the candidate
+        is split into pins and kept trades, the kept trades are summed, and
+        the open offers whose window ends are listed. The ``IntervalAdvanced``
+        event carries that ``Finalization``, which the contract and every
+        mirror apply as it is.
 
         ``interval`` is taken as an offer's window is: a whole number, made
         an ``int``; a ``bool``, a fraction or a non-number is refused.
@@ -453,13 +479,15 @@ class Contract:
 
         fin = interval + self.state.grid.clearing_lead
         due, kept = self.state.candidate.split(fin)
+        closed = [oid for oid, offer in self.state.open_offers.items() if offer.end <= fin]
         events = [self._append(TRADE_FINALIZED, {
             "buy_offer": b_id, "sell_offer": s_id, "interval": fin,
             "power_kw": power, "price": price}, time)
             for (s_id, b_id), (power, price) in due.items() if power > 0.0]
         events.append(self._append(INTERVAL_ADVANCED, {
             "interval": interval + 1, "finalized_interval": fin,
-            "trade_count": len(events)}, time, (due, kept)))
+            "trade_count": len(events)}, time,
+            Finalization(due, kept, objective(kept), closed)))
         return events
 
     def remove_participant_trades(self, participant: str,
@@ -542,7 +570,7 @@ class _Replay(Contract):
         self.head = next(self.rest, None)
 
     def _append(self, kind: str, payload: dict, time: float,
-                parsed: Offer | Solution | tuple[dict, Solution] | None = None) -> LedgerEvent:
+                parsed: Offer | Solution | Finalization | None = None) -> LedgerEvent:
         event = self.head
         if event is None:
             raise _Divergence(self.pos + 1, f"the log ends; the contract records {kind}")
@@ -560,21 +588,25 @@ class _Replay(Contract):
         return event
 
     def _check_rejection(self, payload: dict, time: float) -> None:
-        """A rejection records no solution, so it is checked, not re-executed."""
+        """A rejection records no solution, so it is checked, not re-executed.
+
+        Its participant must be registered, and its reason one the contract
+        gives: ``invalid: <message>``, or one of ``SCORED_REASONS``, found by
+        one lookup and never parsed. A scored reason carries a finite float
+        objective, the others none; a ``not-better`` objective must not beat
+        the candidate.
+        """
         event = self.head
         reason, value = payload["reason"], payload.get("objective")
-        kinds = reason.removeprefix("infeasible: ").split(", ")  # listed once each, sorted
-        scored = reason == "not-better" or (
-            reason.startswith("infeasible: ")
-            and kinds == sorted(VIOLATION_KINDS.intersection(kinds)))
+        scored = type(reason) is str and reason in SCORED_REASONS
         if payload["participant"] not in self.state.participants:
             problem = "participant is not registered"
-        elif not (scored or reason.startswith("invalid: ")):
+        elif not (scored or type(reason) is str and reason.startswith("invalid: ")):
             problem = "reason is not one the contract gives"
         elif len(payload) != 2 + scored or scored and not (
-                type(value) in (int, float) and math.isfinite(value)):
+                type(value) is float and math.isfinite(value)):
             problem = "objective does not fit the reason"
-        elif reason == "not-better" and self.state.improves(value):
+        elif reason == NOT_BETTER and self.state.improves(value):
             problem = "not-better objective beats the candidate"
         else:
             self._advance()

@@ -338,8 +338,9 @@ class Solution:
 
 
 def objective(solution: Solution) -> float:
-    """Total traded power, summed over all trades and intervals (kW)."""
-    return sum([value[0] for value in solution._entries.values()])
+    """Total traded power, summed over all trades and intervals (kW); a float,
+    ``0.0`` for an empty solution."""
+    return sum([value[0] for value in solution._entries.values()], 0.0)
 
 
 class PinnedTrades:

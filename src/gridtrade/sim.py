@@ -364,6 +364,14 @@ class Simulation:
         return self.time
 
     def run(self) -> SimReport:
+        """Play the day to its end: the last interval's finalization.
+
+        The finalization of the horizon's last interval empties the queue, so
+        nothing scheduled after it runs, not even at the same instant: a
+        failure, detection, removal or recovery past the day's end, or a
+        confirmation still delayed, is not handled, and the log ends with
+        that ``IntervalAdvanced``.
+        """
         while self._heap:
             self.advance_clock()
         return self._report()
@@ -372,6 +380,8 @@ class Simulation:
 
     def _finalize(self, interval: int) -> None:
         self.contract.finalize(DSO_ID, interval, time=self.time)
+        if interval == self.config.horizon - 1:  # the day ends here
+            self._heap.clear()
 
     def _fail(self, participant: str) -> None:
         self._agents[participant].active = False

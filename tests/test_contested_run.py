@@ -19,7 +19,7 @@ import pytest
 
 from gridtrade.ledger import (ContractState, EventKind, LedgerEvent, read_events_jsonl,
                               verify_log, write_events_jsonl)
-from gridtrade.market import Feeder, GridModel, Side
+from gridtrade.market import Feeder, GridModel, Side, objective
 from gridtrade.sim import AdversaryAgent, FailureSpec, SimConfig, Simulation
 from gridtrade import solver as solver_mod
 from gridtrade.solver import SolverAgent, build_lp
@@ -89,8 +89,9 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
 
 def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
     """On each removal and each finalization every solver mirror takes the
-    contract's own candidate, not a copy it recomputed or split again, and
-    each ends the day with the contract's pins and state."""
+    contract's own candidate and objective, not a copy it recomputed, split
+    or summed again, and each ends the day with the contract's pins and
+    state."""
     sim = contested_day(n_adversaries=2)
     original = ContractState.apply
     decisions = {}
@@ -98,7 +99,8 @@ def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
     def apply(state, event):
         original(state, event)
         if event.kind in (EventKind.PARTICIPANT_REMOVED, EventKind.INTERVAL_ADVANCED):
-            decisions.setdefault(event.seq, []).append((state, state.candidate))
+            decisions.setdefault(event.seq, []).append(
+                (state, state.candidate, state.candidate_objective))
 
     monkeypatch.setattr(ContractState, "apply", apply)
     sim.run()
@@ -107,9 +109,11 @@ def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
     contract = sim.contract.state
     mirrors = {id(agent.mirror) for agent in sim.solvers.values()}
     assert len(decisions) == 2 + HORIZON and len(mirrors) == 3
-    for (own, decided), *applied in decisions.values():
-        assert own is contract and {id(state) for state, _ in applied} == mirrors
-        assert all(candidate is decided for _, candidate in applied)
+    for (own, decided, value), *applied in decisions.values():
+        assert own is contract and {id(state) for state, _, _ in applied} == mirrors
+        assert all(candidate is decided for _, candidate, _ in applied)
+        assert type(value) is float and value == objective(decided)
+        assert all(carried is value for _, _, carried in applied)  # not summed again
     for agent in sim.solvers.values():
         assert agent.mirror.pinned.snapshot() == contract.pinned.snapshot()
         assert agent.mirror.snapshot() == contract.snapshot()

@@ -37,7 +37,8 @@ DAYS = {
 }
 
 # README's example config, with the community shrunk to 20 homes over 24
-# intervals. The day ends at 96 s, so p013 fails after the last finalization.
+# intervals. The day ends at 96 s, so p013's failure at 100 s and solver-2's
+# recovery at 126.52 s come after the last finalization and are not played.
 README_CONFIG = """\
 horizon = 24
 interval_hours = 0.25
@@ -146,22 +147,22 @@ PINS = {
         "summary.json": "2496071d30e51394ddf8472f8387184092ab19891ca5d734023e44699cd9a13b",
     },
     "readme": {
-        "events.jsonl": "6c5aadf10435ef68dde1425c3d2c54a461060b8485decb6fce76ec8a2cbbf1e4",
+        "events.jsonl": "6de88120753f57197ba06566853a5b89ea40208759219da3bf37bab01b764aa9",
         "metrics.csv": "9818f9cea7b1acb689433eebf2dece63ce6ff836d0e01f12e68ebeff2f5101ff",
         "intervals.csv": "f4c062e6c20a3c99aeb432495435c2e081d3fb3b3a14c74bdca3a387eadd8c00",
         "solver.csv": "a7537a4e83f751334536e922e2e7aa4740b2dd0f2c053d4e8b6666125ffcc65f",
         "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
-        "failures.csv": "046e6012f5638798c2d2864e0a124e26b63a1db58efd8aa9685dd42604247c8e",
-        "summary.json": "eb4569a4e3bc970d66f0d1def49fd20e4c8c7e603e1852591f1c58abc464138f",
+        "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
+        "summary.json": "ee2d056a2df5e09279460f97cde2182b5147ac95adacb6ddb562aaa82deb0dfa",
     },
     "readme-adaptive": {
-        "events.jsonl": "6c5aadf10435ef68dde1425c3d2c54a461060b8485decb6fce76ec8a2cbbf1e4",
+        "events.jsonl": "6de88120753f57197ba06566853a5b89ea40208759219da3bf37bab01b764aa9",
         "metrics.csv": "9818f9cea7b1acb689433eebf2dece63ce6ff836d0e01f12e68ebeff2f5101ff",
         "intervals.csv": "f4c062e6c20a3c99aeb432495435c2e081d3fb3b3a14c74bdca3a387eadd8c00",
         "solver.csv": "a7537a4e83f751334536e922e2e7aa4740b2dd0f2c053d4e8b6666125ffcc65f",
         "controller.csv": "f5450def66116d6409647ef867f556cc238359964cc3816b02a14a12acfd7d8b",
-        "failures.csv": "046e6012f5638798c2d2864e0a124e26b63a1db58efd8aa9685dd42604247c8e",
-        "summary.json": "eb4569a4e3bc970d66f0d1def49fd20e4c8c7e603e1852591f1c58abc464138f",
+        "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
+        "summary.json": "ee2d056a2df5e09279460f97cde2182b5147ac95adacb6ddb562aaa82deb0dfa",
     },
 }
 

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from gridtrade import ledger as ledger_mod
 from gridtrade.ledger import (
+    INFEASIBLE_REASONS,
+    NOT_BETTER,
+    SCORED_REASONS,
     AlreadyFinalized,
     Contract,
     ContractError,
@@ -31,8 +35,8 @@ from gridtrade.ledger import (
     verify_log,
     write_events_jsonl,
 )
-from gridtrade.market import (Feeder, GridModel, InvalidTradeError, Side, Solution, matchable,
-                              objective)
+from gridtrade.market import (VIOLATION_KINDS, FeasibilityReport, Feeder, GridModel,
+                              InvalidTradeError, Side, Solution, Violation, matchable, objective)
 
 from conftest import BAD_COUNTS, HEADER_EDITS
 
@@ -667,8 +671,8 @@ def drop(seq, *, renumber):
 
 # One hand edit per rule: ``verify_log`` must report the edited seq and
 # nothing after it, and ``replay_events`` must raise there. The first 20 are
-# rules of the contract's operations and of the log's order; the last 8 are
-# the rules a rejection is checked against.
+# rules of the contract's operations and of the log's order; the last 14 are
+# the rules a rejection is checked against, each named by REJECTION_PROBLEMS.
 RULE_EDITS = {
     "duplicate-registration": (3, edit(3, participant="P1")),
     "unknown-feeder": (2, edit(2, feeder="nowhere")),
@@ -700,6 +704,29 @@ RULE_EDITS = {
     "invalid-with-objective": (60, edit(60, objective=1.0)),
     "rejection-objective-not-finite": (59, edit(59, objective=math.inf)),
     "not-better-beats-candidate": (58, edit(58, objective=5.0)),
+    "rejection-kind-repeated": (59, edit(
+        59, reason="infeasible: energy-buyer, energy-buyer, energy-seller")),
+    "rejection-kinds-empty": (59, edit(59, reason="infeasible: ")),
+    "rejection-kinds-no-space-after-colon": (59, edit(
+        59, reason="infeasible:energy-buyer, energy-seller")),
+    "rejection-kinds-trailing-separator": (59, edit(
+        59, reason="infeasible: energy-buyer, energy-seller, ")),
+    "not-better-objective-an-int": (58, edit(58, objective=2)),
+    "infeasible-objective-an-int": (59, edit(59, objective=50)),
+}
+
+# What each rejection rule's divergence says, after "seq N: SolutionRejected ".
+REJECTION_PROBLEMS = {
+    "rejected-from-unregistered": "participant is not registered",
+    **dict.fromkeys(["rejection-reason-unknown", "rejection-kind-unknown",
+                     "rejection-kinds-unsorted", "rejection-kind-repeated",
+                     "rejection-kinds-empty", "rejection-kinds-no-space-after-colon",
+                     "rejection-kinds-trailing-separator"],
+                    "reason is not one the contract gives"),
+    **dict.fromkeys(["not-better-without-objective", "invalid-with-objective",
+                     "rejection-objective-not-finite", "not-better-objective-an-int",
+                     "infeasible-objective-an-int"], "objective does not fit the reason"),
+    "not-better-beats-candidate": "not-better objective beats the candidate",
 }
 
 
@@ -721,6 +748,76 @@ class TestVerifyRules:
         assert len(problems) == 1 and problems[0].startswith(f"seq {seq}: "), problems
         with pytest.raises(ValueError, match=f"^{re.escape(problems[0])}$"):
             replay_events(grid, events)
+
+    @pytest.mark.parametrize("rule", sorted(REJECTION_PROBLEMS))
+    def test_each_rejection_rule_names_its_problem(self, grid, rule):
+        seq, apply = RULE_EDITS[rule]
+        events = audited_history(grid)
+        apply(events)
+        assert verify_log(grid, events) == [
+            f"seq {seq}: SolutionRejected {REJECTION_PROBLEMS[rule]}"]
+
+    @pytest.mark.parametrize("reason", [None, 5, 1.5, True, ["not-better"], {"a": 1}],
+                             ids=repr)
+    def test_a_reason_that_is_not_a_string_is_not_one_the_contract_gives(self, grid, reason):
+        events = audited_history(grid)
+        edit(60, reason=reason)(events)
+        assert verify_log(grid, events) == [
+            "seq 60: SolutionRejected reason is not one the contract gives"]
+
+
+def parsed_as_scored(reason: str) -> bool:
+    """Whether a reason carries an objective, by the parse ``verify`` made
+    before the reasons were tabled: the specification the table must meet."""
+    kinds = reason.removeprefix("infeasible: ").split(", ")  # listed once each, sorted
+    return reason == "not-better" or (
+        reason.startswith("infeasible: ")
+        and kinds == sorted(VIOLATION_KINDS.intersection(kinds)))
+
+
+@st.composite
+def reasons(draw):
+    """A prefix, then kind names and near-miss tokens, each separator drawn."""
+    prefix = draw(st.sampled_from(
+        ["infeasible: ", "infeasible:", "not-better", "not better", "invalid: ", ""]))
+    tokens = draw(st.lists(st.sampled_from(
+        [*sorted(VIOLATION_KINDS), "teleport", "", "Energy-buyer"]), max_size=6))
+    separators = draw(st.lists(st.sampled_from([", ", ",", ",  "]),
+                               min_size=len(tokens), max_size=len(tokens)))
+    body = "".join(token + separator for token, separator in zip(tokens, separators))
+    if body and not draw(st.booleans()):  # no trailing separator
+        body = body[:-len(separators[-1])]
+    return prefix + body
+
+
+class TestRejectionReasons:
+    def test_the_table_holds_not_better_and_every_non_empty_set_of_kinds(self):
+        assert len(INFEASIBLE_REASONS) == 2 ** len(VIOLATION_KINDS) - 1 == 31
+        assert SCORED_REASONS == {NOT_BETTER, *INFEASIBLE_REASONS.values()}
+        assert all(parsed_as_scored(reason) for reason in SCORED_REASONS)
+
+    @settings(max_examples=400, deadline=None)
+    @given(reason=reasons() | st.sampled_from(sorted(SCORED_REASONS)))
+    def test_one_lookup_agrees_with_the_parse(self, reason):
+        assert (reason in SCORED_REASONS) == parsed_as_scored(reason)
+
+    @pytest.mark.parametrize("kinds", sorted(INFEASIBLE_REASONS, key=sorted),
+                             ids=lambda kinds: "+".join(sorted(kinds)))
+    def test_the_contract_writes_each_kind_set_from_the_table_and_verify_takes_it(
+            self, grid, monkeypatch, kinds):
+        """Each kind violated, twice and in reverse order, still gives the
+        table's one reason for the set."""
+        contract = battery_contract_at_47(grid)
+        violations = tuple(Violation(kind, subject) for kind in sorted(kinds, reverse=True)
+                           for subject in ("a", "b"))
+        with monkeypatch.context() as patch:
+            patch.setattr(ledger_mod, "check_feasibility",
+                          lambda *args: FeasibilityReport(violations))
+            event = contract.submit_solution("solver-1", battery_optimum_solution())
+        reason = "infeasible: " + ", ".join(sorted(kinds))
+        assert event.payload == {"participant": "solver-1", "reason": reason, "objective": 40.0}
+        assert INFEASIBLE_REASONS[kinds] == reason and reason in SCORED_REASONS
+        assert verify_log(grid, contract.events) == []
 
 
 def through_first(events, kind):

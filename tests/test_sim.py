@@ -231,6 +231,32 @@ class TestFailures:
         assert gap  # some intervals lost while down
         assert max(intervals) > max(gap)  # trading resumed after recovery
 
+    def test_nothing_is_handled_after_the_last_finalization(self, grid):
+        """A day of 8 intervals of 2 s ends at 16 s. A failure inside it plays
+        as it does alone; a recovery after 16 s, a failure at 16 s (after the
+        last finalization at that instant) or later, and a confirmation still
+        delayed at 16 s are not handled."""
+        horizon = 8
+        traces = [
+            ProsumerTrace("s1", "main", tuple([2.0] * horizon), tuple([0.0] * horizon)),
+            ProsumerTrace("c1", "main", tuple([0.0] * horizon), tuple([2.0] * horizon)),
+        ]
+        inside = (FailureSpec("s1", 5.0),)
+        past = (FailureSpec("s1", 5.0, recover_time=15.0), FailureSpec("c1", 16.0),
+                FailureSpec("solver-1", 30.0))
+        for delay in (0.0, 1.5):
+            alone = run(base_config(grid, horizon, failures=inside,
+                                    confirmation_delay=delay), traces)
+            report = run(base_config(grid, horizon, failures=past,
+                                     confirmation_delay=delay), traces)
+            assert report.events == alone.events
+            assert report.events[-1].kind == EventKind.INTERVAL_ADVANCED
+            assert report.events[-1].payload["interval"] == horizon
+            assert [(row["time"], row["participant"], row["phase"])
+                    for row in report.failure_log] == [
+                (5.0, "s1", "failed"), (5.14, "s1", "detected"), (6.88, "s1", "removed")]
+            assert verify_log(grid, report.events) == []
+
     def test_unknown_participant_rejected(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
         with pytest.raises(UnknownParticipantError):
