@@ -106,11 +106,15 @@ def _parse_failures(text: str) -> tuple[FailureSpec, ...]:
 
 
 def _parse_synthesize(text: str) -> dict[str, int]:
-    spec = {}
+    known, spec = ("homes", "producers", "feeders", "intervals"), {}
     for chunk in _chunks(text, ","):
         key, _, value = chunk.partition("=")
-        spec[key.strip()] = int(value)
-    missing = {"homes", "producers", "feeders", "intervals"} - set(spec)
+        key = key.strip()
+        if key not in known or key in spec:
+            raise ValueError(f"{'repeated' if key in spec else 'unknown'} key {key!r}, "
+                             f"expected each of {', '.join(known)} once")
+        spec[key] = int(value)
+    missing = set(known) - set(spec)
     if missing:
         raise CliError(f"synthesize spec missing {sorted(missing)}")
     return spec

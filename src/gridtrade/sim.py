@@ -340,7 +340,9 @@ class Simulation:
 
     def inject_failure(self, participant: str, at_time: float,
                        recover_time: float | None = None) -> None:
-        """Silence a participant at ``at_time``; peers react after latency."""
+        """Silence a participant at ``at_time``; peers react after latency.
+        A time :class:`FailureSpec` refuses raises :class:`ConfigError`."""
+        FailureSpec(participant, at_time, recover_time)
         if participant not in self._agents:
             raise UnknownParticipantError(f"no agent named {participant!r}")
         cfg = self.config

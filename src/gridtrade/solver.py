@@ -38,8 +38,8 @@ A solver agent's mirror is a function of the event prefix it has applied
 (the state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so
 agents whose mirrors have the same ``lp_head`` build the same LP. Such
 agents in one process share one solve, the LP built and its validated
-solution; each still checks that solution against its own mirror (see
-:class:`SolverAgent`).
+solution; an agent checks that solution against its own mirror before it
+submits it (see :class:`SolverAgent`).
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -614,13 +614,14 @@ class SequenceGap(ValueError):
 _last_solve: tuple[object, GridModel, SolverConfig, LpInstance, Solution] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveRecord:
     """One solver run, for the solver activity export. ``variables`` counts
     the LP's columns: one per class of identical offers and open interval,
     plus the carries. ``solve_time`` is the resource model's time for an LP
     of that size, charged to this solver even when it shared the solve of
-    a solver before it at the same ledger state."""
+    a solver before it at the same ledger state. ``submitted`` means
+    submitted at this solve, the only time the agent can submit it."""
 
     time: float
     solver: str
@@ -636,17 +637,18 @@ class SolverAgent:
     """A solver participant: mirrors the ledger and submits improvements.
 
     The agent mirrors the contract state from ledger events and applies the
-    mirror's decisions: it re-solves when the mirror's ``lp_head`` moves,
-    and submits only a solution that the mirror's ``improves`` accepts.
-    Between ticks it holds only a solution not yet submitted.
+    mirror's decisions: it solves once each time the mirror's ``lp_head``
+    moves, and submits the solution then if the mirror's ``improves`` takes
+    it, or never: the candidate's objective does not fall while the head
+    stays. It holds no solution between ticks.
 
     A mirror is a function of the gapless event prefix it has applied, so
     agents whose mirrors' ``lp_head`` is the same event object, at the same
     grid and solver config, build the same LP. The agents of one process
     share one solve for it: the first builds and solves, and the ones after
-    it take the LP and the validated solution. Each agent that takes a shared
-    solution still runs :func:`check_feasibility` on it against its own
-    mirror's book, grid and pins, and records a :class:`NumericFailure`
+    it take the LP and the validated solution. An agent about to submit a
+    shared solution first runs :func:`check_feasibility` on it against its
+    own mirror's book, grid and pins, and records a :class:`NumericFailure`
     if that fails, so no agent submits what its own mirror has not checked.
     The modeled solve time of each :class:`SolveRecord` and of the
     controller is still charged to every agent that solves.
@@ -665,7 +667,6 @@ class SolverAgent:
         self.records: list[SolveRecord] = []
         self.controller_trace: list[dict] = []
         self._solved_head: object | None = None
-        self._last_solution: Solution | None = None
 
     def observe(self, events: list[ledger_mod.LedgerEvent]) -> None:
         """Apply the events after ``last_seq``, in order; earlier ones are
@@ -686,60 +687,48 @@ class SolverAgent:
             self.last_seq = event.seq
 
     def step(self, events: list[ledger_mod.LedgerEvent], *, time: float = 0.0) -> Solution | None:
-        """One solver tick: ingest events, maybe re-solve, maybe submit."""
+        """One solver tick: ingest events; at a moved ``lp_head``, solve and
+        return the solution if ``improves`` takes it, else None."""
         global _last_solve
         self.observe(events)
         mirror = self.mirror
         head = mirror.lp_head
         if head is self._solved_head:
-            return self._maybe_submission()
+            return None
 
         self._solved_head = head
         config = self.config
         if self.controller is not None:
             config = replace(config, lookahead=self.controller.lookahead)
         shared = _last_solve
-        if (shared is not None and shared[0] is head and shared[1] is mirror.grid
-                and shared[2] == config):
-            instance, solution = shared[3], shared[4]
-        else:
+        fresh = not (shared is not None and shared[0] is head and shared[1] is mirror.grid
+                     and shared[2] == config)
+        if fresh:
             instance = build_lp(mirror.open_offers, mirror.grid, mirror.pinned,
                                 mirror.current_interval, config)
-            solution = None
+        else:
+            instance, solution = shared[3], shared[4]
         modeled_time = (self.resource_model.solve_time(instance.n_variables)
                         if self.resource_model is not None else 0.0)
         try:
-            if solution is None:
+            if fresh:
                 solution = solve(instance)
                 _last_solve = (head, mirror.grid, config, instance, solution)
-            else:
+            value = objective(solution)
+            submit = mirror.improves(value)
+            if submit and not fresh:
                 _self_validate(solution, mirror.book, mirror.grid, mirror.pinned)
         except NumericFailure as exc:
             self.records.append(SolveRecord(
                 time, self.id, instance.n_variables, instance.n_constraints,
                 modeled_time, 0.0, False, error=str(exc)))
-            # A solution held back from an earlier interval is not a
-            # solution of this one: it may trade at intervals since finalized.
-            self._last_solution = None
             return None
 
-        self._last_solution = solution
         self.records.append(SolveRecord(
             time, self.id, instance.n_variables, instance.n_constraints,
-            modeled_time, objective(solution), False))
+            modeled_time, value, submit))
         self._update_controller(time, instance.n_variables, modeled_time)
-        return self._maybe_submission()
-
-    def _maybe_submission(self) -> Solution | None:
-        """The last solve's solution if the mirror's ``improves`` takes it, once:
-        a submission still in flight is not in the mirror, and a copy sent on
-        every tick until it lands would be refused as stale."""
-        solution = self._last_solution
-        if solution is None or not self.mirror.improves(objective(solution)):
-            return None
-        self.records[-1].submitted = True  # the record of the solve that made it
-        self._last_solution = None
-        return solution
+        return solution if submit else None
 
     def _update_controller(self, time: float, n_variables: int, modeled_time: float) -> None:
         if self.controller is None or self.resource_model is None:

@@ -61,12 +61,16 @@ def test_traced_community_day_certifies_every_lp():
 def test_traced_contested_day_certifies_every_lp():
     """Three solvers, two adversaries and two failures: every LP solved
     passes the weak-duality certificate, and the solvers at one ledger
-    state share one build and one HiGHS run.
+    state share one build and one HiGHS run. A solver checks a shared
+    solution only when it would submit it: with no confirmation delay, the
+    solvers make one check per HiGHS run, and the contract the rest.
     Seed 1's decisions are fixed, as in the fuzz."""
     metrics = traced_run("contested_day")
     assert decisions(metrics, ["solver.build_lp_calls", "solver.highs_calls",
+                               "solver.submissions", "market.check_feasibility_calls",
                                "ledger.accepted", "ledger.rejected.invalid",
                                "ledger.rejected.infeasible", "ledger.rejected.not_better"]) == {
         "solver.build_lp_calls": 97, "solver.highs_calls": 53,
+        "solver.submissions": 47, "market.check_feasibility_calls": 341,
         "ledger.accepted": 47, "ledger.rejected.invalid": 137,
         "ledger.rejected.infeasible": 49, "ledger.rejected.not_better": 55}

@@ -93,6 +93,14 @@ class TestConfigParsing:
         with pytest.raises(CliError, match=f"^config key {key!r}: "):
             build_run_setup(cfg, None)
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("homes=6,producers=2,feeders=3,intervals=12,flex_window=9", "unknown key 'flex_window'"),
+        ("homes=6,producers=2,feeders=3,intervals=12,homes=8", "repeated key 'homes'")])
+    def test_an_unknown_or_repeated_synthesize_key_is_refused(self, spec, problem):
+        cfg = parse_flat_config(BASE_CONFIG + f"synthesize = {spec}\n")
+        with pytest.raises(CliError, match=f"^config key 'synthesize': {problem}"):
+            build_run_setup(cfg, None)
+
     def test_failures_parsed(self, traces_csv):
         cfg = parse_flat_config(BASE_CONFIG + "failures = p001:8.0:-; p002:4.0:20.0\n")
         config, _, _ = build_run_setup(cfg, str(traces_csv))

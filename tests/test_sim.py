@@ -257,6 +257,19 @@ class TestFailures:
                 (5.0, "s1", "failed"), (5.14, "s1", "detected"), (6.88, "s1", "removed")]
             assert verify_log(grid, report.events) == []
 
+    @pytest.mark.parametrize("at_time, recover_time", [
+        (float("nan"), None), (float("inf"), None), (-5.0, None), (True, None), ("3", None),
+        (1.0, float("nan")), (4.0, 2.0)])
+    def test_a_bad_failure_time_raises_config_error_and_schedules_nothing(
+            self, grid, battery_traces, at_time, recover_time):
+        # A NaN time once stayed in the event queue and the run never ended.
+        sim = Simulation(base_config(grid, 50), battery_traces)
+        with pytest.raises(ConfigError, match="^solver-1: "):
+            sim.inject_failure("solver-1", at_time, recover_time)
+        report = sim.run()
+        assert report.failure_log == []
+        assert report.events == run(base_config(grid, 50), battery_traces).events
+
     def test_unknown_participant_rejected(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
         with pytest.raises(UnknownParticipantError):

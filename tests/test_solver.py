@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from gridtrade.ledger import Contract, Role, replay_events, write_events_jsonl
+from gridtrade.ledger import Contract, ContractState, Role, replay_events, write_events_jsonl
 from gridtrade.market import (
     Feeder,
     GridModel,
@@ -577,7 +577,7 @@ class TestSolverAgent:
         first, second = (SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3))
                          for i in (1, 2))
         contract.submit_solution("solver-1", first.step(contract.events_since(0)))
-        assert second.step(contract.events_since(0)) is None  # equal: held back
+        assert second.step(contract.events_since(0)) is None  # equal: refused
         contract.finalize(None, 0)
 
         def explode(instance):
@@ -586,8 +586,8 @@ class TestSolverAgent:
         monkeypatch.setattr(solver_mod, "solve", explode)
         assert second.step(contract.events_since(second.last_seq), time=1.0) is None
         assert second.records[-1].error == "synthetic blow-up"
-        # The held solution trades at interval 1, now finalized, and beats
-        # the candidate left for interval 2: it must not go out.
+        # The solution refused at time 0 trades at interval 1, now finalized,
+        # and beats the candidate left for interval 2: it must not go out.
         assert second.step(contract.events_since(second.last_seq), time=2.0) is None
 
     def test_observe_refuses_a_sequence_gap_and_applies_nothing(self, grid):
@@ -812,13 +812,23 @@ class TestSharedSolve:
     def test_a_later_hit_returns_the_first_answer(self, grid, solve_calls):
         contract, (one, two, three) = self.market(grid)
         first = one.step(contract.events_since(0))
+        offers = contract.events_since(0)
         contract.submit_solution("solver-1", first)  # an event no LP reads
         assert two.step(contract.events_since(0)) is None  # equal to the candidate
-        assert three.step(contract.events_since(0)) is None
+        assert three.step(offers) is first  # its mirror has not seen the submission
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
-        assert two._last_solution is first and three._last_solution is first
-        assert three.mirror.candidate is first
-        assert [r.objective for r in three.records] == [objective(first)]
+        assert two.mirror.candidate is first
+        assert [(r.objective, r.submitted) for r in two.records + three.records] == [
+            (objective(first), False), (objective(first), True)]
+
+    def test_a_shared_solution_the_mirror_refuses_is_not_checked(self, grid, solve_calls):
+        contract, (one, two, _) = self.market(grid)
+        contract.submit_solution("solver-1", one.step(contract.events_since(0)))
+        assert two.step(contract.events_since(0)) is None  # equal to the candidate
+        assert two.step(contract.events_since(0)) is None  # and never sent later
+        # The one check is the solve's own, against solver-1's mirror.
+        assert [id(p) for p in solve_calls["check"]] == [id(one.mirror.pinned)]
+        assert [r.submitted for r in one.records + two.records] == [True, False]
 
     def test_a_removal_that_withdraws_no_open_offer_leaves_the_lp_head(self, grid, solve_calls):
         contract, (one, two, _) = self.market(grid)
@@ -913,6 +923,24 @@ def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
     assert log == log_missed
     assert records == records_missed and trace == trace_missed
     assert builds < builds_missed
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 20), n_solvers=st.integers(2, 3), n_adversaries=st.integers(0, 2),
+       delay=st.sampled_from([0.0, 0.5, 1.5]), adaptive=st.booleans(),
+       solver_down=st.tuples(st.floats(0.0, 8.0), st.floats(0.5, 8.0)),
+       prosumer_down=st.floats(0.0, 24.0))
+def test_the_candidate_objective_falls_only_when_the_lp_head_moves(**day):
+    """What lets a solver agent ask ``improves`` once per LP head: at an
+    unmoved head no event lowers the candidate's objective, so a solution
+    refused at its solve stays refused until the next solve."""
+    sim = small_day(**day)
+    report = sim.run()
+    state = ContractState(sim.config.grid)
+    for event in report.events:
+        head, before = state.lp_head, state.candidate_objective
+        state.apply(event)
+        assert state.candidate_objective >= before or state.lp_head is not head, event
 
 
 class TestSolverConfig:
