@@ -422,28 +422,37 @@ class Contract:
 
     def submit_solution(self, participant: str, solution: Solution,
                         *, time: float = 0.0) -> LedgerEvent:
+        """Accept ``solution`` as the candidate, or log why not.
+
+        The cheap question comes first: a non-finite objective is
+        ``invalid``, and one that does not improve on the candidate is
+        ``not-better``, with no per-trade check. Only a solution that would
+        win is checked in full; a ``MarketError`` makes it ``invalid: …``,
+        violations ``infeasible: …``. So a solution is accepted exactly when
+        it is feasible and improves.
+        """
         if self._registration(participant) is None:
             raise NotRegistered(f"{participant} is not registered")
         if type(solution) is not Solution:  # only its constructor checks trade values
             raise InvalidArgument(
                 f"a submission must be a Solution, got a {type(solution).__name__}")
-        try:
-            report = self.state.feasibility(solution)
-            value = objective(solution)
-        except MarketError as exc:
-            return self._append(SOLUTION_REJECTED, {
-                "participant": participant, "reason": f"invalid: {exc}"}, time)
+        value = objective(solution)
         if not math.isfinite(value):  # finite trades whose sum overflows
             return self._append(SOLUTION_REJECTED, {
                 "participant": participant, "reason": "invalid: objective is not finite"}, time)
+        if not self.state.improves(value):
+            return self._append(SOLUTION_REJECTED, {
+                "participant": participant, "reason": NOT_BETTER,
+                "objective": value}, time)
+        try:
+            report = self.state.feasibility(solution)
+        except MarketError as exc:
+            return self._append(SOLUTION_REJECTED, {
+                "participant": participant, "reason": f"invalid: {exc}"}, time)
         if not report.ok:
             return self._append(SOLUTION_REJECTED, {
                 "participant": participant,
                 "reason": INFEASIBLE_REASONS[frozenset(v.kind for v in report.violations)],
-                "objective": value}, time)
-        if not self.state.improves(value):
-            return self._append(SOLUTION_REJECTED, {
-                "participant": participant, "reason": NOT_BETTER,
                 "objective": value}, time)
         return self._append(SOLUTION_ACCEPTED, {
             "participant": participant, "objective": value,
@@ -593,8 +602,9 @@ class _Replay(Contract):
         Its participant must be registered, and its reason one the contract
         gives: ``invalid: <message>``, or one of ``SCORED_REASONS``, found by
         one lookup and never parsed. A scored reason carries a finite float
-        objective, the others none; a ``not-better`` objective must not beat
-        the candidate.
+        objective, the others none. The contract asks ``improves`` before it
+        checks a solution, so a ``not-better`` objective must not beat the
+        candidate, and an ``infeasible`` one must.
         """
         event = self.head
         reason, value = payload["reason"], payload.get("objective")
@@ -608,6 +618,8 @@ class _Replay(Contract):
             problem = "objective does not fit the reason"
         elif reason == NOT_BETTER and self.state.improves(value):
             problem = "not-better objective beats the candidate"
+        elif scored and reason != NOT_BETTER and not self.state.improves(value):
+            problem = "infeasible objective does not beat the candidate"
         else:
             self._advance()
             return

@@ -14,6 +14,7 @@ an identical event log, byte for byte.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -258,6 +259,8 @@ class Simulation:
         self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._push_seq = 0
         self.failure_log: list[dict] = []
+        # Each participant's injected down windows: fail time to reactivation.
+        self._down: dict[str, list[tuple[float, float]]] = {}
 
         self.contract.register(DSO_ID, Role.DSO, time=0.0)
         self.prosumers: dict[str, ProsumerAgent] = {}
@@ -341,11 +344,24 @@ class Simulation:
     def inject_failure(self, participant: str, at_time: float,
                        recover_time: float | None = None) -> None:
         """Silence a participant at ``at_time``; peers react after latency.
-        A time :class:`FailureSpec` refuses raises :class:`ConfigError`."""
+
+        The participant is down from ``at_time`` until ``recover_time`` plus
+        ``reactivate_latency``, or for good with no recovery, and at least
+        until its removal at ``at_time`` plus ``notify_latency``. A time
+        :class:`FailureSpec` refuses, or a down window that overlaps one
+        already injected for the participant, raises :class:`ConfigError`
+        and schedules nothing."""
         FailureSpec(participant, at_time, recover_time)
         if participant not in self._agents:
             raise UnknownParticipantError(f"no agent named {participant!r}")
         cfg = self.config
+        up = math.inf if recover_time is None else max(
+            recover_time + cfg.reactivate_latency, at_time + cfg.notify_latency)
+        windows = self._down.setdefault(participant, [])
+        if any(at_time < end and start < up for start, end in windows):
+            raise ConfigError(
+                f"{participant}: the failure at {at_time} overlaps an earlier one of its own")
+        windows.append((at_time, up))
         self._push(at_time, _PRI_FAULT, self._fail, participant)
         self._push(at_time + cfg.detect_latency, _PRI_FAULT, self._log_failure,
                    participant, "detected")

@@ -41,8 +41,8 @@ def test_traced_contract_fuzz_runs_clean():
     assert decisions(metrics, ["ledger.accepted", "ledger.rejected.invalid",
                                "ledger.rejected.infeasible", "ledger.rejected.not_better",
                                "solver.highs_calls"]) == {
-        "ledger.accepted": 61, "ledger.rejected.invalid": 3419,
-        "ledger.rejected.infeasible": 1309, "ledger.rejected.not_better": 71,
+        "ledger.accepted": 61, "ledger.rejected.invalid": 1591,
+        "ledger.rejected.infeasible": 558, "ledger.rejected.not_better": 2650,
         "solver.highs_calls": 60}
 
 
@@ -71,6 +71,6 @@ def test_traced_contested_day_certifies_every_lp():
                                "ledger.accepted", "ledger.rejected.invalid",
                                "ledger.rejected.infeasible", "ledger.rejected.not_better"]) == {
         "solver.build_lp_calls": 97, "solver.highs_calls": 53,
-        "solver.submissions": 47, "market.check_feasibility_calls": 341,
-        "ledger.accepted": 47, "ledger.rejected.invalid": 137,
-        "ledger.rejected.infeasible": 49, "ledger.rejected.not_better": 55}
+        "solver.submissions": 47, "market.check_feasibility_calls": 282,
+        "ledger.accepted": 47, "ledger.rejected.invalid": 133,
+        "ledger.rejected.infeasible": 49, "ledger.rejected.not_better": 59}

@@ -28,15 +28,18 @@ from gridtrade.traces import synthesize_traces
 HORIZON = 32
 
 # SHA-256 of ``events.jsonl`` for ``contested_day(n_adversaries=2)`` (657
-# events, 136,277 bytes), taken when the LP began to give one column to each
-# class of identical offers: which offer of a class carries a flow, and so
-# the trade rows, moved, while the traded kWh (8.9376) did not. Before, it was
-# d65d37eb... (136,241 bytes). A change that only makes the program faster
-# must leave it as it is. Should it change on purpose (a rule, the log
+# events, 136,248 bytes), taken when the contract began to ask whether a
+# submission beats the candidate before checking it: one rejection (seq 420,
+# adversary-1) moved from ``infeasible: energy-buyer, energy-seller`` to
+# ``not-better``, and nothing else did. Before, it was 936fc3b2... (136,277
+# bytes), and before that, when the LP began to give one column to each class
+# of identical offers, d65d37eb... (136,241 bytes); the traded kWh (8.9376)
+# moved neither time. A change that only makes the program faster must leave
+# it as it is. Should it change on purpose (a rule, the log
 # format, the LP's columns or tie-break, or a SciPy or NumPy release that
 # moves HiGHS's vertex or the seeded draws), record the new value and the
 # reason in CHANGES.md.
-GOLDEN_EVENTS_SHA256 = "936fc3b2ffce88f48c7ca3fb99b5a9c87de3542294a6644d95088af0bfc3fc6f"
+GOLDEN_EVENTS_SHA256 = "a9def967cffa052053fc2c985b245dea3489ef5b32f695d503f353c4ff460717"
 
 
 def contested_day(n_adversaries: int) -> Simulation:
@@ -259,6 +262,10 @@ def _scored(payload):
     return "objective" in payload
 
 
+def _not_better(payload):
+    return payload["reason"] == "not-better"
+
+
 def _prosumer(payload):
     return payload["role"] == "prosumer"
 
@@ -301,6 +308,8 @@ MUTATIONS = {
     "not-better-beats-candidate": (EventKind.SOLUTION_REJECTED, None, lambda p, rng: {
         "participant": p["participant"], "reason": "not-better",
         "objective": rng.uniform(1e3, 1e6)}),
+    "not-better-relabelled-infeasible": (EventKind.SOLUTION_REJECTED, _not_better, lambda p, rng: {
+        **p, "reason": "infeasible: energy-seller"}),
     "prosumer-role-rewritten": (EventKind.PROSUMER_REGISTERED, _prosumer,
                                 lambda p, rng: {**p, "role": rng.choice(["solver", "dso"])}),
     "removal-objective-edited": (EventKind.PARTICIPANT_REMOVED, None, lambda p, rng: {

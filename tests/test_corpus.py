@@ -129,7 +129,7 @@ PINS = {
         "summary.json": "970f62bc12597c9ef3439a5dd9c3b50a4b16bb9af212ce6a191e3aab2fea163e",
     },
     "contested_day-seed1": {
-        "events.jsonl": "e31de6c359b27640c58228bb6e67e3adec84cf9f8d24e0b38c25d9ae3447d187",
+        "events.jsonl": "ee6a811e498adc162b65c1342fb19096b1141fc91bb165101cbef9b4d672f65f",
         "metrics.csv": "74a5d3bc2d57f4d8e551adebbe58605f9408dc71298edb9325ffadea7cabef16",
         "intervals.csv": "def2f417bb47403c9eccef21aa1cca0c778dbcb0d3f86221690b294f6e27835c",
         "solver.csv": "60925d0ef4ea7d3b7bd1176cf384ba54605b8c98c12558f532ca8f560b47cbf8",
@@ -138,7 +138,7 @@ PINS = {
         "summary.json": "13587d7de87e04a4065743da11dce585a127f7b26b237f7eac2af04dea987b34",
     },
     "contested_day-seed2": {
-        "events.jsonl": "6b677e1af1a191f27b403c21fe0a6e2a14e0c70fbee1118a8201333193198e9a",
+        "events.jsonl": "1c2e88a9dc62fe9e3bcb745568f50b8321db189bf27d644432d1e81c723911fe",
         "metrics.csv": "4e6af489f6bd05202229d65403481a795dde69dd90ba5e4a1142ebea53df5b4a",
         "intervals.csv": "f04d6f1231ac8b9b2188d6ccb72be539a386ed5c64f2357a0bc0bc3a401bb620",
         "solver.csv": "a7e3807227c80fa898f5a3ee1f1e9508af0453aa002523c0f020df5ffc3e8e48",

@@ -268,6 +268,51 @@ class TestSubmitSolution:
         assert event.kind == EventKind.SOLUTION_REJECTED
         assert event.payload["reason"].startswith("invalid")
 
+    # One broken trade each: it cites an unknown offer, trades at finalized
+    # interval 47, or sells more than P1's 10 kWh (and, at 45 kW, buys more
+    # than C1's 30); and the reason the full check gives it at 45 kW.
+    BROKEN = {
+        "unknown-offer": ((2, 99, 48), "invalid: offer 99 not in book"),
+        "finalized-interval": ((1, 3, 47), "invalid: trade (1,3,47) is at a finalized "
+                                           "interval (finalized through 47)"),
+        "energy-budget": ((1, 3, 48), "infeasible: energy-buyer, energy-seller"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_a_broken_solution_is_checked_only_if_it_would_win(self, grid, case):
+        """Against the optimum's 40 kW, the trade at 25 kW cannot win and is
+        rejected ``not-better``; at 45 kW it would, and the full check
+        refuses it."""
+        key, reason = self.BROKEN[case]
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        losing = contract.submit_solution("solver-1", Solution({key: (25.0, 0.5)}))
+        assert losing.payload == {"participant": "solver-1", "reason": NOT_BETTER,
+                                  "objective": 25.0}
+        winning = contract.submit_solution("solver-1", Solution({key: (45.0, 0.5)}))
+        scored = {"objective": 45.0} if reason.startswith("infeasible: ") else {}
+        assert winning.payload == {"participant": "solver-1", "reason": reason, **scored}
+        assert contract.state.candidate == battery_optimum_solution()
+        assert verify_log(grid, contract.events) == []
+
+    def test_a_solution_that_cannot_win_costs_no_feasibility_check(self, grid, monkeypatch):
+        calls = []
+        check = ledger_mod.check_feasibility
+        monkeypatch.setattr(ledger_mod, "check_feasibility",
+                            lambda *args: calls.append(args) or check(*args))
+        contract = battery_contract_at_47(grid)
+        contract.submit_solution("solver-1", battery_optimum_solution())
+        assert len(calls) == 1
+        for key, _ in self.BROKEN.values():
+            contract.submit_solution("solver-1", Solution({key: (25.0, 0.5)}))
+        scaled_down = Solution({key: (power / 2, price)
+                                for key, (power, price) in battery_optimum_solution().items()})
+        event = contract.submit_solution("solver-1", scaled_down)
+        assert event.payload["reason"] == NOT_BETTER
+        assert len(calls) == 1
+        contract.submit_solution("solver-1", Solution({(1, 3, 48): (45.0, 0.5)}))
+        assert len(calls) == 2
+
     def test_float_keys_rejected_as_invalid(self, grid):
         contract = battery_contract_at_47(grid)
         before = len(contract.events)
@@ -278,9 +323,12 @@ class TestSubmitSolution:
         assert contract.state.candidate == Solution.empty()
         assert len(contract.events) == before
 
-    def test_overflowing_objective_rejected_as_invalid(self, grid, tmp_path):
+    @pytest.mark.parametrize("buyer", [3, 99], ids=["known-offers", "unknown-offer"])
+    def test_overflowing_objective_rejected_as_invalid(self, grid, tmp_path, buyer):
+        """The sum is refused before any trade is checked, so a solution that
+        also cites an unknown offer is refused for its sum too."""
         contract = battery_contract_at_47(grid)
-        huge = Solution({(1, 3, 48): (1.7e308, 0.5), (2, 3, 48): (1.7e308, 0.5)})
+        huge = Solution({(1, buyer, 48): (1.7e308, 0.5), (2, 3, 48): (1.7e308, 0.5)})
         event = contract.submit_solution("solver-1", huge)
         assert event.kind == EventKind.SOLUTION_REJECTED
         assert event.payload == {"participant": "solver-1",
@@ -628,12 +676,14 @@ def audited_history(grid):
     """Every event kind, and a rejection for each reason, at seqs 1-65.
 
     Registrations 1-5, advances to interval 47 at 6-52, the battery offers
-    53-56, submissions 57-61 (accepted, not-better, infeasible, invalid,
-    accepted), two finalized trades 62-63 and their advance 64, a removal 65.
+    53-56, submissions 57-61 (accepted at 4 kW, not-better at 2, infeasible
+    at 50, invalid at 5, accepted at 40), two finalized trades 62-63 and
+    their advance 64, a removal 65. The infeasible and invalid submissions
+    beat the candidate, or the contract would reject them not-better.
     """
     contract = battery_contract_at_47(grid)
     for solution in (Solution({(2, 3, 48): (4.0, 0.5)}), Solution({(2, 3, 48): (2.0, 0.5)}),
-                     Solution({(1, 3, 48): (50.0, 0.5)}), Solution({(9, 3, 48): (1.0, 0.5)}),
+                     Solution({(1, 3, 48): (50.0, 0.5)}), Solution({(9, 3, 48): (5.0, 0.5)}),
                      battery_optimum_solution()):
         contract.submit_solution("solver-1", solution)
     contract.finalize("dso", 47)
@@ -671,7 +721,7 @@ def drop(seq, *, renumber):
 
 # One hand edit per rule: ``verify_log`` must report the edited seq and
 # nothing after it, and ``replay_events`` must raise there. The first 20 are
-# rules of the contract's operations and of the log's order; the last 14 are
+# rules of the contract's operations and of the log's order; the last 15 are
 # the rules a rejection is checked against, each named by REJECTION_PROBLEMS.
 RULE_EDITS = {
     "duplicate-registration": (3, edit(3, participant="P1")),
@@ -704,6 +754,7 @@ RULE_EDITS = {
     "invalid-with-objective": (60, edit(60, objective=1.0)),
     "rejection-objective-not-finite": (59, edit(59, objective=math.inf)),
     "not-better-beats-candidate": (58, edit(58, objective=5.0)),
+    "infeasible-does-not-beat-candidate": (59, edit(59, objective=3.0)),
     "rejection-kind-repeated": (59, edit(
         59, reason="infeasible: energy-buyer, energy-buyer, energy-seller")),
     "rejection-kinds-empty": (59, edit(59, reason="infeasible: ")),
@@ -727,6 +778,7 @@ REJECTION_PROBLEMS = {
                      "rejection-objective-not-finite", "not-better-objective-an-int",
                      "infeasible-objective-an-int"], "objective does not fit the reason"),
     "not-better-beats-candidate": "not-better objective beats the candidate",
+    "infeasible-does-not-beat-candidate": "infeasible objective does not beat the candidate",
 }
 
 

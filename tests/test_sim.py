@@ -270,6 +270,40 @@ class TestFailures:
         assert report.failure_log == []
         assert report.events == run(base_config(grid, 50), battery_traces).events
 
+    def test_a_failure_while_down_raises_config_error(self):
+        """p001 is down for good from 1 s, so a failure at 2 s overlaps it: it
+        was once played again, with a second, empty removal at 3.88 s."""
+        traces = synthesize_traces(4, 1, 1, 4, seed=0)
+        grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
+        failures = (FailureSpec("p001", 1.0), FailureSpec("p001", 2.0))
+        with pytest.raises(ConfigError, match="^p001: "):
+            Simulation(base_config(grid, 4, seconds_per_interval=4.0, failures=failures),
+                       traces)
+        # Recovered at 1.5 s with no reactivation delay, p001 is still to be
+        # removed at 2.88 s, after a failure at 2 s.
+        with pytest.raises(ConfigError, match="^p001: "):
+            Simulation(base_config(grid, 4, seconds_per_interval=4.0, reactivate_latency=0.0,
+                                   failures=(FailureSpec("p001", 1.0, 1.5), failures[1])),
+                       traces)
+        sim = Simulation(base_config(grid, 4, seconds_per_interval=4.0,
+                                     failures=failures[:1]), traces)
+        with pytest.raises(ConfigError, match="^p001: "):
+            sim.inject_failure("p001", 5.0, 6.0)
+        assert [(round(row["time"], 9), row["participant"], row["phase"])
+                for row in sim.run().failure_log] == [
+            (1.0, "p001", "failed"), (1.14, "p001", "detected"), (2.88, "p001", "removed")]
+
+    def test_failures_whose_down_windows_do_not_overlap_both_play(self):
+        """Down from 1 s until 2 s plus the 6.52 s reactivation, then from 20 s."""
+        traces = synthesize_traces(4, 1, 1, 8, seed=0)
+        grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
+        failures = (FailureSpec("p001", 1.0, 2.0), FailureSpec("p001", 20.0))
+        report = run(base_config(grid, 8, seconds_per_interval=4.0, failures=failures), traces)
+        assert [(round(row["time"], 9), row["phase"]) for row in report.failure_log] == [
+            (1.0, "failed"), (1.14, "detected"), (2.88, "removed"), (8.52, "recovered"),
+            (20.0, "failed"), (20.14, "detected"), (21.88, "removed")]
+        assert verify_log(grid, report.events) == []
+
     def test_unknown_participant_rejected(self, grid, battery_traces):
         sim = Simulation(base_config(grid, 50), battery_traces)
         with pytest.raises(UnknownParticipantError):
