@@ -4,9 +4,9 @@ Each case runs one day in process, writes its report bundle and compares
 the SHA-256 of every file with the pin below; its event log must also
 verify. The cases are the benchmark's two day settings (restated here, so
 that the test needs only ``src/``) at seeds 1 and 2, and README's example
-config shrunk to 20 homes over 24 intervals, with its failures kept, once
-as written and once with ``adaptive = true`` so that ``controller.csv`` has
-rows.
+config shrunk to 20 homes over 24 intervals, with its failures kept: as
+written, with ``adaptive = true`` so that ``controller.csv`` has rows, and
+with ``clearing_lead = 2`` so that one day finalizes two intervals ahead.
 
 The pins hold for this environment's NumPy, SciPy and HiGHS, as
 ``GOLDEN_EVENTS_SHA256`` in ``test_contested_run.py`` does: a release that
@@ -92,11 +92,12 @@ def run_day(workload: str, seed: int, out) -> None:
     export_report(run(config, traces), out)
 
 
-def run_readme(adaptive: bool, out) -> None:
+def run_readme(adaptive: bool, out, *sets: str) -> None:
     config = out.parent / "readme.cfg"
     config.write_text(README_CONFIG, encoding="utf-8")
+    overrides = [arg for value in sets for arg in ("--set", value)]
     assert main(["run", "--config", str(config), "--out", str(out),
-                 "--set", f"adaptive={str(adaptive).lower()}"]) == 0
+                 "--set", f"adaptive={str(adaptive).lower()}", *overrides]) == 0
 
 
 CASES = {
@@ -106,6 +107,7 @@ CASES = {
     "contested_day-seed2": lambda out: run_day("contested_day", 2, out),
     "readme": lambda out: run_readme(False, out),
     "readme-adaptive": lambda out: run_readme(True, out),
+    "readme-lead2": lambda out: run_readme(False, out, "clearing_lead=2"),
 }
 
 # SHA-256 of each bundle file, by case and file.
@@ -163,6 +165,15 @@ PINS = {
         "controller.csv": "f5450def66116d6409647ef867f556cc238359964cc3816b02a14a12acfd7d8b",
         "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
         "summary.json": "ee2d056a2df5e09279460f97cde2182b5147ac95adacb6ddb562aaa82deb0dfa",
+    },
+    "readme-lead2": {
+        "events.jsonl": "ac9dd2cbd2522ed8f339ebbaaf75d80737ec8db68dab867777940c578feda167",
+        "metrics.csv": "d0767107135d5ec48f3c0b910a6548cca64a2f337776210779b5585c061f2d72",
+        "intervals.csv": "4385375008ad4cba82b24f8b51220170b26dbc7e9d363624ca5e860f46801406",
+        "solver.csv": "49067ad7849316b53bd5aabc5d7ccc51e3b9733032b439253ce787a71ed19805",
+        "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
+        "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
+        "summary.json": "a678ee9a90a9f85ed3c994e84e8b1c7a65435cbb12e2b08a05d773949dba1ead",
     },
 }
 
