@@ -191,11 +191,13 @@ class LedgerEvent(NamedTuple):
 class ContractState:
     """Mutable contract state; every mutation goes through ``apply``.
 
-    ``book`` holds every offer not withdrawn, in posting order: the one
-    offer store. ``open_offers`` is the part of the book that can still
-    trade: offers whose window ends after ``pinned.finalized_through``. Both
-    are kept up to date by ``apply``, so neither is rebuilt from the day's
-    history. ``retired`` holds the withdrawn offers.
+    ``pinned.finalized_through``, the frontier, is the one record of what
+    is closed; ``current_interval`` is read from it. ``book`` holds every
+    offer not withdrawn, in posting order: the one offer store.
+    ``open_offers`` is the part that can still trade, the offers whose
+    window ends after the frontier: every posted one, by the post's stale
+    rule. Both are kept up to date by ``apply``, so neither is rebuilt from
+    the day's history. ``retired`` holds the withdrawn offers.
 
     ``apply`` takes the events a contract appends, which carry the outcome
     the contract decided (``LedgerEvent.parsed``), and applies it as decided:
@@ -218,7 +220,6 @@ class ContractState:
         self.candidate: Solution = Solution.empty()
         self.candidate_objective: float = 0.0
         self.pinned = PinnedTrades(grid.clearing_lead - 1)
-        self.current_interval: int = 0
         self.next_offer_id: int = 1
         self.lp_head: object = object()
 
@@ -234,6 +235,11 @@ class ContractState:
         if handler(self, payload, parsed):
             self.lp_head = event
 
+    @property
+    def current_interval(self) -> int:
+        """The next interval to finalize: the one whose trades pin ``clearing_lead`` ahead."""
+        return self.pinned.finalized_through + 1 - self.grid.clearing_lead
+
     def improves(self, value: float) -> bool:
         """The one rule for when a solution of objective ``value`` beats the candidate."""
         return value > self.candidate_objective + IMPROVEMENT_MARGIN
@@ -244,18 +250,13 @@ class ContractState:
         return False
 
     def _offer_posted(self, payload: dict, offer: Offer) -> bool:
-        oid = offer.id
-        self.book[oid] = offer
-        if oid >= self.next_offer_id:
-            self.next_offer_id = oid + 1
-        if offer.end > self.pinned.finalized_through:
-            self.open_offers[oid] = offer
-            return True
-        return False
+        self.book[offer.id] = self.open_offers[offer.id] = offer
+        self.next_offer_id = offer.id + 1
+        return True
 
     def _solution_accepted(self, payload: dict, solution: Solution) -> bool:
         self.candidate = solution
-        self.candidate_objective = float(payload["objective"])
+        self.candidate_objective = payload["objective"]
         return False
 
     def _unchanged(self, payload: dict, parsed: None) -> bool:
@@ -268,7 +269,6 @@ class ContractState:
         self.pinned.pin(payload["finalized_interval"], due)
         for oid in closed:
             del self.open_offers[oid]
-        self.current_interval = payload["interval"]
         return True
 
     def _participant_removed(self, payload: dict, stripped: Solution) -> bool:
@@ -277,7 +277,7 @@ class ContractState:
             withdrew |= self.open_offers.pop(oid, None) is not None
             self.retired[oid] = self.book.pop(oid)
         self.candidate = stripped
-        self.candidate_objective = float(payload["candidate_objective"])
+        self.candidate_objective = payload["candidate_objective"]
         return withdrew
 
     _HANDLERS = {
@@ -414,10 +414,10 @@ class Contract:
                           energy_kwh, start, end, reservation_price)
         except ValueError as exc:
             raise InvalidQuantity(str(exc)) from None
-        earliest = self.state.current_interval + self.state.grid.clearing_lead
-        if offer.start < earliest:
+        frontier = self.state.pinned.finalized_through
+        if offer.start <= frontier:
             raise StaleInterval(
-                f"start {offer.start} precedes earliest open interval {earliest}")
+                f"start {offer.start} precedes earliest open interval {frontier + 1}")
         return self._append(OFFER_POSTED, _offer_payload(offer), time, offer)
 
     def submit_solution(self, participant: str, solution: Solution,
@@ -705,10 +705,11 @@ def write_events_jsonl(path: str | Path, events: Iterable[LedgerEvent],
 
 def _check_header(where: str, header: dict) -> None:
     """Refuse a header the writer would not write, naming ``where`` it is."""
-    if header.keys() != _HEADER_FIELDS:
+    version = header.get("version")
+    if type(version) is not int or version != LOG_VERSION:  # 2.0 equals it but is not its spelling
+        problem = f"log version {version} is not supported; this reader reads version {LOG_VERSION}"
+    elif header.keys() != _HEADER_FIELDS:
         problem = f"header fields are {sorted(header)}, not {sorted(_HEADER_FIELDS)}"
-    elif type(header["version"]) is not int:  # 2.0 equals the version but is not its spelling
-        problem = f"version is {header['version']!r}, not {LOG_VERSION}"
     elif header["format"] != LOG_FORMAT:
         problem = f"format is {header['format']!r}, not {LOG_FORMAT!r}"
     else:
@@ -766,10 +767,6 @@ def _records(path: Path) -> Iterator[dict | LedgerEvent]:
             elif header is None:
                 if kind != "header":
                     raise LogFormatError(f"{path}:{line_no}: record before the header")
-                if record.get("version") != LOG_VERSION:
-                    raise LogFormatError(
-                        f"{path}: log version {record.get('version')} is not supported; "
-                        f"this reader reads version {LOG_VERSION}")
                 _check_header(f"{path}:{line_no}", record)
                 header = record
                 yield header

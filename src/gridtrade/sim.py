@@ -96,6 +96,9 @@ class SimConfig:
                 number(name, getattr(self, name), 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if self.prediction_window < self.grid.clearing_lead:  # prosumers would post nothing
+            raise ConfigError(f"prediction_window {self.prediction_window} is below "
+                              f"clearing_lead {self.grid.clearing_lead}")
         if type(self.adaptive) is not bool:  # a truthy "no" must not turn control on
             raise ConfigError(f"adaptive must be a bool, got {self.adaptive!r}")
         if not (isinstance(self.failures, (list, tuple))

@@ -561,8 +561,9 @@ def linprog(c: np.ndarray, a: CsrMatrix, rhs: np.ndarray) -> tuple[np.ndarray, n
 
 def _self_validate(solution: Solution, book: Mapping[int, Offer], grid: GridModel,
                    pinned: PinnedTrades) -> None:
-    """Raise :class:`NumericFailure` unless ``solution`` passes
-    :func:`check_feasibility` against ``book``, ``grid`` and ``pinned``."""
+    """Raise :class:`NumericFailure`, naming the first violations' kinds and
+    subjects, unless ``solution`` passes :func:`check_feasibility` against
+    ``book``, ``grid`` and ``pinned``."""
     try:
         report = check_feasibility(solution, book, grid, pinned)
     except MarketError as exc:  # a trade the pins or the book rule out entirely
@@ -605,7 +606,7 @@ def solve(instance: LpInstance) -> Solution:
 
 
 class SequenceGap(ValueError):
-    """Events handed to a mirror skip a sequence number."""
+    """Events handed to a mirror skip a sequence number; names both seqs."""
 
 
 # The last solve a SolverAgent made in this process, shared by every agent:

@@ -197,6 +197,14 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
     return traces
 
 
+def _spell(value: float) -> str:
+    """``value`` to nine significant digits where that reads back exactly,
+    else in its shortest round-trip form, so that a written trace reads back
+    as it was."""
+    text = format(value, ".9g")
+    return text if float(text) == value else repr(float(value))
+
+
 def write_traces(path: str | Path, traces: list[ProsumerTrace]) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -206,8 +214,8 @@ def write_traces(path: str | Path, traces: list[ProsumerTrace]) -> Path:
             for interval in range(len(trace)):
                 writer.writerow([
                     trace.participant, trace.feeder, interval,
-                    format(trace.production[interval], ".9g"),
-                    format(trace.demand[interval], ".9g"),
+                    _spell(trace.production[interval]),
+                    _spell(trace.demand[interval]),
                     int(trace.flexible), trace.flex_window,
                 ])
     return path

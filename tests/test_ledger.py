@@ -145,6 +145,24 @@ class TestPostOffer:
         with pytest.raises(StaleInterval):
             contract.post_offer("alice", Side.SELLING, 0, 0, 5.0)
 
+    def test_the_frontier_is_the_clock_at_a_lead_of_two(self, grid):
+        lead2 = GridModel(grid.feeders, grid.interval_hours, clearing_lead=2)
+        contract = fresh_contract(lead2)
+        contract.register("alice", Role.PROSUMER, "main")
+        state = contract.state
+        assert (state.current_interval, state.pinned.finalized_through) == (0, 1)
+        with pytest.raises(StaleInterval, match="^start 1 precedes earliest open interval 2$"):
+            contract.post_offer("alice", Side.SELLING, 1, 3, 5.0)
+        contract.finalize("dso", 0)
+        assert (state.current_interval, state.pinned.finalized_through) == (1, 2)
+        with pytest.raises(StaleInterval, match="earliest open interval 3$"):
+            contract.post_offer("alice", Side.SELLING, 2, 3, 5.0)
+        offer = contract.post_offer("alice", Side.SELLING, 3, 3, 5.0).parsed
+        assert state.open_offers == state.book == {offer.id: offer}
+        with pytest.raises(AttributeError):
+            state.current_interval = 5
+        assert state.current_interval == 1
+
     def test_zero_energy_rejected(self, grid):
         contract = fresh_contract(grid)
         contract.register("alice", Role.PROSUMER, "main")

@@ -354,6 +354,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             base_config(tight, 4, lookahead=2)
 
+    def test_prediction_window_below_lead_rejected(self, grid):
+        tight = GridModel(grid.feeders, grid.interval_hours, clearing_lead=3)
+        with pytest.raises(ConfigError, match="prediction_window 2 is below clearing_lead 3"):
+            base_config(tight, 4, prediction_window=2)
+        assert base_config(tight, 4, prediction_window=3).prediction_window == 3
+
     def test_simulated_interval_cannot_outrun_real_one(self, grid):
         with pytest.raises(ConfigError):
             base_config(grid, 4, seconds_per_interval=3601.0)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from gridtrade.ledger import Contract, ContractState, Role, replay_events, write_events_jsonl
+from gridtrade.ledger import (Contract, ContractState, EventKind, Role, replay_events,
+                             write_events_jsonl)
 from gridtrade.market import (
     Feeder,
     GridModel,
@@ -888,11 +889,15 @@ def small_day(seed, n_solvers, n_adversaries, delay, adaptive, solver_down, pros
     return Simulation(config, traces)
 
 
+SMALL_DAYS = dict(
+    seed=st.integers(0, 20), n_solvers=st.integers(2, 3), n_adversaries=st.integers(0, 2),
+    delay=st.sampled_from([0.0, 0.5, 1.5]), adaptive=st.booleans(),
+    solver_down=st.tuples(st.floats(0.0, 8.0), st.floats(0.5, 8.0)),
+    prosumer_down=st.floats(0.0, 24.0))
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 20), n_solvers=st.integers(2, 3), n_adversaries=st.integers(0, 2),
-       delay=st.sampled_from([0.0, 0.5, 1.5]), adaptive=st.booleans(),
-       solver_down=st.tuples(st.floats(0.0, 8.0), st.floats(0.5, 8.0)),
-       prosumer_down=st.floats(0.0, 24.0))
+@given(**SMALL_DAYS)
 def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
     """Forcing every agent to build and solve for itself changes no event,
     no solve record and no controller decision; sharing builds fewer LPs."""
@@ -926,10 +931,7 @@ def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 20), n_solvers=st.integers(2, 3), n_adversaries=st.integers(0, 2),
-       delay=st.sampled_from([0.0, 0.5, 1.5]), adaptive=st.booleans(),
-       solver_down=st.tuples(st.floats(0.0, 8.0), st.floats(0.5, 8.0)),
-       prosumer_down=st.floats(0.0, 24.0))
+@given(**SMALL_DAYS)
 def test_the_candidate_objective_falls_only_when_the_lp_head_moves(**day):
     """What lets a solver agent ask ``improves`` once per LP head: at an
     unmoved head no event lowers the candidate's objective, so a solution
@@ -941,6 +943,25 @@ def test_the_candidate_objective_falls_only_when_the_lp_head_moves(**day):
         head, before = state.lp_head, state.candidate_objective
         state.apply(event)
         assert state.candidate_objective >= before or state.lp_head is not head, event
+
+
+@settings(max_examples=25, deadline=None)
+@given(**SMALL_DAYS)
+def test_the_frontier_is_the_clock_and_every_posted_offer_is_open(**day):
+    """The state records what is closed once, in the pins: the interval is
+    read from the frontier, and an offer is open exactly while its window
+    ends after it, which the post's stale rule makes true of every new one."""
+    sim = small_day(**day)
+    report = sim.run()
+    state = ContractState(sim.config.grid)
+    advanced = 0
+    for event in report.events:
+        state.apply(event)
+        advanced += event.kind == EventKind.INTERVAL_ADVANCED
+        frontier = state.pinned.finalized_through
+        assert state.open_offers == {
+            oid: offer for oid, offer in state.book.items() if offer.end > frontier}, event
+        assert state.current_interval == advanced, event
 
 
 class TestSolverConfig:

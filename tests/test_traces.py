@@ -174,6 +174,23 @@ class TestIngest:
         restored = ingest_traces(path)
         assert restored == traces
 
+    def test_values_keep_every_digit_and_nine_digit_spellings(self, tmp_path):
+        traces = [ProsumerTrace("p1", "f01", (0.1234567891234, 0.0952, 1e-05, 2e10),
+                                (1 / 3, 0.25, 3.0, 12345678.9))]
+        path = write_traces(tmp_path / "out.csv", traces)
+        assert ingest_traces(path) == traces
+        assert [line.split(",")[3:5] for line in path.read_text().splitlines()[1:]] == [
+            ["0.1234567891234", "0.3333333333333333"], ["0.0952", "0.25"], ["1e-05", "3"],
+            ["2e+10", "12345678.9"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(0.0, allow_infinity=False), min_size=2, max_size=6))
+    def test_any_finite_value_round_trips(self, tmp_path_factory, values):
+        half = len(values) // 2
+        traces = [ProsumerTrace("p1", "f01", tuple(values[:half]), tuple(values[half:2 * half]))]
+        path = write_traces(tmp_path_factory.mktemp("digits") / "traces.csv", traces)
+        assert ingest_traces(path) == traces
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_round_trip_with_columns_permuted_and_one_unknown(self, tmp_path_factory, data):
