@@ -9,13 +9,15 @@ per-offer energy budgets net of finalized energy, per-feeder power limits,
 and reservation-price bands.
 
 All values are plain floats: power in kW, energy in kWh, prices in $/kWh,
-interval length in hours.
+interval length in hours. The records (an offer, a feeder, the grid, a
+feasibility report) are immutable tuple records. An offer, a feeder and the
+grid check their values in ``__new__``, which ``_make``, ``_replace``,
+copies and pickles go through too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 from types import MappingProxyType
@@ -54,43 +56,83 @@ class Side(str, Enum):
 SELLING, BUYING = Side.SELLING, Side.BUYING
 
 
-@dataclass(frozen=True)
-class Feeder:
-    """A distribution line segment with power limits.
-
-    ``net_flow_limit_kw`` bounds the absolute net power flowing in or out of
-    the feeder; ``internal_limit_kw`` bounds total production and total
-    consumption inside the feeder, each separately. Each is a non-negative
-    finite number (NumPy's included, a ``bool`` not).
-    """
-
+class _FeederRecord(NamedTuple):
     id: str
     net_flow_limit_kw: float
     internal_limit_kw: float
 
-    def __post_init__(self) -> None:
-        for limit in (self.net_flow_limit_kw, self.internal_limit_kw):
-            number(f"feeder {self.id}: limits", limit, 0.0)
+
+class Feeder(_FeederRecord):
+    """A distribution line segment with power limits: an immutable tuple record.
+
+    ``net_flow_limit_kw`` bounds the absolute net power flowing in or out of
+    the feeder; ``internal_limit_kw`` bounds total production and total
+    consumption inside the feeder, each separately. Each is a non-negative
+    finite number (NumPy's included, a ``bool`` not), kept as given.
+
+    ``__new__`` checks the limits; ``_make``, ``_replace``, copying and
+    pickling all go through it. As a tuple, a feeder equals a plain tuple of
+    its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, net_flow_limit_kw: float, internal_limit_kw: float) -> "Feeder":
+        for limit in (net_flow_limit_kw, internal_limit_kw):
+            number(f"feeder {id}: limits", limit, 0.0)
+        return tuple.__new__(cls, (id, net_flow_limit_kw, internal_limit_kw))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Feeder":
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return Feeder, tuple(self)  # every copy and pickle protocol rebuilds through ``__new__``
 
 
-@dataclass(frozen=True)
-class GridModel:
-    """Static grid description plus the market's timing constants:
-    ``interval_hours`` a positive finite number and ``clearing_lead`` an
-    integer of at least 1 (NumPy's included, a ``bool`` or ``1.0`` not)."""
-
+class _GridRecord(NamedTuple):
     feeders: tuple[Feeder, ...]
     interval_hours: float
     clearing_lead: int  # intervals between finalization and delivery
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feeders", tuple(self.feeders))
-        number("interval_hours", self.interval_hours, 0.0, above=True)
-        count("clearing_lead", self.clearing_lead, 1)
-        limits = {f.id: f for f in self.feeders}
-        if len(limits) != len(self.feeders):
+
+class GridModel(_GridRecord):
+    """Static grid description plus the market's timing constants: an
+    immutable tuple record. ``interval_hours`` is a positive finite number and
+    ``clearing_lead`` an integer of at least 1 (NumPy's included, a ``bool``
+    or ``1.0`` not), each kept as given; ``feeders`` is made a tuple, and
+    feeder ids must be unique.
+
+    ``__new__`` checks the values and derives ``_limits``, each feeder by id,
+    which ``check_feasibility`` reads; ``_make``, ``_replace``, copying and
+    pickling all go through it. Every assignment is refused. As a tuple, a
+    grid equals a plain tuple of its fields and hashes as one.
+    """
+
+    def __new__(cls, feeders: Iterable[Feeder], interval_hours: float,
+                clearing_lead: int) -> "GridModel":
+        feeders = tuple(feeders)
+        number("interval_hours", interval_hours, 0.0, above=True)
+        count("clearing_lead", clearing_lead, 1)
+        limits = {f.id: f for f in feeders}
+        if len(limits) != len(feeders):
             raise ValueError("feeder ids must be unique")
-        object.__setattr__(self, "_limits", limits)  # read by check_feasibility
+        grid = tuple.__new__(cls, (feeders, interval_hours, clearing_lead))
+        grid.__dict__["_limits"] = limits  # read by check_feasibility
+        return grid
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GridModel":
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return GridModel, tuple(self)  # as ``Feeder.__reduce__``; ``_limits`` is derived again
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GridModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GridModel is immutable: cannot delete {name!r}")
 
     def feeder_limits(self) -> Mapping[str, Feeder]:
         """Each feeder by id: a read-only view of a dict built once per grid."""
@@ -219,8 +261,8 @@ class Offer(_OfferRecord):
         is derived, so changing it is refused."""
         return Offer(**{**dict(zip(self._fields, self[:8])), **changes})
 
-    def __getnewargs__(self) -> tuple:
-        return self[:8]  # copy and pickle rebuild through ``__new__``
+    def __reduce__(self) -> tuple:
+        return Offer, self[:8]  # every copy and pickle protocol rebuilds through ``__new__``
 
     def covers(self, interval: int) -> bool:
         return self.start <= interval <= self.end
@@ -437,15 +479,18 @@ class Violation(NamedTuple):
     subject: str
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
+    """The violations of a checked solution: a tuple record, true exactly
+    when there are none. As a tuple, a report equals a plain tuple of its
+    fields."""
+
     violations: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a one-field tuple is otherwise always true
         return self.ok
 
 

@@ -10,9 +10,8 @@ interval of each finalized trade.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .ledger import (INTERVAL_ADVANCED, OFFER_POSTED, TRADE_FINALIZED, LedgerEvent,
                      write_events_jsonl)
@@ -27,8 +26,9 @@ class IncompleteLogError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IntervalRow:
+class IntervalRow(NamedTuple):
+    """One interval's offered and traded energy: a tuple record."""
+
     interval: int
     sell_offered_kwh: float
     buy_offered_kwh: float
@@ -36,8 +36,10 @@ class IntervalRow:
     trade_count: int
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
+    """A day's offered and traded energy, with the per-interval rows: a tuple
+    record. As a tuple, it equals a plain tuple of its fields."""
+
     sell_offered_kwh: float
     buy_offered_kwh: float
     traded_kwh: float

@@ -385,8 +385,10 @@ assert primal.tolist() == [2.0] and duals.tolist() == [1.0]
 class TestImports:
     @pytest.mark.parametrize("module", ["gridtrade.ledger", "gridtrade.cli"])
     def test_log_readers_start_without_the_optimizer(self, module):
-        code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
-        assert run_python(code) == "False"
+        # ``dataclasses`` loads ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``.
+        code = (f"import sys, {module}\n"
+                "print(sorted({'scipy.optimize', 'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert run_python(code) == "[]"
 
     def test_simulation_starts_without_scipy_optimize_or_sparse(self):
         code = ("import sys, gridtrade.sim\n"

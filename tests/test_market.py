@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridtrade.ledger import Contract
 from gridtrade.market import (
     TOLERANCE,
+    FeasibilityReport,
     Feeder,
     GridModel,
     InvalidTradeError,
@@ -21,6 +22,7 @@ from gridtrade.market import (
     UnknownOfferError,
     UnmatchablePairError,
     VIOLATION_KINDS,
+    Violation,
     check_feasibility,
     count,
     matchable,
@@ -92,6 +94,9 @@ class TestOfferRecord:
         pytest.param(lambda o: Offer._make([1, Side.SELLING, "s", "main", math.nan, 3, 4, 0.5]),
                      id="make"),
         pytest.param(lambda o: Offer._make([*o[:4], math.nan, *o[5:]]), id="make-whole-record"),
+        *(pytest.param(lambda o, protocol=protocol: pickle.loads(pickle.dumps(
+            tuple.__new__(Offer, (*o[:4], math.nan, *o[5:])), protocol)), id=f"pickle-{protocol}")
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
     ])
     def test_no_constructor_makes_a_nan_offer(self, make):
         with pytest.raises((ValueError, TypeError)):
@@ -212,6 +217,87 @@ class TestGridValidation:
         grid = GridModel((Feeder("x", np.float64(2.0), np.int64(3)),), np.float32(0.25),
                          np.int64(2))
         assert grid == GridModel((Feeder("x", 2.0, 3.0),), 0.25, 2)
+        # Kept as given, not converted, so a log header spells them as before.
+        assert [type(v) for v in (*grid.feeders[0][1:], grid.interval_hours,
+                                  grid.clearing_lead)] == [np.float64, np.int64, np.float32,
+                                                           np.int64]
+
+
+FEEDER = Feeder("main", 100.0, 80.0)
+
+# Values refused by ``__new__``, as (record class, fields by name).
+BAD_RECORDS = {
+    "feeder-nan-limit": (Feeder, {"id": "x", "net_flow_limit_kw": math.nan,
+                                  "internal_limit_kw": 1.0}),
+    "grid-nan-hours": (GridModel, {"feeders": (FEEDER,), "interval_hours": math.nan,
+                                   "clearing_lead": 1}),
+    "grid-bool-lead": (GridModel, {"feeders": (FEEDER,), "interval_hours": 0.25,
+                                   "clearing_lead": True}),
+    "grid-duplicate-ids": (GridModel, {"feeders": (FEEDER, Feeder("main", 1.0, 1.0)),
+                                       "interval_hours": 0.25, "clearing_lead": 1}),
+}
+GOOD_RECORDS = {Feeder: FEEDER, GridModel: GridModel((FEEDER,), 0.25, 2)}
+# Every way to make a record of ``fields``; the copies and pickles are of a
+# record made with no check, as a pickle of one could hold it.
+RECORD_PATHS = {
+    "positional": lambda cls, fields: cls(*fields.values()),
+    "keyword": lambda cls, fields: cls(**fields),
+    "make": lambda cls, fields: cls._make(fields.values()),
+    "replace": lambda cls, fields: GOOD_RECORDS[cls]._replace(**fields),
+    "copy": lambda cls, fields: copy.copy(tuple.__new__(cls, fields.values())),
+    "deepcopy": lambda cls, fields: copy.deepcopy(tuple.__new__(cls, fields.values())),
+    **{f"pickle-{protocol}": lambda cls, fields, protocol=protocol: pickle.loads(
+        pickle.dumps(tuple.__new__(cls, fields.values()), protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+class TestGridRecords:
+    @pytest.mark.parametrize("path", RECORD_PATHS)
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_no_path_makes_a_bad_record(self, case, path):
+        cls, fields = BAD_RECORDS[case]
+        with pytest.raises(ValueError):
+            RECORD_PATHS[path](cls, fields)
+
+    @pytest.mark.parametrize("cls", GOOD_RECORDS, ids=lambda cls: cls.__name__)
+    def test_copies_and_pickles_are_equal_records(self, cls):
+        record = GOOD_RECORDS[cls]
+        # A frozen dataclass hashed the tuple of its fields, as the record does.
+        assert hash(record) == hash(tuple(record))
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                     record._replace(), cls._make(record)):
+            assert twin == record and hash(twin) == hash(record) and type(twin) is cls
+        assert pickle.loads(pickle.dumps(record)) is not record
+
+    def test_a_copied_grid_derives_its_own_limits(self):
+        grid = GOOD_RECORDS[GridModel]
+        for twin in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            assert twin.feeder_limits() == {"main": FEEDER}
+            assert twin._limits is not grid._limits
+
+    @pytest.mark.parametrize("cls, name", [
+        *((Feeder, name) for name in (*Feeder._fields, "extra")),
+        *((GridModel, name) for name in (*GridModel._fields, "_limits", "extra")),
+        *((FeasibilityReport, name) for name in ("violations", "ok", "extra")),
+    ])
+    def test_no_field_or_new_attribute_can_be_assigned(self, cls, name):
+        record = GOOD_RECORDS.get(cls, FeasibilityReport())
+        before = tuple(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert tuple(record) == before and not hasattr(record, "extra")
+
+    def test_payload_round_trip(self):
+        grid = GridModel((FEEDER, Feeder("east", 4, 5.5)), 0.25, 3)
+        assert GridModel.from_payload(grid.to_payload()) == grid
+
+    def test_a_report_is_true_exactly_when_it_has_no_violation(self):
+        assert bool(FeasibilityReport()) is True and FeasibilityReport().ok
+        report = FeasibilityReport((Violation("price-band", "x"),))
+        assert bool(report) is False and not report.ok
 
 
 class TestMatchable:

@@ -5,7 +5,6 @@ import math
 import re
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -786,7 +785,9 @@ class TestSharedSolve:
     def test_another_config_or_grid_builds_its_own_lp(self, grid, solve_calls):
         contract, (one, _, _) = self.market(grid)
         short = SolverAgent("solver-2", grid, SolverConfig(lookahead=1))
-        copied = SolverAgent("solver-3", replace(grid), SolverConfig(lookahead=1))
+        twin = GridModel(*grid)
+        assert twin == grid and twin is not grid
+        copied = SolverAgent("solver-3", twin, SolverConfig(lookahead=1))
         one.step(contract.events_since(0))
         # Each differs from the solve before it in its config, then its grid object alone.
         for agent in (short, copied):
