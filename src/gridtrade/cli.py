@@ -199,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg[key.strip()] = value.strip()
     config, traces, unit_price = build_run_setup(cfg, args.traces)
     report = run(config, traces)
-    report.metrics = report.metrics._replace(unit_price=unit_price)
+    report = report._replace(metrics=report.metrics._replace(unit_price=unit_price))
     paths = export_report(report, args.out)
     print(f"finalized {report.intervals_finalized}/{report.config.horizon} intervals")
     print(f"traded {report.metrics.traded_kwh:.6g} kWh "

@@ -8,35 +8,41 @@ free to move the lookahead anywhere between the clearing lead and the
 current ceiling.
 
 Everything here is pure: updates return new state records, so agents can
-log every transition and tests can replay sequences.
+log every transition and tests can replay sequences. The records are
+immutable tuple records, each equal to a plain tuple of its fields. A signal
+and a state check their values in ``__new__``, which ``_make``, ``_replace``,
+copies and pickles go through too (see :class:`~.market.CheckedRecord`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
-from .market import count, number
+from .market import CheckedRecord, count, number
 
 
-@dataclass(frozen=True)
-class ResourceSignal:
-    """A snapshot of the solver host's resource usage."""
-
+class _SignalRecord(NamedTuple):
     cpu_fraction: float = 0.0
     mem_bytes: float = 0.0
     solve_time: float = 0.0
 
-    def __post_init__(self) -> None:
-        if number("cpu_fraction", self.cpu_fraction, 0.0) > 1.0:
-            raise ValueError(f"cpu_fraction must be within [0, 1], got {self.cpu_fraction!r}")
-        number("mem_bytes", self.mem_bytes, 0.0)
-        number("solve_time", self.solve_time, 0.0)
+
+class ResourceSignal(CheckedRecord, _SignalRecord):
+    """A snapshot of the solver host's resource usage."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ResourceSignal":
+        signal = super().__new__(cls, *args, **kwargs)
+        if number("cpu_fraction", signal.cpu_fraction, 0.0) > 1.0:
+            raise ValueError(f"cpu_fraction must be within [0, 1], got {signal.cpu_fraction!r}")
+        number("mem_bytes", signal.mem_bytes, 0.0)
+        number("solve_time", signal.solve_time, 0.0)
+        return signal
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class _StateRecord(NamedTuple):
     clearing_lead: int
     max_lookahead: int
     lookahead: int
@@ -45,14 +51,22 @@ class ControllerState:
     cpu_threshold: float = 0.30
     mem_threshold: float = math.inf  # inf: memory never lowers the ceiling
 
-    def __post_init__(self) -> None:
-        count("clearing_lead", self.clearing_lead, 1)
-        count("lookahead", self.lookahead, self.clearing_lead)
-        count("max_lookahead", self.max_lookahead, self.lookahead)
+
+class ControllerState(CheckedRecord, _StateRecord):
+    """Both layers' state: the lookahead, its ceiling and the gains."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ControllerState":
+        state = super().__new__(cls, *args, **kwargs)
+        count("clearing_lead", state.clearing_lead, 1)
+        count("lookahead", state.lookahead, state.clearing_lead)
+        count("max_lookahead", state.max_lookahead, state.lookahead)
         for name in ("kp", "setpoint", "cpu_threshold"):
-            number(name, getattr(self, name), 0.0)
-        if self.mem_threshold != math.inf:
-            number("mem_threshold", self.mem_threshold, 0.0)
+            number(name, getattr(state, name), 0.0)
+        if state.mem_threshold != math.inf:
+            number("mem_threshold", state.mem_threshold, 0.0)
+        return state
 
 
 def _round_half_away(value: float) -> int:
@@ -68,23 +82,23 @@ def top_level_update(state: ControllerState, signal: ResourceSignal) -> Controll
     if signal.cpu_fraction <= state.cpu_threshold and signal.mem_bytes <= state.mem_threshold:
         return state
     ceiling = max(state.clearing_lead, state.max_lookahead - 1)
-    return replace(state, max_lookahead=ceiling,
-                   lookahead=_clamp(state.lookahead, state.clearing_lead, ceiling))
+    return state._replace(max_lookahead=ceiling,
+                          lookahead=_clamp(state.lookahead, state.clearing_lead, ceiling))
 
 
 def low_level_update(state: ControllerState, solve_time: float) -> ControllerState:
     """Proportional step toward the solve-time set point."""
     number("solve_time", solve_time, 0.0)
     target = state.lookahead + state.kp * (state.setpoint - solve_time)
-    return replace(state, lookahead=_clamp(
+    return state._replace(lookahead=_clamp(
         _round_half_away(target), state.clearing_lead, state.max_lookahead))
 
 
 def reset_max_lookahead(state: ControllerState, max_lookahead: int) -> ControllerState:
     """Re-arm the ratchet after pressure has subsided; a ceiling below the
     clearing lead is refused."""
-    return replace(state, max_lookahead=max_lookahead,
-                   lookahead=_clamp(state.lookahead, state.clearing_lead, max_lookahead))
+    return state._replace(max_lookahead=max_lookahead,
+                          lookahead=_clamp(state.lookahead, state.clearing_lead, max_lookahead))
 
 
 class ResourceModel(Protocol):
@@ -95,8 +109,7 @@ class ResourceModel(Protocol):
     def signal(self, n_variables: int, solve_period: float) -> ResourceSignal: ...
 
 
-@dataclass(frozen=True)
-class AffineResourceModel:
+class AffineResourceModel(NamedTuple):
     """Deterministic synthetic resource meter, affine in LP size."""
 
     base_seconds: float = 0.02

@@ -10,9 +10,10 @@ and reservation-price bands.
 
 All values are plain floats: power in kW, energy in kWh, prices in $/kWh,
 interval length in hours. The records (an offer, a feeder, the grid, a
-feasibility report) are immutable tuple records. An offer, a feeder and the
-grid check their values in ``__new__``, which ``_make``, ``_replace``,
-copies and pickles go through too.
+feasibility report) are immutable tuple records, each equal to a plain tuple
+of its fields. An offer, a feeder and the grid check their values in
+``__new__``, which ``_make``, ``_replace``, copies and pickles go through
+too (see :class:`CheckedRecord`).
 """
 
 from __future__ import annotations
@@ -56,13 +57,32 @@ class Side(str, Enum):
 SELLING, BUYING = Side.SELLING, Side.BUYING
 
 
+class CheckedRecord:
+    """The base of a tuple record that checks its values in ``__new__``.
+
+    ``_make``, and so the ``_replace`` a ``NamedTuple`` inherits, call the
+    class, and every copy and pickle protocol rebuilds the record through it:
+    no path makes a record that ``__new__`` would refuse. List it before the
+    ``NamedTuple`` base, so that its ``_make`` comes first.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
 class _FeederRecord(NamedTuple):
     id: str
     net_flow_limit_kw: float
     internal_limit_kw: float
 
 
-class Feeder(_FeederRecord):
+class Feeder(CheckedRecord, _FeederRecord):
     """A distribution line segment with power limits: an immutable tuple record.
 
     ``net_flow_limit_kw`` bounds the absolute net power flowing in or out of
@@ -82,13 +102,6 @@ class Feeder(_FeederRecord):
             number(f"feeder {id}: limits", limit, 0.0)
         return tuple.__new__(cls, (id, net_flow_limit_kw, internal_limit_kw))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Feeder":
-        return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        return Feeder, tuple(self)  # every copy and pickle protocol rebuilds through ``__new__``
-
 
 class _GridRecord(NamedTuple):
     feeders: tuple[Feeder, ...]
@@ -96,7 +109,7 @@ class _GridRecord(NamedTuple):
     clearing_lead: int  # intervals between finalization and delivery
 
 
-class GridModel(_GridRecord):
+class GridModel(CheckedRecord, _GridRecord):
     """Static grid description plus the market's timing constants: an
     immutable tuple record. ``interval_hours`` is a positive finite number and
     ``clearing_lead`` an integer of at least 1 (NumPy's included, a ``bool``
@@ -119,14 +132,7 @@ class GridModel(_GridRecord):
             raise ValueError("feeder ids must be unique")
         grid = tuple.__new__(cls, (feeders, interval_hours, clearing_lead))
         grid.__dict__["_limits"] = limits  # read by check_feasibility
-        return grid
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "GridModel":
-        return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        return GridModel, tuple(self)  # as ``Feeder.__reduce__``; ``_limits`` is derived again
+        return grid  # a copy or pickle holds no ``_limits``: it is derived again
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"GridModel is immutable: cannot set {name!r}")

@@ -14,13 +14,16 @@ Three checks are offered, strongest first:
   instances with at most a handful of variables.
 * :func:`verify_certificate` - weak-duality proof that a reported solution
   is optimal for its own LP instance.
+
+The records are immutable tuple records. A :class:`ComparisonResult` is
+equal to a plain tuple of its fields; a :class:`ReferenceProblem`, which
+holds arrays, only to itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -87,13 +90,15 @@ def simplex_maximize(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float
     return float(tableau[m, -1]), x[:n]
 
 
-@dataclass(frozen=True)
-class ReferenceProblem:
+class ReferenceProblem(NamedTuple):
     """Dense constraint system built independently from an offer book."""
 
     variables: tuple[tuple[int, int, int], ...]
     a: np.ndarray
     b: np.ndarray
+
+    # Equal only to itself, as an object: the arrays are not compared.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def build_reference_problem(book: Mapping[int, Offer], grid: GridModel,
@@ -307,8 +312,7 @@ def _random_pin_entries(rng: np.random.Generator, book: Mapping[int, Offer],
     return {}
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     index: int
     n_variables: int
     solver_objective: float

@@ -9,6 +9,12 @@ after a notification latency its non-finalized trades are withdrawn.
 
 There is no wall-clock anywhere: identical configuration and traces give
 an identical event log, byte for byte.
+
+The records (a failure, a configuration, a report) are immutable tuple
+records, each equal to a plain tuple of its fields. A failure and a
+configuration check their values in ``__new__``, which ``_make``,
+``_replace``, copies and pickles go through too (see
+:class:`~.market.CheckedRecord`).
 """
 
 from __future__ import annotations
@@ -17,14 +23,15 @@ import heapq
 import math
 from bisect import insort
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
 from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
-from .market import BUYING, SELLING, GridModel, Offer, Solution, TradeKey, count, number
+from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Solution, TradeKey,
+                     count, number)
 from .metrics import Metrics, compute_metrics
 from .solver import SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -44,26 +51,33 @@ class UnknownParticipantError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FailureSpec:
+class _FailureRecord(NamedTuple):
     participant: str
     fail_time: float
     recover_time: float | None = None
 
-    def __post_init__(self) -> None:
-        if type(self.participant) is not str:
-            raise ConfigError(f"participant must be a str, got {self.participant!r}")
+
+class FailureSpec(CheckedRecord, _FailureRecord):
+    """A participant that fails at ``fail_time`` and, unless
+    ``recover_time`` is None, recovers at that later time (seconds)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "FailureSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        participant, fail_time, recover_time = spec
+        if type(participant) is not str:
+            raise ConfigError(f"participant must be a str, got {participant!r}")
         try:
-            number(f"{self.participant}: fail_time", self.fail_time, 0.0)
-            if self.recover_time is not None:
-                number(f"{self.participant}: recover_time", self.recover_time, self.fail_time,
-                       above=True)
+            number(f"{participant}: fail_time", fail_time, 0.0)
+            if recover_time is not None:
+                number(f"{participant}: recover_time", recover_time, fail_time, above=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        return spec
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _ConfigRecord(NamedTuple):
     grid: GridModel
     horizon: int
     seconds_per_interval: float = 4.0
@@ -81,32 +95,45 @@ class SimConfig:
     confirmation_delay: float = 0.0
     adaptive: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.grid, GridModel):
-            raise ConfigError(f"grid must be a GridModel, got {self.grid!r}")
+
+class SimConfig(CheckedRecord, _ConfigRecord):
+    """A day's settings: the grid, the horizon in intervals, the timing, the
+    participants and the failure schedule. A bad value raises
+    ``ConfigError``; ``failures`` is made a tuple, so a config hashes."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SimConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        grid = config.grid
+        if not isinstance(grid, GridModel):
+            raise ConfigError(f"grid must be a GridModel, got {grid!r}")
         try:
             for name, minimum in (("horizon", 1), ("prediction_window", 2),
-                                  ("lookahead", self.grid.clearing_lead), ("n_solvers", 0),
+                                  ("lookahead", grid.clearing_lead), ("n_solvers", 0),
                                   ("n_adversaries", 0), ("seed", 0)):
-                count(name, getattr(self, name), minimum)
+                count(name, getattr(config, name), minimum)
             for name in ("seconds_per_interval", "solver_period"):
-                number(name, getattr(self, name), 0.0, above=True)
+                number(name, getattr(config, name), 0.0, above=True)
             for name in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
                          "confirmation_delay"):
-                number(name, getattr(self, name), 0.0)
+                number(name, getattr(config, name), 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.prediction_window < self.grid.clearing_lead:  # prosumers would post nothing
-            raise ConfigError(f"prediction_window {self.prediction_window} is below "
-                              f"clearing_lead {self.grid.clearing_lead}")
-        if type(self.adaptive) is not bool:  # a truthy "no" must not turn control on
-            raise ConfigError(f"adaptive must be a bool, got {self.adaptive!r}")
-        if not (isinstance(self.failures, (list, tuple))
-                and all(isinstance(f, FailureSpec) for f in self.failures)):
-            raise ConfigError(f"failures must be a sequence of FailureSpec, got {self.failures!r}")
-        object.__setattr__(self, "failures", tuple(self.failures))  # a tuple, so the config hashes
-        if self.seconds_per_interval > self.grid.interval_hours * 3600.0:
+        if config.prediction_window < grid.clearing_lead:  # prosumers would post nothing
+            raise ConfigError(f"prediction_window {config.prediction_window} is below "
+                              f"clearing_lead {grid.clearing_lead}")
+        if type(config.adaptive) is not bool:  # a truthy "no" must not turn control on
+            raise ConfigError(f"adaptive must be a bool, got {config.adaptive!r}")
+        failures = config.failures
+        if not (isinstance(failures, (list, tuple))
+                and all(isinstance(f, FailureSpec) for f in failures)):
+            raise ConfigError(f"failures must be a sequence of FailureSpec, got {failures!r}")
+        if config.seconds_per_interval > grid.interval_hours * 3600.0:
             raise ConfigError("simulated interval cannot exceed the real interval")
+        if type(failures) is not tuple:
+            return config._replace(failures=tuple(failures))
+        return config
 
 
 class ProsumerAgent:
@@ -226,8 +253,9 @@ class AdversaryAgent:
         return Solution({k: (p * factor, pi) for k, (p, pi) in state.candidate.items()})
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
+    """A finished day: its config, events, metrics and the agents' records."""
+
     config: SimConfig
     events: list[LedgerEvent]
     metrics: Metrics

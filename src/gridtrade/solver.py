@@ -43,17 +43,23 @@ submits it (see :class:`SolverAgent`).
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
+
+The records are immutable tuple records. A config checks its values in
+``__new__``, which ``_make``, ``_replace``, copies and pickles go through too
+(see :class:`~.market.CheckedRecord`), and it and a :class:`SolveRecord` are
+each equal to a plain tuple of their fields. The records that hold arrays
+(:class:`CsrMatrix`, :class:`LpInstance`, :class:`SolveDiagnostics`) are
+equal only to themselves.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,6 +68,7 @@ from .controller import ControllerState, ResourceModel, low_level_update, top_le
 from .market import (
     BUYING,
     SELLING,
+    CheckedRecord,
     GridModel,
     MarketError,
     Offer,
@@ -117,25 +124,29 @@ class NumericFailure(Exception):
     """The LP engine failed or produced an unusable solution."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver tuning: how far ahead to look and how often to run."""
-
+class _SolverConfigRecord(NamedTuple):
     lookahead: int
     solve_period: float = 5.0
     price_cap: float = 1.0
 
-    def __post_init__(self) -> None:
-        count("lookahead", self.lookahead, 1)
-        number("solve_period", self.solve_period, 0.0, above=True)
-        number("price_cap", self.price_cap, 0.0)
+
+class SolverConfig(CheckedRecord, _SolverConfigRecord):
+    """Solver tuning: how far ahead to look and how often to run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SolverConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        count("lookahead", config.lookahead, 1)
+        number("solve_period", config.solve_period, 0.0, above=True)
+        number("price_cap", config.price_cap, 0.0)
+        return config
 
 
 Column = tuple[str, int, int]  # (kind, key, interval); see LpInstance
 
 
-@dataclass(frozen=True, eq=False)
-class CsrMatrix:
+class CsrMatrix(NamedTuple):
     """A sparse matrix as compressed sparse row arrays.
 
     Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
@@ -147,6 +158,9 @@ class CsrMatrix:
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
+
+    # Equal only to itself, as an object: the arrays are not compared.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def nnz(self) -> int:
@@ -174,8 +188,7 @@ TIE_BREAK = 1e-8
 TIE_BREAK_MAX = 5e-7
 
 
-@dataclass(frozen=True, eq=False)
-class LpInstance:
+class LpInstance(NamedTuple):
     """A built LP: maximize ``c @ x`` subject to ``matrix @ x <= rhs``, ``x >= 0``.
 
     The LP's offers are classes of identical offers (see :data:`class_key`),
@@ -201,16 +214,19 @@ class LpInstance:
     """
 
     variables: tuple[Column, ...]
-    c: np.ndarray = field(repr=False)
-    matrix: CsrMatrix = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    tie_break: np.ndarray = field(repr=False)
+    c: np.ndarray
+    matrix: CsrMatrix
+    rhs: np.ndarray
+    tie_break: np.ndarray
     book: tuple[Offer, ...]
-    classes: Mapping[int, tuple[tuple[int, float], ...]] = field(repr=False)
+    classes: Mapping[int, tuple[tuple[int, float], ...]]
     grid: GridModel
-    pinned: PinnedTrades = field(repr=False)
+    pinned: PinnedTrades
     now: int
     config: SolverConfig
+
+    # Equal only to itself, as an object: the arrays are not compared.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def n_variables(self) -> int:
@@ -407,13 +423,15 @@ def build_lp(book: Mapping[int, Offer], grid: GridModel, pinned: PinnedTrades,
                       weight[order], tuple(offers), shared, grid, pinned, now, config)
 
 
-@dataclass(frozen=True, eq=False)
-class SolveDiagnostics:
+class SolveDiagnostics(NamedTuple):
     """The optimality certificate of one solve: the primal and the row duals."""
 
     free_objective: float
-    primal: np.ndarray = field(repr=False)
-    duals: np.ndarray = field(repr=False)  # multipliers for the <= rows, sign-adjusted >= 0
+    primal: np.ndarray
+    duals: np.ndarray  # multipliers for the <= rows, sign-adjusted >= 0
+
+    # Equal only to itself, as an object: the arrays are not compared.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def midpoint_price(sell: Offer, buy: Offer, price_cap: float) -> float:
@@ -615,8 +633,7 @@ class SequenceGap(ValueError):
 _last_solve: tuple[object, GridModel, SolverConfig, LpInstance, Solution] | None = None
 
 
-@dataclass(frozen=True)
-class SolveRecord:
+class SolveRecord(NamedTuple):
     """One solver run, for the solver activity export. ``variables`` counts
     the LP's columns: one per class of identical offers and open interval,
     plus the carries. ``solve_time`` is the resource model's time for an LP
@@ -700,7 +717,7 @@ class SolverAgent:
         self._solved_head = head
         config = self.config
         if self.controller is not None:
-            config = replace(config, lookahead=self.controller.lookahead)
+            config = config._replace(lookahead=self.controller.lookahead)
         shared = _last_solve
         fresh = not (shared is not None and shared[0] is head and shared[1] is mirror.grid
                      and shared[2] == config)

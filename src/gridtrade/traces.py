@@ -8,6 +8,11 @@ both in kWh. The CSV wire format is one row per (participant, interval):
 Intervals must be dense from 0 for each participant. The two optional
 columns mark storage-capable participants whose surplus can be delivered
 over a window of later intervals rather than immediately.
+
+A :class:`ProsumerTrace` is an immutable tuple record, equal to a plain tuple
+of its fields. It checks its values in ``__new__``, which ``_make``,
+``_replace``, copies and pickles go through too (see
+:class:`~.market.CheckedRecord`).
 """
 
 from __future__ import annotations
@@ -15,13 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .market import count, number
+from .market import CheckedRecord, count, number
 
 
 class TraceError(Exception):
@@ -40,8 +45,7 @@ class NegativeValueError(TraceError):
     pass
 
 
-@dataclass(frozen=True)
-class ProsumerTrace:
+class _TraceRecord(NamedTuple):
     participant: str
     feeder: str
     production: tuple[float, ...]
@@ -49,18 +53,39 @@ class ProsumerTrace:
     flexible: bool = False
     flex_window: int = 1
 
-    def __post_init__(self) -> None:
-        if len(self.production) != len(self.demand):
-            raise ValueError(f"{self.participant}: series lengths differ")
-        series = self.production + self.demand
+
+class ProsumerTrace(CheckedRecord, _TraceRecord):
+    """One participant's day: per-interval production and demand in kWh.
+
+    The participant and feeder are ``str``s, the two series of equal length
+    hold finite numbers of at least 0, ``flexible`` is a ``bool`` and
+    ``flex_window`` an integer of at least 1; anything else raises
+    ``ValueError``. ``len(trace)`` is the number of intervals, not of fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ProsumerTrace":
+        trace = super().__new__(cls, *args, **kwargs)
+        participant, feeder, production, demand, flexible, flex_window = trace
+        if type(participant) is not str:
+            raise ValueError(f"participant must be a str, got {participant!r}")
+        if type(feeder) is not str:
+            raise ValueError(f"{participant}: feeder must be a str, got {feeder!r}")
+        if len(production) != len(demand):
+            raise ValueError(f"{participant}: series lengths differ")
+        series = production + demand
         # Floats alone, none below 0 and a finite sum: every value is a finite
         # number of at least 0. Anything else gets the per-value rule.
         if not ({*map(type, series)} == {float} and min(series) >= 0.0
                 and math.isfinite(sum(series))):
-            what = f"{self.participant}: series value"
+            what = f"{participant}: series value"
             for value in series:
                 number(what, value, 0.0)
-        count(f"{self.participant}: flex_window", self.flex_window, 1)
+        if type(flexible) is not bool:  # a truthy "no" must not spread a surplus
+            raise ValueError(f"{participant}: flexible must be a bool, got {flexible!r}")
+        count(f"{participant}: flex_window", flex_window, 1)
+        return trace
 
     def __len__(self) -> int:
         return len(self.production)

@@ -391,8 +391,9 @@ class TestImports:
         assert run_python(code) == "[]"
 
     def test_simulation_starts_without_scipy_optimize_or_sparse(self):
-        code = ("import sys, gridtrade.sim\n"
-                "print(sorted({'scipy.optimize', 'scipy.sparse', 'orjson'} & set(sys.modules)))\n"
+        code = ("import sys, gridtrade.sim, gridtrade.traces, gridtrade.oracle, gridtrade.cli\n"
+                "print(sorted({'scipy.optimize', 'scipy.sparse', 'orjson', 'dataclasses'}\n"
+                "             & set(sys.modules)))\n"
                 + ONE_VARIABLE_LP)
         assert run_python(code) == "[]"
 

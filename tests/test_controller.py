@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtrade.controller import (
@@ -174,6 +174,27 @@ def test_bound_invariant_under_any_call_sequence(ops):
         assert state.clearing_lead <= state.lookahead <= state.max_lookahead
     # between resets the ceiling never increases
     assert ceilings == sorted(ceilings, reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookahead=st.integers(1, 12), solve_time=st.integers(0, 50_000).map(lambda k: k / 1e4))
+@example(lookahead=6, solve_time=0.25)
+@example(lookahead=6, solve_time=0.2501)
+@example(lookahead=6, solve_time=0.75)
+@example(lookahead=6, solve_time=0.7501)
+def test_low_level_deadband_is_a_quarter_second_either_side_of_the_set_point(
+        lookahead, solve_time):
+    # kp 2 and set point 0.5 s, the defaults: the target moves by 2 * error,
+    # and it rounds half away from zero, so an error under 0.25 s moves
+    # nothing. Solve times are on a 0.1 ms grid, where that rule is exact.
+    state = ControllerState(clearing_lead=1, max_lookahead=12, lookahead=lookahead)
+    after = low_level_update(state, solve_time).lookahead
+    if solve_time <= 0.25:
+        assert after == min(lookahead + 1, 12)
+    elif solve_time <= 0.75:
+        assert after == lookahead
+    else:
+        assert after < lookahead or after == lookahead == 1
 
 
 def test_signal_validation():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -95,14 +93,14 @@ class TestCertificate:
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = replace(diagnostics, duals=np.zeros_like(diagnostics.duals))
+        bad = diagnostics._replace(duals=np.zeros_like(diagnostics.duals))
         assert verify_certificate(instance, bad) != []
 
     def test_tampered_primal_detected(self, battery_book, grid, pins_through_47):
         instance = build_lp(battery_book, grid, pins_through_47, 47,
                             SolverConfig(lookahead=2))
         _, diagnostics = solve_with_diagnostics(instance)
-        bad = replace(diagnostics, primal=diagnostics.primal + 1.0)
+        bad = diagnostics._replace(primal=diagnostics.primal + 1.0)
         assert verify_certificate(instance, bad) != []
 
 
