@@ -2,6 +2,7 @@
 
 The names below are imported from their modules on first use (PEP 562), so
 ``import gridtrade.ledger`` loads neither the solver nor SciPy's optimizer.
+No module of the package loads ``dataclasses``.
 """
 
 from importlib import import_module

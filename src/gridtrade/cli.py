@@ -14,6 +14,10 @@ The config file is a flat ``key = value`` format; ``#`` starts a comment.
 Structured values use ``:`` and ``;`` (for example
 ``feeders = f01:2000:2500; f02:2000:2500``). Any key can be overridden on
 the command line with ``--set key=value``.
+
+``verify`` and ``metrics`` load neither NumPy nor SciPy, nor ``inspect``;
+``run`` loads NumPy and HiGHS's compiled core, but neither
+``scipy.optimize`` nor ``scipy.sparse``.
 """
 
 from __future__ import annotations

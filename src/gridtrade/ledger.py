@@ -35,6 +35,7 @@ from .market import (
     VIOLATION_KINDS,
     check_feasibility,
     count,
+    name,
     number,
     objective,
     whole_interval,
@@ -93,7 +94,8 @@ class NotAuthorized(ContractError):
 
 class InvalidArgument(ContractError):
     """A call argument of the wrong type: a participant name that is not a
-    ``str`` or a submission that is not a ``Solution``."""
+    ``str`` (or, to register, not a :func:`~.market.name`) or a submission
+    that is not a ``Solution``."""
 
 
 class LogFormatError(ValueError):
@@ -386,7 +388,13 @@ class Contract:
 
     def register(self, participant: str, role: Role | str, feeder: str | None = None,
                  *, time: float = 0.0) -> LedgerEvent:
-        """A prosumer names its feeder; others may. A named feeder must exist."""
+        """A prosumer names its feeder; others may. A named feeder must exist.
+        A participant that is not a :func:`~.market.name` raises
+        ``InvalidArgument``."""
+        try:
+            name("participant", participant)
+        except ValueError as exc:
+            raise InvalidArgument(str(exc)) from None
         if self._registration(participant) is not None:
             raise DuplicateRegistration(f"{participant} is already registered")
         try:

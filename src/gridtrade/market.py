@@ -88,9 +88,10 @@ class Feeder(CheckedRecord, _FeederRecord):
     ``net_flow_limit_kw`` bounds the absolute net power flowing in or out of
     the feeder; ``internal_limit_kw`` bounds total production and total
     consumption inside the feeder, each separately. Each is a non-negative
-    finite number (NumPy's included, a ``bool`` not), kept as given.
+    finite number (NumPy's included, a ``bool`` not), kept as given; the id
+    is a :func:`name`.
 
-    ``__new__`` checks the limits; ``_make``, ``_replace``, copying and
+    ``__new__`` checks the values; ``_make``, ``_replace``, copying and
     pickling all go through it. As a tuple, a feeder equals a plain tuple of
     its fields.
     """
@@ -98,6 +99,7 @@ class Feeder(CheckedRecord, _FeederRecord):
     __slots__ = ()
 
     def __new__(cls, id: str, net_flow_limit_kw: float, internal_limit_kw: float) -> "Feeder":
+        name("feeder id", id)
         for limit in (net_flow_limit_kw, internal_limit_kw):
             number(f"feeder {id}: limits", limit, 0.0)
         return tuple.__new__(cls, (id, net_flow_limit_kw, internal_limit_kw))
@@ -195,6 +197,16 @@ def count(what: str, value, minimum: int) -> int:
     if isinstance(value, Integral) and type(value) is not bool and value >= minimum:
         return int(value)
     raise ValueError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
+def name(what: str, value) -> str:
+    """``value`` as a name: a ``str`` that is not empty and equals its own
+    ``.strip()``; anything else raises ``ValueError`` naming ``what`` it is.
+    The one rule for a participant's or a feeder's name."""
+    if type(value) is str and value and value == value.strip():
+        return value
+    raise ValueError(f"{what} must be a str, not empty and with no leading or trailing "
+                     f"whitespace, got {value!r}")
 
 
 def whole_interval(what: str, value) -> int:

@@ -5,6 +5,11 @@ trades finalized), so they can be recomputed from an exported audit file
 and must agree exactly with the in-process report. Offered energy is
 attributed to an offer's start interval; traded energy to the delivery
 interval of each finalized trade.
+
+Each CSV of the report bundle holds one tuple record per row, and its
+header is that record's fields: an :class:`IntervalRow`, a
+:class:`MetricRow`, a solver's ``SolveRecord`` and ``ControllerRow``, and a
+simulation's ``FailureRow``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ class IntervalRow(NamedTuple):
     buy_offered_kwh: float
     traded_kwh: float
     trade_count: int
+
+
+class MetricRow(NamedTuple):
+    """One day metric by name: a tuple record."""
+
+    metric: str
+    value: float
 
 
 class Metrics(NamedTuple):
@@ -66,17 +78,10 @@ class Metrics(NamedTuple):
     def unmet_dollars(self) -> float:
         return max(self.buy_offered_kwh - self.traded_kwh, 0.0) * self.unit_price
 
-    def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("sell_offered_kwh", self.sell_offered_kwh),
-            ("buy_offered_kwh", self.buy_offered_kwh),
-            ("traded_kwh", self.traded_kwh),
-            ("unused_fraction", self.unused_fraction),
-            ("unmet_fraction", self.unmet_fraction),
-            ("unused_dollars", self.unused_dollars),
-            ("unmet_dollars", self.unmet_dollars),
-            ("unit_price", self.unit_price),
-        ]
+    def rows(self) -> list[MetricRow]:
+        return [MetricRow(name, getattr(self, name)) for name in (
+            "sell_offered_kwh", "buy_offered_kwh", "traded_kwh", "unused_fraction",
+            "unmet_fraction", "unused_dollars", "unmet_dollars", "unit_price")]
 
 
 def compute_metrics(events: Iterable[LedgerEvent], interval_hours: float,
@@ -133,10 +138,12 @@ def compute_metrics(events: Iterable[LedgerEvent], interval_hours: float,
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".9g")
+    if isinstance(value, bool):
+        return "1" if value else "0"
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> Path:
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> Path:
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -154,31 +161,18 @@ def export_report(report: "SimReport", out_dir: str | Path) -> dict[str, Path]:
     paths["events"] = write_events_jsonl(
         out / "events.jsonl", report.events, config.grid, price_cap=config.price_cap)
 
-    paths["intervals"] = _write_csv(
-        out / "intervals.csv",
-        ["interval", "sell_offered_kwh", "buy_offered_kwh", "traded_kwh", "trade_count"],
-        ((r.interval, r.sell_offered_kwh, r.buy_offered_kwh, r.traded_kwh, r.trade_count)
-         for r in report.metrics.per_interval))
+    # Imported here: the run's records come with NumPy, which ``verify`` and
+    # ``metrics`` never load.
+    from .sim import FailureRow
+    from .solver import ControllerRow, SolveRecord
 
-    paths["solver"] = _write_csv(
-        out / "solver.csv",
-        ["time", "solver", "variables", "constraints", "solve_time", "objective",
-         "submitted", "error"],
-        ((r.time, r.solver, r.variables, r.constraints, r.solve_time, r.objective,
-          int(r.submitted), r.error) for r in report.solver_records))
-
-    paths["controller"] = _write_csv(
-        out / "controller.csv",
-        ["time", "solver", "solve_time", "lookahead", "max_lookahead", "cpu_fraction"],
-        ((row["time"], row["solver"], row["solve_time"], row["lookahead"],
-          row["max_lookahead"], row["cpu_fraction"]) for row in report.controller_rows))
-
-    paths["failures"] = _write_csv(
-        out / "failures.csv", ["time", "participant", "phase"],
-        ((row["time"], row["participant"], row["phase"]) for row in report.failure_log))
-
-    paths["metrics"] = _write_csv(
-        out / "metrics.csv", ["metric", "value"], report.metrics.rows())
+    for name, record, rows in (
+            ("intervals", IntervalRow, report.metrics.per_interval),
+            ("solver", SolveRecord, report.solver_records),
+            ("controller", ControllerRow, report.controller_rows),
+            ("failures", FailureRow, report.failure_log),
+            ("metrics", MetricRow, report.metrics.rows())):
+        paths[name] = _write_csv(out / f"{name}.csv", record._fields, rows)
 
     paths["summary"] = out / "summary.json"
     summary = {

@@ -10,10 +10,10 @@ after a notification latency its non-finalized trades are withdrawn.
 There is no wall-clock anywhere: identical configuration and traces give
 an identical event log, byte for byte.
 
-The records (a failure, a configuration, a report) are immutable tuple
-records, each equal to a plain tuple of its fields. A failure and a
-configuration check their values in ``__new__``, which ``_make``,
-``_replace``, copies and pickles go through too (see
+The records (a failure, a configuration, a failure's logged phase, a
+report) are immutable tuple records, each equal to a plain tuple of its
+fields. A failure and a configuration check their values in ``__new__``,
+which ``_make``, ``_replace``, copies and pickles go through too (see
 :class:`~.market.CheckedRecord`).
 """
 
@@ -24,6 +24,7 @@ import math
 from bisect import insort
 from collections.abc import Callable
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
 from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Solution, TradeKey,
                      count, number)
 from .metrics import Metrics, compute_metrics
-from .solver import SolveRecord, SolverAgent, SolverConfig
+from .solver import ControllerRow, SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
 
 DSO_ID = "dso"
@@ -99,7 +100,9 @@ class _ConfigRecord(NamedTuple):
 class SimConfig(CheckedRecord, _ConfigRecord):
     """A day's settings: the grid, the horizon in intervals, the timing, the
     participants and the failure schedule. A bad value raises
-    ``ConfigError``; ``failures`` is made a tuple, so a config hashes."""
+    ``ConfigError``, an ``adaptive`` that is not a ``bool`` and a failure
+    that is not a :class:`FailureSpec` among them; ``failures`` is made a
+    tuple, so a config hashes."""
 
     __slots__ = ()
 
@@ -253,18 +256,28 @@ class AdversaryAgent:
         return Solution({k: (p * factor, pi) for k, (p, pi) in state.candidate.items()})
 
 
+class FailureRow(NamedTuple):
+    """One phase of an injected failure as the simulation played it:
+    ``failed``, ``detected``, ``removed`` or ``recovered``."""
+
+    time: float
+    participant: str
+    phase: str
+
+
 class SimReport(NamedTuple):
-    """A finished day: its config, events, metrics and the agents' records."""
+    """A finished day: its config, events, metrics and the agents' records.
+    The export reads the grid, horizon and price cap from ``config``, the
+    :class:`SimConfig` the day ran."""
 
     config: SimConfig
     events: list[LedgerEvent]
     metrics: Metrics
     solver_records: list[SolveRecord]
-    controller_rows: list[dict]
-    failure_log: list[dict]
+    controller_rows: list[ControllerRow]
+    failure_log: list[FailureRow]
     final_state: ContractState
     intervals_finalized: int
-    max_variables: int = 0  # the largest LP's columns (see SolveRecord)
 
 
 # Priorities at equal timestamps: finalize the elapsed interval first, then
@@ -289,7 +302,7 @@ class Simulation:
         # (time, priority, push seq, handler, args); ties run in push order.
         self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._push_seq = 0
-        self.failure_log: list[dict] = []
+        self.failure_log: list[FailureRow] = []
         # Each participant's injected down windows: fail time to reactivation.
         self._down: dict[str, list[tuple[float, float]]] = {}
 
@@ -448,8 +461,7 @@ class Simulation:
         self._log_failure(participant, "recovered")
 
     def _log_failure(self, participant: str, phase: str) -> None:
-        self.failure_log.append(
-            {"time": self.time, "participant": participant, "phase": phase})
+        self.failure_log.append(FailureRow(self.time, participant, phase))
 
     def _prosumer_phase(self, now: int) -> None:
         cfg = self.config
@@ -500,12 +512,13 @@ class Simulation:
         metrics = compute_metrics(events, self.config.grid.interval_hours,
                                   horizon=self.config.horizon)
         records: list[SolveRecord] = []
-        controller_rows: list[dict] = []
+        controller_rows: list[ControllerRow] = []
         for sid in sorted(self.solvers):
             records.extend(self.solvers[sid].records)
             controller_rows.extend(self.solvers[sid].controller_trace)
-        records.sort(key=lambda r: (r.time, r.solver))
-        controller_rows.sort(key=lambda r: (r["time"], r["solver"]))
+        by_time_and_solver = itemgetter(0, 1)  # both records lead with (time, solver)
+        records.sort(key=by_time_and_solver)
+        controller_rows.sort(key=by_time_and_solver)
         return SimReport(
             config=self.config,
             events=events,
@@ -515,7 +528,6 @@ class Simulation:
             failure_log=self.failure_log,
             final_state=self.contract.state,
             intervals_finalized=finalized,
-            max_variables=max((r.variables for r in records), default=0),
         )
 
 

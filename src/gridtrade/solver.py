@@ -46,10 +46,10 @@ returned, so a solver bug can never leak an infeasible submission.
 
 The records are immutable tuple records. A config checks its values in
 ``__new__``, which ``_make``, ``_replace``, copies and pickles go through too
-(see :class:`~.market.CheckedRecord`), and it and a :class:`SolveRecord` are
-each equal to a plain tuple of their fields. The records that hold arrays
-(:class:`CsrMatrix`, :class:`LpInstance`, :class:`SolveDiagnostics`) are
-equal only to themselves.
+(see :class:`~.market.CheckedRecord`), and it, a :class:`SolveRecord` and a
+:class:`ControllerRow` are each equal to a plain tuple of their fields. The
+records that hold arrays (:class:`CsrMatrix`, :class:`LpInstance`,
+:class:`SolveDiagnostics`) are equal only to themselves.
 """
 
 from __future__ import annotations
@@ -651,6 +651,19 @@ class SolveRecord(NamedTuple):
     error: str = ""
 
 
+class ControllerRow(NamedTuple):
+    """One lookahead-controller update, after a solve: the modeled
+    ``solve_time`` it tracked, the ``lookahead`` and ``max_lookahead`` it
+    set, and the ``cpu_fraction`` the resource model read."""
+
+    time: float
+    solver: str
+    solve_time: float
+    lookahead: int
+    max_lookahead: int
+    cpu_fraction: float
+
+
 class SolverAgent:
     """A solver participant: mirrors the ledger and submits improvements.
 
@@ -683,7 +696,7 @@ class SolverAgent:
         self.controller = controller
         self.resource_model = resource_model
         self.records: list[SolveRecord] = []
-        self.controller_trace: list[dict] = []
+        self.controller_trace: list[ControllerRow] = []
         self._solved_head: object | None = None
 
     def observe(self, events: list[ledger_mod.LedgerEvent]) -> None:
@@ -754,11 +767,6 @@ class SolverAgent:
         signal = self.resource_model.signal(n_variables, self.config.solve_period)
         self.controller = top_level_update(self.controller, signal)
         self.controller = low_level_update(self.controller, modeled_time)
-        self.controller_trace.append({
-            "time": time,
-            "solver": self.id,
-            "solve_time": modeled_time,
-            "lookahead": self.controller.lookahead,
-            "max_lookahead": self.controller.max_lookahead,
-            "cpu_fraction": signal.cpu_fraction,
-        })
+        self.controller_trace.append(ControllerRow(
+            time, self.id, modeled_time, self.controller.lookahead,
+            self.controller.max_lookahead, signal.cpu_fraction))

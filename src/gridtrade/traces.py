@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import CheckedRecord, count, number
+from .market import CheckedRecord, count, name, number
 
 
 class TraceError(Exception):
@@ -57,10 +57,11 @@ class _TraceRecord(NamedTuple):
 class ProsumerTrace(CheckedRecord, _TraceRecord):
     """One participant's day: per-interval production and demand in kWh.
 
-    The participant and feeder are ``str``s, the two series of equal length
-    hold finite numbers of at least 0, ``flexible`` is a ``bool`` and
-    ``flex_window`` an integer of at least 1; anything else raises
-    ``ValueError``. ``len(trace)`` is the number of intervals, not of fields.
+    The participant and feeder are names (see :func:`~.market.name`), the
+    two series of equal length hold finite numbers of at least 0,
+    ``flexible`` is a ``bool`` and ``flex_window`` an integer of at least 1;
+    anything else raises ``ValueError``. ``len(trace)`` is the number of
+    intervals, not of fields.
     """
 
     __slots__ = ()
@@ -68,10 +69,8 @@ class ProsumerTrace(CheckedRecord, _TraceRecord):
     def __new__(cls, *args, **kwargs) -> "ProsumerTrace":
         trace = super().__new__(cls, *args, **kwargs)
         participant, feeder, production, demand, flexible, flex_window = trace
-        if type(participant) is not str:
-            raise ValueError(f"participant must be a str, got {participant!r}")
-        if type(feeder) is not str:
-            raise ValueError(f"{participant}: feeder must be a str, got {feeder!r}")
+        name("participant", participant)
+        name(f"{participant}: feeder", feeder)
         if len(production) != len(demand):
             raise ValueError(f"{participant}: series lengths differ")
         series = production + demand
@@ -267,7 +266,7 @@ def synthesize_traces(homes: int, producers: int, feeders: int, intervals: int,
     ``homes``; anything else raises ``SpecError``.
     """
     try:
-        homes, feeders, intervals = (count(name, value, 1) for name, value in (
+        homes, feeders, intervals = (count(what, value, 1) for what, value in (
             ("homes", homes), ("feeders", feeders), ("intervals", intervals)))
         producers, seed = count("producers", producers, 0), count("seed", seed, 0)
     except ValueError as exc:

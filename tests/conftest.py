@@ -95,6 +95,10 @@ HEADER_EDITS = {
     "interval-hours-bool": _grid_edit(interval_hours=True),
     "limit-string": _first_feeder_edit(net_flow_limit_kw="50"),
     "limit-bool": _first_feeder_edit(internal_limit_kw=False),
+    "feeder-id-int": _first_feeder_edit(id=5),
+    "feeder-id-null": _first_feeder_edit(id=None),
+    "feeder-id-empty": _first_feeder_edit(id=""),
+    "feeder-id-padded": _first_feeder_edit(id=" f01 "),
     "feeder-without-id": lambda h: {**h, "grid": {
         **h["grid"], "feeders": [_without(f, "id") for f in h["grid"]["feeders"]]}},
     "grid-not-an-object": lambda h: {**h, "grid": [1, 2]},

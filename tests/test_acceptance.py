@@ -331,7 +331,7 @@ def test_c05_lookahead_tradeoff_plateau():
                            lookahead=lookahead, n_solvers=1, seed=2)
         report = run(config, traces)
         traded.append(report.metrics.traded_kwh)
-        variables.append(report.max_variables)
+        variables.append(max(r.variables for r in report.solver_records))
 
     assert all(traded[i] <= traded[i + 1] + MARGIN for i in range(len(traded) - 1)), traded
     plateau = traded[-1]

@@ -75,6 +75,12 @@ class TestConfigParsing:
         assert len(traces) == 6
         assert unit_price == 0.12
 
+    @pytest.mark.parametrize("feeders", [":10:10", "f01:50:60; :10:10"])
+    def test_a_feeder_without_an_id_is_refused(self, traces_csv, feeders):
+        cfg = {**parse_flat_config(BASE_CONFIG), "feeders": feeders}
+        with pytest.raises(ValueError, match="^feeder id must be a str, not empty"):
+            build_run_setup(cfg, str(traces_csv))
+
     def test_missing_horizon_rejected(self, traces_csv):
         with pytest.raises(CliError, match="horizon"):
             build_run_setup({"feeders": "f01:1:1"}, str(traces_csv))

@@ -131,7 +131,7 @@ class TestHandleResourceEvent:
         agent._update_controller(time=0.0, n_variables=10, modeled_time=0.5)
         assert agent.controller.max_lookahead == 9
         assert agent.controller.lookahead == 8
-        assert agent.controller_trace[-1]["cpu_fraction"] == 0.9
+        assert agent.controller_trace[-1].cpu_fraction == 0.9
 
     def test_deadline_routes_to_low_level(self):
         agent = agent_with(make_state(kp=2.0), ResourceSignal(cpu_fraction=0.1))

@@ -182,6 +182,7 @@ PINS = {
 def test_bundle_is_byte_identical_and_its_log_verifies(case, tmp_path):
     out = tmp_path / "bundle"
     CASES[case](out)
+    assert sorted(path.name for path in out.iterdir()) == sorted(BUNDLE)  # no file unpinned
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in BUNDLE}
     assert digests == PINS[case]
     header, events = read_events_jsonl(out / "events.jsonl")

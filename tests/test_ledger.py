@@ -116,6 +116,13 @@ class TestRegister:
             contract.register(participant, Role.SOLVER)
         assert contract.events == [] and contract.state.participants == {}
 
+    @pytest.mark.parametrize("participant", ["", " ", " p1", "p1 ", "\tp1", "p1\n"])
+    def test_participant_that_is_not_a_name_refused(self, grid, participant):
+        contract = fresh_contract(grid, with_dso=False)
+        with pytest.raises(InvalidArgument, match="^participant must be a str, not empty"):
+            contract.register(participant, Role.PROSUMER, "main")
+        assert contract.events == [] and contract.state.participants == {}
+
     @pytest.mark.parametrize("call", [
         lambda c, p: c.post_offer(p, Side.SELLING, 2, 2, 5.0),
         lambda c, p: c.submit_solution(p, Solution.empty()),

@@ -224,57 +224,18 @@ class TestGridValidation:
 
 
 FEEDER = Feeder("main", 100.0, 80.0)
-
-# Values refused by ``__new__``, as (record class, fields by name).
-BAD_RECORDS = {
-    "feeder-nan-limit": (Feeder, {"id": "x", "net_flow_limit_kw": math.nan,
-                                  "internal_limit_kw": 1.0}),
-    "grid-nan-hours": (GridModel, {"feeders": (FEEDER,), "interval_hours": math.nan,
-                                   "clearing_lead": 1}),
-    "grid-bool-lead": (GridModel, {"feeders": (FEEDER,), "interval_hours": 0.25,
-                                   "clearing_lead": True}),
-    "grid-duplicate-ids": (GridModel, {"feeders": (FEEDER, Feeder("main", 1.0, 1.0)),
-                                       "interval_hours": 0.25, "clearing_lead": 1}),
-}
-GOOD_RECORDS = {Feeder: FEEDER, GridModel: GridModel((FEEDER,), 0.25, 2)}
-# Every way to make a record of ``fields``; the copies and pickles are of a
-# record made with no check, as a pickle of one could hold it.
-RECORD_PATHS = {
-    "positional": lambda cls, fields: cls(*fields.values()),
-    "keyword": lambda cls, fields: cls(**fields),
-    "make": lambda cls, fields: cls._make(fields.values()),
-    "replace": lambda cls, fields: GOOD_RECORDS[cls]._replace(**fields),
-    "copy": lambda cls, fields: copy.copy(tuple.__new__(cls, fields.values())),
-    "deepcopy": lambda cls, fields: copy.deepcopy(tuple.__new__(cls, fields.values())),
-    **{f"pickle-{protocol}": lambda cls, fields, protocol=protocol: pickle.loads(
-        pickle.dumps(tuple.__new__(cls, fields.values()), protocol))
-       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
-}
+GRID = GridModel((FEEDER,), 0.25, 2)
 
 
 class TestGridRecords:
-    @pytest.mark.parametrize("path", RECORD_PATHS)
-    @pytest.mark.parametrize("case", BAD_RECORDS)
-    def test_no_path_makes_a_bad_record(self, case, path):
-        cls, fields = BAD_RECORDS[case]
-        with pytest.raises(ValueError):
-            RECORD_PATHS[path](cls, fields)
-
-    @pytest.mark.parametrize("cls", GOOD_RECORDS, ids=lambda cls: cls.__name__)
-    def test_copies_and_pickles_are_equal_records(self, cls):
-        record = GOOD_RECORDS[cls]
-        # A frozen dataclass hashed the tuple of its fields, as the record does.
-        assert hash(record) == hash(tuple(record))
-        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
-                     record._replace(), cls._make(record)):
-            assert twin == record and hash(twin) == hash(record) and type(twin) is cls
-        assert pickle.loads(pickle.dumps(record)) is not record
+    """The grid's own behaviour. That every way to make a feeder or a grid
+    goes through its one check is tested with the other records, in
+    ``test_records.py``."""
 
     def test_a_copied_grid_derives_its_own_limits(self):
-        grid = GOOD_RECORDS[GridModel]
-        for twin in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        for twin in (copy.copy(GRID), copy.deepcopy(GRID), pickle.loads(pickle.dumps(GRID))):
             assert twin.feeder_limits() == {"main": FEEDER}
-            assert twin._limits is not grid._limits
+            assert twin._limits is not GRID._limits
 
     @pytest.mark.parametrize("cls, name", [
         *((Feeder, name) for name in (*Feeder._fields, "extra")),
@@ -282,7 +243,7 @@ class TestGridRecords:
         *((FeasibilityReport, name) for name in ("violations", "ok", "extra")),
     ])
     def test_no_field_or_new_attribute_can_be_assigned(self, cls, name):
-        record = GOOD_RECORDS.get(cls, FeasibilityReport())
+        record = {Feeder: FEEDER, GridModel: GRID}.get(cls, FeasibilityReport())
         before = tuple(record)
         with pytest.raises(AttributeError):
             setattr(record, name, 1.0)

@@ -135,9 +135,14 @@ class TestExport:
             controller_rows=[], failure_log=[], final_state=ContractState(grid),
             intervals_finalized=0)
         paths = export_report(report, tmp_path / "empty")
-        for name in ("intervals", "solver", "controller", "failures"):
-            lines = paths[name].read_text().splitlines()
-            assert len(lines) == 1  # header only
+        headers = {
+            "intervals": "interval,sell_offered_kwh,buy_offered_kwh,traded_kwh,trade_count",
+            "solver": "time,solver,variables,constraints,solve_time,objective,submitted,error",
+            "controller": "time,solver,solve_time,lookahead,max_lookahead,cpu_fraction",
+            "failures": "time,participant,phase",
+        }
+        for name, header in headers.items():
+            assert paths[name].read_text() == header + "\n"  # the header only
 
 
 def test_metrics_value_rows_cover_all_fields():

@@ -1,6 +1,7 @@
-"""The run side's tuple records: every way to make one goes through the one
-check in ``__new__``, copies equal the original, and the records that hold
-arrays are equal only to themselves."""
+"""The tuple records that check their values (the grid's and the run
+side's): every way to make one goes through the one check in ``__new__``,
+copies equal the original, and the records that hold arrays are equal only
+to themselves."""
 
 import copy
 import math
@@ -15,9 +16,12 @@ from gridtrade.sim import ConfigError, FailureSpec, SimConfig
 from gridtrade.solver import SolverConfig, build_lp, solve_with_diagnostics
 from gridtrade.traces import ProsumerTrace
 
-GRID = GridModel((Feeder("main", 100.0, 80.0),), 0.25, 1)
+FEEDER = Feeder("main", 100.0, 80.0)
+GRID = GridModel((FEEDER,), 0.25, 1)
 SPEC = FailureSpec("p1", 1.0, 2.0)
 GOOD_RECORDS = {
+    Feeder: FEEDER,
+    GridModel: GRID,
     SolverConfig: SolverConfig(lookahead=3),
     SimConfig: SimConfig(grid=GRID, horizon=4, failures=(SPEC,)),
     FailureSpec: SPEC,
@@ -28,6 +32,15 @@ GOOD_RECORDS = {
 
 # Values refused by ``__new__``: (record class, changed fields, error, message).
 BAD_RECORDS = {
+    "feeder-nan-limit": (Feeder, {"net_flow_limit_kw": math.nan}, ValueError,
+                         "feeder main: limits"),
+    "feeder-int-id": (Feeder, {"id": 5}, ValueError, "feeder id"),
+    "feeder-empty-id": (Feeder, {"id": ""}, ValueError, "feeder id"),
+    "feeder-padded-id": (Feeder, {"id": " main"}, ValueError, "feeder id"),
+    "grid-nan-hours": (GridModel, {"interval_hours": math.nan}, ValueError, "interval_hours"),
+    "grid-bool-lead": (GridModel, {"clearing_lead": True}, ValueError, "clearing_lead"),
+    "grid-duplicate-ids": (GridModel, {"feeders": (FEEDER, Feeder("main", 1.0, 1.0))},
+                           ValueError, "feeder ids"),
     "solver-zero-lookahead": (SolverConfig, {"lookahead": 0}, ValueError, "lookahead"),
     "solver-nan-period": (SolverConfig, {"solve_period": math.nan}, ValueError, "solve_period"),
     "sim-zero-horizon": (SimConfig, {"horizon": 0}, ConfigError, "horizon"),
@@ -40,6 +53,11 @@ BAD_RECORDS = {
     "signal-cpu-over-one": (ResourceSignal, {"cpu_fraction": 1.5}, ValueError, "cpu_fraction"),
     "trace-int-participant": (ProsumerTrace, {"participant": 5}, ValueError, "participant"),
     "trace-int-feeder": (ProsumerTrace, {"feeder": 5}, ValueError, "p1: feeder"),
+    "trace-empty-participant": (ProsumerTrace, {"participant": ""}, ValueError, "participant"),
+    "trace-padded-participant": (ProsumerTrace, {"participant": " p1 "}, ValueError,
+                                 "participant"),
+    "trace-empty-feeder": (ProsumerTrace, {"feeder": ""}, ValueError, "p1: feeder"),
+    "trace-padded-feeder": (ProsumerTrace, {"feeder": "f01\n"}, ValueError, "p1: feeder"),
     "trace-str-flexible": (ProsumerTrace, {"flexible": "no"}, ValueError, "p1: flexible"),
     "trace-int-flexible": (ProsumerTrace, {"flexible": 1}, ValueError, "p1: flexible"),
 }
@@ -70,12 +88,14 @@ class TestRunRecords:
     @pytest.mark.parametrize("cls", GOOD_RECORDS, ids=lambda cls: cls.__name__)
     def test_copies_and_pickles_are_equal_records(self, cls):
         record = GOOD_RECORDS[cls]
+        # A frozen dataclass hashed the tuple of its fields, as the record does.
         assert hash(record) == hash(tuple(record))
         for twin in (copy.copy(record), copy.deepcopy(record), record._replace(),
                      cls._make(record), cls(*record), cls(**record._asdict()),
                      *(pickle.loads(pickle.dumps(record, protocol))
                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
             assert twin == record and hash(twin) == hash(record) and type(twin) is cls
+        assert pickle.loads(pickle.dumps(record)) is not record
         with pytest.raises(AttributeError):
             record.extra = 1
 

@@ -193,7 +193,7 @@ class TestFailures:
         intervals_with_seller = {t for (_, _, t, _, _) in finalized_trades(report)}
         # removal lands at 23.88, interval 5; pinned trades through 5 retained
         assert intervals_with_seller == {1, 2, 3, 4, 5}
-        phases = [row["phase"] for row in report.failure_log]
+        phases = [row.phase for row in report.failure_log]
         assert phases == ["failed", "detected", "removed"]
 
     def test_failure_without_trades_only_detects(self, grid):
@@ -252,7 +252,7 @@ class TestFailures:
             assert report.events == alone.events
             assert report.events[-1].kind == EventKind.INTERVAL_ADVANCED
             assert report.events[-1].payload["interval"] == horizon
-            assert [(row["time"], row["participant"], row["phase"])
+            assert [(row.time, row.participant, row.phase)
                     for row in report.failure_log] == [
                 (5.0, "s1", "failed"), (5.14, "s1", "detected"), (6.88, "s1", "removed")]
             assert verify_log(grid, report.events) == []
@@ -289,7 +289,7 @@ class TestFailures:
                                      failures=failures[:1]), traces)
         with pytest.raises(ConfigError, match="^p001: "):
             sim.inject_failure("p001", 5.0, 6.0)
-        assert [(round(row["time"], 9), row["participant"], row["phase"])
+        assert [(round(row.time, 9), row.participant, row.phase)
                 for row in sim.run().failure_log] == [
             (1.0, "p001", "failed"), (1.14, "p001", "detected"), (2.88, "p001", "removed")]
 
@@ -299,7 +299,7 @@ class TestFailures:
         grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
         failures = (FailureSpec("p001", 1.0, 2.0), FailureSpec("p001", 20.0))
         report = run(base_config(grid, 8, seconds_per_interval=4.0, failures=failures), traces)
-        assert [(round(row["time"], 9), row["phase"]) for row in report.failure_log] == [
+        assert [(round(row.time, 9), row.phase) for row in report.failure_log] == [
             (1.0, "failed"), (1.14, "detected"), (2.88, "removed"), (8.52, "recovered"),
             (20.0, "failed"), (20.14, "detected"), (21.88, "removed")]
         assert verify_log(grid, report.events) == []
@@ -492,8 +492,8 @@ def test_adaptive_run_emits_controller_trace(grid, battery_traces):
     assert report.controller_rows
     row = report.controller_rows[0]
     assert {"time", "solver", "solve_time", "lookahead", "max_lookahead",
-            "cpu_fraction"} <= set(row)
-    assert all(r["lookahead"] <= r["max_lookahead"] for r in report.controller_rows)
+            "cpu_fraction"} <= set(row._fields)
+    assert all(r.lookahead <= r.max_lookahead for r in report.controller_rows)
 
 
 def test_solver_agent_survives_solve_failure(grid, battery_traces, monkeypatch):
