@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ledger import read_events_jsonl, verify_log
-from .market import Feeder, GridModel, number
+from .market import Feeder, GridModel, flag, number
 from .metrics import DEFAULT_UNIT_PRICE, compute_metrics, export_report
 
 # The simulation, the solver and the oracle (and with them NumPy and HiGHS)
@@ -57,55 +57,40 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return values
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOLS[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}") from None
-
-
 def _unit_price(text: str) -> float:
     return number("unit price", float(text), 0.0)
 
 
-def _get(cfg: dict[str, str], key: str, default, cast):
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as exc:
-        raise CliError(f"config key {key!r}: {exc}") from exc
+def _limit(text: str) -> float:
+    return number("feeder limit", float(text), 0.0)  # Feeder's rule for a limit
 
 
 def _chunks(text: str, sep: str) -> list[str]:
     return [chunk.strip() for chunk in text.split(sep) if chunk.strip()]
 
 
-def _parse_feeders(text: str) -> list[tuple[str, float, float]]:
+def _entries(text: str, parts: str) -> list[list[str]]:
+    """Each ``id:a:b`` entry of ``text`` as its three stripped ``parts``."""
     entries = []
     for chunk in _chunks(text, ";"):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise CliError(f"feeder entry {chunk!r}: expected id:net_kw:internal_kw")
-        entries.append((parts[0].strip(), float(parts[1]), float(parts[2])))
+        entry = [part.strip() for part in chunk.split(":")]
+        if len(entry) != 3:
+            raise ValueError(f"entry {chunk!r}: expected {parts}")
+        entries.append(entry)
     return entries
+
+
+def _parse_feeders(text: str) -> tuple[Feeder, ...]:
+    feeders = [Feeder(feeder, float(net), float(internal))
+               for feeder, net, internal in _entries(text, "id:net_kw:internal_kw")]
+    return GridModel(feeders).feeders  # the grid's own rule refuses a repeated id
 
 
 def _parse_failures(text: str) -> tuple[FailureSpec, ...]:
     from .sim import FailureSpec
 
-    specs = []
-    for chunk in _chunks(text, ";"):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise CliError(f"failure entry {chunk!r}: expected id:fail_time:recover_time")
-        recover = None if parts[2].strip() in ("-", "") else float(parts[2])
-        specs.append(FailureSpec(parts[0].strip(), float(parts[1]), recover))
-    return tuple(specs)
+    return tuple(FailureSpec(who, float(fail), None if recover in ("-", "") else float(recover))
+                 for who, fail, recover in _entries(text, "id:fail_time:recover_time"))
 
 
 def _parse_synthesize(text: str) -> dict[str, int]:
@@ -117,79 +102,90 @@ def _parse_synthesize(text: str) -> dict[str, int]:
             raise ValueError(f"{'repeated' if key in spec else 'unknown'} key {key!r}, "
                              f"expected each of {', '.join(known)} once")
         spec[key] = int(value)
-    missing = set(known) - set(spec)
-    if missing:
-        raise CliError(f"synthesize spec missing {sorted(missing)}")
+    if len(spec) < len(known):
+        raise ValueError(f"missing {', '.join(key for key in known if key not in spec)}")
     return spec
 
 
-# Config key -> (SimConfig field, cast). Only the keys present are passed on,
-# so SimConfig holds the only copy of each default.
-_SIM_KEYS = {
-    "horizon": ("horizon", int),
-    "seconds_per_interval": ("seconds_per_interval", float),
-    "prediction_window": ("prediction_window", int),
-    "solver_period": ("solver_period", float),
-    "lookahead": ("lookahead", int),
-    "solvers": ("n_solvers", int),
-    "adversaries": ("n_adversaries", int),
-    "seed": ("seed", int),
-    "price_cap": ("price_cap", float),
-    "failures": ("failures", _parse_failures),
-    "detect_latency": ("detect_latency", float),
-    "notify_latency": ("notify_latency", float),
-    "reactivate_latency": ("reactivate_latency", float),
-    "confirmation_delay": ("confirmation_delay", float),
-    "adaptive": ("adaptive", _parse_bool),
+# Config key -> (record, field, parser), in README's example order: a field of
+# the SimConfig, of its GridModel or of the run's own values. Only the keys
+# present are passed on, so each default is its record's (or _RUN_DEFAULTS').
+_KEYS = {
+    "horizon": ("sim", "horizon", int),
+    "interval_hours": ("grid", "interval_hours", float),
+    "seconds_per_interval": ("sim", "seconds_per_interval", float),
+    "clearing_lead": ("grid", "clearing_lead", int),
+    "prediction_window": ("sim", "prediction_window", int),
+    "lookahead": ("sim", "lookahead", int),
+    "solver_period": ("sim", "solver_period", float),
+    "solvers": ("sim", "n_solvers", int),
+    "adversaries": ("sim", "n_adversaries", int),
+    "seed": ("sim", "seed", int),
+    "price_cap": ("sim", "price_cap", float),
+    "unit_price": ("run", "unit_price", _unit_price),
+    "feeders": ("run", "feeders", _parse_feeders),
+    "default_feeder_net_kw": ("run", "default_feeder_net_kw", _limit),
+    "default_feeder_internal_kw": ("run", "default_feeder_internal_kw", _limit),
+    "failures": ("sim", "failures", _parse_failures),
+    "detect_latency": ("sim", "detect_latency", float),
+    "notify_latency": ("sim", "notify_latency", float),
+    "reactivate_latency": ("sim", "reactivate_latency", float),
+    "confirmation_delay": ("sim", "confirmation_delay", float),
+    "synthesize": ("run", "synthesize", _parse_synthesize),
+    "adaptive": ("sim", "adaptive", lambda text: flag("adaptive", text)),
 }
-# Keys build_run_setup reads itself: traces, grid and report pricing.
-_SETUP_KEYS = {"synthesize", "feeders", "default_feeder_net_kw",
-               "default_feeder_internal_kw", "interval_hours", "clearing_lead",
-               "unit_price"}
+_RUN_DEFAULTS = {"unit_price": DEFAULT_UNIT_PRICE, "feeders": (),
+                 "default_feeder_net_kw": 1e6, "default_feeder_internal_kw": 1e6,
+                 "synthesize": None}
+
+
+def _parsed(key: str, parse, value):
+    """``parse(value)``, where a refused value raises ``CliError`` naming ``key``."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise CliError(f"config key {key!r}: {exc}") from exc
 
 
 def build_run_setup(cfg: dict[str, str], traces_path: str | None):
-    """Assemble (SimConfig, traces, unit_price) from flat config values."""
+    """Assemble (SimConfig, traces, unit_price) from flat config values, each
+    key present parsed once by its ``_KEYS`` row. A value one key gives that is
+    refused (a ``Feeder``, a ``FailureSpec`` or the synthesized traces included)
+    raises ``CliError`` naming the key; ``GridModel`` and ``SimConfig`` take
+    several keys at once, and their errors name the field."""
     from .sim import SimConfig
     from .traces import ingest_traces, synthesize_traces
 
-    unknown = sorted(set(cfg) - _SIM_KEYS.keys() - _SETUP_KEYS)
+    unknown = sorted(set(cfg) - _KEYS.keys())
     if unknown:
         raise CliError(f"unknown config key {', '.join(map(repr, unknown))}")
     if "horizon" not in cfg:
         raise CliError("config key 'horizon' is required")
-    sim_values = {field: _get(cfg, key, None, cast)
-                  for key, (field, cast) in _SIM_KEYS.items() if key in cfg}
+    values = {"sim": {}, "grid": {}, "run": dict(_RUN_DEFAULTS)}
+    for key, (record, field, parse) in _KEYS.items():
+        if key in cfg:
+            values[record][field] = _parsed(key, parse, cfg[key])
+    sim, run = values["sim"], values["run"]
 
     if traces_path is not None:
         traces = ingest_traces(traces_path)
-    elif "synthesize" in cfg:
-        spec = _get(cfg, "synthesize", None, _parse_synthesize)
-        traces = synthesize_traces(
-            spec["homes"], spec["producers"], spec["feeders"], spec["intervals"],
-            seed=sim_values.get("seed", SimConfig.seed))
+    elif run["synthesize"] is not None:
+        seed = sim.get("seed", SimConfig._field_defaults["seed"])
+        traces = _parsed("synthesize", lambda spec: synthesize_traces(**spec, seed=seed),
+                         run["synthesize"])
     else:
         raise CliError("provide --traces or a 'synthesize' config key")
 
-    feeders = [Feeder(*entry) for entry in _get(cfg, "feeders", [], _parse_feeders)]
-    known = {f.id for f in feeders}
-    default_net = _get(cfg, "default_feeder_net_kw", 1e6, float)
-    default_internal = _get(cfg, "default_feeder_internal_kw", 1e6, float)
+    # The config's feeders (their parser refused a repeated id), then the traces'.
+    feeders = {f.id: f for f in run["feeders"]}
     for trace in traces:
-        if trace.feeder not in known:
-            feeders.append(Feeder(trace.feeder, default_net, default_internal))
-            known.add(trace.feeder)
+        if trace.feeder not in feeders:
+            feeders[trace.feeder] = Feeder(trace.feeder, run["default_feeder_net_kw"],
+                                           run["default_feeder_internal_kw"])
     if not feeders:
         raise CliError("no feeders defined")
-
-    grid = GridModel(
-        feeders=tuple(feeders),
-        interval_hours=_get(cfg, "interval_hours", 0.25, float),
-        clearing_lead=_get(cfg, "clearing_lead", 1, int),
-    )
-    config = SimConfig(grid=grid, **sim_values)
-    unit_price = _get(cfg, "unit_price", DEFAULT_UNIT_PRICE, _unit_price)
-    return config, traces, unit_price
+    config = SimConfig(grid=GridModel(feeders.values(), **values["grid"]), **sim)
+    return config, traces, run["unit_price"]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

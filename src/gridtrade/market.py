@@ -107,16 +107,16 @@ class Feeder(CheckedRecord, _FeederRecord):
 
 class _GridRecord(NamedTuple):
     feeders: tuple[Feeder, ...]
-    interval_hours: float
-    clearing_lead: int  # intervals between finalization and delivery
+    interval_hours: float = 0.25
+    clearing_lead: int = 1  # intervals between finalization and delivery
 
 
 class GridModel(CheckedRecord, _GridRecord):
     """Static grid description plus the market's timing constants: an
-    immutable tuple record. ``interval_hours`` is a positive finite number and
-    ``clearing_lead`` an integer of at least 1 (NumPy's included, a ``bool``
-    or ``1.0`` not), each kept as given; ``feeders`` is made a tuple, and
-    feeder ids must be unique.
+    immutable tuple record. ``interval_hours`` (0.25 by default) is a positive
+    finite number and ``clearing_lead`` (1 by default) an integer of at least
+    1 (NumPy's included, a ``bool`` or ``1.0`` not), each kept as given;
+    ``feeders`` is made a tuple, and feeder ids must be unique.
 
     ``__new__`` checks the values and derives ``_limits``, each feeder by id,
     which ``check_feasibility`` reads; ``_make``, ``_replace``, copying and
@@ -124,8 +124,8 @@ class GridModel(CheckedRecord, _GridRecord):
     grid equals a plain tuple of its fields and hashes as one.
     """
 
-    def __new__(cls, feeders: Iterable[Feeder], interval_hours: float,
-                clearing_lead: int) -> "GridModel":
+    def __new__(cls, *args, **kwargs) -> "GridModel":
+        feeders, interval_hours, clearing_lead = _GridRecord(*args, **kwargs)
         feeders = tuple(feeders)
         number("interval_hours", interval_hours, 0.0, above=True)
         count("clearing_lead", clearing_lead, 1)
@@ -207,6 +207,18 @@ def name(what: str, value) -> str:
         return value
     raise ValueError(f"{what} must be a str, not empty and with no leading or trailing "
                      f"whitespace, got {value!r}")
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def flag(what: str, text: str) -> bool:
+    """``text`` as a ``bool``: 1/0, true/false, yes/no or on/off, in any case;
+    anything else raises ``ValueError`` naming ``what`` it is. The one yes/no rule."""
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"{what} must be 1/0, true/false, yes/no or on/off, got {text!r}")
+    return _FLAGS[text.lower()]
 
 
 def whole_interval(what: str, value) -> int:

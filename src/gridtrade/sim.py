@@ -31,8 +31,8 @@ import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
 from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
-from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Solution, TradeKey,
-                     count, number)
+from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Side, Solution,
+                     TradeKey, count, name, number)
 from .metrics import Metrics, compute_metrics
 from .solver import ControllerRow, SolveRecord, SolverAgent, SolverConfig
 from .traces import ProsumerTrace
@@ -40,7 +40,7 @@ from .traces import ProsumerTrace
 DSO_ID = "dso"
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -67,9 +67,8 @@ class FailureSpec(CheckedRecord, _FailureRecord):
     def __new__(cls, *args, **kwargs) -> "FailureSpec":
         spec = super().__new__(cls, *args, **kwargs)
         participant, fail_time, recover_time = spec
-        if type(participant) is not str:
-            raise ConfigError(f"participant must be a str, got {participant!r}")
         try:
+            name("participant", participant)
             number(f"{participant}: fail_time", fail_time, 0.0)
             if recover_time is not None:
                 number(f"{participant}: recover_time", recover_time, fail_time, above=True)
@@ -112,15 +111,15 @@ class SimConfig(CheckedRecord, _ConfigRecord):
         if not isinstance(grid, GridModel):
             raise ConfigError(f"grid must be a GridModel, got {grid!r}")
         try:
-            for name, minimum in (("horizon", 1), ("prediction_window", 2),
-                                  ("lookahead", grid.clearing_lead), ("n_solvers", 0),
-                                  ("n_adversaries", 0), ("seed", 0)):
-                count(name, getattr(config, name), minimum)
-            for name in ("seconds_per_interval", "solver_period"):
-                number(name, getattr(config, name), 0.0, above=True)
-            for name in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
-                         "confirmation_delay"):
-                number(name, getattr(config, name), 0.0)
+            for field, minimum in (("horizon", 1), ("prediction_window", 2),
+                                   ("lookahead", grid.clearing_lead), ("n_solvers", 0),
+                                   ("n_adversaries", 0), ("seed", 0)):
+                count(field, getattr(config, field), minimum)
+            for field in ("seconds_per_interval", "solver_period"):
+                number(field, getattr(config, field), 0.0, above=True)
+            for field in ("price_cap", "detect_latency", "notify_latency", "reactivate_latency",
+                          "confirmation_delay"):
+                number(field, getattr(config, field), 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if config.prediction_window < grid.clearing_lead:  # prosumers would post nothing
@@ -142,32 +141,32 @@ class SimConfig(CheckedRecord, _ConfigRecord):
 class ProsumerAgent:
     """Posts one offer per surplus or deficit interval, never twice.
 
-    ``offered_through`` is the last interval considered for an offer: the
-    windows considered only move forward, so none up to it comes again.
+    Each interval's offer, ``(side, start, end, energy_kwh)`` or None, is
+    worked out from the trace once. ``offered_through`` is the last interval
+    considered for an offer: the windows considered only move forward, so
+    none up to it comes again.
     """
 
     def __init__(self, trace: ProsumerTrace, horizon: int):
-        self.trace = trace
-        self.horizon = horizon
         self.active = True
         self.offered_through = -1
-
-    def offers_for(self, now: int, clearing_lead: int, prediction_window: int) -> list[dict]:
-        out: list[dict] = []
-        last = min(now + prediction_window, self.horizon - 1, len(self.trace) - 1)
-        for t in range(max(now + clearing_lead, self.offered_through + 1), last + 1):
-            self.offered_through = t
-            net = self.trace.net(t)
-            if net > 1e-12:
-                end = t
-                if self.trace.flexible:
-                    end = min(t + self.trace.flex_window - 1, self.horizon - 1)
-                out.append({"side": SELLING, "start": t, "end": end,
-                            "energy_kwh": net})
+        spread = trace.flex_window - 1 if trace.flexible else 0
+        self._offers: list[tuple[Side, int, int, float] | None] = [None] * horizon
+        for t in range(horizon):  # the trace covers it: see Simulation._validate
+            net = trace.net(t)
+            if net > 1e-12:  # a surplus sells over the flexible window
+                self._offers[t] = (SELLING, t, min(t + spread, horizon - 1), net)
             elif net < -1e-12:
-                out.append({"side": BUYING, "start": t, "end": t,
-                            "energy_kwh": -net})
-        return out
+                self._offers[t] = (BUYING, t, t, -net)
+
+    def offers_for(self, now: int, clearing_lead: int,
+                   prediction_window: int) -> list[tuple[Side, int, int, float]]:
+        first = max(now + clearing_lead, self.offered_through + 1)
+        last = min(now + prediction_window, len(self._offers) - 1)
+        if first > last:
+            return []
+        self.offered_through = last
+        return [offer for offer in self._offers[first:last + 1] if offer is not None]
 
     def forget_future_offers(self, current_interval: int) -> None:
         """After recovery, allow re-posting for still-open intervals."""
@@ -464,18 +463,15 @@ class Simulation:
         self.failure_log.append(FailureRow(self.time, participant, phase))
 
     def _prosumer_phase(self, now: int) -> None:
-        cfg = self.config
-        for pid in sorted(self.prosumers):
-            agent = self.prosumers[pid]
-            if not agent.active:
-                continue
-            for offer in agent.offers_for(now, cfg.grid.clearing_lead,
-                                          cfg.prediction_window):
-                self._confirmed(self._post_offer, pid, offer)
+        lead, window = self.config.grid.clearing_lead, self.config.prediction_window
+        for pid, agent in self.prosumers.items():  # built in participant order
+            if agent.active:
+                for offer in agent.offers_for(now, lead, window):
+                    self._confirmed(self._post_offer, pid, offer)
 
-    def _post_offer(self, participant: str, offer: dict) -> None:
+    def _post_offer(self, participant: str, offer: tuple[Side, int, int, float]) -> None:
         try:
-            self.contract.post_offer(participant, time=self.time, **offer)
+            self.contract.post_offer(participant, *offer, time=self.time)
         except ContractError:
             pass  # a delayed offer for an interval finalized meanwhile is refused
 

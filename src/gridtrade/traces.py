@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .market import CheckedRecord, count, name, number
+from .market import CheckedRecord, count, flag, name, number
 
 
 class TraceError(Exception):
@@ -95,10 +95,6 @@ class ProsumerTrace(CheckedRecord, _TraceRecord):
 
 
 _REQUIRED_COLUMNS = ["participant", "feeder", "interval", "production_kwh", "demand_kwh"]
-
-
-_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
-          "": False}
 
 
 class _Participant:
@@ -189,11 +185,11 @@ def ingest_traces(path: str | Path) -> list[ProsumerTrace]:
                 elif record.feeder != feeder:
                     raise ParseError(
                         f"{path}:{reader.line_num}: {participant} appears on multiple feeders")
-                flag = "" if i_flexible is None else row[i_flexible]
-                flexible = _FLAGS.get(flag.strip().lower())
-                if flexible is None:
-                    raise ParseError(f"{path}:{reader.line_num}: flexible must be 1/0, "
-                                     f"true/false or yes/no, got {flag!r}")
+                cell = "" if i_flexible is None else row[i_flexible].strip()
+                try:
+                    flexible = flag("flexible", cell) if cell else False
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
                 if flex_window < 1:
                     raise ParseError(
                         f"{path}:{reader.line_num}: flex_window must be at least 1")
@@ -245,7 +241,7 @@ def write_traces(path: str | Path, traces: list[ProsumerTrace]) -> Path:
     return path
 
 
-class SpecError(Exception):
+class SpecError(ValueError):
     pass
 
 

@@ -23,6 +23,11 @@ HORIZON = 50
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1", None]
 BAD_COUNTS = BAD_NUMBERS + [2.5]
 
+# The one yes/no rule (``market.flag``): each spelling a config key and a
+# trace cell take, with the value it reads as.
+FLAG_SPELLINGS = [("1", True), ("ON", True), ("yes", True), ("True", True),
+                  ("0", False), ("off", False), ("No", False), ("false", False)]
+
 
 @pytest.fixture
 def grid() -> GridModel:

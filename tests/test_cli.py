@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,20 +9,19 @@ import pytest
 
 import gridtrade
 from gridtrade.cli import (
-    _SETUP_KEYS,
-    _SIM_KEYS,
+    _KEYS,
     CliError,
     build_run_setup,
     main,
     parse_flat_config,
 )
 from gridtrade.ledger import Contract, Role, write_events_jsonl
-from gridtrade.market import SELLING
+from gridtrade.market import SELLING, Feeder
 from gridtrade.metrics import DEFAULT_UNIT_PRICE
 from gridtrade.sim import SimConfig
 from gridtrade.traces import synthesize_traces, write_traces
 
-from conftest import HEADER_EDITS
+from conftest import FLAG_SPELLINGS, HEADER_EDITS
 
 BASE_CONFIG = """
 # community setup
@@ -44,6 +44,22 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def readme_config() -> str:
     """The README's example config: its one ``ini`` code block."""
     return README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def readme_defaults() -> dict[str, str]:
+    """Each optional key of README's example with the default README gives
+    it: the ``(default X)`` of the key's comment, else the example's value."""
+    defaults = {}
+    for line in readme_config().splitlines():
+        setting, _, comment = line.partition("#")
+        key, _, value = setting.partition("=")
+        marked = re.search(r"\(default ([^)]*)\)", comment)
+        defaults[key.strip()] = marked[1] if marked else value.strip()
+    del defaults["horizon"]  # required
+    return defaults
+
+
+SYNTHESIZE = "synthesize = homes=6,producers=2,feeders=3,intervals=12\n"
 
 
 @pytest.fixture
@@ -78,7 +94,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("feeders", [":10:10", "f01:50:60; :10:10"])
     def test_a_feeder_without_an_id_is_refused(self, traces_csv, feeders):
         cfg = {**parse_flat_config(BASE_CONFIG), "feeders": feeders}
-        with pytest.raises(ValueError, match="^feeder id must be a str, not empty"):
+        with pytest.raises(CliError,
+                           match="^config key 'feeders': feeder id must be a str, not empty"):
             build_run_setup(cfg, str(traces_csv))
 
     def test_missing_horizon_rejected(self, traces_csv):
@@ -86,15 +103,38 @@ class TestConfigParsing:
             build_run_setup({"feeders": "f01:1:1"}, str(traces_csv))
 
     def test_synthesize_spec(self):
-        cfg = parse_flat_config(BASE_CONFIG + "synthesize = homes=6,producers=2,feeders=3,intervals=12\n")
+        cfg = parse_flat_config(BASE_CONFIG + SYNTHESIZE)
         config, traces, _ = build_run_setup(cfg, None)
         assert len(traces) == 6
+
+    def test_synthesize_without_a_seed_takes_the_simconfig_default(self):
+        cfg = {"horizon": "4", "synthesize": "homes=4,producers=1,feeders=1,intervals=4"}
+        assert build_run_setup(cfg, None) == build_run_setup({**cfg, "seed": "0"}, None)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("feeders", "f01:-1:60", "feeder f01: limits must be a non-negative finite number"),
+        ("feeders", ":10:10", "feeder id must be a str, not empty"),
+        ("feeders", "f01:nan:60", "feeder f01: limits must be a non-negative finite number"),
+        ("feeders", "f01:1:1; f01:2:2", "feeder ids must be unique"),
+        ("feeders", "f01:1", "entry 'f01:1': expected id:net_kw:internal_kw"),
+        ("default_feeder_net_kw", "-5", "feeder limit must be a non-negative finite number"),
+        ("failures", "p001:-5:-", "p001: fail_time must be a non-negative finite number"),
+        ("failures", "p001:nan:-", "p001: fail_time must be a non-negative finite number"),
+        ("failures", "p001", "entry 'p001': expected id:fail_time:recover_time"),
+        ("synthesize", "homes=0,producers=1,feeders=1,intervals=4",
+         "homes must be an integer of at least 1"),
+        ("unit_price", "nan", "unit price must be a non-negative finite number"),
+        ("adaptive", "", "adaptive must be 1/0, true/false, yes/no or on/off, got ''")])
+    def test_a_refused_value_names_its_key(self, key, value, message):
+        cfg = parse_flat_config(BASE_CONFIG + SYNTHESIZE)
+        cfg[key] = value
+        with pytest.raises(CliError, match=f"^config key {key!r}: {re.escape(message)}"):
+            build_run_setup(cfg, None)
 
     @pytest.mark.parametrize("key, value", [
         ("feeders", "f01:abc:60"), ("synthesize", "homes=x,producers=2,feeders=3,intervals=12")])
     def test_malformed_feeders_or_synthesize_names_the_key(self, key, value):
-        cfg = parse_flat_config(
-            BASE_CONFIG + "synthesize = homes=6,producers=2,feeders=3,intervals=12\n")
+        cfg = parse_flat_config(BASE_CONFIG + SYNTHESIZE)
         cfg[key] = value
         with pytest.raises(CliError, match=f"^config key {key!r}: "):
             build_run_setup(cfg, None)
@@ -127,9 +167,7 @@ class TestConfigParsing:
         assert config == SimConfig(grid=config.grid, horizon=12)
         assert unit_price == DEFAULT_UNIT_PRICE
 
-    @pytest.mark.parametrize("text, value", [("1", True), ("ON", True), ("yes", True),
-                                             ("True", True), ("0", False), ("off", False),
-                                             ("No", False), ("false", False)])
+    @pytest.mark.parametrize("text, value", FLAG_SPELLINGS)
     def test_boolean_spellings(self, traces_csv, text, value):
         cfg = parse_flat_config(BASE_CONFIG + f"adaptive = {text}\n")
         assert build_run_setup(cfg, str(traces_csv))[0].adaptive is value
@@ -150,38 +188,71 @@ class TestConfigParsing:
 
     def test_readme_example_sets_every_key(self):
         cfg = parse_flat_config(readme_config())
-        assert set(cfg) == _SIM_KEYS.keys() | _SETUP_KEYS
+        assert list(cfg) == list(_KEYS)
         config, traces, unit_price = build_run_setup(cfg, None)
-        for key, (field, cast) in _SIM_KEYS.items():
-            assert getattr(config, field) == cast(cfg[key]), key
+        for key, (record, field, parse) in _KEYS.items():
+            if record != "run":
+                assert getattr({"sim": config, "grid": config.grid}[record], field) == \
+                    parse(cfg[key]), key
         assert unit_price == float(cfg["unit_price"])
-        assert config.grid.interval_hours == float(cfg["interval_hours"])
-        assert config.grid.clearing_lead == int(cfg["clearing_lead"])
         limits = config.grid.feeder_limits()
         assert limits["f01"].net_flow_limit_kw == 2000.0
         assert limits["f03"].net_flow_limit_kw == float(cfg["default_feeder_net_kw"])
         assert limits["f03"].internal_limit_kw == float(cfg["default_feeder_internal_kw"])
         assert len(traces) == 102
 
+    def test_readme_defaults_are_what_an_absent_key_gives(self):
+        example = parse_flat_config(readme_config())
+        with pytest.raises(CliError, match="'horizon' is required"):
+            build_run_setup({k: v for k, v in example.items() if k != "horizon"}, None)
+        for key, default in readme_defaults().items():
+            cfg = {k: v for k, v in example.items() if k != key}
+            if key == "synthesize":  # none: the traces must come from --traces
+                assert default == "none"
+                with pytest.raises(CliError, match="provide --traces"):
+                    build_run_setup(cfg, None)
+                continue
+            config, traces, unit_price = build_run_setup(cfg, None)
+            record, field, parse = _KEYS[key]
+            if key == "feeders":  # none: each trace feeder, at the default limits
+                assert default == "none"
+                limits = (float(cfg["default_feeder_net_kw"]),
+                          float(cfg["default_feeder_internal_kw"]))
+                assert config.grid.feeders == tuple(
+                    Feeder(f, *limits) for f in dict.fromkeys(t.feeder for t in traces))
+                continue
+            if record == "run":
+                unlisted = config.grid.feeders[-1]  # a trace feeder the example does not list
+                given = {"unit_price": unit_price,
+                         "default_feeder_net_kw": unlisted.net_flow_limit_kw,
+                         "default_feeder_internal_kw": unlisted.internal_limit_kw}[key]
+            else:
+                given = getattr({"sim": config, "grid": config.grid}[record], field)
+            assert given == parse("" if default == "none" else default), key
+
 
 class TestCommands:
-    @pytest.mark.parametrize("override", ["feeders=f01:nan:60; f02:50:60; f03:50:60",
-                                          "feeders=f01:50:inf; f02:50:60; f03:50:60",
-                                          "interval_hours=nan", "interval_hours=inf"])
+    @pytest.mark.parametrize("override, error, detail", [
+        ("feeders=f01:nan:60; f02:50:60; f03:50:60", "CliError", "config key 'feeders': "),
+        ("feeders=f01:50:inf; f02:50:60; f03:50:60", "CliError", "config key 'feeders': "),
+        ("interval_hours=nan", "ValueError", "interval_hours "),
+        ("interval_hours=inf", "ValueError", "interval_hours ")])
     def test_run_refuses_non_finite_grid_before_simulating(self, tmp_path, config_file,
-                                                           traces_csv, override, capsys):
+                                                           traces_csv, override, capsys,
+                                                           error, detail):
         out_dir = tmp_path / "out"
         rc = main(["run", "--config", str(config_file), "--traces", str(traces_csv),
                    "--out", str(out_dir), "--set", override])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "ValueError" in err and "and finite" in err
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"] == error
+        assert record["detail"].startswith(detail) and "and finite" in record["detail"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("overrides, error", [
         (["seconds_per_interval=nan"], "ConfigError"),
-        (["failures=p001:nan:-"], "ConfigError"),
-        (["failures=p001:4.0:inf"], "ConfigError"),
+        (["failures=p001:nan:-"], "CliError"),
+        (["failures=p001:4.0:inf"], "CliError"),
         (["failures=p001:4.0:-", "detect_latency=nan"], "ConfigError"),
         (["notify_latency=inf"], "ConfigError"),
         (["notify_latency=-100"], "ConfigError"),
@@ -206,7 +277,7 @@ class TestCommands:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
         assert record["error"] == error
         key = overrides[-1].partition("=")[0]
-        assert key in record["detail"] or overrides[-1].startswith("failures")
+        assert key in record["detail"]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("price", ["nan", "inf", "-1", "-inf"])

@@ -48,6 +48,9 @@ BAD_RECORDS = {
     "sim-tuple-failure": (SimConfig, {"failures": (("p1", 1.0, None),)}, ConfigError,
                           "failures"),
     "failure-int-participant": (FailureSpec, {"participant": 5}, ConfigError, "participant"),
+    "failure-empty-participant": (FailureSpec, {"participant": ""}, ConfigError, "participant"),
+    "failure-padded-participant": (FailureSpec, {"participant": "p1 "}, ConfigError,
+                                   "participant"),
     "failure-nan-time": (FailureSpec, {"fail_time": math.nan}, ConfigError, "p1: fail_time"),
     "state-lookahead-below-lead": (ControllerState, {"lookahead": 0}, ValueError, "lookahead"),
     "signal-cpu-over-one": (ResourceSignal, {"cpu_fraction": 1.5}, ValueError, "cpu_fraction"),

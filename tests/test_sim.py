@@ -116,8 +116,7 @@ class TestProsumerOffers:
         from gridtrade.sim import ProsumerAgent
         agent = ProsumerAgent(trace, horizon=50)
         offers = agent.offers_for(47, clearing_lead=1, prediction_window=2)
-        assert offers == [{"side": Side.SELLING, "start": 48, "end": 48,
-                           "energy_kwh": 10.0}]
+        assert offers == [(Side.SELLING, 48, 48, 10.0)]  # side, start, end, energy_kwh
 
     def test_balanced_trace_yields_nothing(self, grid):
         trace = ProsumerTrace("p", "main", tuple([3.0] * 50), tuple([3.0] * 50))
@@ -132,10 +131,7 @@ class TestProsumerOffers:
         from gridtrade.sim import ProsumerAgent
         agent = ProsumerAgent(trace, horizon=50)
         offers = agent.offers_for(47, 1, 2)
-        assert offers == [
-            {"side": Side.BUYING, "start": 48, "end": 48, "energy_kwh": 30.0},
-            {"side": Side.BUYING, "start": 49, "end": 49, "energy_kwh": 10.0},
-        ]
+        assert offers == [(Side.BUYING, 48, 48, 30.0), (Side.BUYING, 49, 49, 10.0)]
 
     def test_no_double_offering_across_steps(self, grid):
         trace = ProsumerTrace("p", "main", tuple([0.0] * 50), tuple([2.0] * 50))
@@ -143,8 +139,8 @@ class TestProsumerOffers:
         agent = ProsumerAgent(trace, horizon=50)
         first = agent.offers_for(0, 1, 3)
         second = agent.offers_for(1, 1, 3)
-        assert [o["start"] for o in first] == [1, 2, 3]
-        assert [o["start"] for o in second] == [4]
+        assert [start for _, start, _, _ in first] == [1, 2, 3]
+        assert [start for _, start, _, _ in second] == [4]
 
     def test_flexible_surplus_gets_window(self, grid):
         trace = ProsumerTrace("p", "main",
@@ -153,8 +149,7 @@ class TestProsumerOffers:
         from gridtrade.sim import ProsumerAgent
         agent = ProsumerAgent(trace, horizon=50)
         offers = agent.offers_for(47, 1, 2)
-        assert offers == [{"side": Side.SELLING, "start": 48, "end": 49,
-                           "energy_kwh": 30.0}]
+        assert offers == [(Side.SELLING, 48, 49, 30.0)]
 
 
 class TestClock:

@@ -17,7 +17,7 @@ from gridtrade.traces import (
     write_traces,
 )
 
-from conftest import BAD_COUNTS, BAD_NUMBERS
+from conftest import BAD_COUNTS, BAD_NUMBERS, FLAG_SPELLINGS
 
 
 HEADER = "participant,feeder,interval,production_kwh,demand_kwh"
@@ -160,12 +160,13 @@ class TestIngest:
             ingest_traces(path)
 
     def test_flag_spellings(self, tmp_path):
+        spelled = [f"d{i},f1,0,1.0,0.5, {text} ,2" for i, (text, _) in enumerate(FLAG_SPELLINGS)]
         path = write_csv(tmp_path, ["a,f1,0,1.0,0.5,Yes,3", "b,f1,0,1.0,0.5,,",
-                                    "c,f1,0,1.0,0.5,false,1"],
+                                    "c,f1,0,1.0,0.5,false,1", *spelled],
                          header="participant,feeder,interval,production_kwh,demand_kwh,"
                                 "flexible,flex_window")
         assert [(t.flexible, t.flex_window) for t in ingest_traces(path)] == [
-            (True, 3), (False, 1), (False, 1)]
+            (True, 3), (False, 1), (False, 1), *((value, 2) for _, value in FLAG_SPELLINGS)]
 
     def test_flexible_columns_round_trip(self, tmp_path):
         traces = [ProsumerTrace("batt", "f1", (3.0, 0.0), (0.0, 0.0),
