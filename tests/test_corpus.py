@@ -5,8 +5,10 @@ the SHA-256 of every file with the pin below; its event log must also
 verify. The cases are the benchmark's two day settings (restated here, so
 that the test needs only ``src/``) at seeds 1 and 2, and README's example
 config shrunk to 20 homes over 24 intervals, with its failures kept: as
-written, with ``adaptive = true`` so that ``controller.csv`` has rows, and
-with ``clearing_lead = 2`` so that one day finalizes two intervals ahead.
+written, with ``adaptive = true`` so that ``controller.csv`` has rows, with
+``clearing_lead = 2`` so that one day finalizes two intervals ahead, and
+with p013 failing at 20.1 s and recovering at 22 s, no reactivation delay,
+so that a prosumer re-posts the offers its removal withdrew.
 
 The pins hold for this environment's NumPy, SciPy and HiGHS, as
 ``GOLDEN_EVENTS_SHA256`` in ``test_contested_run.py`` does: a release that
@@ -108,6 +110,10 @@ CASES = {
     "readme": lambda out: run_readme(False, out),
     "readme-adaptive": lambda out: run_readme(True, out),
     "readme-lead2": lambda out: run_readme(False, out, "clearing_lead=2"),
+    # p013 is removed at 21.98 s and back at 22 s; at 24 s it posts intervals
+    # 7 and 8 again, which only forget_future_offers lets it do.
+    "readme-recovery": lambda out: run_readme(False, out, "failures=p013:20.1:22; solver-2:50:120",
+                                              "reactivate_latency=0"),
 }
 
 # SHA-256 of each bundle file, by case and file.
@@ -174,6 +180,15 @@ PINS = {
         "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
         "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
         "summary.json": "a678ee9a90a9f85ed3c994e84e8b1c7a65435cbb12e2b08a05d773949dba1ead",
+    },
+    "readme-recovery": {
+        "events.jsonl": "900a3129e61c36f65079bd7aa585d2adba9c6dd82619d71a7ffbab2993563efa",
+        "metrics.csv": "e459e4acf52589fd5ceeab6624c89c91f828ec3541277ce256e5770954b5c002",
+        "intervals.csv": "8f02ee8548f900f24b9741912881e01ddaa2b48090f738d6147404d01ecfafef",
+        "solver.csv": "21e3e07307d0868ae2f83361424583765c607a7e10702cedbc33756998302b6e",
+        "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
+        "failures.csv": "9ae2561a0124742d280eea6d7deb14e01a76e1116c32c874a5f01b9a2d575551",
+        "summary.json": "f41496677f7a3639c75cc534190cdac01b0ab9dec8c8a03d265960e588880e94",
     },
 }
 
