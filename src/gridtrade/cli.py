@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ledger import read_events_jsonl, verify_log
-from .market import Feeder, GridModel, flag, number
+from .market import Feeder, GridModel, count, flag, number
 from .metrics import DEFAULT_UNIT_PRICE, compute_metrics, export_report
 
 # The simulation, the solver and the oracle (and with them NumPy and HiGHS)
@@ -120,7 +120,7 @@ _KEYS = {
     "solver_period": ("sim", "solver_period", float),
     "solvers": ("sim", "n_solvers", int),
     "adversaries": ("sim", "n_adversaries", int),
-    "seed": ("sim", "seed", int),
+    "seed": ("sim", "seed", lambda text: count("seed", int(text), 0)),
     "price_cap": ("sim", "price_cap", float),
     "unit_price": ("run", "unit_price", _unit_price),
     "feeders": ("run", "feeders", _parse_feeders),

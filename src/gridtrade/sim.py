@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import AffineResourceModel, ControllerState
-from .ledger import Contract, ContractError, ContractState, LedgerEvent, Role
+from .ledger import Contract, ContractState, LedgerEvent, Role, StaleInterval
 from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Side, Solution,
                      TradeKey, count, name, number)
 from .metrics import Metrics, compute_metrics
@@ -48,8 +48,8 @@ class SimulationError(Exception):
     pass
 
 
-class UnknownParticipantError(Exception):
-    pass
+class UnknownParticipantError(ConfigError):
+    """A failure names no agent of the day: a prosumer, solver or adversary."""
 
 
 class _FailureRecord(NamedTuple):
@@ -99,9 +99,9 @@ class _ConfigRecord(NamedTuple):
 class SimConfig(CheckedRecord, _ConfigRecord):
     """A day's settings: the grid, the horizon in intervals, the timing, the
     participants and the failure schedule. A bad value raises
-    ``ConfigError``, an ``adaptive`` that is not a ``bool`` and a failure
-    that is not a :class:`FailureSpec` among them; ``failures`` is made a
-    tuple, so a config hashes."""
+    ``ConfigError``, an ``adaptive`` that is not a ``bool``, a failure that
+    is not a :class:`FailureSpec` and a schedule whose down windows overlap
+    among them; ``failures`` is made a tuple, so a config hashes."""
 
     __slots__ = ()
 
@@ -134,8 +134,30 @@ class SimConfig(CheckedRecord, _ConfigRecord):
         if config.seconds_per_interval > grid.interval_hours * 3600.0:
             raise ConfigError("simulated interval cannot exceed the real interval")
         if type(failures) is not tuple:
-            return config._replace(failures=tuple(failures))
+            return config._replace(failures=tuple(failures))  # checked again as a tuple
+        windows: dict[str, list[tuple[float, float]]] = {}  # by participant
+        for spec in failures:
+            # Down from the failure until the later of its removal and its
+            # reactivation, or for good with no recovery.
+            times = {phase: time for time, phase in config.failure_phases(spec)}
+            down = (spec.fail_time, max(times["removed"], times.get("recovered", math.inf)))
+            earlier = windows.setdefault(spec.participant, [])
+            if any(down[0] < up and start < down[1] for start, up in earlier):
+                raise ConfigError(f"failures: {spec.participant}: the failure at "
+                                  f"{spec.fail_time} overlaps an earlier one of its own")
+            earlier.append(down)
         return config
+
+    def failure_phases(self, spec: FailureSpec) -> list[tuple[float, str]]:
+        """``(time, phase)`` for each phase of ``spec`` the day schedules, in
+        the order it pushes them: ``failed``, ``detected`` and ``removed``
+        after their latencies, and ``recovered`` if ``spec`` recovers."""
+        at = spec.fail_time
+        phases = [(at, "failed"), (at + self.detect_latency, "detected"),
+                  (at + self.notify_latency, "removed")]
+        if spec.recover_time is not None:
+            phases.append((spec.recover_time + self.reactivate_latency, "recovered"))
+        return phases
 
 
 class ProsumerAgent:
@@ -256,7 +278,7 @@ class AdversaryAgent:
 
 
 class FailureRow(NamedTuple):
-    """One phase of an injected failure as the simulation played it:
+    """One phase of a scheduled failure as the simulation played it:
     ``failed``, ``detected``, ``removed`` or ``recovered``."""
 
     time: float
@@ -302,8 +324,6 @@ class Simulation:
         self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._push_seq = 0
         self.failure_log: list[FailureRow] = []
-        # Each participant's injected down windows: fail time to reactivation.
-        self._down: dict[str, list[tuple[float, float]]] = {}
 
         self.contract.register(DSO_ID, Role.DSO, time=0.0)
         self.prosumers: dict[str, ProsumerAgent] = {}
@@ -335,6 +355,9 @@ class Simulation:
             self.contract.register(aid, Role.SOLVER, time=0.0)
             self.adversaries[aid] = AdversaryAgent(aid, config.seed + 1000 + i)
         self._agents = {**self.prosumers, **self.solvers, **self.adversaries}
+        for spec in config.failures:  # the DSO is no agent: it cannot fail
+            if spec.participant not in self._agents:
+                raise UnknownParticipantError(f"failures: no agent named {spec.participant!r}")
 
         dt = config.seconds_per_interval
         for k in range(config.horizon):
@@ -345,7 +368,8 @@ class Simulation:
         for aid in sorted(self.adversaries):
             self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, 0)
         for spec in config.failures:
-            self.inject_failure(spec.participant, spec.fail_time, spec.recover_time)
+            for at, phase in config.failure_phases(spec):
+                self._push(at, _PRI_FAULT, self._failure_phase, spec.participant, phase)
 
     def _validate(self) -> None:
         ids = [t.participant for t in self.traces]
@@ -384,35 +408,6 @@ class Simulation:
         else:
             handler(*args)
 
-    def inject_failure(self, participant: str, at_time: float,
-                       recover_time: float | None = None) -> None:
-        """Silence a participant at ``at_time``; peers react after latency.
-
-        The participant is down from ``at_time`` until ``recover_time`` plus
-        ``reactivate_latency``, or for good with no recovery, and at least
-        until its removal at ``at_time`` plus ``notify_latency``. A time
-        :class:`FailureSpec` refuses, or a down window that overlaps one
-        already injected for the participant, raises :class:`ConfigError`
-        and schedules nothing."""
-        FailureSpec(participant, at_time, recover_time)
-        if participant not in self._agents:
-            raise UnknownParticipantError(f"no agent named {participant!r}")
-        cfg = self.config
-        up = math.inf if recover_time is None else max(
-            recover_time + cfg.reactivate_latency, at_time + cfg.notify_latency)
-        windows = self._down.setdefault(participant, [])
-        if any(at_time < end and start < up for start, end in windows):
-            raise ConfigError(
-                f"{participant}: the failure at {at_time} overlaps an earlier one of its own")
-        windows.append((at_time, up))
-        self._push(at_time, _PRI_FAULT, self._fail, participant)
-        self._push(at_time + cfg.detect_latency, _PRI_FAULT, self._log_failure,
-                   participant, "detected")
-        self._push(at_time + cfg.notify_latency, _PRI_FAULT, self._remove, participant)
-        if recover_time is not None:
-            self._push(recover_time + cfg.reactivate_latency, _PRI_FAULT,
-                       self._recover, participant)
-
     def advance_clock(self) -> float:
         """Process every event at the next timestamp; strictly advances time."""
         if not self._heap:
@@ -444,22 +439,18 @@ class Simulation:
         if interval == self.config.horizon - 1:  # the day ends here
             self._heap.clear()
 
-    def _fail(self, participant: str) -> None:
-        self._agents[participant].active = False
-        self._log_failure(participant, "failed")
-
-    def _remove(self, participant: str) -> None:
-        self.contract.remove_participant_trades(participant, time=self.time)
-        self._log_failure(participant, "removed")
-
-    def _recover(self, participant: str) -> None:
+    def _failure_phase(self, participant: str, phase: str) -> None:
+        """Play one phase of a failure (see :meth:`SimConfig.failure_phases`)
+        and log it."""
         agent = self._agents[participant]
-        agent.active = True
-        if isinstance(agent, ProsumerAgent):
-            agent.forget_future_offers(self.contract.state.current_interval)
-        self._log_failure(participant, "recovered")
-
-    def _log_failure(self, participant: str, phase: str) -> None:
+        if phase == "failed":
+            agent.active = False
+        elif phase == "removed":
+            self.contract.remove_participant_trades(participant, time=self.time)
+        elif phase == "recovered":
+            agent.active = True
+            if isinstance(agent, ProsumerAgent):
+                agent.forget_future_offers(self.contract.state.current_interval)
         self.failure_log.append(FailureRow(self.time, participant, phase))
 
     def _prosumer_phase(self, now: int) -> None:
@@ -472,7 +463,7 @@ class Simulation:
     def _post_offer(self, participant: str, offer: tuple[Side, int, int, float]) -> None:
         try:
             self.contract.post_offer(participant, *offer, time=self.time)
-        except ContractError:
+        except StaleInterval:
             pass  # a delayed offer for an interval finalized meanwhile is refused
 
     def _submit(self, participant: str, solution: Solution) -> None:

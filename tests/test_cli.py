@@ -123,6 +123,7 @@ class TestConfigParsing:
         ("failures", "p001", "entry 'p001': expected id:fail_time:recover_time"),
         ("synthesize", "homes=0,producers=1,feeders=1,intervals=4",
          "homes must be an integer of at least 1"),
+        ("seed", "-1", "seed must be an integer of at least 0, got -1"),  # seeds synthesize
         ("unit_price", "nan", "unit price must be a non-negative finite number"),
         ("adaptive", "", "adaptive must be 1/0, true/false, yes/no or on/off, got ''")])
     def test_a_refused_value_names_its_key(self, key, value, message):
@@ -265,7 +266,7 @@ class TestCommands:
         (["unit_price=nan"], "CliError"),
         (["unit_price=-1"], "CliError"),
         (["unit_price=inf"], "CliError"),
-        (["seed=-1"], "ConfigError"),
+        (["seed=-1"], "CliError"),
         (["solvers=-1"], "ConfigError")])
     def test_run_refuses_bad_timings_and_prices_before_simulating(
             self, tmp_path, config_file, traces_csv, capsys, overrides, error):
@@ -278,6 +279,21 @@ class TestCommands:
         assert record["error"] == error
         key = overrides[-1].partition("=")[0]
         assert key in record["detail"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("failures, error, detail", [
+        ("nobody:1:-", "UnknownParticipantError", "failures: no agent named 'nobody'"),
+        ("p001:1:-; p001:2:-", "ConfigError",
+         "failures: p001: the failure at 2.0 overlaps an earlier one of its own")])
+    def test_run_refuses_a_bad_schedule_naming_failures(self, tmp_path, config_file, traces_csv,
+                                                        capsys, failures, error, detail):
+        out_dir = tmp_path / "out"
+        rc = main(["run", "--config", str(config_file), "--traces", str(traces_csv),
+                   "--out", str(out_dir), "--set", f"failures={failures}"])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[0])
+        assert record["error"] == error
+        assert record["detail"].startswith(detail)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("price", ["nan", "inf", "-1", "-inf"])

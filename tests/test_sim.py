@@ -1,4 +1,6 @@
 import inspect
+import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtrade.ledger import ContractError, EventKind, replay_events, verify_log
+from gridtrade.ledger import (Contract, ContractError, EventKind, InvalidQuantity, replay_events,
+                              verify_log)
 from gridtrade.market import Feeder, GridModel, Solution, check_feasibility, PinnedTrades, Offer, Side
 from gridtrade.sim import (
     AdversaryAgent,
@@ -252,40 +255,27 @@ class TestFailures:
                 (5.0, "s1", "failed"), (5.14, "s1", "detected"), (6.88, "s1", "removed")]
             assert verify_log(grid, report.events) == []
 
-    @pytest.mark.parametrize("at_time, recover_time", [
-        (float("nan"), None), (float("inf"), None), (-5.0, None), (True, None), ("3", None),
-        (1.0, float("nan")), (4.0, 2.0)])
-    def test_a_bad_failure_time_raises_config_error_and_schedules_nothing(
-            self, grid, battery_traces, at_time, recover_time):
-        # A NaN time once stayed in the event queue and the run never ended.
-        sim = Simulation(base_config(grid, 50), battery_traces)
-        with pytest.raises(ConfigError, match="^solver-1: "):
-            sim.inject_failure("solver-1", at_time, recover_time)
-        report = sim.run()
-        assert report.failure_log == []
-        assert report.events == run(base_config(grid, 50), battery_traces).events
-
     def test_a_failure_while_down_raises_config_error(self):
         """p001 is down for good from 1 s, so a failure at 2 s overlaps it: it
         was once played again, with a second, empty removal at 3.88 s."""
         traces = synthesize_traces(4, 1, 1, 4, seed=0)
         grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
         failures = (FailureSpec("p001", 1.0), FailureSpec("p001", 2.0))
-        with pytest.raises(ConfigError, match="^p001: "):
-            Simulation(base_config(grid, 4, seconds_per_interval=4.0, failures=failures),
-                       traces)
+        with pytest.raises(ConfigError, match="^failures: p001: the failure at 2.0 overlaps "
+                                              "an earlier one of its own$"):
+            base_config(grid, 4, seconds_per_interval=4.0, failures=failures)
         # Recovered at 1.5 s with no reactivation delay, p001 is still to be
         # removed at 2.88 s, after a failure at 2 s.
-        with pytest.raises(ConfigError, match="^p001: "):
-            Simulation(base_config(grid, 4, seconds_per_interval=4.0, reactivate_latency=0.0,
-                                   failures=(FailureSpec("p001", 1.0, 1.5), failures[1])),
-                       traces)
-        sim = Simulation(base_config(grid, 4, seconds_per_interval=4.0,
-                                     failures=failures[:1]), traces)
-        with pytest.raises(ConfigError, match="^p001: "):
-            sim.inject_failure("p001", 5.0, 6.0)
+        with pytest.raises(ConfigError, match="^failures: p001: "):
+            base_config(grid, 4, seconds_per_interval=4.0, reactivate_latency=0.0,
+                        failures=[FailureSpec("p001", 1.0, 1.5), failures[1]])
+        with pytest.raises(ConfigError, match="^failures: p001: "):
+            base_config(grid, 4, seconds_per_interval=4.0,
+                        failures=(failures[0], FailureSpec("p001", 5.0, 6.0)))
+        report = run(base_config(grid, 4, seconds_per_interval=4.0, failures=failures[:1]),
+                     traces)
         assert [(round(row.time, 9), row.participant, row.phase)
-                for row in sim.run().failure_log] == [
+                for row in report.failure_log] == [
             (1.0, "p001", "failed"), (1.14, "p001", "detected"), (2.88, "p001", "removed")]
 
     def test_failures_whose_down_windows_do_not_overlap_both_play(self):
@@ -300,9 +290,22 @@ class TestFailures:
         assert verify_log(grid, report.events) == []
 
     def test_unknown_participant_rejected(self, grid, battery_traces):
-        sim = Simulation(base_config(grid, 50), battery_traces)
-        with pytest.raises(UnknownParticipantError):
-            sim.inject_failure("nobody", 1.0)
+        for participant in ("nobody", "dso"):  # the DSO is no agent: it cannot fail
+            config = base_config(grid, 50, failures=(FailureSpec(participant, 1.0),))
+            with pytest.raises(UnknownParticipantError,
+                               match=f"^failures: no agent named {participant!r}$"):
+                Simulation(config, battery_traces)
+        assert issubclass(UnknownParticipantError, ConfigError)
+
+    def test_a_late_detection_does_not_extend_the_down_window(self):
+        """Detection ends nothing: removed at 2.88 s and back at 8.52 s, p001
+        may fail again at 10 s though its first failure is detected at 31 s."""
+        grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
+        config = base_config(grid, 8, seconds_per_interval=4.0, detect_latency=30.0,
+                             failures=(FailureSpec("p001", 1.0, 2.0), FailureSpec("p001", 10.0)))
+        assert [(round(time, 9), phase) for time, phase in config.failure_phases(
+            config.failures[0])] == [
+            (1.0, "failed"), (31.0, "detected"), (2.88, "removed"), (8.52, "recovered")]
 
 
 class TestAdversary:
@@ -382,8 +385,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("fail, recover", [
         *[(bad, None) for bad in BAD_NUMBERS],
-        *[(4.0, bad) for bad in BAD_NUMBERS if bad is not None], (4.0, 4.0), (4.0, 3.0)])
+        *[(4.0, bad) for bad in BAD_NUMBERS if bad is not None], (4.0, 4.0), (4.0, 3.0),
+        (-5.0, None), ("3", None), (1.0, float("nan")), (4.0, 2.0)])
     def test_failure_spec_refuses_a_bad_time(self, fail, recover):
+        # A NaN time once stayed in the event queue and the run never ended.
         with pytest.raises(ConfigError, match="^s1: (fail|recover)_time must be "):
             FailureSpec("s1", fail, recover)
 
@@ -465,6 +470,70 @@ def test_every_log_the_simulation_writes_verifies(detect, notify, reactivate, de
     report = run(config, traces)
     assert verify_log(grid, report.events) == []
     assert replay_events(grid, report.events).snapshot() == report.final_state.snapshot()
+
+
+def half_seconds(most: int):
+    """0 to ``most`` s in steps of 0.5 s: their sums are exact, so ties happen."""
+    return st.integers(0, 2 * most).map(lambda k: k / 2)
+
+
+# A failure's time until its recovery, 0.5 to 4 s, or None (down for good) one time in nine.
+DOWN_FOR = st.integers(0, 8).map(lambda k: k / 2 or None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(failures=st.lists(st.tuples(st.sampled_from(["p001", "solver-1"]), half_seconds(40),
+                                   DOWN_FOR),
+                         min_size=1, max_size=4),
+       detect=half_seconds(40), notify=half_seconds(6), reactivate=half_seconds(6))
+def test_a_schedule_is_refused_exactly_when_down_windows_overlap(failures, detect, notify,
+                                                                 reactivate):
+    """A participant is down from its failure until the later of its removal
+    and its reactivation, or for good with no recovery; detection ends
+    nothing. A schedule is accepted exactly when no two windows of one
+    participant overlap, and an accepted one plays every phase before the
+    day's end at 32 s, in time order, ties in schedule order."""
+    specs = [FailureSpec(who, at, None if back is None else at + back)
+             for who, at, back in failures]
+
+    def window(spec):
+        if spec.recover_time is None:
+            return spec.fail_time, math.inf
+        return spec.fail_time, max(spec.recover_time + reactivate, spec.fail_time + notify)
+
+    overlap = any(a.participant == b.participant
+                  and window(a)[0] < window(b)[1] and window(b)[0] < window(a)[1]
+                  for a, b in combinations(specs, 2))
+    grid = GridModel((Feeder("f01", 1e6, 1e6),), 0.25, 1)
+    timing = dict(seconds_per_interval=4.0, detect_latency=detect, notify_latency=notify,
+                  reactivate_latency=reactivate, failures=specs)
+    if overlap:
+        with pytest.raises(ConfigError, match="^failures: (p001|solver-1): the failure at "):
+            base_config(grid, 8, **timing)
+        return
+    report = run(base_config(grid, 8, **timing), synthesize_traces(4, 1, 1, 8, seed=0))
+    phases = []
+    for spec in specs:
+        who, at = spec.participant, spec.fail_time
+        phases += [(at, who, "failed"), (at + detect, who, "detected"),
+                   (at + notify, who, "removed")]
+        if spec.recover_time is not None:
+            phases.append((spec.recover_time + reactivate, who, "recovered"))
+    played = sorted((phase for phase in phases if phase[0] < 32.0), key=lambda phase: phase[0])
+    assert [tuple(row) for row in report.failure_log] == played
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.25])
+def test_a_post_refused_for_another_reason_is_not_swallowed(grid, battery_traces, monkeypatch,
+                                                             delay):
+    """A delayed offer can only go stale; any other refusal of a post is a
+    fault of the day and ends the run."""
+    def refuse(self, participant, *args, **kwargs):
+        raise InvalidQuantity(f"{participant}: refused")
+
+    monkeypatch.setattr(Contract, "post_offer", refuse)
+    with pytest.raises(InvalidQuantity):
+        run(base_config(grid, 50, confirmation_delay=delay), battery_traces)
 
 
 def test_three_solvers_killing_two_changes_nothing(grid):
