@@ -8,7 +8,9 @@ config shrunk to 20 homes over 24 intervals, with its failures kept: as
 written, with ``adaptive = true`` so that ``controller.csv`` has rows, with
 ``clearing_lead = 2`` so that one day finalizes two intervals ahead, and
 with p013 failing at 20.1 s and recovering at 22 s, no reactivation delay,
-so that a prosumer re-posts the offers its removal withdrew.
+so that a prosumer re-posts the offers its removal withdrew; and with three
+solvers and a confirmation delay of 1.5 s, so that each solver sends its
+copy of one shared solution late and the contract refuses the later copies.
 
 The pins hold for this environment's NumPy, SciPy and HiGHS, as
 ``GOLDEN_EVENTS_SHA256`` in ``test_contested_run.py`` does: a release that
@@ -114,6 +116,9 @@ CASES = {
     # 7 and 8 again, which only forget_future_offers lets it do.
     "readme-recovery": lambda out: run_readme(False, out, "failures=p013:20.1:22; solver-2:50:120",
                                               "reactivate_latency=0"),
+    # Three solvers at one ledger state share one solve; each sends its copy
+    # 1.5 s later, and the contract refuses the copies after the first.
+    "readme-delay": lambda out: run_readme(False, out, "confirmation_delay=1.5", "solvers=3"),
 }
 
 # SHA-256 of each bundle file, by case and file.
@@ -189,6 +194,15 @@ PINS = {
         "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
         "failures.csv": "9ae2561a0124742d280eea6d7deb14e01a76e1116c32c874a5f01b9a2d575551",
         "summary.json": "f41496677f7a3639c75cc534190cdac01b0ab9dec8c8a03d265960e588880e94",
+    },
+    "readme-delay": {
+        "events.jsonl": "fa35b0a61a80539528e61ae24c371c050d290c097a6bad4a82ab07e0dd684990",
+        "metrics.csv": "9818f9cea7b1acb689433eebf2dece63ce6ff836d0e01f12e68ebeff2f5101ff",
+        "intervals.csv": "f4c062e6c20a3c99aeb432495435c2e081d3fb3b3a14c74bdca3a387eadd8c00",
+        "solver.csv": "8e0857b3baa805107860d5bd8f2056be18ba4ec76e2b6e4a9464dba535ff0b5a",
+        "controller.csv": "aae8286660814f4ff311fe0f569a3d8a6854e929499750996ded4f5fe92903d7",
+        "failures.csv": "ec3df200fe9899141cb8b357911f408d46fb061a0e38417feb7098bc830e9f05",
+        "summary.json": "93c7f06fb2fbd92289b3dbbb02f4952849798ffba73a2c19f21848095360f6b4",
     },
 }
 
