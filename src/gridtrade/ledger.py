@@ -150,10 +150,10 @@ class LedgerEvent(NamedTuple):
     appends the event: the Offer of an OfferPosted event, the Solution of a
     SolutionAccepted event, the stripped candidate of a ParticipantRemoved
     event, or the ``Finalization`` of an IntervalAdvanced event; None
-    for every other event and for events read from a log. The contract and
-    each mirror that applies the event share this one object. It takes no
-    part in equality or in the record: events are equal when their seq,
-    time, kind and payload are.
+    for every other event and for events read from a log. The contract's
+    state applies this one object, as any replica that applies the event
+    does. It takes no part in equality or in the record: events are equal
+    when their seq, time, kind and payload are.
     """
 
     seq: int
@@ -341,8 +341,9 @@ class Contract:
     """Validating writer around :class:`ContractState`.
 
     All mutating calls are serialized through this object; each appends
-    events with gapless sequence numbers. Readers may take ``state``
-    snapshots or poll ``events_since``.
+    events with gapless sequence numbers, and ``state`` applies each event
+    once, as it is appended. Readers, the solver agents among them, read
+    ``state``; one that keeps its own view polls ``events_since``.
     """
 
     def __init__(self, grid: GridModel, *, require_dso_finalize: bool = True):
@@ -473,8 +474,8 @@ class Contract:
         Everything the interval changes is decided once, here: the candidate
         is split into pins and kept trades, the kept trades are summed, and
         the open offers whose window ends are listed. The ``IntervalAdvanced``
-        event carries that ``Finalization``, which the contract and every
-        mirror apply as it is.
+        event carries that ``Finalization``, which the contract's state
+        applies as it is.
 
         ``interval`` is taken as an offer's window is: a whole number, made
         an ``int``; a ``bool``, a fraction or a non-number is refused.

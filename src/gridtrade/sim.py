@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import AffineResourceModel, ControllerState
+from .controller import ControllerState
 from .ledger import Contract, ContractState, LedgerEvent, Role, StaleInterval
 from .market import (BUYING, SELLING, CheckedRecord, GridModel, Offer, Side, Solution,
                      TradeKey, count, name, number)
@@ -331,7 +331,6 @@ class Simulation:
             self.contract.register(trace.participant, Role.PROSUMER, trace.feeder, time=0.0)
             self.prosumers[trace.participant] = ProsumerAgent(trace, config.horizon)
 
-        model = AffineResourceModel()
         self.solvers: dict[str, SolverAgent] = {}
         for i in range(config.n_solvers):
             sid = f"solver-{i + 1}"
@@ -345,9 +344,7 @@ class Simulation:
             solver_config = SolverConfig(
                 lookahead=config.lookahead, solve_period=config.solver_period,
                 price_cap=config.price_cap)
-            self.solvers[sid] = SolverAgent(
-                sid, self.contract.grid, solver_config,
-                controller=controller, resource_model=model)
+            self.solvers[sid] = SolverAgent(sid, solver_config, controller=controller)
 
         self.adversaries: dict[str, AdversaryAgent] = {}
         for i in range(config.n_adversaries):
@@ -474,9 +471,8 @@ class Simulation:
         agent = self.solvers[sid]
         if not agent.active:
             return
-        events = self.contract.events_since(agent.last_seq)
-        submission = agent.step(events, time=self.time)
-        if submission is not None:  # the agent observes its outcome on its next tick
+        submission = agent.step(self.contract.state, time=self.time)
+        if submission is not None:  # the agent reads its outcome on its next tick
             self._confirmed(self._submit, sid, submission)
 
     def _adversary_tick(self, aid: str, tick: int) -> None:

@@ -34,12 +34,12 @@ created on the first solve, reads the typed row-wise arrays of a
 the pointer form of ``passModel``. :func:`linprog` is the one entry point
 into HiGHS, and :func:`solve_with_diagnostics` its one caller.
 
-A solver agent's mirror is a function of the event prefix it has applied
-(the state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so
-agents whose mirrors have the same ``lp_head`` build the same LP. Such
-agents in one process share one solve, the LP built and its validated
-solution; an agent checks that solution against its own mirror before it
-submits it (see :class:`SolverAgent`).
+A solver agent reads the contract's state and keeps no copy of it. The
+state is a function of the event prefix the contract has applied (the
+state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so agents
+that read the same ``lp_head`` build the same LP. Such agents in one process
+share one solve, the LP built and the solution that the solve validated
+(see :class:`SolverAgent`).
 
 Solutions are self-validated against the market rules before they are
 returned, so a solver bug can never leak an infeasible submission.
@@ -64,7 +64,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import ledger as ledger_mod
-from .controller import ControllerState, ResourceModel, low_level_update, top_level_update
+from .controller import (AffineResourceModel, ControllerState, ResourceModel, low_level_update,
+                         top_level_update)
 from .market import (
     BUYING,
     SELLING,
@@ -623,14 +624,11 @@ def solve(instance: LpInstance) -> Solution:
     return solution
 
 
-class SequenceGap(ValueError):
-    """Events handed to a mirror skip a sequence number; names both seqs."""
-
-
 # The last solve a SolverAgent made in this process, shared by every agent:
-# the LP head (which fixes the interval), grid and config it was made at, then
-# the LP built and its validated solution. A solve that raises stores nothing.
-_last_solve: tuple[object, GridModel, SolverConfig, LpInstance, Solution] | None = None
+# the LP head (which names one ledger state, so fixes its grid and interval)
+# and config it was made at, then the LP built and its validated solution.
+# A solve that raises stores nothing.
+_last_solve: tuple[object, SolverConfig, LpInstance, Solution] | None = None
 
 
 class SolveRecord(NamedTuple):
@@ -665,96 +663,79 @@ class ControllerRow(NamedTuple):
 
 
 class SolverAgent:
-    """A solver participant: mirrors the ledger and submits improvements.
+    """A solver participant: reads the ledger and submits improvements.
 
-    The agent mirrors the contract state from ledger events and applies the
-    mirror's decisions: it solves once each time the mirror's ``lp_head``
-    moves, and submits the solution then if the mirror's ``improves`` takes
-    it, or never: the candidate's objective does not fall while the head
-    stays. It holds no solution between ticks.
+    At each tick the agent reads the contract's state, and keeps no copy of
+    it: it solves once each time the state's ``lp_head`` moves, and submits
+    the solution then if the state's ``improves`` takes it, or never: the
+    candidate's objective does not fall while the head stays. It holds no
+    solution between ticks.
 
-    A mirror is a function of the gapless event prefix it has applied, so
-    agents whose mirrors' ``lp_head`` is the same event object, at the same
-    grid and solver config, build the same LP. The agents of one process
-    share one solve for it: the first builds and solves, and the ones after
-    it take the LP and the validated solution. An agent about to submit a
-    shared solution first runs :func:`check_feasibility` on it against its
-    own mirror's book, grid and pins, and records a :class:`NumericFailure`
-    if that fails, so no agent submits what its own mirror has not checked.
-    The modeled solve time of each :class:`SolveRecord` and of the
-    controller is still charged to every agent that solves.
+    The head names one state of one contract, so agents that read the same
+    head at the same solver config build the same LP. The agents of one
+    process share one solve for it: the first builds and solves, and the
+    ones after it take the LP and the solution that the solve validated.
+    That one check is the only one a shared solution needs. ``lp_head``
+    moves on every event that changes the open offers, the pins or the
+    interval, so at an unmoved head the LP's ``pinned`` is the state's own
+    object, and every offer the solution trades is in the LP's book:
+    :func:`check_feasibility` reads nothing else. The modeled solve time of
+    each :class:`SolveRecord` and of the controller is still charged to
+    every agent that solves.
     """
 
-    def __init__(self, agent_id: str, grid: GridModel, config: SolverConfig,
+    def __init__(self, agent_id: str, config: SolverConfig,
                  controller: ControllerState | None = None,
-                 resource_model: ResourceModel | None = None):
+                 resource_model: ResourceModel = AffineResourceModel()):
         self.id = agent_id
         self.config = config
         self.active = True
-        self.mirror = ledger_mod.ContractState(grid)
-        self.last_seq = 0
         self.controller = controller
         self.resource_model = resource_model
         self.records: list[SolveRecord] = []
         self.controller_trace: list[ControllerRow] = []
         self._solved_head: object | None = None
 
-    def observe(self, events: list[ledger_mod.LedgerEvent]) -> None:
-        """Apply the events after ``last_seq``, in order; earlier ones are
-        skipped. Raises :class:`SequenceGap`, and applies nothing, when the
-        events skip a sequence number."""
-        seq, fresh = self.last_seq, []
-        for event in events:
-            if event.seq <= seq:
-                continue
-            if event.seq != seq + 1:
-                raise SequenceGap(f"event seq {event.seq} follows seq {seq}: "
-                                  f"the events between are missing")
-            fresh.append(event)
-            seq += 1
-        apply = self.mirror.apply
-        for event in fresh:
-            apply(event)
-            self.last_seq = event.seq
-
-    def step(self, events: list[ledger_mod.LedgerEvent], *, time: float = 0.0) -> Solution | None:
-        """One solver tick: ingest events; at a moved ``lp_head``, solve and
-        return the solution if ``improves`` takes it, else None."""
-        global _last_solve
-        self.observe(events)
-        mirror = self.mirror
-        head = mirror.lp_head
+    def observe(self, state: ledger_mod.ContractState) -> bool:
+        """Whether ``state.lp_head`` moved since this agent last solved;
+        records the head."""
+        head = state.lp_head
         if head is self._solved_head:
+            return False
+        self._solved_head = head
+        return True
+
+    def step(self, state: ledger_mod.ContractState, *, time: float = 0.0) -> Solution | None:
+        """One solver tick on the contract's ``state``: at a moved
+        ``lp_head``, solve and return the solution if ``improves`` takes it,
+        else None."""
+        global _last_solve
+        if not self.observe(state):
             return None
 
-        self._solved_head = head
         config = self.config
         if self.controller is not None:
             config = config._replace(lookahead=self.controller.lookahead)
-        shared = _last_solve
-        fresh = not (shared is not None and shared[0] is head and shared[1] is mirror.grid
-                     and shared[2] == config)
+        head, shared = state.lp_head, _last_solve
+        fresh = not (shared is not None and shared[0] is head and shared[1] == config)
         if fresh:
-            instance = build_lp(mirror.open_offers, mirror.grid, mirror.pinned,
-                                mirror.current_interval, config)
+            instance = build_lp(state.open_offers, state.grid, state.pinned,
+                                state.current_interval, config)
         else:
-            instance, solution = shared[3], shared[4]
-        modeled_time = (self.resource_model.solve_time(instance.n_variables)
-                        if self.resource_model is not None else 0.0)
-        try:
-            if fresh:
+            instance, solution = shared[2], shared[3]
+        modeled_time = self.resource_model.solve_time(instance.n_variables)
+        if fresh:
+            try:
                 solution = solve(instance)
-                _last_solve = (head, mirror.grid, config, instance, solution)
-            value = objective(solution)
-            submit = mirror.improves(value)
-            if submit and not fresh:
-                _self_validate(solution, mirror.book, mirror.grid, mirror.pinned)
-        except NumericFailure as exc:
-            self.records.append(SolveRecord(
-                time, self.id, instance.n_variables, instance.n_constraints,
-                modeled_time, 0.0, False, error=str(exc)))
-            return None
+            except NumericFailure as exc:
+                self.records.append(SolveRecord(
+                    time, self.id, instance.n_variables, instance.n_constraints,
+                    modeled_time, 0.0, False, error=str(exc)))
+                return None
+            _last_solve = (head, config, instance, solution)
 
+        value = objective(solution)
+        submit = state.improves(value)
         self.records.append(SolveRecord(
             time, self.id, instance.n_variables, instance.n_constraints,
             modeled_time, value, submit))
@@ -762,7 +743,7 @@ class SolverAgent:
         return solution if submit else None
 
     def _update_controller(self, time: float, n_variables: int, modeled_time: float) -> None:
-        if self.controller is None or self.resource_model is None:
+        if self.controller is None:
             return
         signal = self.resource_model.signal(n_variables, self.config.solve_period)
         self.controller = top_level_update(self.controller, signal)

@@ -73,13 +73,12 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
     original = SolverAgent.step
     checked = []
 
-    def checked_step(agent, events, *, time=0.0):
-        agent.observe(events)
-        now = agent.mirror.current_interval
-        assert_index_consistent(agent.mirror, now, agent.config)
-        assert_index_consistent(sim.contract.state, now, agent.config)
+    def checked_step(agent, state, *, time=0.0):
+        assert state is sim.contract.state
+        now = state.current_interval
+        assert_index_consistent(state, now, agent.config)
         checked.append(now)
-        return original(agent, events, time=time)
+        return original(agent, state, time=time)
 
     monkeypatch.setattr(SolverAgent, "step", checked_step)
     report = sim.run()
@@ -90,36 +89,30 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
     assert report.metrics.traded_kwh > 0
 
 
-def test_mirrors_apply_each_outcome_the_contract_decided(monkeypatch):
-    """On each removal and each finalization every solver mirror takes the
-    contract's own candidate and objective, not a copy it recomputed, split
-    or summed again, and each ends the day with the contract's pins and
-    state."""
+def test_the_state_applies_each_outcome_the_contract_decided(monkeypatch):
+    """On each removal and each finalization the contract's state, applied
+    once, takes the candidate and objective the event carries, the objects
+    the contract decided, not a copy it recomputed, split or summed again."""
     sim = contested_day(n_adversaries=2)
     original = ContractState.apply
-    decisions = {}
+    decisions = []
 
     def apply(state, event):
         original(state, event)
         if event.kind in (EventKind.PARTICIPANT_REMOVED, EventKind.INTERVAL_ADVANCED):
-            decisions.setdefault(event.seq, []).append(
-                (state, state.candidate, state.candidate_objective))
+            decisions.append((state, event, state.candidate, state.candidate_objective))
 
     monkeypatch.setattr(ContractState, "apply", apply)
     sim.run()
-    for agent in sim.solvers.values():
-        agent.observe(sim.contract.events)  # the events after its last tick
-    contract = sim.contract.state
-    mirrors = {id(agent.mirror) for agent in sim.solvers.values()}
-    assert len(decisions) == 2 + HORIZON and len(mirrors) == 3
-    for (own, decided, value), *applied in decisions.values():
-        assert own is contract and {id(state) for state, _, _ in applied} == mirrors
-        assert all(candidate is decided for _, candidate, _ in applied)
+    assert len(decisions) == len({event.seq for _, event, _, _ in decisions}) == 2 + HORIZON
+    for state, event, candidate, value in decisions:
+        assert state is sim.contract.state
+        if event.kind == EventKind.INTERVAL_ADVANCED:
+            decided, carried = event.parsed.candidate, event.parsed.objective
+        else:
+            decided, carried = event.parsed, event.payload["candidate_objective"]
+        assert candidate is decided and value is carried  # not summed again
         assert type(value) is float and value == objective(decided)
-        assert all(carried is value for _, _, carried in applied)  # not summed again
-    for agent in sim.solvers.values():
-        assert agent.mirror.pinned.snapshot() == contract.pinned.snapshot()
-        assert agent.mirror.snapshot() == contract.snapshot()
 
 
 def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
@@ -143,8 +136,8 @@ def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
 
 
 def test_three_solvers_share_one_solve_per_ledger_state(monkeypatch, tmp_path):
-    """The solvers tick in turn at one timestamp on identical mirrors, so
-    the first to tick at a ledger state builds and solves its LP and the
+    """The solvers tick in turn at one timestamp and read one ledger state,
+    so the first to tick at a ledger state builds and solves its LP and the
     others take that solve; the log is the golden one.
 
     21 distinct LPs take 21 HiGHS runs: the removal of the failed solver-2,

@@ -12,7 +12,6 @@ from gridtrade.controller import (
     reset_max_lookahead,
     top_level_update,
 )
-from gridtrade.market import GridModel
 from gridtrade.solver import SolverAgent, SolverConfig
 
 from conftest import BAD_COUNTS, BAD_NUMBERS
@@ -117,8 +116,7 @@ class FixedSignalModel:
 
 
 def agent_with(state, signal):
-    grid = GridModel(feeders=(), interval_hours=0.25, clearing_lead=state.clearing_lead)
-    return SolverAgent("solver-1", grid, SolverConfig(lookahead=state.lookahead),
+    return SolverAgent("solver-1", SolverConfig(lookahead=state.lookahead),
                        controller=state, resource_model=FixedSignalModel(signal))
 
 

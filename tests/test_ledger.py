@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import gridtrade
 from gridtrade import ledger as ledger_mod
 from gridtrade.ledger import (
     INFEASIBLE_REASONS,
@@ -1043,11 +1045,24 @@ class TestContractInvariants:
 
 
 def mirror_of(contract):
-    """A state that applies the contract's events, as a solver's mirror does."""
+    """A replica: a state that applies the contract's events in order."""
     mirror = ContractState(contract.grid)
     for event in contract.events:
         mirror.apply(event)
     return mirror
+
+
+def test_only_the_ledger_makes_a_contract_state():
+    """One ledger state per contract: every reader in the package reads
+    ``Contract.state``, and no module but ``ledger`` builds another."""
+    package = Path(gridtrade.__file__).resolve().parent
+    makers = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "ContractState" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                makers.add(module.name)
+    assert makers == {"ledger.py"}
 
 
 class TestOfferParsedOnce:

@@ -36,7 +36,6 @@ from gridtrade import solver as solver_mod
 from gridtrade.solver import (
     CsrMatrix,
     NumericFailure,
-    SequenceGap,
     SolverAgent,
     SolverConfig,
     _repair_overages,
@@ -527,8 +526,8 @@ class TestSolverAgent:
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
-        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3, solve_period=1.0))
-        submission = agent.step(contract.events_since(0), time=0.0)
+        agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
+        submission = agent.step(contract.state, time=0.0)
         assert submission is not None
         assert objective(submission) > 0
 
@@ -536,36 +535,33 @@ class TestSolverAgent:
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
-        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3, solve_period=1.0))
-        submission = agent.step(contract.events_since(agent.last_seq), time=0.0)
+        agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
+        submission = agent.step(contract.state, time=0.0)
         contract.submit_solution("solver-1", submission, time=0.0)
-        again = agent.step(contract.events_since(agent.last_seq), time=1.0)
+        again = agent.step(contract.state, time=1.0)
         assert again is None
 
     def test_new_offer_triggers_strictly_better_submission(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
-        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3, solve_period=1.0))
-        first = agent.step(contract.events_since(agent.last_seq), time=0.0)
+        agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
+        first = agent.step(contract.state, time=0.0)
         contract.submit_solution("solver-1", first, time=0.0)
         contract.post_offer("bob", Side.BUYING, 2, 2, 4.0)
-        second = agent.step(contract.events_since(agent.last_seq), time=1.0)
+        second = agent.step(contract.state, time=1.0)
         assert second is not None
         assert objective(second) > objective(first) + 1e-9
 
-    def test_contract_and_mirrors_share_the_submitted_solution(self, grid):
+    def test_the_contract_holds_the_submitted_solution(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 2, 5.0)
-        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2)]
-        submission = agents[0].step(contract.events_since(0))
+        agent = SolverAgent("solver-1", SolverConfig(lookahead=3))
+        submission = agent.step(contract.state)
         event = contract.submit_solution("solver-1", submission)
-        for agent in agents:
-            agent.observe(contract.events_since(agent.last_seq))
         assert event.kind == "SolutionAccepted" and event.parsed is submission
         assert contract.state.candidate is submission
-        assert all(agent.mirror.candidate is submission for agent in agents)
 
     def test_failed_solve_drops_the_solution_held_from_an_earlier_interval(self, grid,
                                                                           monkeypatch):
@@ -574,47 +570,27 @@ class TestSolverAgent:
         for t in (1, 2):
             contract.post_offer("alice", Side.SELLING, t, t, 5.0)
             contract.post_offer("bob", Side.BUYING, t, t, 5.0)
-        first, second = (SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3))
-                         for i in (1, 2))
-        contract.submit_solution("solver-1", first.step(contract.events_since(0)))
-        assert second.step(contract.events_since(0)) is None  # equal: refused
+        first, second = (SolverAgent(f"solver-{i}", SolverConfig(lookahead=3)) for i in (1, 2))
+        contract.submit_solution("solver-1", first.step(contract.state))
+        assert second.step(contract.state) is None  # equal: refused
         contract.finalize(None, 0)
 
         def explode(instance):
             raise NumericFailure("synthetic blow-up")
 
         monkeypatch.setattr(solver_mod, "solve", explode)
-        assert second.step(contract.events_since(second.last_seq), time=1.0) is None
+        assert second.step(contract.state, time=1.0) is None
         assert second.records[-1].error == "synthetic blow-up"
         # The solution refused at time 0 trades at interval 1, now finalized,
         # and beats the candidate left for interval 2: it must not go out.
-        assert second.step(contract.events_since(second.last_seq), time=2.0) is None
-
-    def test_observe_refuses_a_sequence_gap_and_applies_nothing(self, grid):
-        contract = self.make_contract(grid)
-        for t in (1, 2):
-            contract.post_offer("alice", Side.SELLING, t, t, 5.0)
-        events = contract.events_since(0)
-        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3))
-        agent.observe(events[:2])
-        before = agent.mirror.snapshot()
-        with pytest.raises(SequenceGap, match="^event seq 5 follows seq 2: ") as caught:
-            agent.observe([events[1], *events[4:]])
-        assert isinstance(caught.value, ValueError)
-        assert agent.last_seq == 2 and agent.mirror.snapshot() == before
-        with pytest.raises(SequenceGap, match="^event seq 5 follows seq 3: "):
-            agent.step([*events[2:3], *events[4:]])  # the good prefix is not applied either
-        assert agent.last_seq == 2 and agent.mirror.snapshot() == before
-        agent.observe(events)
-        assert agent.last_seq == len(events)
-        assert agent.mirror.snapshot() == contract.state.snapshot()
+        assert second.step(contract.state, time=2.0) is None
 
     def test_solver_variable_count_recorded(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
-        agent = SolverAgent("solver-1", grid, SolverConfig(lookahead=3, solve_period=1.0))
-        agent.step(contract.events_since(agent.last_seq), time=0.0)
+        agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
+        agent.step(contract.state, time=0.0)
         assert agent.records
         assert agent.records[-1].variables == 2  # alice's and bob's power at interval 1
 
@@ -750,7 +726,7 @@ def solve_calls(monkeypatch):
 
 
 class TestSharedSolve:
-    """Solver agents at one ledger state share one solve, and each checks it."""
+    """Solver agents at one ledger state share one solve, checked once, by the solve."""
 
     def market(self, grid):
         contract = Contract(grid, require_dso_finalize=False)
@@ -761,38 +737,33 @@ class TestSharedSolve:
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 2, 6.0)
         contract.post_offer("bob", Side.BUYING, 2, 3, 6.0)
-        agents = [SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2, 3)]
+        agents = [SolverAgent(f"solver-{i}", SolverConfig(lookahead=3)) for i in (1, 2, 3)]
         return contract, agents
 
     def test_agents_at_one_ledger_state_make_one_build_and_one_run(self, grid, solve_calls):
         contract, agents = self.market(grid)
-        first, second = (agent.step(contract.events_since(0)) for agent in agents[:2])
+        first, second = (agent.step(contract.state) for agent in agents[:2])
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
         assert first is second and objective(first) == pytest.approx(10.0, abs=1e-9)
-        # Each agent ran its own check, against its own mirror's pins.
-        assert [id(p) for p in solve_calls["check"]] == [id(a.mirror.pinned) for a in agents[:2]]
+        # One check in all, the solve's, against the ledger's own pins.
+        assert [id(p) for p in solve_calls["check"]] == [id(contract.state.pinned)]
         assert [r.variables for r in agents[0].records] == [r.variables for r in agents[1].records]
 
     def test_an_lp_changing_event_between_forces_a_fresh_build(self, grid, solve_calls):
         contract, (one, two, _) = self.market(grid)
-        first = one.step(contract.events_since(0))
+        first = one.step(contract.state)
         contract.post_offer("alice", Side.SELLING, 3, 3, 4.0)
-        second = two.step(contract.events_since(0))
+        second = two.step(contract.state)
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
         assert objective(first) == pytest.approx(10.0, abs=1e-9)
         assert objective(second) == pytest.approx(12.0, abs=1e-9)  # all bob asks
 
-    def test_another_config_or_grid_builds_its_own_lp(self, grid, solve_calls):
+    def test_another_config_builds_its_own_lp(self, grid, solve_calls):
         contract, (one, _, _) = self.market(grid)
-        short = SolverAgent("solver-2", grid, SolverConfig(lookahead=1))
-        twin = GridModel(*grid)
-        assert twin == grid and twin is not grid
-        copied = SolverAgent("solver-3", twin, SolverConfig(lookahead=1))
-        one.step(contract.events_since(0))
-        # Each differs from the solve before it in its config, then its grid object alone.
-        for agent in (short, copied):
-            assert objective(agent.step(contract.events_since(0))) == pytest.approx(6.0)
-        assert len(solve_calls["build_lp"]) == 3
+        short = SolverAgent("solver-2", SolverConfig(lookahead=1))
+        one.step(contract.state)
+        assert objective(short.step(contract.state)) == pytest.approx(6.0)
+        assert len(solve_calls["build_lp"]) == 2
 
     def test_a_solve_that_raised_stores_nothing(self, grid, monkeypatch, solve_calls):
         contract, (one, two, _) = self.market(grid)
@@ -805,76 +776,83 @@ class TestSharedSolve:
             return counted(c, a, rhs)
 
         monkeypatch.setattr(solver_mod, "linprog", fails_once)
-        assert one.step(contract.events_since(0)) is None
+        assert one.step(contract.state) is None
         assert one.records[-1].error == "synthetic blow-up"
         assert solver_mod._last_solve is None
-        assert objective(two.step(contract.events_since(0))) == pytest.approx(10.0, abs=1e-9)
+        assert objective(two.step(contract.state)) == pytest.approx(10.0, abs=1e-9)
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
 
     def test_a_later_hit_returns_the_first_answer(self, grid, solve_calls):
         contract, (one, two, three) = self.market(grid)
-        first = one.step(contract.events_since(0))
-        offers = contract.events_since(0)
+        first = one.step(contract.state)
+        assert two.step(contract.state) is first  # not yet submitted
         contract.submit_solution("solver-1", first)  # an event no LP reads
-        assert two.step(contract.events_since(0)) is None  # equal to the candidate
-        assert three.step(offers) is first  # its mirror has not seen the submission
+        assert three.step(contract.state) is None  # equal to the candidate
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
-        assert two.mirror.candidate is first
+        assert contract.state.candidate is first
         assert [(r.objective, r.submitted) for r in two.records + three.records] == [
-            (objective(first), False), (objective(first), True)]
+            (objective(first), True), (objective(first), False)]
 
-    def test_a_shared_solution_the_mirror_refuses_is_not_checked(self, grid, solve_calls):
+    def test_a_shared_solution_the_ledger_refuses_is_never_sent(self, grid, solve_calls):
         contract, (one, two, _) = self.market(grid)
-        contract.submit_solution("solver-1", one.step(contract.events_since(0)))
-        assert two.step(contract.events_since(0)) is None  # equal to the candidate
-        assert two.step(contract.events_since(0)) is None  # and never sent later
-        # The one check is the solve's own, against solver-1's mirror.
-        assert [id(p) for p in solve_calls["check"]] == [id(one.mirror.pinned)]
+        contract.submit_solution("solver-1", one.step(contract.state))
+        assert two.step(contract.state) is None  # equal to the candidate
+        assert two.step(contract.state) is None  # and never sent later
+        # The one check is the solve's own, against the ledger's pins.
+        assert [id(p) for p in solve_calls["check"]] == [id(contract.state.pinned)]
         assert [r.submitted for r in one.records + two.records] == [True, False]
 
     def test_a_removal_that_withdraws_no_open_offer_leaves_the_lp_head(self, grid, solve_calls):
         contract, (one, two, _) = self.market(grid)
-        one.step(contract.events_since(0))
+        one.step(contract.state)
         head = contract.state.lp_head
         contract.remove_participant_trades("solver-3")  # a solver posts no offer
-        assert one.step(contract.events_since(0)) is None
-        assert two.step(contract.events_since(0)) is not None  # the shared solve
-        assert contract.state.lp_head is one.mirror.lp_head is two.mirror.lp_head is head
+        assert one.step(contract.state) is None
+        assert two.step(contract.state) is not None  # the shared solve
+        assert contract.state.lp_head is head
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
 
     def test_a_removal_that_withdraws_an_open_offer_moves_the_lp_head(self, grid, solve_calls):
         contract, (one, _, _) = self.market(grid)
-        one.step(contract.events_since(0))
+        one.step(contract.state)
         [removal] = contract.remove_participant_trades("bob")
-        assert one.step(contract.events_since(0)) is None  # no buyer is left
-        assert contract.state.lp_head is one.mirror.lp_head is removal
+        assert one.step(contract.state) is None  # no buyer is left
+        assert contract.state.lp_head is removal
         assert replay_events(grid, contract.events).lp_head is removal
         assert len(solve_calls["build_lp"]) == 2
 
-    def test_a_mirror_with_an_extra_pin_refuses_the_shared_solution(self, grid, solve_calls):
+
+class TestSolveChecksItsOwnPins:
+    """A solve checks its solution against the LP's own pins: pins that
+    change after the build show up as a :class:`NumericFailure` naming
+    what they rule out."""
+
+    def make_contract(self, grid):
         contract = Contract(grid, require_dso_finalize=False)
         contract.register("alice", Role.PROSUMER, "main")
         contract.register("bob", Role.PROSUMER, "main")
+        return contract
+
+    def test_energy_the_pins_already_sold_fails_the_check(self, grid):
+        contract = self.make_contract(grid)
         sell = contract.post_offer("alice", Side.SELLING, 1, 2, 5.0).parsed
         buy = contract.post_offer("bob", Side.BUYING, 2, 2, 5.0).parsed
-        one, two = (SolverAgent(f"solver-{i}", grid, SolverConfig(lookahead=3)) for i in (1, 2))
-        two.observe(contract.events_since(0))
-        # Hand-built: alice's energy already sold at interval 1, in this mirror only.
-        two.mirror.pinned.pin(1, {(sell.id, buy.id): (5.0, 0.5)})
-        assert objective(one.step(contract.events_since(0))) == pytest.approx(5.0)
-        assert two.step(contract.events_since(0)) is None
-        assert two.records[-1].error.startswith("solution failed self-validation: energy")
-        assert len(solve_calls["build_lp"]) == 1 and len(solve_calls["check"]) == 2
+        pinned = PinnedTrades(grid.clearing_lead - 1)
+        instance = build_lp(contract.state.open_offers, grid, pinned, 1, SolverConfig(lookahead=3))
+        pinned.pin(1, {(sell.id, buy.id): (5.0, 0.5)})  # alice's energy sold after the build
+        with pytest.raises(NumericFailure, match="^solution failed self-validation: energy"):
+            solve(instance)
 
-    def test_a_trade_the_own_pins_rule_out_is_a_numeric_failure(self, grid, solve_calls):
-        contract, (one, two, _) = self.market(grid)
-        two.observe(contract.events_since(0))
-        for interval in (1, 2):  # finalized in this mirror only
-            two.mirror.pinned.pin(interval, {})
-        assert one.step(contract.events_since(0)) is not None
-        assert two.step(contract.events_since(0)) is None
-        assert "finalized interval" in two.records[-1].error
-        assert len(solve_calls["build_lp"]) == 1
+    def test_a_trade_at_a_finalized_interval_fails_the_check(self, grid):
+        contract = self.make_contract(grid)
+        contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
+        contract.post_offer("bob", Side.BUYING, 1, 2, 6.0)
+        pinned = PinnedTrades(grid.clearing_lead - 1)
+        instance = build_lp(contract.state.open_offers, grid, pinned, 1, SolverConfig(lookahead=3))
+        for interval in (1, 2):  # finalized after the build
+            pinned.pin(interval, {})
+        with pytest.raises(NumericFailure, match="finalized interval"):
+            solve(instance)
 
 
 def small_day(seed, n_solvers, n_adversaries, delay, adaptive, solver_down, prosumer_down):
@@ -911,9 +889,9 @@ def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
                 builds.append(args[3])
                 return build(*args, **kwargs)
 
-            def step_missing(agent, events, *, time=0.0):
+            def step_missing(agent, state, *, time=0.0):
                 solver_mod._last_solve = None
-                return step(agent, events, time=time)
+                return step(agent, state, time=time)
 
             patch.setattr(solver_mod, "build_lp", build_counted)
             patch.setattr(solver_mod, "_last_solve", None)
