@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "controller": ("AffineResourceModel", "ControllerState", "ResourceSignal",
-                   "low_level_update", "reset_max_lookahead", "top_level_update"),
+                   "low_level_update", "top_level_update"),
     "ledger": ("Contract", "ContractError", "ContractState", "EventKind", "LedgerEvent",
                "LogFormatError", "Role", "read_events_jsonl", "replay_events", "verify_log",
                "write_events_jsonl"),

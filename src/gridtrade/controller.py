@@ -2,10 +2,9 @@
 
 Two layers share one state record. The top level is a ratchet: whenever a
 resource signal crosses its threshold it lowers the ceiling on the lookahead
-window by one interval, and never raises it (a manual reset re-arms it).
-The low level is a proportional controller tracking a solve-time set point,
-free to move the lookahead anywhere between the clearing lead and the
-current ceiling.
+window by one interval, and never raises it. The low level is a
+proportional controller tracking a solve-time set point, free to move the
+lookahead anywhere between the clearing lead and the current ceiling.
 
 Everything here is pure: updates return new state records, so agents can
 log every transition and tests can replay sequences. The records are
@@ -92,13 +91,6 @@ def low_level_update(state: ControllerState, solve_time: float) -> ControllerSta
     target = state.lookahead + state.kp * (state.setpoint - solve_time)
     return state._replace(lookahead=_clamp(
         _round_half_away(target), state.clearing_lead, state.max_lookahead))
-
-
-def reset_max_lookahead(state: ControllerState, max_lookahead: int) -> ControllerState:
-    """Re-arm the ratchet after pressure has subsided; a ceiling below the
-    clearing lead is refused."""
-    return state._replace(max_lookahead=max_lookahead,
-                          lookahead=_clamp(state.lookahead, state.clearing_lead, max_lookahead))
 
 
 class ResourceModel(Protocol):

@@ -302,12 +302,12 @@ class SimReport(NamedTuple):
 
 
 # Priorities at equal timestamps: finalize the elapsed interval first, then
-# prosumer postings, then fault handling, then solver and adversary ticks.
+# prosumer postings, then fault handling, then the round of solvers and
+# adversaries.
 _PRI_FINALIZE = 0
 _PRI_PROSUMER = 1
 _PRI_FAULT = 2
-_PRI_SOLVER = 3
-_PRI_ADVERSARY = 4
+_PRI_ROUND = 3
 
 
 class Simulation:
@@ -324,6 +324,7 @@ class Simulation:
         self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._push_seq = 0
         self.failure_log: list[FailureRow] = []
+        self._shared: dict = {}  # the day's shared solves (see SolverAgent.step)
 
         self.contract.register(DSO_ID, Role.DSO, time=0.0)
         self.prosumers: dict[str, ProsumerAgent] = {}
@@ -360,10 +361,8 @@ class Simulation:
         for k in range(config.horizon):
             self._push(k * dt, _PRI_PROSUMER, self._prosumer_phase, k)
             self._push((k + 1) * dt, _PRI_FINALIZE, self._finalize, k)
-        for sid in sorted(self.solvers):
-            self._schedule_tick(_PRI_SOLVER, self._solver_tick, sid, 0)
-        for aid in sorted(self.adversaries):
-            self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, 0)
+        if self.solvers or self.adversaries:
+            self._push(0.0, _PRI_ROUND, self._round, 0)
         for spec in config.failures:
             for at, phase in config.failure_phases(spec):
                 self._push(at, _PRI_FAULT, self._failure_phase, spec.participant, phase)
@@ -389,13 +388,6 @@ class Simulation:
               *args) -> None:
         self._push_seq += 1
         heapq.heappush(self._heap, (time, priority, self._push_seq, handler, args))
-
-    def _schedule_tick(self, priority: int, handler: Callable[[str, int], None],
-                       agent_id: str, tick: int) -> None:
-        """Schedule an agent's ``tick``-th period, if it starts before the end."""
-        at = tick * self.config.solver_period
-        if at < self.end_time:
-            self._push(at, priority, handler, agent_id, tick)
 
     def _confirmed(self, handler: Callable[..., None], *args) -> None:
         """Call ``handler(*args)`` now, or after the confirmation delay."""
@@ -466,23 +458,24 @@ class Simulation:
     def _submit(self, participant: str, solution: Solution) -> None:
         self.contract.submit_solution(participant, solution, time=self.time)
 
-    def _solver_tick(self, sid: str, tick: int) -> None:
-        self._schedule_tick(_PRI_SOLVER, self._solver_tick, sid, tick + 1)
-        agent = self.solvers[sid]
-        if not agent.active:
-            return
-        submission = agent.step(self.contract.state, time=self.time)
-        if submission is not None:  # the agent reads its outcome on its next tick
-            self._confirmed(self._submit, sid, submission)
-
-    def _adversary_tick(self, aid: str, tick: int) -> None:
-        self._schedule_tick(_PRI_ADVERSARY, self._adversary_tick, aid, tick + 1)
-        agent = self.adversaries[aid]
-        if not agent.active:
-            return
-        submission = agent.make_submission(self.contract.state)
-        if submission is not None:
-            self._submit(aid, submission)
+    def _round(self, tick: int) -> None:
+        """The ``tick``-th solver period: each active solver steps, then each
+        active adversary submits, each in id order."""
+        at = (tick + 1) * self.config.solver_period
+        if at < self.end_time:
+            self._push(at, _PRI_ROUND, self._round, tick + 1)
+        for sid in sorted(self.solvers):
+            agent = self.solvers[sid]
+            if agent.active:
+                submission = agent.step(self.contract.state, self._shared, time=self.time)
+                if submission is not None:  # the agent reads its outcome next round
+                    self._confirmed(self._submit, sid, submission)
+        for aid in sorted(self.adversaries):
+            agent = self.adversaries[aid]
+            if agent.active:
+                submission = agent.make_submission(self.contract.state)
+                if submission is not None:
+                    self._submit(aid, submission)
 
     # -- reporting ----------------------------------------------------------
 

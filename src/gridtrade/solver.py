@@ -37,7 +37,7 @@ into HiGHS, and :func:`solve_with_diagnostics` its one caller.
 A solver agent reads the contract's state and keeps no copy of it. The
 state is a function of the event prefix the contract has applied (the
 state-machine approach: Schneider, *ACM Computing Surveys*, 1990), so agents
-that read the same ``lp_head`` build the same LP. Such agents in one process
+that read the same ``lp_head`` build the same LP. Such agents in one day
 share one solve, the LP built and the solution that the solve validated
 (see :class:`SolverAgent`).
 
@@ -600,8 +600,8 @@ def solve_with_diagnostics(instance: LpInstance) -> tuple[Solution, SolveDiagnos
     duals prove the primal optimal for it within a relative
     ``epsilon * max(tie_break)``, at most TIE_BREAK_MAX.
 
-    Every call with variables makes one HiGHS run. Solver agents at one
-    ledger state do not call it once each: they share one solve (see
+    Every call with variables makes one HiGHS run. Solver agents of one day
+    at one ledger state do not call it once each: they share one solve (see
     :class:`SolverAgent`).
     """
     if instance.n_variables == 0:
@@ -622,13 +622,6 @@ def solve(instance: LpInstance) -> Solution:
     """Best feasible solution for the instance (see solve_with_diagnostics)."""
     solution, _ = solve_with_diagnostics(instance)
     return solution
-
-
-# The last solve a SolverAgent made in this process, shared by every agent:
-# the LP head (which names one ledger state, so fixes its grid and interval)
-# and config it was made at, then the LP built and its validated solution.
-# A solve that raises stores nothing.
-_last_solve: tuple[object, SolverConfig, LpInstance, Solution] | None = None
 
 
 class SolveRecord(NamedTuple):
@@ -665,16 +658,17 @@ class ControllerRow(NamedTuple):
 class SolverAgent:
     """A solver participant: reads the ledger and submits improvements.
 
-    At each tick the agent reads the contract's state, and keeps no copy of
+    At each round the agent reads the contract's state, and keeps no copy of
     it: it solves once each time the state's ``lp_head`` moves, and submits
     the solution then if the state's ``improves`` takes it, or never: the
     candidate's objective does not fall while the head stays. It holds no
-    solution between ticks.
+    solution between rounds.
 
     The head names one state of one contract, so agents that read the same
     head at the same solver config build the same LP. The agents of one
-    process share one solve for it: the first builds and solves, and the
-    ones after it take the LP and the solution that the solve validated.
+    day share one solve for it through the day's memo: the first builds and
+    solves, and the ones after it take the LP and the solution that the
+    solve validated, in that round or a later one while the head stays.
     That one check is the only one a shared solution needs. ``lp_head``
     moves on every event that changes the open offers, the pins or the
     interval, so at an unmoved head the LP's ``pinned`` is the state's own
@@ -705,24 +699,27 @@ class SolverAgent:
         self._solved_head = head
         return True
 
-    def step(self, state: ledger_mod.ContractState, *, time: float = 0.0) -> Solution | None:
-        """One solver tick on the contract's ``state``: at a moved
+    def step(self, state: ledger_mod.ContractState,
+             shared: dict[SolverConfig, tuple[object, LpInstance, Solution]], *,
+             time: float = 0.0) -> Solution | None:
+        """One solver round on the contract's ``state``: at a moved
         ``lp_head``, solve and return the solution if ``improves`` takes it,
-        else None."""
-        global _last_solve
+        else None. ``shared`` is the day's memo: for each config, the head
+        of its last solve, the LP built and the solution that solve
+        validated. A solve that raises stores nothing."""
         if not self.observe(state):
             return None
 
         config = self.config
         if self.controller is not None:
             config = config._replace(lookahead=self.controller.lookahead)
-        head, shared = state.lp_head, _last_solve
-        fresh = not (shared is not None and shared[0] is head and shared[1] == config)
+        head, entry = state.lp_head, shared.get(config)
+        fresh = entry is None or entry[0] is not head  # by identity: a head compares by value
         if fresh:
             instance = build_lp(state.open_offers, state.grid, state.pinned,
                                 state.current_interval, config)
         else:
-            instance, solution = shared[2], shared[3]
+            instance, solution = entry[1], entry[2]
         modeled_time = self.resource_model.solve_time(instance.n_variables)
         if fresh:
             try:
@@ -732,7 +729,7 @@ class SolverAgent:
                     time, self.id, instance.n_variables, instance.n_constraints,
                     modeled_time, 0.0, False, error=str(exc)))
                 return None
-            _last_solve = (head, config, instance, solution)
+            shared[config] = (head, instance, solution)
 
         value = objective(solution)
         submit = state.improves(value)

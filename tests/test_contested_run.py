@@ -73,12 +73,12 @@ def test_open_offer_index_matches_the_book_at_every_solver_step(monkeypatch):
     original = SolverAgent.step
     checked = []
 
-    def checked_step(agent, state, *, time=0.0):
+    def checked_step(agent, state, shared, *, time=0.0):
         assert state is sim.contract.state
         now = state.current_interval
         assert_index_consistent(state, now, agent.config)
         checked.append(now)
-        return original(agent, state, time=time)
+        return original(agent, state, shared, time=time)
 
     monkeypatch.setattr(SolverAgent, "step", checked_step)
     report = sim.run()
@@ -136,13 +136,18 @@ def test_adversary_sides_match_the_book_at_every_draw(monkeypatch):
 
 
 def test_three_solvers_share_one_solve_per_ledger_state(monkeypatch, tmp_path):
-    """The solvers tick in turn at one timestamp and read one ledger state,
-    so the first to tick at a ledger state builds and solves its LP and the
+    """The solvers step in turn in each round and read one ledger state,
+    so the first to step at a ledger state builds and solves its LP and the
     others take that solve; the log is the golden one.
 
     21 distinct LPs take 21 HiGHS runs: the removal of the failed solver-2,
     which withdraws no offer, leaves the LP head where it was, so no LP is
     solved twice.
+
+    The 33 builds need the day's memo, not one made fresh each round: solver-2
+    comes back at 76.52 s, and in the round at 78 s it takes the solve that
+    solver-1 made in the round at 76 s, at a head that has not moved since.
+    A memo of one round would build that LP again, 34 times in all.
     """
     builds, solves, runs = [], [], []
     build_lp = solver_mod.build_lp
@@ -167,7 +172,6 @@ def test_three_solvers_share_one_solve_per_ledger_state(monkeypatch, tmp_path):
     monkeypatch.setattr(solver_mod, "build_lp", build_counted)
     monkeypatch.setattr(solver_mod, "solve_with_diagnostics", solve_counted)
     monkeypatch.setattr(solver_mod, "linprog", linprog_counted)
-    monkeypatch.setattr(solver_mod, "_last_solve", None)
     report = contested_day(n_adversaries=2).run()
     assert len(builds) == 33
     assert len(solves) == len(runs) == len(set(solves)) == 21

@@ -9,7 +9,6 @@ from gridtrade.controller import (
     ControllerState,
     ResourceSignal,
     low_level_update,
-    reset_max_lookahead,
     top_level_update,
 )
 from gridtrade.solver import SolverAgent, SolverConfig
@@ -90,18 +89,6 @@ class TestLowLevel:
             low_level_update(make_state(), -0.1)
 
 
-class TestReset:
-    def test_reset_rearms_ceiling(self):
-        state = make_state(max_lookahead=3, lookahead=3)
-        after = reset_max_lookahead(state, 12)
-        assert after.max_lookahead == 12
-        assert after.lookahead == 3
-
-    def test_reset_below_lead_rejected(self):
-        with pytest.raises(ValueError):
-            reset_max_lookahead(make_state(clearing_lead=2, lookahead=2), 1)
-
-
 class FixedSignalModel:
     """A resource model that reports one fixed signal whatever the LP size."""
 
@@ -154,7 +141,6 @@ class TestAffineModel:
     st.one_of(
         st.tuples(st.just("top"), st.floats(0.0, 1.0)),
         st.tuples(st.just("low"), st.floats(0.0, 5.0)),
-        st.tuples(st.just("reset"), st.integers(1, 20)),
     ),
     min_size=0, max_size=40))
 def test_bound_invariant_under_any_call_sequence(ops):
@@ -164,13 +150,10 @@ def test_bound_invariant_under_any_call_sequence(ops):
         if kind == "top":
             state = top_level_update(state, ResourceSignal(cpu_fraction=value))
             ceilings.append(state.max_lookahead)
-        elif kind == "low":
-            state = low_level_update(state, value)
         else:
-            state = reset_max_lookahead(state, int(value))
-            ceilings = [state.max_lookahead]  # ratchet re-armed
+            state = low_level_update(state, value)
         assert state.clearing_lead <= state.lookahead <= state.max_lookahead
-    # between resets the ceiling never increases
+    # the ceiling never increases
     assert ceilings == sorted(ceilings, reverse=True)
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -527,7 +528,7 @@ class TestSolverAgent:
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
         agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
-        submission = agent.step(contract.state, time=0.0)
+        submission = agent.step(contract.state, {}, time=0.0)
         assert submission is not None
         assert objective(submission) > 0
 
@@ -536,9 +537,9 @@ class TestSolverAgent:
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
         agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
-        submission = agent.step(contract.state, time=0.0)
+        submission = agent.step(contract.state, {}, time=0.0)
         contract.submit_solution("solver-1", submission, time=0.0)
-        again = agent.step(contract.state, time=1.0)
+        again = agent.step(contract.state, {}, time=1.0)
         assert again is None
 
     def test_new_offer_triggers_strictly_better_submission(self, grid):
@@ -546,10 +547,10 @@ class TestSolverAgent:
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
         agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
-        first = agent.step(contract.state, time=0.0)
+        first = agent.step(contract.state, {}, time=0.0)
         contract.submit_solution("solver-1", first, time=0.0)
         contract.post_offer("bob", Side.BUYING, 2, 2, 4.0)
-        second = agent.step(contract.state, time=1.0)
+        second = agent.step(contract.state, {}, time=1.0)
         assert second is not None
         assert objective(second) > objective(first) + 1e-9
 
@@ -558,7 +559,7 @@ class TestSolverAgent:
         contract.post_offer("alice", Side.SELLING, 1, 2, 10.0)
         contract.post_offer("bob", Side.BUYING, 1, 2, 5.0)
         agent = SolverAgent("solver-1", SolverConfig(lookahead=3))
-        submission = agent.step(contract.state)
+        submission = agent.step(contract.state, {})
         event = contract.submit_solution("solver-1", submission)
         assert event.kind == "SolutionAccepted" and event.parsed is submission
         assert contract.state.candidate is submission
@@ -571,26 +572,26 @@ class TestSolverAgent:
             contract.post_offer("alice", Side.SELLING, t, t, 5.0)
             contract.post_offer("bob", Side.BUYING, t, t, 5.0)
         first, second = (SolverAgent(f"solver-{i}", SolverConfig(lookahead=3)) for i in (1, 2))
-        contract.submit_solution("solver-1", first.step(contract.state))
-        assert second.step(contract.state) is None  # equal: refused
+        contract.submit_solution("solver-1", first.step(contract.state, {}))
+        assert second.step(contract.state, {}) is None  # equal: refused
         contract.finalize(None, 0)
 
         def explode(instance):
             raise NumericFailure("synthetic blow-up")
 
         monkeypatch.setattr(solver_mod, "solve", explode)
-        assert second.step(contract.state, time=1.0) is None
+        assert second.step(contract.state, {}, time=1.0) is None
         assert second.records[-1].error == "synthetic blow-up"
         # The solution refused at time 0 trades at interval 1, now finalized,
         # and beats the candidate left for interval 2: it must not go out.
-        assert second.step(contract.state, time=2.0) is None
+        assert second.step(contract.state, {}, time=2.0) is None
 
     def test_solver_variable_count_recorded(self, grid):
         contract = self.make_contract(grid)
         contract.post_offer("alice", Side.SELLING, 1, 1, 5.0)
         contract.post_offer("bob", Side.BUYING, 1, 1, 5.0)
         agent = SolverAgent("solver-1", SolverConfig(lookahead=3, solve_period=1.0))
-        agent.step(contract.state, time=0.0)
+        agent.step(contract.state, {}, time=0.0)
         assert agent.records
         assert agent.records[-1].variables == 2  # alice's and bob's power at interval 1
 
@@ -702,7 +703,7 @@ class TestHighsEntryPoint:
 @pytest.fixture
 def solve_calls(monkeypatch):
     """The ``build_lp`` calls, HiGHS runs and ``check_feasibility`` pins of
-    ``solver``, one entry per call, with the shared solve emptied first."""
+    ``solver``, one entry per call."""
     calls = {"build_lp": [], "linprog": [], "check": []}
     build, run, check = solver_mod.build_lp, solver_mod.linprog, solver_mod.check_feasibility
 
@@ -721,12 +722,12 @@ def solve_calls(monkeypatch):
     monkeypatch.setattr(solver_mod, "build_lp", build_counted)
     monkeypatch.setattr(solver_mod, "linprog", run_counted)
     monkeypatch.setattr(solver_mod, "check_feasibility", check_counted)
-    monkeypatch.setattr(solver_mod, "_last_solve", None)
     return calls
 
 
 class TestSharedSolve:
-    """Solver agents at one ledger state share one solve, checked once, by the solve."""
+    """Solver agents at one ledger state share one solve, checked once, by the
+    solve, through the memo of their market."""
 
     def market(self, grid):
         contract = Contract(grid, require_dso_finalize=False)
@@ -738,11 +739,11 @@ class TestSharedSolve:
         contract.post_offer("bob", Side.BUYING, 1, 2, 6.0)
         contract.post_offer("bob", Side.BUYING, 2, 3, 6.0)
         agents = [SolverAgent(f"solver-{i}", SolverConfig(lookahead=3)) for i in (1, 2, 3)]
-        return contract, agents
+        return contract, agents, {}
 
     def test_agents_at_one_ledger_state_make_one_build_and_one_run(self, grid, solve_calls):
-        contract, agents = self.market(grid)
-        first, second = (agent.step(contract.state) for agent in agents[:2])
+        contract, agents, shared = self.market(grid)
+        first, second = (agent.step(contract.state, shared) for agent in agents[:2])
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
         assert first is second and objective(first) == pytest.approx(10.0, abs=1e-9)
         # One check in all, the solve's, against the ledger's own pins.
@@ -750,23 +751,32 @@ class TestSharedSolve:
         assert [r.variables for r in agents[0].records] == [r.variables for r in agents[1].records]
 
     def test_an_lp_changing_event_between_forces_a_fresh_build(self, grid, solve_calls):
-        contract, (one, two, _) = self.market(grid)
-        first = one.step(contract.state)
+        contract, (one, two, _), shared = self.market(grid)
+        first = one.step(contract.state, shared)
         contract.post_offer("alice", Side.SELLING, 3, 3, 4.0)
-        second = two.step(contract.state)
+        second = two.step(contract.state, shared)
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
         assert objective(first) == pytest.approx(10.0, abs=1e-9)
         assert objective(second) == pytest.approx(12.0, abs=1e-9)  # all bob asks
 
     def test_another_config_builds_its_own_lp(self, grid, solve_calls):
-        contract, (one, _, _) = self.market(grid)
+        contract, (one, _, _), shared = self.market(grid)
         short = SolverAgent("solver-2", SolverConfig(lookahead=1))
-        one.step(contract.state)
-        assert objective(short.step(contract.state)) == pytest.approx(6.0)
+        one.step(contract.state, shared)
+        assert objective(short.step(contract.state, shared)) == pytest.approx(6.0)
         assert len(solve_calls["build_lp"]) == 2
 
+    def test_each_config_keeps_its_own_solve(self, grid, solve_calls):
+        contract, (one, two, _), shared = self.market(grid)
+        short = SolverAgent("solver-3", SolverConfig(lookahead=1))
+        one.step(contract.state, shared)
+        short.step(contract.state, shared)
+        assert objective(two.step(contract.state, shared)) == pytest.approx(10.0, abs=1e-9)
+        assert len(solve_calls["build_lp"]) == 2
+        assert set(shared) == {one.config, short.config}
+
     def test_a_solve_that_raised_stores_nothing(self, grid, monkeypatch, solve_calls):
-        contract, (one, two, _) = self.market(grid)
+        contract, (one, two, _), shared = self.market(grid)
         counted = solver_mod.linprog
 
         def fails_once(c, a, rhs):
@@ -776,50 +786,62 @@ class TestSharedSolve:
             return counted(c, a, rhs)
 
         monkeypatch.setattr(solver_mod, "linprog", fails_once)
-        assert one.step(contract.state) is None
+        assert one.step(contract.state, shared) is None
         assert one.records[-1].error == "synthetic blow-up"
-        assert solver_mod._last_solve is None
-        assert objective(two.step(contract.state)) == pytest.approx(10.0, abs=1e-9)
+        assert shared == {}
+        assert objective(two.step(contract.state, shared)) == pytest.approx(10.0, abs=1e-9)
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 2
 
     def test_a_later_hit_returns_the_first_answer(self, grid, solve_calls):
-        contract, (one, two, three) = self.market(grid)
-        first = one.step(contract.state)
-        assert two.step(contract.state) is first  # not yet submitted
+        contract, (one, two, three), shared = self.market(grid)
+        first = one.step(contract.state, shared)
+        assert two.step(contract.state, shared) is first  # not yet submitted
         contract.submit_solution("solver-1", first)  # an event no LP reads
-        assert three.step(contract.state) is None  # equal to the candidate
+        assert three.step(contract.state, shared) is None  # equal to the candidate
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
         assert contract.state.candidate is first
         assert [(r.objective, r.submitted) for r in two.records + three.records] == [
             (objective(first), True), (objective(first), False)]
 
     def test_a_shared_solution_the_ledger_refuses_is_never_sent(self, grid, solve_calls):
-        contract, (one, two, _) = self.market(grid)
-        contract.submit_solution("solver-1", one.step(contract.state))
-        assert two.step(contract.state) is None  # equal to the candidate
-        assert two.step(contract.state) is None  # and never sent later
+        contract, (one, two, _), shared = self.market(grid)
+        contract.submit_solution("solver-1", one.step(contract.state, shared))
+        assert two.step(contract.state, shared) is None  # equal to the candidate
+        assert two.step(contract.state, shared) is None  # and never sent later
         # The one check is the solve's own, against the ledger's pins.
         assert [id(p) for p in solve_calls["check"]] == [id(contract.state.pinned)]
         assert [r.submitted for r in one.records + two.records] == [True, False]
 
     def test_a_removal_that_withdraws_no_open_offer_leaves_the_lp_head(self, grid, solve_calls):
-        contract, (one, two, _) = self.market(grid)
-        one.step(contract.state)
+        contract, (one, two, _), shared = self.market(grid)
+        one.step(contract.state, shared)
         head = contract.state.lp_head
         contract.remove_participant_trades("solver-3")  # a solver posts no offer
-        assert one.step(contract.state) is None
-        assert two.step(contract.state) is not None  # the shared solve
+        assert one.step(contract.state, shared) is None
+        assert two.step(contract.state, shared) is not None  # the shared solve
         assert contract.state.lp_head is head
         assert len(solve_calls["build_lp"]) == len(solve_calls["linprog"]) == 1
 
     def test_a_removal_that_withdraws_an_open_offer_moves_the_lp_head(self, grid, solve_calls):
-        contract, (one, _, _) = self.market(grid)
-        one.step(contract.state)
+        contract, (one, _, _), shared = self.market(grid)
+        one.step(contract.state, shared)
         [removal] = contract.remove_participant_trades("bob")
-        assert one.step(contract.state) is None  # no buyer is left
+        assert one.step(contract.state, shared) is None  # no buyer is left
         assert contract.state.lp_head is removal
         assert replay_events(grid, contract.events).lp_head is removal
         assert len(solve_calls["build_lp"]) == 2
+
+
+def test_no_module_state_but_the_highs_engine():
+    """The only ``global`` statement in the package is the HiGHS engine's:
+    what a day shares, such as its solves, belongs to the day."""
+    package = Path(solver_mod.__file__).resolve().parent
+    found = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                found.update((module.name, name) for name in node.names)
+    assert found == {("solver.py", "_highs")}
 
 
 class TestSolveChecksItsOwnPins:
@@ -889,12 +911,10 @@ def test_a_day_is_the_same_with_every_shared_solve_missed(**day):
                 builds.append(args[3])
                 return build(*args, **kwargs)
 
-            def step_missing(agent, state, *, time=0.0):
-                solver_mod._last_solve = None
-                return step(agent, state, time=time)
+            def step_missing(agent, state, shared, *, time=0.0):
+                return step(agent, state, {}, time=time)
 
             patch.setattr(solver_mod, "build_lp", build_counted)
-            patch.setattr(solver_mod, "_last_solve", None)
             if not shared:
                 patch.setattr(SolverAgent, "step", step_missing)
             report = small_day(**day).run()
